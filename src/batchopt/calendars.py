@@ -78,6 +78,7 @@ class Calendar:
     intervals: tuple[Interval, ...]
     _spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hour_fractions: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spans = sorted(iv.week_offsets() for iv in self.intervals)
@@ -89,6 +90,16 @@ class Calendar:
                 merged.append((s, e))
         object.__setattr__(self, "_spans", tuple(merged))
         object.__setattr__(self, "_starts", tuple(s for s, _ in merged))
+        fractions = []
+        for slot_start in range(0, SECONDS_PER_WEEK, SECONDS_PER_HOUR):
+            slot_end = slot_start + SECONDS_PER_HOUR
+            covered = 0
+            for s, e in merged:
+                lo, hi = max(s, slot_start), min(e, slot_end)
+                if hi > lo:
+                    covered += hi - lo
+            fractions.append(covered / SECONDS_PER_HOUR)
+        object.__setattr__(self, "_hour_fractions", tuple(fractions))
 
     @property
     def weekly_open_seconds(self) -> int:
@@ -165,14 +176,7 @@ class Calendar:
 
     def hour_fraction(self, weekday: int, hour: int) -> float:
         """Fraction of the (weekday, hour) slot covered by open intervals."""
-        slot_start = weekday * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
-        slot_end = slot_start + SECONDS_PER_HOUR
-        covered = 0
-        for s, e in self._spans:
-            lo, hi = max(s, slot_start), min(e, slot_end)
-            if hi > lo:
-                covered += hi - lo
-        return covered / SECONDS_PER_HOUR
+        return self._hour_fractions[weekday * 24 + hour]
 
     def windows_from(self, t: int):
         """Yield successive absolute open windows (start, end) with start >= next_open(t).

@@ -6,10 +6,14 @@ fires; the fired batch takes every waiting instance, seizes one eligible
 resource for its whole span, and works only inside that resource's
 calendar.  Activities without a policy run as size-1 batches immediately.
 
-Rules are re-evaluated at every state change (enablement, batch
-completion), at every hour boundary while anything waits, and at the exact
-instants waiting-time thresholds cross.  When no future event can ever
-fire a rule, the remaining waiting instances are flushed as final batches.
+Time advances from event to event (next-event time advance).  Rules are
+re-evaluated after every event: an arrival or completion (the only things
+that change a size condition), a wake at the exact instant a waiting-time
+threshold crosses, and a tick at the next hour boundary at which some
+waiting activity's daily-hour / week-day conditions hold.  Clock
+conditions change truth only on hour boundaries, so no rule can newly hold
+at any other instant.  When no future event can ever fire a rule, the
+remaining waiting instances are flushed as final batches.
 
 All randomness is drawn from counter-based streams keyed by case /
 activity / gateway visit, so two runs with the same seed are bit-identical
@@ -18,6 +22,7 @@ and a policy change never perturbs arrivals or duration samples.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import rng
-from .calendars import SECONDS_PER_HOUR
+from .calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from .eventlog import (
     BatchRecord,
     CYCLE_TIME_FULL,
@@ -41,14 +46,17 @@ from .policy import (
     BatchState,
     BatchingPolicy,
     CostModel,
+    DAILY_HOUR,
     PARALLEL,
     PolicySet,
     SEQUENTIAL,
     SIZE,
+    WEEK_DAY,
     WT_FIRST,
     WT_LAST,
     compute_batch_cost,
     evaluate_activation_rule,
+    evaluate_condition,
 )
 
 
@@ -82,6 +90,27 @@ class SimResult(NamedTuple):
 # event kinds, in same-instant processing order
 _COMPLETE, _ARRIVAL, _WAKE, _TICK = 0, 1, 2, 3
 
+_WEEK_HOURS = SECONDS_PER_WEEK // SECONDS_PER_HOUR
+
+
+def _clock_hours(policy: BatchingPolicy | None) -> tuple[int, ...]:
+    """Sorted week-hours (0 = Monday 00:00-01:00) in which some condition
+    group that reads the clock has all its daily-hour / week-day conditions
+    true; the union of those groups' 168-slot masks."""
+    if policy is None:
+        return ()
+    probe = BatchState((0,))  # clock conditions ignore the waiting list
+    hours: set[int] = set()
+    for group in policy.rule.groups:
+        clock = [c for c in group.conditions if c.kind in (DAILY_HOUR, WEEK_DAY)]
+        if clock:
+            hours.update(
+                h
+                for h in range(_WEEK_HOURS)
+                if all(evaluate_condition(c, probe, h * SECONDS_PER_HOUR) for c in clock)
+            )
+    return tuple(sorted(hours))
+
 
 @dataclass
 class _WaitingInstance:
@@ -94,6 +123,7 @@ class _WaitingInstance:
 class _ActivityState:
     policy: BatchingPolicy | None
     default_cost: CostModel
+    clock_hours: tuple[int, ...]  # see _clock_hours
     waiting: list[_WaitingInstance] = field(default_factory=list)
 
     def enable_times(self) -> tuple[int, ...]:
@@ -132,9 +162,15 @@ class _Engine:
             a.id: _ActivityState(
                 policy=policies.get(a.id),
                 default_cost=CostModel(fixed_cost=a.fixed_cost_per_execution),
+                clock_hours=_clock_hours(policies.get(a.id)),
             )
             for a in model.activities
         }
+        # activities with a rule, in evaluation order
+        self.ruled = [
+            (a, s) for a, s in sorted(self.act_states.items()) if s.policy is not None
+        ]
+        self.clocked = [s for _, s in self.ruled if s.clock_hours]
         self.res_states = {r.id: _ResourceState() for r in model.resources}
 
         self.or_join_of = self._pair_or_splits()
@@ -144,7 +180,7 @@ class _Engine:
         self.heap: list = []
         self.seq = itertools.count()
         self.pending_case_events = 0
-        self.tick_scheduled = False
+        self.tick_at: int | None = None  # earliest pending tick
 
         self.instances: list[InstanceRecord] = []
         self.batches: list[BatchRecord] = []
@@ -202,29 +238,37 @@ class _Engine:
             self.pending_case_events += 1
 
     def _schedule_tick(self) -> None:
-        if self.tick_scheduled:
+        """Tick at the first hour boundary after now that lies in a clock
+        hour of some waiting activity, unless an earlier tick is pending."""
+        hour = self.now // SECONDS_PER_HOUR + 1
+        slot = hour % _WEEK_HOURS
+        best = None
+        for state in self.clocked:
+            if not state.waiting:
+                continue
+            hours = state.clock_hours
+            i = bisect.bisect_left(hours, slot)
+            ahead = hours[i] - slot if i < len(hours) else hours[0] + _WEEK_HOURS - slot
+            if best is None or ahead < best:
+                best = ahead
+        if best is None:
             return
-        boundary = (self.now // SECONDS_PER_HOUR + 1) * SECONDS_PER_HOUR
-        self._push(boundary, _TICK, None)
-        self.tick_scheduled = True
+        boundary = (hour + best) * SECONDS_PER_HOUR
+        if self.tick_at is None or boundary < self.tick_at:
+            self._push(boundary, _TICK, None)
+            self.tick_at = boundary
 
     def _schedule_timeout_wakes(self, activity_id: str) -> None:
+        """Wake the activity at the first integer instant at which a waiting
+        threshold of the instance just enabled holds.  wt-first only counts
+        from the first waiting instance; wt-last restarts with each one."""
         state = self.act_states[activity_id]
-        if not state.waiting or state.policy is None:
-            return
-        first = state.waiting[0].enable_time
-        last = state.waiting[-1].enable_time
+        first = len(state.waiting) == 1
         for group in state.policy.rule.groups:
             for cond in group.conditions:
-                # first integer instant at which the threshold holds
-                if cond.kind == WT_FIRST:
-                    when = first + math.ceil(cond.threshold)
-                elif cond.kind == WT_LAST:
-                    when = last + math.ceil(cond.threshold)
-                else:
-                    continue
-                if when > self.now:
-                    self._push(when, _WAKE, activity_id)
+                if cond.kind == WT_LAST or (cond.kind == WT_FIRST and first):
+                    if cond.threshold > 0:
+                        self._push(self.now + math.ceil(cond.threshold), _WAKE, activity_id)
 
     # -- arrivals --------------------------------------------------------------
 
@@ -346,9 +390,8 @@ class _Engine:
 
     def _evaluate_rules(self) -> None:
         """Fire every activity whose rule holds right now."""
-        for activity_id in sorted(self.act_states):
-            state = self.act_states[activity_id]
-            if not state.waiting or state.policy is None:
+        for activity_id, state in self.ruled:
+            if not state.waiting:
                 continue
             batch_state = BatchState(state.enable_times())
             if evaluate_activation_rule(state.policy.rule, batch_state, self.now):
@@ -484,12 +527,11 @@ class _Engine:
                 if activity_id not in self.model.end_nodes:
                     for arc in self.outgoing.get(activity_id, []):
                         self._route(case_id, arc.target, arc.id)
-            elif kind == _TICK:
-                self.tick_scheduled = False
-            # state changed or an instant passed: re-check every rule
+            elif kind == _TICK and time == self.tick_at:
+                self.tick_at = None
+            # state changed, a threshold crossed or a clock hour began
             self._evaluate_rules()
-            if self._any_waiting():
-                self._schedule_tick()
+            self._schedule_tick()
         return EventLog(tuple(self.instances), tuple(self.batches))
 
 

@@ -10,6 +10,7 @@ kind appears at most once.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
@@ -49,6 +50,8 @@ class Condition:
     def __post_init__(self):
         if self.kind not in CONDITION_KINDS:
             raise PolicyError(f"unknown condition kind {self.kind!r}")
+        if not math.isfinite(self.threshold):
+            raise PolicyError(f"{self.kind} threshold must be finite, got {self.threshold!r}")
         if self.kind == SIZE and (self.threshold < 1 or self.threshold != int(self.threshold)):
             raise PolicyError(f"size threshold must be an integer >= 1, got {self.threshold!r}")
         if self.kind in (WT_FIRST, WT_LAST) and self.threshold < 0:

@@ -74,6 +74,19 @@ class TestSimulate:
         assert code == 3
         assert "bad.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["NaN", "1e400"])
+    def test_non_finite_threshold_is_a_schema_failure(self, tmp_path, capsys, threshold):
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"policies": [{"activity": "stamp", "batchType": "parallel", "rule": '
+            f'[[{{"kind": "wt-first", "threshold": {threshold}}}]]}}]}}'
+        )
+        code = main(["simulate", "--model", model, "--policies", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import pytest
 
+from batchopt import engine
 from batchopt import model as m
 from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
@@ -237,6 +238,50 @@ class TestActivationTiming:
         (batch,) = log.batches
         assert batch.start_time == 24 * H  # Tuesday 00:00 tick
         assert batch.size == 3
+
+    def test_week_day_rule_is_evaluated_only_on_its_day(self, monkeypatch):
+        instants = []
+
+        def spy(rule, state, now):
+            instants.append(now)
+            return pol.evaluate_activation_rule(rule, state, now)
+
+        monkeypatch.setattr(engine, "evaluate_activation_rule", spy)
+        policies = {
+            "work": pol.BatchingPolicy(
+                activity_id="work",
+                batch_type=pol.PARALLEL,
+                rule=pol.rule([pol.on_days(4)]),  # Fridays only
+            )
+        }
+        log, _ = simulate(single_activity_model(), policies, SimConfig(seed=1))
+        (batch,) = log.batches
+        assert batch.start_time == 4 * 24 * H
+        # the three Monday enablements, then no hourly ticks until Friday 00:00
+        assert instants == [H, 2 * H, 3 * H, 4 * 24 * H]
+
+    def test_earlier_clock_hour_preempts_a_pending_tick(self):
+        doc = m.serialize_model(single_activity_model(total_cases=2))
+        doc["activities"].append(dict(doc["activities"][0], id="file", name="file"))
+        doc["arcs"] = [{"source": "work", "target": "file"}]
+        doc["endNodes"] = ["file"]
+        model = m.parse_model(doc)
+        policies = {
+            # the first case waits for 22:00; the second one fires it at 02:00
+            "work": pol.BatchingPolicy(
+                activity_id="work",
+                batch_type=pol.PARALLEL,
+                rule=pol.rule([pol.in_hours(22)], [pol.size_at_least(2)]),
+            ),
+            "file": pol.BatchingPolicy(
+                activity_id="file", batch_type=pol.PARALLEL, rule=pol.rule([pol.in_hours(10)])
+            ),
+        }
+        log, _ = simulate(model, policies, SimConfig(seed=1))
+        assert [(b.activity_id, b.start_time) for b in log.batches] == [
+            ("work", 2 * H),
+            ("file", 10 * H),  # not 22:00, the tick still pending from "work"
+        ]
 
 
 class TestFlush:

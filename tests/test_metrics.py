@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from batchopt import metrics as mx
 from batchopt.engine import SimConfig, simulate
-from batchopt.eventlog import EventLog
-from batchopt.fixtures import _activity, _all_week, _chain_model, _resource, _spans
+from batchopt.eventlog import EventLog, case_cycle_time
+from batchopt.fixtures import _activity, _all_week, _chain_model, _resource, _spans, get_fixture
 from batchopt.model import parse_model
 from batchopt.pareto import Solution
 from batchopt.policy import (
@@ -14,6 +14,7 @@ from batchopt.policy import (
     CostModel,
     PARALLEL,
     in_hours,
+    parse_policies,
     policy_set,
     rule,
 )
@@ -251,3 +252,14 @@ class TestMeanCaseCycleTime:
     def test_empty_log_rejected(self):
         with pytest.raises(mx.MetricsError):
             mx.mean_case_cycle_time(EventLog(instances=(), batches=()))
+
+    def test_agrees_with_per_case_cycle_times(self):
+        fixture = get_fixture("busy-step")
+        log, _ = simulate(
+            parse_model(fixture.model_doc),
+            parse_policies(fixture.policies_doc),
+            SimConfig(seed=3, total_cases=200),
+        )
+        ids = log.case_ids()
+        per_case = [case_cycle_time(log, c) for c in ids]
+        assert mx.mean_case_cycle_time(log) == sum(per_case) / len(ids)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,10 @@ class TestConditions:
             pol.size_at_least(0)
         with pytest.raises(pol.PolicyError):
             pol.Condition(pol.WT_FIRST, threshold=-1)
+        for kind in pol.THRESHOLD_KINDS:
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(pol.PolicyError):
+                    pol.Condition(kind, threshold=value)
         with pytest.raises(pol.PolicyError):
             pol.in_hours(24)
         with pytest.raises(pol.PolicyError):
