@@ -448,9 +448,14 @@ def detect_scenarios(
     model: ProcessModel,
     policies: PolicySet,
     config: DetectionConfig = DetectionConfig(),
+    stats: LogStats | None = None,
 ) -> list[ScenarioInstance]:
-    """Evaluate all nineteen trigger predicates; deterministic and pure."""
-    stats = compute_stats(log, model)
+    """Evaluate all nineteen trigger predicates; deterministic and pure.
+
+    Pass `stats` when `compute_stats(log, model)` is already at hand.
+    """
+    if stats is None:
+        stats = compute_stats(log, model)
     return detect_scenarios_from_stats(log, model, policies, stats, config)
 
 

@@ -30,16 +30,18 @@ from .engine import (
     sim_config_to_doc,
     simulate,
 )
-from .eventlog import render_batch_csv, render_event_csv
+from .eventlog import filter_warmup, render_batch_csv, render_event_csv
 from .metrics import (
     FrontPointSet,
     MetricsError,
     build_reference_front,
     cycle_time_gain,
+    mean_case_cycle_time,
     metrics_row,
+    policy_set_key,
     render_metrics_csv,
 )
-from .model import ParseError, ValidationError, parse_model
+from .model import ParseError, ValidationError, parse_model, validate_model
 from .optimize import (
     OptimizerConfig,
     OptimizerError,
@@ -120,8 +122,16 @@ def _parse_doc(path: str, what: str, parser):
         raise CliError(EXIT_SCHEMA, f"{what} file {path}: {err}") from err
 
 
+def _parse_valid_model(doc):
+    model = parse_model(doc)
+    violations = validate_model(model)
+    if violations:
+        raise ValidationError(violations)
+    return model
+
+
 def _load_model(path: str):
-    return _parse_doc(path, "model", parse_model)
+    return _parse_doc(path, "model", _parse_valid_model)
 
 
 def _load_policies(path: str | None):
@@ -303,7 +313,7 @@ def cmd_analyze(args) -> int:
     try:
         result = simulate(model, policies, sim_config)
         stats = compute_stats(result.log, model)
-        scenarios = detect_scenarios(result.log, model, policies, config.detection)
+        scenarios = detect_scenarios(result.log, model, policies, config.detection, stats)
     except (SimulationError, AnalyticsError) as err:
         raise CliError(EXIT_RUNTIME, f"analysis failed: {err}") from err
 
@@ -413,16 +423,22 @@ def cmd_evaluate(args) -> int:
             initial = simulate(model, policies, sim_config)
         except SimulationError as err:
             raise CliError(EXIT_RUNTIME, f"initial simulation failed: {err}") from err
-        gain_context = (initial.log, model, sim_config)
+        # one memo for every front: each distinct policy set simulates once
+        memo = {
+            policy_set_key(policies): mean_case_cycle_time(
+                filter_warmup(initial.log, sim_config.warmup)
+            )
+        }
+        gain_context = (initial.log, model, sim_config, memo)
 
     reference = build_reference_front(runs)
 
     def gain_for(front: ParetoFront) -> float | None:
         if gain_context is None:
             return None
-        initial_log, model, sim_config = gain_context
+        initial_log, model, sim_config, memo = gain_context
         try:
-            return cycle_time_gain(initial_log, front.solutions, model, sim_config)
+            return cycle_time_gain(initial_log, front.solutions, model, sim_config, memo)
         except (SimulationError, MetricsError) as err:
             raise CliError(EXIT_RUNTIME, f"gain computation failed: {err}") from err
 

@@ -15,6 +15,11 @@ conditions change truth only on hour boundaries, so no rule can newly hold
 at any other instant.  When no future event can ever fire a rule, the
 remaining waiting instances are flushed as final batches.
 
+An activity's waiting queue only grows by appends at the current instant
+and is emptied whole when a batch forms, so it stays in enable-time order.
+A rule therefore reads just the queue's length and its first and last
+enable times, and one evaluation costs the same however long the queue.
+
 All randomness is drawn from counter-based streams keyed by case /
 activity / gateway visit, so two runs with the same seed are bit-identical
 and a policy change never perturbs arrivals or duration samples.
@@ -99,7 +104,7 @@ def _clock_hours(policy: BatchingPolicy | None) -> tuple[int, ...]:
     true; the union of those groups' 168-slot masks."""
     if policy is None:
         return ()
-    probe = BatchState((0,))  # clock conditions ignore the waiting list
+    probe = BatchState(1, 0, 0)  # clock conditions ignore the waiting list
     hours: set[int] = set()
     for group in policy.rule.groups:
         clock = [c for c in group.conditions if c.kind in (DAILY_HOUR, WEEK_DAY)]
@@ -124,10 +129,8 @@ class _ActivityState:
     policy: BatchingPolicy | None
     default_cost: CostModel
     clock_hours: tuple[int, ...]  # see _clock_hours
+    # in enable-time order, checked in _enable_instance
     waiting: list[_WaitingInstance] = field(default_factory=list)
-
-    def enable_times(self) -> tuple[int, ...]:
-        return tuple(w.enable_time for w in self.waiting)
 
 
 @dataclass
@@ -382,6 +385,11 @@ class _Engine:
         u = rng.unit(self.seed, "durations", case_id, activity_id, visit)
         work = rng.round_half_up(self.activities[activity_id].duration.sample(u))
         state = self.act_states[activity_id]
+        if state.waiting and self.now < state.waiting[-1].enable_time:
+            raise SimulationError(
+                f"activity {activity_id!r} enabled at {self.now}, "
+                f"before its last waiting instance ({state.waiting[-1].enable_time})"
+            )
         state.waiting.append(_WaitingInstance(case_id, self.now, work))
         if state.policy is None:
             self._form_batch(activity_id)
@@ -391,9 +399,12 @@ class _Engine:
     def _evaluate_rules(self) -> None:
         """Fire every activity whose rule holds right now."""
         for activity_id, state in self.ruled:
-            if not state.waiting:
+            waiting = state.waiting
+            if not waiting:
                 continue
-            batch_state = BatchState(state.enable_times())
+            batch_state = BatchState(
+                len(waiting), waiting[0].enable_time, waiting[-1].enable_time
+            )
             if evaluate_activation_rule(state.policy.rule, batch_state, self.now):
                 self._form_batch(activity_id)
 

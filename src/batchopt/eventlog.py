@@ -199,8 +199,3 @@ def render_batch_csv(log: EventLog) -> str:
 def write_event_csv(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(render_event_csv(log))
-
-
-def write_batch_csv(log: EventLog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_batch_csv(log))

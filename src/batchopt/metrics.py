@@ -20,6 +20,7 @@ from .engine import SimConfig, simulate
 from .eventlog import EventLog, case_cycle_time, filter_warmup  # noqa: F401
 from .model import ProcessModel
 from .pareto import Point, Solution, dominates
+from .policy import PolicySet
 
 PURITY_TOLERANCE = 1e-9
 
@@ -146,26 +147,43 @@ def mean_case_cycle_time(log: EventLog) -> float:
     return sum(spans[c][1] - spans[c][0] for c in sorted(spans)) / len(spans)
 
 
+def policy_set_key(policies: PolicySet) -> tuple:
+    """Hashable identity of a policy set: equal keys give equal simulated
+    cycle times under one model and run config."""
+    return tuple(sorted(policies.items()))
+
+
 def cycle_time_gain(
     initial_log: EventLog,
     solutions: Sequence[Solution],
     model: ProcessModel,
     config: SimConfig = SimConfig(),
+    memo: dict[tuple, float] | None = None,
 ) -> float:
     """Cycle time saved by the best solution relative to the initial run.
 
     Every solution is re-simulated under `config` and scored by its mean
     per-case cycle time; the gain is the initial mean minus the best
     (smallest) solution mean. Negative when every solution is slower.
+
+    `memo` maps `policy_set_key` to that mean and is read before and
+    filled after each simulation, so a caller scoring several fronts of
+    one model and config simulates each distinct policy set once.
     """
     if not solutions:
         raise MetricsError("cycle_time_gain needs at least one solution")
+    if memo is None:
+        memo = {}
     baseline = mean_case_cycle_time(filter_warmup(initial_log, config.warmup))
     best = math.inf
     for sol in solutions:
-        result = simulate(model, sol.policies, config)
-        trimmed = filter_warmup(result.log, config.warmup)
-        best = min(best, mean_case_cycle_time(trimmed))
+        key = policy_set_key(sol.policies)
+        mean = memo.get(key)
+        if mean is None:
+            result = simulate(model, sol.policies, config)
+            mean = mean_case_cycle_time(filter_warmup(result.log, config.warmup))
+            memo[key] = mean
+        best = min(best, mean)
     return baseline - best
 
 

@@ -8,6 +8,7 @@ are plain JSON; see docs/model-schema.md for the wire format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import rng
@@ -152,7 +153,13 @@ class ProcessModel:
 # validation
 
 def _distribution_violations(dist: DurationDistribution, where: str) -> list[str]:
-    out = []
+    out = [
+        f"{where}: {name} must be finite, got {value!r}"
+        for name, value in dist.params
+        if not math.isfinite(value)
+    ]
+    if out:
+        return out
     try:
         if dist.kind == "fixed":
             if dist.param("value") < 0:
@@ -272,8 +279,8 @@ def validate_model(model: ProcessModel) -> list[str]:
         for r in a.resources:
             if r not in res_ids:
                 out.append(f"activity {a.id!r}: unknown resource {r!r}")
-        if a.fixed_cost_per_execution < 0:
-            out.append(f"activity {a.id!r}: fixed cost must be >= 0")
+        if not 0 <= a.fixed_cost_per_execution < math.inf:
+            out.append(f"activity {a.id!r}: fixed cost must be finite and >= 0")
         out.extend(_distribution_violations(a.duration, f"activity {a.id!r} duration"))
 
     for g in model.gateways:
@@ -288,7 +295,7 @@ def validate_model(model: ProcessModel) -> list[str]:
         if g.kind == "xor-split":
             if outs and all(arc.id in probs for arc in outs):
                 total = sum(probs[arc.id] for arc in outs)
-                if abs(total - 1.0) > 1e-9:
+                if not abs(total - 1.0) <= 1e-9:
                     out.append(f"gateway {g.id!r}: branch probabilities sum to {total!r}, expected 1")
         if g.kind == "or-split":
             for arc in outs:
@@ -299,8 +306,8 @@ def validate_model(model: ProcessModel) -> list[str]:
             out.append(f"gateway {g.id!r}: join needs at least 2 incoming arcs")
 
     for r in model.resources:
-        if r.cost_per_time_unit < 0:
-            out.append(f"resource {r.id!r}: cost per time unit must be >= 0")
+        if not 0 <= r.cost_per_time_unit < math.inf:
+            out.append(f"resource {r.id!r}: cost per time unit must be finite and >= 0")
         out.extend(_calendar_violations(r.calendar, f"resource {r.id!r}"))
 
     if model.arrival.total_cases < 1:
@@ -489,8 +496,3 @@ def serialize_model(model: ProcessModel) -> dict:
             "totalCases": model.arrival.total_cases,
         },
     }
-
-
-def load_model(path) -> ProcessModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())

@@ -142,15 +142,18 @@ def guided_deltas(
     model: ProcessModel,
     log: EventLog,
     policies: PolicySet,
+    stats: LogStats | None,
     config: OptimizerConfig,
 ) -> list[PolicyDelta]:
-    """All deltas the detected patterns of this log prescribe.
+    """All deltas the detected patterns of this log prescribe, given its
+    stats (None when they could not be computed: no deltas).
 
     Pattern instances whose derivation cannot be completed are skipped so
     one odd activity never stalls the search.
     """
+    if stats is None:
+        return []
     try:
-        stats = compute_stats(log, model)
         instances = detect_scenarios_from_stats(log, model, policies, stats, config.detection)
     except AnalyticsError:
         return []
@@ -258,15 +261,15 @@ def _candidate_deltas(
     config: OptimizerConfig,
     iteration: int,
 ) -> list[PolicyDelta]:
-    derived = guided_deltas(model, candidate.log, candidate.solution.policies, config)
-    if config.guided:
-        return derived
-    # the unguided baseline spends exactly the budget the guided search
-    # would have spent on this candidate, but on random moves
     try:
         stats = compute_stats(candidate.log, model)
     except AnalyticsError:
         stats = None
+    derived = guided_deltas(model, candidate.log, candidate.solution.policies, stats, config)
+    if config.guided:
+        return derived
+    # the unguided baseline spends exactly the budget the guided search
+    # would have spent on this candidate, but on random moves
     return random_perturbation(
         model,
         stats,

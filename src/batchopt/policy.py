@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
 
@@ -129,29 +129,45 @@ def rule(*groups) -> ActivationRule:
 
 @dataclass(frozen=True)
 class BatchState:
-    """What a rule sees: enable times of waiting instances, in waiting order."""
+    """What a rule sees of an activity's waiting instances: how many wait,
+    and the enable times of the earliest and the latest of them.
 
-    waiting_enable_times: tuple[int, ...]
+    Building one is O(1), whatever the queue length; `of` builds one from
+    the full list of enable times, checking that it is in waiting order.
+    An empty state (size 0) never fires a rule.
+    """
+
+    size: int
+    first_enable: int
+    last_enable: int
 
     def __post_init__(self):
-        if any(
-            a > b
-            for a, b in zip(self.waiting_enable_times, self.waiting_enable_times[1:])
-        ):
+        if self.size < 0:
+            raise PolicyError(f"waiting count must be >= 0, got {self.size}")
+        if self.first_enable > self.last_enable:
             raise PolicyError("waiting instances must be ordered by enable time")
+
+    @classmethod
+    def of(cls, enable_times) -> "BatchState":
+        """State of a waiting list given by its enable times, in waiting order."""
+        times = tuple(enable_times)
+        if any(a > b for a, b in zip(times, times[1:])):
+            raise PolicyError("waiting instances must be ordered by enable time")
+        if not times:
+            return cls(0, 0, 0)
+        return cls(len(times), times[0], times[-1])
 
 
 def evaluate_condition(condition: Condition, state: BatchState, now: int) -> bool:
     """Truth of one condition against the waiting list at instant `now`."""
-    waiting = state.waiting_enable_times
-    if not waiting:
+    if not state.size:
         raise PolicyError("evaluate_condition requires a non-empty waiting list")
     if condition.kind == SIZE:
-        return len(waiting) >= condition.threshold
+        return state.size >= condition.threshold
     if condition.kind == WT_FIRST:
-        return now - waiting[0] >= condition.threshold
+        return now - state.first_enable >= condition.threshold
     if condition.kind == WT_LAST:
-        return now - waiting[-1] >= condition.threshold
+        return now - state.last_enable >= condition.threshold
     if condition.kind == DAILY_HOUR:
         return hour_of(now) in condition.hours
     if condition.kind == WEEK_DAY:
@@ -161,7 +177,7 @@ def evaluate_condition(condition: Condition, state: BatchState, now: int) -> boo
 
 def evaluate_activation_rule(rule: ActivationRule, state: BatchState, now: int) -> bool:
     """DNF evaluation: any group whose conditions all hold."""
-    if not state.waiting_enable_times:
+    if not state.size:
         return False
     return any(
         all(evaluate_condition(c, state, now) for c in g.conditions) for g in rule.groups
@@ -193,6 +209,12 @@ class CostModel:
     processing_scale_factor: float = 1.0
 
     def __post_init__(self):
+        amounts = [("fixed cost", self.fixed_cost)]
+        amounts += [("processing scale factor", self.processing_scale_factor)]
+        amounts += [("variable cost", m) for _, m in self.variable_cost]
+        for name, value in amounts:
+            if not math.isfinite(value):
+                raise PolicyError(f"{name} must be finite, got {value!r}")
         if self.fixed_cost < 0:
             raise PolicyError("fixed cost must be >= 0")
         if self.resource_cost_mode not in RESOURCE_COST_MODES:
@@ -378,12 +400,3 @@ def parse_policies(doc) -> PolicySet:
             cost=_cost_from_doc(item.get("cost"), f"{where}.cost"),
         )
     return out
-
-
-def load_policies(path) -> PolicySet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_policies(fh.read())
-
-
-def clone_policy(policy: BatchingPolicy, **changes) -> BatchingPolicy:
-    return replace(policy, **changes)

@@ -87,6 +87,33 @@ class TestSimulate:
         assert code == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amount", ["NaN", "1e400"])
+    def test_non_finite_fixed_cost_is_a_schema_failure(self, tmp_path, capsys, amount):
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            '{"policies": [{"activity": "ticket", "batchType": "parallel", '
+            f'"rule": [[{{"kind": "size", "threshold": 2}}]], "cost": {{"fixedCost": {amount}}}}}]}}'
+        )
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", model, "--policies", str(bad), "--out", str(out)])
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "objectives.json").exists()
+
+    @pytest.mark.parametrize("mean", ["NaN", "Infinity", "-1e400"])
+    def test_non_finite_distribution_parameter_is_a_schema_failure(
+        self, tmp_path, capsys, mean
+    ):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        doc = json.loads(Path(model).read_text())
+        doc["arrival"]["interArrival"] = {"kind": "exponential", "mean": "MEAN"}
+        Path(model).write_text(json.dumps(doc).replace('"MEAN"', mean))
+        code = main(["simulate", "--model", model, "--policies", policies,
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "mean must be finite" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
         out = tmp_path / "out"

@@ -379,6 +379,16 @@ class TestErrors:
             simulate(single_activity_model(), policies, SimConfig(seed=1))
         assert "nope" in str(err.value)
 
+    def test_enablement_before_the_last_waiting_instance_rejected(self):
+        # rules read only the ends of the waiting queue, so it must stay
+        # in enable-time order
+        sim = engine._Engine(single_activity_model(), size_policy(5), SimConfig())
+        sim.now = 2 * H
+        sim._enable_instance(0, "work")
+        sim.now = H
+        with pytest.raises(SimulationError, match="before its last waiting instance"):
+            sim._enable_instance(1, "work")
+
 
 def gateway_model(gateways, arcs, activities, end_nodes, total_cases=8):
     acts = [

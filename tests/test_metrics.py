@@ -248,6 +248,35 @@ class TestCycleTimeGain:
         assert gain == 3600.0
 
 
+    def test_memo_simulates_each_distinct_policy_set_once(self, monkeypatch):
+        fronts = [
+            [_solution(7), _solution(8)],
+            [_solution(9), _solution(7)],
+        ]
+        plain = [
+            mx.cycle_time_gain(self.initial.log, f, self.model, self.config) for f in fronts
+        ]
+        simulated = []
+
+        def spy(model, policies, config):
+            simulated.append(mx.policy_set_key(policies))
+            return simulate(model, policies, config)
+
+        monkeypatch.setattr(mx, "simulate", spy)
+        # seeded with the initial run, as `batchopt evaluate` does
+        memo = {
+            mx.policy_set_key(_schedule_policies(8)): mx.mean_case_cycle_time(self.initial.log)
+        }
+        gains = [
+            mx.cycle_time_gain(self.initial.log, f, self.model, self.config, memo)
+            for f in fronts
+        ]
+        assert gains == plain == [3600.0, 3600.0]
+        keys = [mx.policy_set_key(_schedule_policies(h)) for h in (7, 9)]
+        assert simulated == keys
+        assert set(memo) == set(keys) | {mx.policy_set_key(_schedule_policies(8))}
+
+
 class TestMeanCaseCycleTime:
     def test_empty_log_rejected(self):
         with pytest.raises(mx.MetricsError):

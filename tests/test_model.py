@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -159,6 +160,25 @@ def test_validate_calendar_and_distribution():
     text = "\n".join(violations)
     assert "overlapping" in text
     assert "uniform" in text
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_numbers(value):
+    doc = tiny_model_doc()
+    doc["arrival"]["interArrival"] = {"kind": "exponential", "mean": value}
+    doc["activities"][0]["fixedCostPerExecution"] = value
+    doc["resources"][0]["costPerTimeUnit"] = value
+    text = "\n".join(m.validate_model(m.parse_model(doc)))
+    assert "arrival interArrival: mean must be finite" in text
+    assert "fixed cost must be finite" in text
+    assert "cost per time unit must be finite" in text
+
+
+def test_validate_rejects_nan_branch_probability():
+    doc = branching_model_doc()
+    doc["gateways"][0]["branchProbabilities"]["split->b"] = math.nan
+    violations = m.validate_model(m.parse_model(doc))
+    assert any("sum" in v for v in violations)
 
 
 def test_distribution_sampling_kinds():

@@ -11,7 +11,7 @@ H = SECONDS_PER_HOUR
 
 
 def state(*enable_times):
-    return pol.BatchState(tuple(enable_times))
+    return pol.BatchState.of(enable_times)
 
 
 MON_0830 = 8 * H + 1800  # Monday 08:30
@@ -48,6 +48,12 @@ class TestConditions:
     def test_empty_waiting_list_rejected(self):
         with pytest.raises(pol.PolicyError):
             pol.evaluate_condition(pol.size_at_least(1), state(), now=0)
+
+    def test_waiting_list_out_of_enable_order_rejected(self):
+        with pytest.raises(pol.PolicyError):
+            pol.BatchState.of((10, 0))
+        with pytest.raises(pol.PolicyError):
+            pol.BatchState(2, 10, 0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(pol.PolicyError):
@@ -96,14 +102,13 @@ class TestRule:
                 assert pol.evaluate_activation_rule(r, large, now)
 
 
-# brute-force oracle: evaluate each condition into a truth table first,
-# then fold the DNF explicitly
-def _oracle(rule_obj, st_obj, now):
+# brute-force oracle over the full waiting list: evaluate each condition
+# into a truth table first, then fold the DNF explicitly
+def _oracle(rule_obj, w, now):
     any_group = False
     for group in rule_obj.groups:
         table = []
         for c in group.conditions:
-            w = st_obj.waiting_enable_times
             if c.kind == pol.SIZE:
                 table.append(len(w) >= c.threshold)
             elif c.kind == pol.WT_FIRST:
@@ -154,8 +159,7 @@ def rules(draw):
 def test_rule_agrees_with_truth_table_oracle(r, enables, now_offset):
     enables = sorted(enables)
     now = enables[-1] + now_offset
-    s = state(*enables)
-    assert pol.evaluate_activation_rule(r, s, now) == _oracle(r, s, now)
+    assert pol.evaluate_activation_rule(r, state(*enables), now) == _oracle(r, enables, now)
 
 
 class TestCostModel:
@@ -211,6 +215,14 @@ class TestCostModel:
             pol.CostModel(variable_cost=((0, 1.0),))
         with pytest.raises(pol.PolicyError):
             pol.CostModel(fixed_cost=-1)
+        for value in (math.nan, math.inf, -math.inf):
+            for fields in (
+                {"fixed_cost": value},
+                {"processing_scale_factor": value},
+                {"variable_cost": ((1, value),)},
+            ):
+                with pytest.raises(pol.PolicyError, match="finite"):
+                    pol.CostModel(**fields)
 
 
 class TestPolicyDocuments:
