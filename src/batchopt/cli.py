@@ -130,14 +130,22 @@ def _parse_valid_model(doc):
     return model
 
 
-def _load_model(path: str):
-    return _parse_doc(path, "model", _parse_valid_model)
-
-
-def _load_policies(path: str | None):
-    if path is None:
-        return {}
-    return _parse_doc(path, "policies", parse_policies)
+def _load_inputs(args):
+    """The model and the policies files, each parsed and validated, and
+    every policy checked to name an activity of the model."""
+    model = _parse_doc(args.model, "model", _parse_valid_model)
+    if args.policies is None:
+        return model, {}
+    policies = _parse_doc(args.policies, "policies", parse_policies)
+    known = {a.id for a in model.activities}
+    for activity_id in sorted(policies):
+        if activity_id not in known:
+            raise CliError(
+                EXIT_SCHEMA,
+                f"policies file {args.policies}: "
+                f"policy references unknown activity {activity_id!r}",
+            )
+    return model, policies
 
 
 # -- output plumbing ----------------------------------------------------------
@@ -184,8 +192,7 @@ def _write_manifest(out: _OutputDir, command: str, inputs: dict, effective_confi
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    model = _load_model(args.model)
-    policies = _load_policies(args.policies)
+    model, policies = _load_inputs(args)
     config = (
         _parse_doc(args.config, "run config", parse_sim_config) if args.config else SimConfig()
     )
@@ -256,8 +263,7 @@ def _effective_optimizer_config(args, parser: argparse.ArgumentParser) -> Optimi
 
 def cmd_optimize(args, parser: argparse.ArgumentParser) -> int:
     started = time.monotonic()
-    model = _load_model(args.model)
-    policies = _load_policies(args.policies)
+    model, policies = _load_inputs(args)
     config = _effective_optimizer_config(args, parser)
 
     runner = optimize_rl if config.strategy == "rl" else optimize_hc_sa
@@ -299,8 +305,7 @@ def _histogram_doc(hist) -> dict:
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    model = _load_model(args.model)
-    policies = _load_policies(args.policies)
+    model, policies = _load_inputs(args)
     config = (
         _parse_doc(args.config, "optimizer config", parse_optimizer_config)
         if args.config
@@ -412,8 +417,7 @@ def cmd_evaluate(args) -> int:
 
     gain_context = None
     if args.model:
-        model = _load_model(args.model)
-        policies = _load_policies(args.policies)
+        model, policies = _load_inputs(args)
         sim_config = (
             _parse_doc(args.config, "run config", parse_sim_config)
             if args.config

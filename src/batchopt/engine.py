@@ -22,7 +22,18 @@ enable times, and one evaluation costs the same however long the queue.
 
 All randomness is drawn from counter-based streams keyed by case /
 activity / gateway visit, so two runs with the same seed are bit-identical
-and a policy change never perturbs arrivals or duration samples.
+and a policy change never perturbs arrivals or duration samples.  The
+engine keeps one keyed hasher for its seed and draws through
+`rng.visit_unit` with label and ids encoded once at set-up (see rng.py); a
+`fixed` duration draws nothing, which shifts no other draw because every
+draw is keyed.
+
+Records are tuples: instance and batch records are built positionally
+as `InstanceRecord` / `BatchRecord` named tuples, and waiting instances
+are `_WaitingInstance` named tuples.  Per-activity set-up (the clock-hour
+mask, sorted eligible resources, fixed durations, the encoded id) is done
+once per simulation, not per instance or batch; nothing is cached across
+simulations.
 """
 
 from __future__ import annotations
@@ -35,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import rng
-from .calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
+from .calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from .eventlog import (
     BatchRecord,
     CYCLE_TIME_FULL,
@@ -46,7 +57,7 @@ from .eventlog import (
     evaluate_objectives,
     filter_warmup,
 )
-from .model import ProcessModel, validate_model
+from .model import ProcessModel, ResourceProfile, validate_model
 from .policy import (
     BatchState,
     BatchingPolicy,
@@ -97,28 +108,40 @@ _COMPLETE, _ARRIVAL, _WAKE, _TICK = 0, 1, 2, 3
 
 _WEEK_HOURS = SECONDS_PER_WEEK // SECONDS_PER_HOUR
 
+# stream labels and the or-split fallback part, as rng.message encodes them
+_DURATIONS = rng.message("durations")
+_BRANCHING = rng.message("branching")
+_FALLBACK = rng.message("fallback")
+
 
 def _clock_hours(policy: BatchingPolicy | None) -> tuple[int, ...]:
     """Sorted week-hours (0 = Monday 00:00-01:00) in which some condition
     group that reads the clock has all its daily-hour / week-day conditions
-    true; the union of those groups' 168-slot masks."""
+    true; the union of those groups' 168-slot masks.  A daily-hour
+    condition reads only the hour of the day and a week-day condition only
+    the day, so a group's mask is its true hours of day times its true
+    days: 24 + 7 probes, not 168."""
     if policy is None:
         return ()
     probe = BatchState(1, 0, 0)  # clock conditions ignore the waiting list
     hours: set[int] = set()
     for group in policy.rule.groups:
-        clock = [c for c in group.conditions if c.kind in (DAILY_HOUR, WEEK_DAY)]
-        if clock:
-            hours.update(
-                h
-                for h in range(_WEEK_HOURS)
-                if all(evaluate_condition(c, probe, h * SECONDS_PER_HOUR) for c in clock)
-            )
+        daily = [c for c in group.conditions if c.kind == DAILY_HOUR]
+        weekly = [c for c in group.conditions if c.kind == WEEK_DAY]
+        if daily or weekly:
+            day_hours = [
+                h for h in range(24)
+                if all(evaluate_condition(c, probe, h * SECONDS_PER_HOUR) for c in daily)
+            ]
+            days = [
+                d for d in range(7)
+                if all(evaluate_condition(c, probe, d * SECONDS_PER_DAY) for c in weekly)
+            ]
+            hours.update(d * 24 + h for d in days for h in day_hours)
     return tuple(sorted(hours))
 
 
-@dataclass
-class _WaitingInstance:
+class _WaitingInstance(NamedTuple):
     case_id: int
     enable_time: int
     work: int  # sampled processing seconds
@@ -129,6 +152,9 @@ class _ActivityState:
     policy: BatchingPolicy | None
     default_cost: CostModel
     clock_hours: tuple[int, ...]  # see _clock_hours
+    key: bytes  # rng.message(activity id), the id part of its draws
+    fixed_work: int | None  # the duration of a `fixed` distribution
+    resources: tuple[tuple[str, ResourceProfile], ...]  # eligible, sorted by id
     # in enable-time order, checked in _enable_instance
     waiting: list[_WaitingInstance] = field(default_factory=list)
 
@@ -149,6 +175,7 @@ class _Engine:
         self.model = model
         self.config = config
         self.seed = config.seed
+        self.hasher = rng.hasher(config.seed)
         self.now = 0
 
         self.activities = {a.id: a for a in model.activities}
@@ -162,13 +189,10 @@ class _Engine:
             self.incoming.setdefault(arc.target, []).append(arc)
 
         self.act_states = {
-            a.id: _ActivityState(
-                policy=policies.get(a.id),
-                default_cost=CostModel(fixed_cost=a.fixed_cost_per_execution),
-                clock_hours=_clock_hours(policies.get(a.id)),
-            )
-            for a in model.activities
+            a.id: self._activity_state(a, policies.get(a.id)) for a in model.activities
         }
+        self.gateway_keys = {g.id: rng.message(g.id) for g in model.gateways}
+        self.arc_keys = {arc.id: rng.message(arc.id) for arc in model.arcs}
         # activities with a rule, in evaluation order
         self.ruled = [
             (a, s) for a, s in sorted(self.act_states.items()) if s.policy is not None
@@ -188,6 +212,19 @@ class _Engine:
         self.instances: list[InstanceRecord] = []
         self.batches: list[BatchRecord] = []
         self.visit_counts: dict[tuple[int, str], int] = {}
+
+    def _activity_state(self, activity, policy: BatchingPolicy | None) -> _ActivityState:
+        duration = activity.duration
+        return _ActivityState(
+            policy=policy,
+            default_cost=CostModel(fixed_cost=activity.fixed_cost_per_execution),
+            clock_hours=_clock_hours(policy),
+            key=rng.message(activity.id),
+            fixed_work=(
+                rng.round_half_up(duration.param("value")) if duration.kind == "fixed" else None
+            ),
+            resources=tuple((rid, self.resources[rid]) for rid in sorted(activity.resources)),
+        )
 
     # -- graph preparation ---------------------------------------------------
 
@@ -345,7 +382,7 @@ class _Engine:
         visit = self.visit_counts.get((case_id, gw.id), 0)
         self.visit_counts[(case_id, gw.id)] = visit + 1
         probs = dict(gw.branch_probabilities)
-        u = rng.unit(self.seed, "branching", case_id, gw.id, visit)
+        u = rng.visit_unit(self.hasher, _BRANCHING, case_id, self.gateway_keys[gw.id], visit)
         acc = 0.0
         for arc in outs:
             acc += probs[arc.id]
@@ -357,14 +394,15 @@ class _Engine:
         visit = self.visit_counts.get((case_id, gw.id), 0)
         self.visit_counts[(case_id, gw.id)] = visit + 1
         probs = dict(gw.branch_probabilities)
+        gw_key = self.gateway_keys[gw.id]
         chosen = []
         for arc in outs:
-            u = rng.unit(self.seed, "branching", case_id, gw.id, visit, arc.id)
+            u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, self.arc_keys[arc.id])
             if u < probs[arc.id]:
                 chosen.append(arc)
         if not chosen:
             total = sum(probs[arc.id] for arc in outs)
-            u = rng.unit(self.seed, "branching", case_id, gw.id, visit, "fallback") * total
+            u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, _FALLBACK) * total
             acc = 0.0
             for arc in outs:
                 acc += probs[arc.id]
@@ -382,9 +420,11 @@ class _Engine:
     def _enable_instance(self, case_id: int, activity_id: str) -> None:
         visit = self.visit_counts.get((case_id, activity_id), 0)
         self.visit_counts[(case_id, activity_id)] = visit + 1
-        u = rng.unit(self.seed, "durations", case_id, activity_id, visit)
-        work = rng.round_half_up(self.activities[activity_id].duration.sample(u))
         state = self.act_states[activity_id]
+        work = state.fixed_work
+        if work is None:
+            u = rng.visit_unit(self.hasher, _DURATIONS, case_id, state.key, visit)
+            work = rng.round_half_up(self.activities[activity_id].duration.sample(u))
         if state.waiting and self.now < state.waiting[-1].enable_time:
             raise SimulationError(
                 f"activity {activity_id!r} enabled at {self.now}, "
@@ -408,22 +448,23 @@ class _Engine:
             if evaluate_activation_rule(state.policy.rule, batch_state, self.now):
                 self._form_batch(activity_id)
 
-    def _choose_resource(self, activity_id: str) -> tuple[str, int]:
+    def _choose_resource(self, state: _ActivityState) -> tuple[str, ResourceProfile, int]:
+        """The eligible resource that can start earliest (ties by id), its
+        profile and its start time."""
         best = None
-        for rid in sorted(self.activities[activity_id].resources):
-            res = self.res_states[rid]
-            start = self.resources[rid].calendar.next_open(max(self.now, res.free_at))
-            if best is None or (start, rid) < best:
-                best = (start, rid)
+        for rid, profile in state.resources:
+            start = profile.calendar.next_open(max(self.now, self.res_states[rid].free_at))
+            if best is None or start < best[2]:
+                best = (rid, profile, start)
         assert best is not None  # validation guarantees eligible resources
-        return best[1], best[0]
+        return best
 
     def _form_batch(self, activity_id: str) -> None:
         state = self.act_states[activity_id]
         members = state.waiting
         state.waiting = []
-        rid, start = self._choose_resource(activity_id)
-        calendar = self.resources[rid].calendar
+        rid, profile, start = self._choose_resource(state)
+        calendar = profile.calendar
         policy = state.policy
         batch_type = policy.batch_type if policy else PARALLEL
         cost_model = policy.cost if policy else state.default_cost
@@ -448,7 +489,7 @@ class _Engine:
             len(members),
             [float(w.work) for w in members],
             batch_end - start,
-            self.resources[rid].cost_per_time_unit,
+            profile.cost_per_time_unit,
             cost_model,
         )
         # equal shares, with the last member absorbing float drift so the
@@ -461,28 +502,20 @@ class _Engine:
             allocated_so_far += allocated
             self.instances.append(
                 InstanceRecord(
-                    case_id=w.case_id,
-                    activity_id=activity_id,
-                    resource_id=rid,
-                    enable_time=w.enable_time,
-                    start_time=s,
-                    end_time=e,
-                    batch_id=batch_id,
-                    allocated_cost=allocated,
-                    work_seconds=w.work,
+                    w.case_id, activity_id, rid, w.enable_time, s, e, batch_id, allocated, w.work
                 )
             )
             self._push(e, _COMPLETE, (w.case_id, activity_id, len(self.instances) - 1))
         self.batches.append(
             BatchRecord(
-                batch_id=batch_id,
-                activity_id=activity_id,
-                resource_id=rid,
-                start_time=start,
-                end_time=batch_end,
-                members=tuple(range(first_index, first_index + len(members))),
-                cost=cost,
-                busy_seconds=busy,
+                batch_id,
+                activity_id,
+                rid,
+                start,
+                batch_end,
+                tuple(range(first_index, first_index + len(members))),
+                cost,
+                busy,
             )
         )
         self.res_states[rid].free_at = batch_end

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .policy import PolicySet, parse_policies, serialize_policies
+from .policy import PolicySet, finite_number, parse_policies, serialize_policies
 
 Point = tuple[float, float]
 
@@ -127,11 +127,14 @@ def parse_front(doc) -> ParetoFront:
         raise ParetoError("front document needs a 'solutions' list")
     solutions = []
     for entry in doc["solutions"]:
-        x, y = entry["point"]
+        point = entry["point"]
+        coords = [finite_number(v) for v in point] if isinstance(point, list) else []
+        if len(coords) != 2 or None in coords:
+            raise ParetoError(f"front point must be a list of two finite numbers, got {point!r}")
         solutions.append(
             Solution(
                 policies=parse_policies(entry.get("policies", {"policies": []})),
-                point=(float(x), float(y)),
+                point=tuple(coords),
                 log_ref=entry.get("logRef", ""),
                 lineage=tuple(dict(step) for step in entry.get("lineage", ())),
             )

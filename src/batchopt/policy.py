@@ -33,6 +33,18 @@ class PolicyError(ValueError):
     pass
 
 
+def finite_number(value) -> float | None:
+    """`value` as a float if it is a JSON number (an int or a float, not a
+    bool) that a float holds finitely, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 @dataclass(frozen=True)
 class Condition:
     """One atomic activation test.
@@ -179,9 +191,13 @@ def evaluate_activation_rule(rule: ActivationRule, state: BatchState, now: int) 
     """DNF evaluation: any group whose conditions all hold."""
     if not state.size:
         return False
-    return any(
-        all(evaluate_condition(c, state, now) for c in g.conditions) for g in rule.groups
-    )
+    for group in rule.groups:
+        for condition in group.conditions:
+            if not evaluate_condition(condition, state, now):
+                break
+        else:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +315,37 @@ def _condition_to_doc(c: Condition) -> dict:
 
 
 def _condition_from_doc(doc, where: str) -> Condition:
+    """A condition from its document.  Its field is type-checked, not
+    coerced: a threshold is a finite number, hours a list of integers and
+    days a list of weekday names."""
     from .model import ParseError  # local import to avoid a cycle
 
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError(where, "expected a condition object with a kind")
     kind = doc["kind"]
+    if kind not in CONDITION_KINDS:
+        raise ParseError(where, f"unknown condition kind {kind!r}")
     try:
         if kind in THRESHOLD_KINDS:
-            return Condition(kind, threshold=float(doc["threshold"]))
-        if kind == DAILY_HOUR:
-            return Condition(kind, hours=tuple(sorted(int(h) for h in doc["hours"])))
-        if kind == WEEK_DAY:
-            return Condition(kind, days=tuple(sorted(parse_weekday(d) for d in doc["days"])))
-    except (KeyError, TypeError, ValueError, PolicyError) as err:
+            name, expected = "threshold", "a finite number"
+            threshold = finite_number(doc[name])
+            if threshold is not None:
+                return Condition(kind, threshold=threshold)
+        elif kind == DAILY_HOUR:
+            name, expected = "hours", "a list of integer hours"
+            hours = doc[name]
+            if isinstance(hours, list) and all(type(h) is int for h in hours):
+                return Condition(kind, hours=tuple(sorted(hours)))
+        else:
+            name, expected = "days", "a list of weekday names"
+            days = doc[name]
+            if isinstance(days, list) and all(isinstance(d, str) for d in days):
+                return Condition(kind, days=tuple(sorted(parse_weekday(d) for d in days)))
+    except KeyError:
+        raise ParseError(f"{where}.{name}", "missing required field") from None
+    except ValueError as err:
         raise ParseError(where, str(err)) from err
-    raise ParseError(where, f"unknown condition kind {kind!r}")
+    raise ParseError(f"{where}.{name}", f"expected {expected}, got {doc[name]!r}")
 
 
 def _cost_to_doc(cost: CostModel) -> dict:

@@ -5,6 +5,15 @@ removing consumers of one stream never shifts the draws of another.  This
 is what keeps arrival times identical across candidate policies during a
 search: duration and branching draws are keyed by case/activity/visit, not
 by global consumption order.
+
+A draw's digest is a keyed blake2b of one message: ``repr(part) + "\x1f"``
+for each key part, joined and UTF-8 encoded.  blake2b is a streaming
+hash, so a hot loop keeps one `hasher` per seed and draws with
+`keyed_unit`, which copies it and feeds the message in one update: the
+same digest as `unit`, without re-keying per draw.  `visit_unit` formats
+the message of the engine's per-visit draws from parts encoded once, so
+the message format lives in this module only.  A hasher lives as long as
+the engine or stream that owns it; nothing is cached per module.
 """
 
 from __future__ import annotations
@@ -16,11 +25,34 @@ from statistics import NormalDist
 _U64 = 2**64
 
 
+def hasher(seed: int):
+    """The keyed blake2b every draw under `seed` starts from."""
+    return blake2b(digest_size=8, key=(seed % _U64).to_bytes(8, "little"))
+
+
+def message(*key) -> bytes:
+    """The bytes hashed for a draw keyed by `key`."""
+    return "".join(repr(part) + "\x1f" for part in key).encode()
+
+
+def keyed_unit(seed_hasher, msg: bytes) -> float:
+    """`unit(seed, *key)` given `hasher(seed)` and `message(*key)`."""
+    h = seed_hasher.copy()
+    h.update(msg)
+    return int.from_bytes(h.digest(), "little") / _U64
+
+
+def visit_unit(seed_hasher, label: bytes, case_id: int, node: bytes, visit: int,
+               part: bytes = b"") -> float:
+    """`unit(seed, label, case_id, node, visit[, part])` given `hasher(seed)`
+    and the label, node and optional last part as `message` encodes them:
+    the draw of a case's visit to a node.  `%d` spells an int as `repr` does."""
+    return keyed_unit(seed_hasher, b"%s%d\x1f%s%d\x1f%s" % (label, case_id, node, visit, part))
+
+
 def _mix(seed: int, key: tuple) -> int:
-    h = blake2b(digest_size=8, key=(seed % _U64).to_bytes(8, "little"))
-    for part in key:
-        h.update(repr(part).encode())
-        h.update(b"\x1f")
+    h = hasher(seed)
+    h.update(message(*key))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -43,11 +75,11 @@ class Stream:
     """
 
     def __init__(self, seed: int, label: str):
-        self._seed = derive_seed(seed, "stream", label)
+        self._hasher = hasher(derive_seed(seed, "stream", label))
         self._counter = 0
 
     def next_unit(self) -> float:
-        u = unit(self._seed, self._counter)
+        u = keyed_unit(self._hasher, b"%d\x1f" % self._counter)  # message(counter)
         self._counter += 1
         return u
 

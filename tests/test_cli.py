@@ -79,13 +79,50 @@ class TestSimulate:
         model, _ = fixture_inputs(tmp_path, "two-batch")
         bad = tmp_path / "bad.json"
         bad.write_text(
-            '{"policies": [{"activity": "stamp", "batchType": "parallel", "rule": '
+            '{"policies": [{"activity": "ticket", "batchType": "parallel", "rule": '
             f'[[{{"kind": "wt-first", "threshold": {threshold}}}]]}}]}}'
         )
         code = main(["simulate", "--model", model, "--policies", str(bad),
                      "--out", str(tmp_path / "out")])
         assert code == 3
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "optimize"])
+    def test_policy_for_unknown_activity_is_a_schema_failure(self, tmp_path, capsys, command):
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(
+            tmp_path / "bad.json",
+            {"policies": [{"activity": "stamp", "batchType": "parallel",
+                           "rule": [[{"kind": "wt-first", "threshold": 60}]]}]},
+        )
+        out = tmp_path / "out"
+        code = main([command, "--model", model, "--policies", bad, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "'stamp'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            {"kind": "daily-hour", "hours": "12"},
+            {"kind": "daily-hour", "hours": [9.5]},
+            {"kind": "daily-hour", "hours": [True]},
+            {"kind": "week-day", "days": "Monday"},
+            {"kind": "size", "threshold": "5"},
+        ],
+        ids=["hours-string", "hours-fraction", "hours-bool", "days-string", "threshold-string"],
+    )
+    def test_mistyped_condition_field_is_a_schema_failure(self, tmp_path, capsys, condition):
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(
+            tmp_path / "bad.json",
+            {"policies": [{"activity": "ticket", "batchType": "parallel", "rule": [[condition]]}]},
+        )
+        code = main(["simulate", "--model", model, "--policies", bad,
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "rule[0][0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("amount", ["NaN", "1e400"])
     def test_non_finite_fixed_cost_is_a_schema_failure(self, tmp_path, capsys, amount):
@@ -282,6 +319,18 @@ class TestEvaluate:
         code = main(["evaluate", a, str(bad), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "point", [[1.0, 2.0, 3.0], [1.0], "1,2", [1.0, "2"], [True, 2.0], [10**400, 1.0]]
+    )
+    def test_malformed_front_point_is_a_schema_failure(self, tmp_path, capsys, point):
+        a = self.optimize_front(tmp_path, "good", guided=True)
+        doc = json.loads(Path(a).read_text())
+        doc["solutions"][0]["point"] = point
+        bad = write_json(tmp_path / "bad.json", doc)
+        code = main(["evaluate", a, bad, "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "list of two finite numbers" in capsys.readouterr().err
 
     def test_front_without_solutions_is_rejected(self, tmp_path, capsys):
         a = self.optimize_front(tmp_path, "good", guided=True)

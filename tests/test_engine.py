@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from batchopt import engine
 from batchopt import model as m
@@ -282,6 +283,38 @@ class TestActivationTiming:
             ("work", 2 * H),
             ("file", 10 * H),  # not 22:00, the tick still pending from "work"
         ]
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.sets(st.integers(0, 23), min_size=1)),
+                st.one_of(st.none(), st.sets(st.integers(0, 6), min_size=1)),
+                st.booleans(),
+            ),
+            max_size=3,
+        )
+    )
+    def test_clock_hours_mask_equals_a_probe_of_every_week_hour(self, groups):
+        # each group: optional daily-hour set, optional week-day set, and
+        # whether it also holds a size condition (always, when it has no
+        # clock condition), which the mask ignores
+        rule = pol.rule(*[
+            ([pol.in_hours(*h)] if h else []) + ([pol.on_days(*d)] if d else [])
+            + ([pol.size_at_least(3)] if sized or not (h or d) else [])
+            for h, d, sized in groups
+        ])
+        probe = pol.BatchState(1, 0, 0)
+        expected = set()
+        for group in rule.groups:
+            clock = [c for c in group.conditions if c.kind in (pol.DAILY_HOUR, pol.WEEK_DAY)]
+            if clock:
+                expected.update(
+                    h for h in range(168)
+                    if all(pol.evaluate_condition(c, probe, h * H) for c in clock)
+                )
+        policy = pol.BatchingPolicy("work", pol.PARALLEL, rule)
+        assert engine._clock_hours(policy) == tuple(sorted(expected))
 
 
 class TestFlush:

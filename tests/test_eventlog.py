@@ -1,6 +1,13 @@
+import json
+
 import pytest
 
 from batchopt import eventlog as ev
+from batchopt.cli import main
+from batchopt.engine import SimConfig, simulate
+from batchopt.fixtures import get_fixture
+from batchopt.model import parse_model
+from batchopt.policy import parse_policies
 
 H = 3600
 
@@ -110,6 +117,18 @@ class TestWarmup:
         assert trimmed.instances == ()
         assert trimmed.batches == ()
 
+    def test_surviving_batches_are_records_with_only_members_and_cost_replaced(self):
+        log = two_batch_log()
+        trimmed = ev.filter_warmup(log, 1)
+        big, small = trimmed.batches
+        assert type(big) is ev.BatchRecord and type(small) is ev.BatchRecord
+        # b00000 lost case 0: its members shift down and its cost shrinks
+        assert big == log.batches[0]._replace(members=(0, 1), cost=6.0)
+        # b00001 kept every member: same cost, its one member remapped
+        assert small == log.batches[1]._replace(members=(2,))
+        assert small.cost == log.batches[1].cost
+        assert [trimmed.instances[i] for i in small.members] == [log.instances[3]]
+
     def test_zero_warmup_is_identity(self):
         log = two_batch_log()
         assert ev.filter_warmup(log, 0) == log
@@ -143,7 +162,17 @@ class TestCsv:
         assert lines[1].split(",")[5] == "3"  # size column
 
     def test_write_and_reread(self, tmp_path):
-        log = two_batch_log()
-        path = tmp_path / "events.csv"
-        ev.write_event_csv(log, path)
-        assert path.read_text() == ev.render_event_csv(log)
+        # the events.csv that `batchopt simulate` writes is the rendered log
+        fixture = get_fixture("two-batch")
+        model = tmp_path / "model.json"
+        policies = tmp_path / "policies.json"
+        model.write_text(json.dumps(fixture.model_doc))
+        policies.write_text(json.dumps(fixture.policies_doc))
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", str(model), "--policies", str(policies),
+                     "--out", str(out)])
+        assert code == 0
+        log = simulate(
+            parse_model(fixture.model_doc), parse_policies(fixture.policies_doc), SimConfig()
+        ).log
+        assert (out / "events.csv").read_text(encoding="utf-8") == ev.render_event_csv(log)

@@ -260,6 +260,32 @@ class TestPolicyDocuments:
             pol.parse_policies(doc)
         assert "rule[0][0]" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            {"kind": "daily-hour", "hours": "12"},
+            {"kind": "daily-hour", "hours": 12},
+            {"kind": "week-day", "days": "Monday"},
+            {"kind": "week-day", "days": {"Monday": 1}},
+            {"kind": "week-day", "days": [0]},
+            {"kind": "daily-hour", "hours": [9, 10.0]},
+            {"kind": "daily-hour", "hours": [9, "10"]},
+            {"kind": "daily-hour", "hours": [False]},
+            {"kind": "size", "threshold": "5"},
+            {"kind": "wt-first", "threshold": True},
+            {"kind": "wt-last", "threshold": None},
+            {"kind": "wt-last", "threshold": 10**400},
+        ],
+    )
+    def test_parse_rejects_mistyped_condition_fields(self, condition):
+        from batchopt.model import ParseError
+
+        doc = pol.serialize_policies(self.make_set())
+        doc["policies"][0]["rule"][0][0] = condition
+        with pytest.raises(ParseError) as err:
+            pol.parse_policies(doc)
+        assert "rule[0][0]" in str(err.value)
+
     def test_parse_rejects_duplicate_activity(self):
         from batchopt.model import ParseError
 

@@ -1,8 +1,13 @@
+import copy
 import math
+from hashlib import blake2b
 
 from hypothesis import given, strategies as st
 
-from batchopt import rng
+from batchopt import engine, rng
+from batchopt.engine import SimConfig, _Engine
+from batchopt.fixtures import get_fixture
+from batchopt.model import fixed, parse_model
 
 
 def test_unit_is_deterministic_and_keyed():
@@ -60,3 +65,70 @@ def test_normal_truncation_is_exact_not_clamped():
 
     x = rng.normal_truncated(0.5, 0.0, 1.0)
     assert math.isclose(x, NormalDist(0.0, 1.0).inv_cdf(0.75), rel_tol=1e-9)
+
+
+def reference_mix(seed, *key):
+    """The draw digest spelled out: a fresh keyed blake2b, one update per
+    key part and one per separator."""
+    h = blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
+    for part in key:
+        h.update(repr(part).encode())
+        h.update(b"\x1f")
+    return int.from_bytes(h.digest(), "little")
+
+
+seeds = st.integers(-(2**80), 2**80)
+key_parts = st.one_of(st.integers(-(2**70), 2**70), st.text(max_size=12))
+
+
+@given(seeds, st.lists(key_parts, max_size=6))
+def test_one_copy_draw_matches_a_fresh_hasher(seed, key):
+    expected = reference_mix(seed, *key) / 2**64
+    assert rng.unit(seed, *key) == expected
+    assert rng.keyed_unit(rng.hasher(seed), rng.message(*key)) == expected
+
+
+@given(
+    seeds,
+    st.sampled_from(["durations", "branching"]),
+    st.integers(0, 2**40),
+    st.text(max_size=12),
+    st.integers(0, 2**20),
+    st.one_of(st.none(), st.text(max_size=12)),
+)
+def test_visit_draw_matches_a_fresh_hasher(seed, label, case_id, node, visit, part):
+    key = (label, case_id, node, visit) + (() if part is None else (part,))
+    extra = b"" if part is None else rng.message(part)
+    u = rng.visit_unit(rng.hasher(seed), rng.message(label), case_id, rng.message(node), visit, extra)
+    assert u == reference_mix(seed, *key) / 2**64
+    assert engine._DURATIONS == rng.message("durations")
+    assert engine._BRANCHING == rng.message("branching")
+    assert engine._FALLBACK == rng.message("fallback")
+
+
+@given(seeds, st.text(max_size=12))
+def test_stream_matches_a_fresh_hasher(seed, label):
+    stream = rng.Stream(seed, label)
+    child = reference_mix(seed, "stream", label)
+    assert [stream.next_unit() for _ in range(3)] == [
+        reference_mix(child, i) / 2**64 for i in range(3)
+    ]
+
+
+def test_fixed_durations_draw_nothing(monkeypatch):
+    # keyed draws let the engine skip the draw of a fixed duration without
+    # shifting any other draw; the sample ignores u anyway
+    assert fixed(3600.4).sample(0.0) == fixed(3600.4).sample(0.99)
+    draws = []
+    real = rng.visit_unit
+    monkeypatch.setattr(rng, "visit_unit", lambda *key: draws.append(key) or real(*key))
+    # one activity, `ticket`, with a fixed 600 s duration
+    doc = get_fixture("two-batch").model_doc
+    log = _Engine(parse_model(doc), {}, SimConfig(seed=5)).run()
+    assert log.instances and {r.work_seconds for r in log.instances} == {600}
+    assert draws == []
+    # the same model with a normal duration draws once per instance
+    doc = copy.deepcopy(doc)
+    doc["activities"][0]["duration"] = {"kind": "normal", "mean": 600.0, "stddev": 120.0}
+    log = _Engine(parse_model(doc), {}, SimConfig(seed=5)).run()
+    assert len(draws) == len(log.instances) > 0
