@@ -38,7 +38,6 @@ from .metrics import (
     cycle_time_gain,
     mean_case_cycle_time,
     metrics_row,
-    policy_set_key,
     render_metrics_csv,
 )
 from .model import ParseError, ValidationError, parse_model, validate_model
@@ -57,7 +56,7 @@ from .pareto import (
     parse_front,
     render_front_csv,
 )
-from .policy import PolicyError, parse_policies
+from .policy import PolicyError, parse_policies, policy_set_key
 from .rl import optimize_rl
 
 EXIT_OK = 0
@@ -137,15 +136,18 @@ def _load_inputs(args):
     if args.policies is None:
         return model, {}
     policies = _parse_doc(args.policies, "policies", parse_policies)
+    _check_activities(model, policies, f"policies file {args.policies}")
+    return model, policies
+
+
+def _check_activities(model, policies, where: str) -> None:
+    """Exit 3 unless every policy names an activity of the model."""
     known = {a.id for a in model.activities}
     for activity_id in sorted(policies):
         if activity_id not in known:
             raise CliError(
-                EXIT_SCHEMA,
-                f"policies file {args.policies}: "
-                f"policy references unknown activity {activity_id!r}",
+                EXIT_SCHEMA, f"{where}: policy references unknown activity {activity_id!r}"
             )
-    return model, policies
 
 
 # -- output plumbing ----------------------------------------------------------
@@ -418,6 +420,9 @@ def cmd_evaluate(args) -> int:
     gain_context = None
     if args.model:
         model, policies = _load_inputs(args)
+        for path, front in zip(args.fronts, fronts):
+            for i, solution in enumerate(front.solutions):
+                _check_activities(model, solution.policies, f"front file {path}, solution {i}")
         sim_config = (
             _parse_doc(args.config, "run config", parse_sim_config)
             if args.config

@@ -26,14 +26,17 @@ and a policy change never perturbs arrivals or duration samples.  The
 engine keeps one keyed hasher for its seed and draws through
 `rng.visit_unit` with label and ids encoded once at set-up (see rng.py); a
 `fixed` duration draws nothing, which shifts no other draw because every
-draw is keyed.
+draw is keyed.  A `fixed` inter-arrival time draws nothing either, so a
+model for which `seed_free` holds draws nothing at all and simulates to
+the same result under every seed.
 
 Records are tuples: instance and batch records are built positionally
 as `InstanceRecord` / `BatchRecord` named tuples, and waiting instances
 are `_WaitingInstance` named tuples.  Per-activity set-up (the clock-hour
 mask, sorted eligible resources, fixed durations, the encoded id) is done
 once per simulation, not per instance or batch; nothing is cached across
-simulations.
+simulations.  The search keeps its own per-run memo of results, and only
+for seed-free models (see optimize.py).
 """
 
 from __future__ import annotations
@@ -314,11 +317,17 @@ class _Engine:
 
     def _generate_arrivals(self) -> None:
         total = self.config.total_cases or self.model.arrival.total_cases
+        inter_arrival = self.model.arrival.inter_arrival
+        # a fixed gap is not drawn; the arrivals stream has no other consumer
+        fixed_gap = inter_arrival.param("value") if inter_arrival.kind == "fixed" else None
         stream = rng.Stream(self.seed, "arrivals")
         cal = self.model.arrival.calendar
         raw = 0.0
         for case_id in range(total):
-            raw += self.model.arrival.inter_arrival.sample(stream.next_unit())
+            if fixed_gap is None:
+                raw += inter_arrival.sample(stream.next_unit())
+            else:
+                raw += fixed_gap
             arrival = cal.next_open(rng.round_half_up(raw))
             self._push(arrival, _ARRIVAL, case_id)
 
@@ -577,6 +586,17 @@ class _Engine:
             self._evaluate_rules()
             self._schedule_tick()
         return EventLog(tuple(self.instances), tuple(self.batches))
+
+
+def seed_free(model: ProcessModel) -> bool:
+    """True when a simulation of `model` draws nothing: its inter-arrival
+    time and every duration are `fixed` and it has no xor- or or-split.
+    Its result is then the same under every seed."""
+    return (
+        model.arrival.inter_arrival.kind == "fixed"
+        and all(a.duration.kind == "fixed" for a in model.activities)
+        and not any(g.kind in ("xor-split", "or-split") for g in model.gateways)
+    )
 
 
 def simulate(model: ProcessModel, policies: PolicySet, config: SimConfig) -> SimResult:

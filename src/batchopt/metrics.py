@@ -20,7 +20,7 @@ from .engine import SimConfig, simulate
 from .eventlog import EventLog, case_cycle_time, filter_warmup  # noqa: F401
 from .model import ProcessModel
 from .pareto import Point, Solution, dominates
-from .policy import PolicySet
+from .policy import policy_set_key
 
 PURITY_TOLERANCE = 1e-9
 
@@ -145,12 +145,6 @@ def mean_case_cycle_time(log: EventLog) -> float:
     if not spans:
         raise MetricsError("log has no cases")
     return sum(spans[c][1] - spans[c][0] for c in sorted(spans)) / len(spans)
-
-
-def policy_set_key(policies: PolicySet) -> tuple:
-    """Hashable identity of a policy set: equal keys give equal simulated
-    cycle times under one model and run config."""
-    return tuple(sorted(policies.items()))
 
 
 def cycle_time_gain(

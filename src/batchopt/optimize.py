@@ -11,6 +11,18 @@ until it degenerates into radius-0 hill climbing.
 
 Every random draw is keyed to an isolated named stream so the two
 strategies consume identical simulation seeds along identical paths.
+
+HC/SA and RL (rl.py) evaluate candidates through one `CandidateEvaluator`:
+it simulates the initial set, applies each delta, simulates the child,
+audits it, records convergence and aborts once more than half the
+simulations failed.  When the model draws nothing (`engine.seed_free`),
+every simulation of a policy set gives the same bytes under any seed, so
+the evaluator keeps a per-run memo keyed by `policy_set_key` and replays a
+repeated set's result or failure instead of simulating it again, together
+with its log stats and the moves derived from its log.  A replay still
+counts as a simulation: sim indices, log refs, convergence rows, the
+budget and the abort rule are the same as without the memo, and the audit
+row says `"cached": true`.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from .analytics import (
     compute_stats,
     detect_scenarios_from_stats,
 )
-from .engine import SimConfig, SimulationError, simulate
+from .engine import SimConfig, SimResult, SimulationError, seed_free, simulate
 from .eventlog import EventLog
 from .interventions import (
     ADD_CONDITION,
@@ -42,7 +54,7 @@ from .interventions import (
 )
 from .model import ProcessModel
 from .pareto import ParetoFront, Solution, distance_to_front, update_front
-from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet
+from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, policy_set_key
 from .rng import Stream, derive_seed, round_half_up, unit
 
 HC = "hc"
@@ -126,16 +138,183 @@ class OptimizeResult:
     failures: int
 
 
+def _sim_config(config: OptimizerConfig, sim_index: int) -> SimConfig:
+    return replace(config.sim, seed=derive_seed(config.seed, "sim", sim_index))
+
+
+_PENDING = object()  # a lazily computed Evaluation field not computed yet
+
+
+@dataclass(eq=False)
+class Evaluation:
+    """One simulated policy set: its result, or the error its simulation
+    raised, plus what the search derives from its log, each computed at
+    most once.  With a memo, every candidate with an equal set shares it."""
+
+    result: SimResult | None
+    error: SimulationError | None = None
+    stats: object = _PENDING  # LogStats, or None when they cannot be computed
+    deltas: list[PolicyDelta] | None = None  # HC/SA guided deltas
+    actions: dict | None = None  # the RL action map
+
+
+class CandidateEvaluator:
+    """The evaluate-candidate step of one search run, shared by HC/SA and RL.
+
+    It owns the run's front, audit rows, convergence rows and simulation
+    and failure counts.  When `seed_free(model)` holds it also keeps the
+    memo of `Evaluation`s keyed by `policy_set_key`: such a model simulates
+    to the same bytes under every seed, so a replay is exactly what the
+    fresh simulation at the next sim index would have given.
+    `simulate`, `compute_stats` and `apply_delta` are the caller's module
+    attributes, so each strategy's calls go through its own module's names.
+    """
+
+    def __init__(self, model: ProcessModel, config: OptimizerConfig,
+                 simulate, compute_stats, apply_delta):
+        self.model = model
+        self.config = config
+        self._simulate = simulate
+        self._compute_stats = compute_stats
+        self._apply_delta = apply_delta
+        self.memo: dict[tuple, Evaluation] | None = {} if seed_free(model) else None
+        self.front: ParetoFront | None = None
+        self.audit: list[dict] = []
+        self.convergence: list[dict] = []
+        self.simulations = 0
+        self.failures = 0
+
+    def _run(self, policies: PolicySet) -> tuple[Evaluation, bool]:
+        """Simulation number `simulations` of `policies`, or the replay of
+        an equal set's, and whether it was replayed."""
+        key = policy_set_key(policies) if self.memo is not None else None
+        evaluation = self.memo.get(key) if key is not None else None
+        cached = evaluation is not None
+        if not cached:
+            try:
+                evaluation = Evaluation(
+                    self._simulate(self.model, policies, _sim_config(self.config, self.simulations))
+                )
+            except SimulationError as err:
+                evaluation = Evaluation(None, err)
+            if key is not None:
+                self.memo[key] = evaluation
+        self.simulations += 1
+        return evaluation, cached
+
+    def start(self, initial_policies: PolicySet, **row) -> tuple[Solution, Evaluation]:
+        """Simulate the initial set and make it the root of the front; `row`
+        holds the strategy's own audit keys."""
+        evaluation, _ = self._run(initial_policies)
+        if evaluation.error is not None:
+            raise OptimizerError(
+                f"initial solution failed to simulate: {evaluation.error}"
+            ) from evaluation.error
+        root = Solution(
+            dict(initial_policies), evaluation.result.objectives.point, log_ref="sim-00000"
+        )
+        self.front = ParetoFront((root,))
+        self.record(
+            {
+                "sim": 0,
+                "iteration": 0,
+                "parent": "",
+                "delta": None,
+                "point": list(root.point),
+                "accepted": True,
+                "failed": False,
+                "cached": False,
+                **row,
+            }
+        )
+        return root, evaluation
+
+    def evaluate(
+        self, iteration: int, parent: Solution, delta: PolicyDelta, **row
+    ) -> tuple[Solution, Evaluation, dict] | None:
+        """Apply `delta` to `parent` and evaluate the child.
+
+        Returns the child, its evaluation and its audit row (with the
+        strategy's own keys from `row`), which the caller completes and
+        passes to `record`.  Returns None when the delta does not apply or
+        the simulation fails; both are audited here.  Raises OptimizerError
+        once more than half the simulations have failed.
+        """
+        delta_doc = delta_to_doc(delta)
+        row = {
+            "sim": None,
+            "iteration": iteration,
+            "parent": parent.log_ref,
+            "delta": delta_doc,
+            "point": None,
+            "accepted": False,
+            "failed": False,
+            "cached": False,
+            **row,
+        }
+        try:
+            policies = self._apply_delta(parent.policies, delta)
+        except InterventionError as err:
+            row["failed"] = True
+            row["error"] = f"delta not applicable: {err}"
+            self.audit.append(row)
+            return None
+        sim_index = self.simulations
+        row["sim"] = sim_index
+        evaluation, row["cached"] = self._run(policies)
+        if evaluation.error is not None:
+            self.failures += 1
+            row["failed"] = True
+            row["error"] = str(evaluation.error)
+            self.record(row)
+            if self.failures * 2 > self.simulations:
+                raise OptimizerError(
+                    f"aborting: {self.failures} of {self.simulations} simulations failed; "
+                    f"last error: {evaluation.error}"
+                ) from evaluation.error
+            return None
+        child = Solution(
+            policies,
+            evaluation.result.objectives.point,
+            log_ref=f"sim-{sim_index:05d}",
+            lineage=parent.lineage + (delta_doc,),
+        )
+        row["point"] = list(child.point)
+        return child, evaluation, row
+
+    def record(self, row: dict) -> None:
+        """Audit `row` and note the front's best objectives after it."""
+        self.audit.append(row)
+        self.convergence.append(
+            {
+                "simulations": self.simulations,
+                "best_cycle_time": min(s.point[0] for s in self.front.solutions),
+                "best_cost": min(s.point[1] for s in self.front.solutions),
+            }
+        )
+
+    def stats(self, evaluation: Evaluation) -> LogStats | None:
+        """The stats of the evaluation's log, computed on first use (None
+        when they cannot be computed)."""
+        if evaluation.stats is _PENDING:
+            try:
+                evaluation.stats = self._compute_stats(evaluation.result.log, self.model)
+            except AnalyticsError:
+                evaluation.stats = None
+        return evaluation.stats
+
+    def result(self) -> OptimizeResult:
+        return OptimizeResult(
+            self.front, self.audit, self.convergence, self.simulations, self.failures
+        )
+
+
 @dataclass
 class _Candidate:
     solution: Solution
-    log: EventLog
+    evaluation: Evaluation
     dist: float
     index: int  # insertion order, the hill-climbing tiebreaker
-
-
-def _sim_config(config: OptimizerConfig, sim_index: int) -> SimConfig:
-    return replace(config.sim, seed=derive_seed(config.seed, "sim", sim_index))
 
 
 def guided_deltas(
@@ -256,27 +435,26 @@ def random_perturbation(
 
 
 def _candidate_deltas(
-    model: ProcessModel,
-    candidate: _Candidate,
-    config: OptimizerConfig,
-    iteration: int,
+    search: CandidateEvaluator, candidate: _Candidate, iteration: int
 ) -> list[PolicyDelta]:
-    try:
-        stats = compute_stats(candidate.log, model)
-    except AnalyticsError:
-        stats = None
-    derived = guided_deltas(model, candidate.log, candidate.solution.policies, stats, config)
+    config = search.config
+    evaluation = candidate.evaluation
+    stats = search.stats(evaluation)
+    if evaluation.deltas is None:
+        evaluation.deltas = guided_deltas(
+            search.model, evaluation.result.log, candidate.solution.policies, stats, config
+        )
     if config.guided:
-        return derived
+        return evaluation.deltas
     # the unguided baseline spends exactly the budget the guided search
     # would have spent on this candidate, but on random moves
     return random_perturbation(
-        model,
+        search.model,
         stats,
         candidate.solution.policies,
         seed=derive_seed(config.seed, "perturb", iteration),
         config=config.intervention,
-        count=len(derived),
+        count=len(evaluation.deltas),
     )
 
 
@@ -286,43 +464,10 @@ def optimize_hc_sa(
     if config.strategy not in (HC, SA):
         raise OptimizerError(f"strategy must be {HC!r} or {SA!r}, got {config.strategy!r}")
 
-    audit: list[dict] = []
-    convergence: list[dict] = []
-    simulations = 0
-    failures = 0
-
-    def record_convergence(front: ParetoFront) -> None:
-        convergence.append(
-            {
-                "simulations": simulations,
-                "best_cycle_time": min(s.point[0] for s in front.solutions),
-                "best_cost": min(s.point[1] for s in front.solutions),
-            }
-        )
-
-    try:
-        initial = simulate(model, initial_policies, _sim_config(config, 0))
-    except SimulationError as err:
-        raise OptimizerError(f"initial solution failed to simulate: {err}") from err
-    simulations = 1
-    root = Solution(dict(initial_policies), initial.objectives.point, log_ref="sim-00000")
-    front = ParetoFront((root,))
-    queue = [_Candidate(root, initial.log, 0.0, 0)]
+    search = CandidateEvaluator(model, config, simulate, compute_stats, apply_delta)
+    root, evaluation = search.start(initial_policies, dist=0.0, enqueued=True)
+    queue = [_Candidate(root, evaluation, 0.0, 0)]
     next_insert = 1
-    audit.append(
-        {
-            "sim": 0,
-            "iteration": 0,
-            "parent": "",
-            "delta": None,
-            "point": list(root.point),
-            "dist": 0.0,
-            "accepted": True,
-            "enqueued": True,
-            "failed": False,
-        }
-    )
-    record_convergence(front)
 
     mode = config.strategy
     radius = config.radius
@@ -336,7 +481,7 @@ def optimize_hc_sa(
     requeue_stream = Stream(config.seed, "sa-requeue")
 
     iteration = 0
-    while queue and simulations < config.max_solutions:
+    while queue and search.simulations < config.max_solutions:
         iteration += 1
         if mode == HC:
             at = min(range(len(queue)), key=lambda i: (queue[i].dist, queue[i].index))
@@ -344,72 +489,29 @@ def optimize_hc_sa(
             at = int(pop_stream.next_unit() * len(queue))
         parent = queue.pop(at)
 
-        for delta in _candidate_deltas(model, parent, config, iteration):
-            if simulations >= config.max_solutions:
+        for delta in _candidate_deltas(search, parent, iteration):
+            if search.simulations >= config.max_solutions:
                 break
-            row = {
-                "sim": None,
-                "iteration": iteration,
-                "parent": parent.solution.log_ref,
-                "delta": delta_to_doc(delta),
-                "point": None,
-                "dist": None,
-                "accepted": False,
-                "enqueued": False,
-                "failed": False,
-            }
-            try:
-                policies = apply_delta(parent.solution.policies, delta)
-            except InterventionError as err:
-                row["failed"] = True
-                row["error"] = f"delta not applicable: {err}"
-                audit.append(row)
-                continue
-            sim_index = simulations
-            row["sim"] = sim_index
-            try:
-                result = simulate(model, policies, _sim_config(config, sim_index))
-            except SimulationError as err:
-                simulations += 1
-                failures += 1
-                row["failed"] = True
-                row["error"] = str(err)
-                audit.append(row)
-                record_convergence(front)
-                if failures * 2 > simulations:
-                    raise OptimizerError(
-                        f"aborting: {failures} of {simulations} simulations failed; "
-                        f"last error: {err}"
-                    ) from err
-                continue
-            simulations += 1
-            child = Solution(
-                policies,
-                result.objectives.point,
-                log_ref=f"sim-{sim_index:05d}",
-                lineage=parent.solution.lineage + (delta_to_doc(delta),),
+            evaluated = search.evaluate(
+                iteration, parent.solution, delta, dist=None, enqueued=False
             )
-            dist = distance_to_front(front, child.point)
-            row["point"] = list(child.point)
+            if evaluated is None:
+                continue
+            child, evaluation, row = evaluated
+            dist = distance_to_front(search.front, child.point)
             row["dist"] = dist
             if dist == 0.0:
-                front, accepted = update_front(front, child)
-                row["accepted"] = accepted
-                queue.append(_Candidate(child, result.log, 0.0, next_insert))
+                search.front, row["accepted"] = update_front(search.front, child)
+                enqueue = True
+            elif mode == HC:
+                enqueue = dist < radius
+            else:
+                enqueue = accept_stream.next_unit() < math.exp(-dist / temperature)
+            if enqueue:
+                queue.append(_Candidate(child, evaluation, dist, next_insert))
                 next_insert += 1
                 row["enqueued"] = True
-            elif mode == HC:
-                if dist < radius:
-                    queue.append(_Candidate(child, result.log, dist, next_insert))
-                    next_insert += 1
-                    row["enqueued"] = True
-            else:
-                if accept_stream.next_unit() < math.exp(-dist / temperature):
-                    queue.append(_Candidate(child, result.log, dist, next_insert))
-                    next_insert += 1
-                    row["enqueued"] = True
-            audit.append(row)
-            record_convergence(front)
+            search.record(row)
 
         if mode == SA:
             temperature *= config.cooling_factor
@@ -424,7 +526,7 @@ def optimize_hc_sa(
                 radius = 0.0
                 queue = [c for c in queue if c.dist == 0.0]
 
-    return OptimizeResult(front, audit, convergence, simulations, failures)
+    return search.result()
 
 
 def render_convergence_csv(rows: list[dict]) -> str:

@@ -293,6 +293,12 @@ class BatchingPolicy:
 PolicySet = dict[str, BatchingPolicy]  # activity id -> policy
 
 
+def policy_set_key(policies: PolicySet) -> tuple:
+    """Hashable identity of a policy set, whatever its insertion order:
+    equal keys give equal simulations under one model and run config."""
+    return tuple(sorted(policies.items()))
+
+
 def policy_set(*policies: BatchingPolicy) -> PolicySet:
     out: PolicySet = {}
     for p in policies:
@@ -358,20 +364,47 @@ def _cost_to_doc(cost: CostModel) -> dict:
 
 
 def _cost_from_doc(doc, where: str) -> CostModel:
+    """A cost model from its document.  Its fields are type-checked, not
+    coerced: amounts are finite numbers, a variable-cost size is an integer
+    and the resource cost mode a string."""
     from .model import ParseError
 
     if doc is None:
         return CostModel()
     if not isinstance(doc, dict):
         raise ParseError(where, "expected a cost object")
+
+    def amount(key: str, default: float) -> float:
+        value = finite_number(doc.get(key, default))
+        if value is None:
+            raise ParseError(f"{where}.{key}", f"expected a finite number, got {doc[key]!r}")
+        return value
+
+    table = doc.get("variableCost", [])
+    if not isinstance(table, list):
+        raise ParseError(f"{where}.variableCost", f"expected a list of pairs, got {table!r}")
+    variable_cost = []
+    for i, pair in enumerate(table):
+        size = money = None
+        if isinstance(pair, list) and len(pair) == 2:
+            size, money = pair[0], finite_number(pair[1])
+        if type(size) is not int or money is None:
+            raise ParseError(
+                f"{where}.variableCost[{i}]",
+                f"expected an [integer size, finite amount] pair, got {pair!r}",
+            )
+        variable_cost.append((size, money))
+    mode = doc.get("resourceCostMode", PER_TIME)
+    if not isinstance(mode, str):
+        raise ParseError(f"{where}.resourceCostMode", f"expected a string, got {mode!r}")
     try:
         return CostModel(
-            fixed_cost=float(doc.get("fixedCost", 0.0)),
-            variable_cost=tuple((int(s), float(m)) for s, m in doc.get("variableCost", [])),
-            resource_cost_mode=doc.get("resourceCostMode", PER_TIME),
-            processing_scale_factor=float(doc.get("processingScaleFactor", 1.0)),
+            fixed_cost=amount("fixedCost", 0.0),
+            variable_cost=tuple(variable_cost),
+            resource_cost_mode=mode,
+            processing_scale_factor=amount("processingScaleFactor", 1.0),
         )
-    except (TypeError, ValueError, PolicyError) as err:
+    except PolicyError as err:
         raise ParseError(where, str(err)) from err
 
 

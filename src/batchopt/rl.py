@@ -23,23 +23,22 @@ from .analytics import (
     compute_stats,
     detect_scenarios_from_stats,
 )
-from .engine import SimulationError, simulate
+from .engine import simulate
 from .eventlog import EventLog
 from .interventions import (
     InterventionError,
     PolicyDelta,
     apply_delta,
-    delta_to_doc,
     derive_interventions,
 )
 from .model import ProcessModel
 from .optimize import (
     RL,
+    CandidateEvaluator,
     OptimizeResult,
     OptimizerConfig,
     OptimizerError,
     RLConfig,
-    _sim_config,
 )
 from .pareto import ParetoFront, Point, Solution, dominates, update_front
 from .policy import PolicySet
@@ -205,119 +204,37 @@ def optimize_rl(
         raise OptimizerError("the action space is the intervention set; there is no unguided variant")
     rl = config.rl
 
-    audit: list[dict] = []
-    convergence: list[dict] = []
-    simulations = 0
-    failures = 0
-
-    def record_convergence(front: ParetoFront) -> None:
-        convergence.append(
-            {
-                "simulations": simulations,
-                "best_cycle_time": min(s.point[0] for s in front.solutions),
-                "best_cost": min(s.point[1] for s in front.solutions),
-            }
-        )
-
-    try:
-        initial = simulate(model, initial_policies, _sim_config(config, 0))
-    except SimulationError as err:
-        raise OptimizerError(f"initial solution failed to simulate: {err}") from err
-    simulations = 1
-    root = Solution(dict(initial_policies), initial.objectives.point, log_ref="sim-00000")
-    front = ParetoFront((root,))
-    audit.append(
-        {
-            "sim": 0,
-            "iteration": 0,
-            "parent": "",
-            "delta": None,
-            "point": list(root.point),
-            "reward": None,
-            "accepted": True,
-            "failed": False,
-        }
-    )
-    record_convergence(front)
-
-    def stats_of(log: EventLog) -> LogStats | None:
-        try:
-            return compute_stats(log, model)
-        except AnalyticsError:
-            return None
-
+    search = CandidateEvaluator(model, config, simulate, compute_stats, apply_delta)
+    root, evaluation = search.start(initial_policies, reward=None)
     current = root
-    current_log = initial.log
-    current_stats = stats_of(initial.log)
-    state = state_vector(model, current_stats, root.point, root.point)
+    state = state_vector(model, search.stats(evaluation), root.point, root.point)
     agent = _Agent(len(state), rl)
     buffer: list[_Transition] = []
 
     for iteration in range(1, rl.max_iterations + 1):
-        actions = available_actions(model, current_log, current.policies, config, current_stats)
+        if evaluation.actions is None:
+            evaluation.actions = available_actions(
+                model, evaluation.result.log, current.policies, config, search.stats(evaluation)
+            )
+        actions = evaluation.actions
         if not actions:
             break
         mask = tuple(sorted(actions))
         action, logp = agent.sample(state, mask, unit(config.seed, "action", iteration))
-        delta = actions[action]
-        row = {
-            "sim": None,
-            "iteration": iteration,
-            "parent": current.log_ref,
-            "delta": delta_to_doc(delta),
-            "point": None,
-            "reward": None,
-            "accepted": False,
-            "failed": False,
-        }
-        try:
-            policies = apply_delta(current.policies, delta)
-        except InterventionError as err:
-            row["failed"] = True
-            row["error"] = f"delta not applicable: {err}"
-            audit.append(row)
+        evaluated = search.evaluate(iteration, current, actions[action], reward=None)
+        if evaluated is None:
             continue
-        sim_index = simulations
-        row["sim"] = sim_index
-        try:
-            result = simulate(model, policies, _sim_config(config, sim_index))
-        except SimulationError as err:
-            simulations += 1
-            failures += 1
-            row["failed"] = True
-            row["error"] = str(err)
-            audit.append(row)
-            record_convergence(front)
-            if failures * 2 > simulations:
-                raise OptimizerError(
-                    f"aborting: {failures} of {simulations} simulations failed; "
-                    f"last error: {err}"
-                ) from err
-            continue
-        simulations += 1
-        child = Solution(
-            policies,
-            result.objectives.point,
-            log_ref=f"sim-{sim_index:05d}",
-            lineage=current.lineage + (delta_to_doc(delta),),
-        )
-        move_reward = reward(front, child.point, rl)
-        front, accepted = update_front(front, child)
-        child_stats = stats_of(result.log)
-        next_state = state_vector(model, child_stats, child.point, root.point)
+        child, child_evaluation, row = evaluated
+        move_reward = reward(search.front, child.point, rl)
+        search.front, row["accepted"] = update_front(search.front, child)
+        next_state = state_vector(model, search.stats(child_evaluation), child.point, root.point)
         buffer.append(_Transition(state, action, move_reward, next_state, mask, logp))
         if len(buffer) >= rl.buffer_size:
             agent.train(buffer)
             buffer = []
-        row["point"] = list(child.point)
         row["reward"] = move_reward
-        row["accepted"] = accepted
-        audit.append(row)
-        record_convergence(front)
+        search.record(row)
         # the walk always advances, even onto a penalized candidate
-        current = child
-        current_log = result.log
-        current_stats = child_stats
-        state = next_state
+        current, evaluation, state = child, child_evaluation, next_state
 
-    return OptimizeResult(front, audit, convergence, simulations, failures)
+    return search.result()

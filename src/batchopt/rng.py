@@ -1,10 +1,13 @@
 """Counter-based random streams for reproducible simulation.
 
 Every draw is a pure function of (seed, stream label, key), so adding or
-removing consumers of one stream never shifts the draws of another.  This
-is what keeps arrival times identical across candidate policies during a
-search: duration and branching draws are keyed by case/activity/visit, not
-by global consumption order.
+removing consumers of one stream never shifts the draws of another.  Under
+one seed, arrival times and every duration and branching draw are the same
+whatever the policy set, because they are keyed by case/activity/visit,
+not by global consumption order.  A search does not hold the seed fixed:
+it gives each simulation its own seed (`optimize._sim_config`), so its
+candidates share arrivals and draws only when the model draws nothing
+(`engine.seed_free`).
 
 A draw's digest is a keyed blake2b of one message: ``repr(part) + "\x1f"``
 for each key part, joined and UTF-8 encoded.  blake2b is a streaming

@@ -138,6 +138,32 @@ class TestSimulate:
         assert "finite" in capsys.readouterr().err
         assert not (out / "objectives.json").exists()
 
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            {"fixedCost": "5"},
+            {"fixedCost": True},
+            {"variableCost": [[1.5, 2.0]]},
+            {"variableCost": [[1, True]]},
+            {"processingScaleFactor": "1"},
+            {"resourceCostMode": 1},
+        ],
+        ids=["fixed-string", "fixed-bool", "size-fraction", "amount-bool", "scale-string",
+             "mode-number"],
+    )
+    def test_mistyped_cost_field_is_a_schema_failure(self, tmp_path, capsys, cost):
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(
+            tmp_path / "bad.json",
+            {"policies": [{"activity": "ticket", "batchType": "parallel",
+                           "rule": [[{"kind": "size", "threshold": 2}]], "cost": cost}]},
+        )
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", model, "--policies", bad, "--out", str(out)])
+        assert code == 3
+        assert "$.policies[0].cost" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mean", ["NaN", "Infinity", "-1e400"])
     def test_non_finite_distribution_parameter_is_a_schema_failure(
         self, tmp_path, capsys, mean
@@ -331,6 +357,23 @@ class TestEvaluate:
         code = main(["evaluate", a, bad, "--out", str(tmp_path / "out")])
         assert code == 3
         assert "list of two finite numbers" in capsys.readouterr().err
+
+    def test_front_policy_for_unknown_activity_is_a_schema_failure(self, tmp_path, capsys):
+        a = self.optimize_front(tmp_path, "good", guided=True)
+        doc = json.loads(Path(a).read_text())
+        doc["solutions"][-1]["policies"]["policies"].append(
+            {"activity": "stamp", "batchType": "parallel",
+             "rule": [[{"kind": "wt-first", "threshold": 60}]]}
+        )
+        bad = write_json(tmp_path / "bad.json", doc)
+        model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
+        out = tmp_path / "out"
+        code = main(["evaluate", a, bad, "--model", model, "--policies", policies,
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "'stamp'" in err
+        assert not out.exists()
 
     def test_front_without_solutions_is_rejected(self, tmp_path, capsys):
         a = self.optimize_front(tmp_path, "good", guided=True)

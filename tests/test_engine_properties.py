@@ -15,8 +15,18 @@ from hypothesis import given, settings, strategies as st
 from batchopt import model as m
 from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_HOUR, WEEKDAY_NAMES
-from batchopt.engine import _ARRIVAL, _COMPLETE, _TICK, _WAKE, SimConfig, _Engine, simulate
+from batchopt.engine import (
+    _ARRIVAL,
+    _COMPLETE,
+    _TICK,
+    _WAKE,
+    SimConfig,
+    _Engine,
+    seed_free,
+    simulate,
+)
 from batchopt.eventlog import EventLog
+from batchopt.fixtures import all_fixtures
 
 ALL_WEEK = [
     {"weekday": d, "start": "00:00", "end": "24:00"}
@@ -337,3 +347,24 @@ def test_next_event_engine_matches_hourly_reference(scenario):
     model, policies, seed = scenario
     config = SimConfig(seed=seed)
     assert _Engine(model, policies, config).run() == HourlyTickEngine(model, policies, config).run()
+
+
+SEED_FREE_FIXTURES = [f for f in all_fixtures() if seed_free(f.model())]
+
+
+def test_only_the_branching_fixtures_draw():
+    drawing = {f.name for f in all_fixtures()} - {f.name for f in SEED_FREE_FIXTURES}
+    assert drawing == {"busy-step", "stray-branch"}
+
+
+@given(
+    st.sampled_from(SEED_FREE_FIXTURES),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+)
+def test_seed_free_model_simulates_the_same_under_any_seed(fixture, a, b):
+    model, policies = fixture.model(), fixture.policies()
+    first = simulate(model, policies, SimConfig(seed=a))
+    second = simulate(model, policies, SimConfig(seed=b))
+    assert first.log == second.log
+    assert first.objectives == second.objectives

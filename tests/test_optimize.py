@@ -1,24 +1,32 @@
+from collections import Counter
+
 import pytest
 
 from batchopt import optimize as opt
+from batchopt import rl as rlmod
 from batchopt.analytics import compute_stats
-from batchopt.engine import simulate
+from batchopt.engine import SimulationError, seed_free, simulate
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.interventions import (
     InterventionConfig,
     SCALE_SIZE,
     TOGGLE_BATCH_TYPE,
+    PolicyDelta,
     apply_delta,
+    delta_to_doc,
 )
+from batchopt.pareto import front_to_doc
 from batchopt.policy import (
     BatchingPolicy,
     CostModel,
     PARALLEL,
     SIZE,
     policy_set,
+    policy_set_key,
     rule,
     wait_first_at_least,
 )
+from batchopt.optimize import render_convergence_csv
 
 
 def front_points(front):
@@ -277,3 +285,136 @@ class TestSimulatedAnnealing:
         assert front_points(sa.front) == front_points(hc.front)
         assert sa.simulations == hc.simulations
         assert [r["delta"] for r in sa.audit] == [r["delta"] for r in hc.audit]
+
+
+def _without_cached(rows):
+    return [{k: v for k, v in row.items() if k != "cached"} for row in rows]
+
+
+class TestMemo:
+    """On a seed-free model a repeated policy set is replayed from the run's
+    memo, not simulated again; nothing but the audit's `cached` flags may
+    tell the two apart."""
+
+    @staticmethod
+    def search(monkeypatch, fixture, strategy, guided, memo, doomed=None):
+        """Run one search with a spy on the simulate its strategy calls; the
+        spy lists the key of every set it is asked for and fails the set
+        whose key is `doomed`."""
+        module = rlmod if strategy == "rl" else opt
+        runner = rlmod.optimize_rl if strategy == "rl" else opt.optimize_hc_sa
+        simulated = []
+        real = module.simulate
+
+        def spy(model, policies, config):
+            key = policy_set_key(policies)
+            simulated.append(key)
+            if key == doomed:
+                raise SimulationError("doomed policy set")
+            return real(model, policies, config)
+
+        monkeypatch.setattr(module, "simulate", spy)
+        monkeypatch.setattr(opt, "seed_free", seed_free if memo else lambda model: False)
+        config = opt.OptimizerConfig(strategy=strategy, guided=guided, max_solutions=50, seed=3)
+        try:
+            return runner(fixture.model(), fixture.policies(), config), simulated
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["circadian", "monotone-tradeoff"])
+    @pytest.mark.parametrize(
+        "strategy,guided", [("hc", True), ("hc", False), ("sa", True), ("rl", True)]
+    )
+    def test_memo_changes_nothing_but_the_cached_flags(self, monkeypatch, name, strategy, guided):
+        fx = get_fixture(name)
+        assert seed_free(fx.model())
+        fresh, every = self.search(monkeypatch, fx, strategy, guided, memo=False)
+        memo, distinct = self.search(monkeypatch, fx, strategy, guided, memo=True)
+        assert front_to_doc(memo.front) == front_to_doc(fresh.front)
+        assert render_convergence_csv(memo.convergence) == render_convergence_csv(
+            fresh.convergence
+        )
+        assert _without_cached(memo.audit) == _without_cached(fresh.audit)
+        assert (memo.simulations, memo.failures) == (fresh.simulations, fresh.failures)
+        # without the memo every requested simulation runs; with it, each
+        # distinct set runs once and every other request is a replay
+        assert len(every) == fresh.simulations
+        assert not any(row["cached"] for row in fresh.audit)
+        assert len(distinct) == len(set(distinct)) == len(set(every))
+        cached = sum(row["cached"] for row in memo.audit)
+        assert cached == memo.simulations - len(distinct)
+
+    def test_guided_climb_on_circadian_replays_most_requests(self, monkeypatch):
+        result, distinct = self.search(monkeypatch, get_fixture("circadian"), "hc", True, memo=True)
+        assert result.simulations == 50
+        assert len(distinct) < result.simulations / 2
+
+    def test_stochastic_model_keeps_no_memo(self, monkeypatch):
+        fx = get_fixture("busy-step")
+        assert not seed_free(fx.model())
+        result, simulated = self.search(monkeypatch, fx, "hc", True, memo=True)
+        assert len(simulated) == result.simulations
+        assert not any(row["cached"] for row in result.audit)
+
+    @pytest.mark.parametrize("memo", [True, False])
+    def test_replayed_failure_is_audited_and_counted_like_a_fresh_one(self, monkeypatch, memo):
+        fx = get_fixture("circadian")
+        model, policies = fx.model(), fx.policies()
+        if not memo:
+            monkeypatch.setattr(opt, "seed_free", lambda model: False)
+        calls = []
+
+        def doomed(model, candidate, config):
+            calls.append(candidate)
+            if candidate != policies:
+                raise SimulationError("doomed policy set")
+            return simulate(model, candidate, config)
+
+        search = opt.CandidateEvaluator(
+            model, opt.OptimizerConfig(seed=3), doomed, compute_stats, apply_delta
+        )
+        root, _ = search.start(policies, dist=0.0, enqueued=True)
+        delta = PolicyDelta(next(iter(policies)), TOGGLE_BATCH_TYPE)
+        assert search.evaluate(1, root, delta, dist=None, enqueued=False) is None
+        with pytest.raises(opt.OptimizerError) as err:
+            search.evaluate(2, root, delta, dist=None, enqueued=False)
+        assert str(err.value) == (
+            "aborting: 2 of 3 simulations failed; last error: doomed policy set"
+        )
+        assert len(calls) == (2 if memo else 3)
+        rows = search.audit[1:]
+        assert [r["cached"] for r in rows] == [False, memo]
+        assert _without_cached(rows) == [
+            {
+                "sim": sim,
+                "iteration": sim,
+                "parent": "sim-00000",
+                "delta": delta_to_doc(delta),
+                "point": None,
+                "dist": None,
+                "accepted": False,
+                "enqueued": False,
+                "failed": True,
+                "error": "doomed policy set",
+            }
+            for sim in (1, 2)
+        ]
+        assert [c["simulations"] for c in search.convergence] == [1, 2, 3]
+        assert (search.simulations, search.failures) == (3, 2)
+
+    def test_replayed_failure_in_a_search_matches_a_fresh_one(self, monkeypatch):
+        # doom a set the climb requests more than once
+        fx = get_fixture("circadian")
+        _, every = self.search(monkeypatch, fx, "hc", True, memo=False)
+        repeats = Counter(every[1:])
+        doomed_key = max(repeats, key=lambda k: (repeats[k], every.index(k)))
+        assert repeats[doomed_key] > 1
+
+        fresh, _ = self.search(monkeypatch, fx, "hc", True, memo=False, doomed=doomed_key)
+        memo, distinct = self.search(monkeypatch, fx, "hc", True, memo=True, doomed=doomed_key)
+        assert fresh.failures > 1  # so the memo run replays a failure
+        assert (memo.simulations, memo.failures) == (fresh.simulations, fresh.failures)
+        assert _without_cached(memo.audit) == _without_cached(fresh.audit)
+        failed = [r for r in memo.audit if r["failed"]]
+        assert [r["cached"] for r in failed] == [False] + [True] * (len(failed) - 1)
+        assert distinct.count(doomed_key) == 1

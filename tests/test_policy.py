@@ -293,3 +293,42 @@ class TestPolicyDocuments:
         doc["policies"].append(doc["policies"][0])
         with pytest.raises(ParseError):
             pol.parse_policies(doc)
+
+    @pytest.mark.parametrize(
+        "cost",
+        [
+            {"fixedCost": "5"},
+            {"fixedCost": True},
+            {"fixedCost": None},
+            {"processingScaleFactor": "1"},
+            {"processingScaleFactor": 10**400},
+            {"variableCost": [[1.5, 2.0]]},
+            {"variableCost": [[True, 2.0]]},
+            {"variableCost": [[1, True]]},
+            {"variableCost": [[1, "2"]]},
+            {"variableCost": [[1, 2.0, 3.0]]},
+            {"variableCost": [(1, 2.0)]},
+            {"variableCost": "1,2"},
+            {"resourceCostMode": 5},
+        ],
+    )
+    def test_parse_rejects_mistyped_cost_fields(self, cost):
+        from batchopt.model import ParseError
+
+        doc = pol.serialize_policies(self.make_set())
+        doc["policies"][0]["cost"].update(cost)
+        with pytest.raises(ParseError) as err:
+            pol.parse_policies(doc)
+        assert "$.policies[0].cost" in str(err.value)
+
+    def test_parse_keeps_integer_cost_amounts_exact(self):
+        doc = pol.serialize_policies(self.make_set())
+        doc["policies"][0]["cost"] = {"fixedCost": 4, "variableCost": [[1, 1], [5, 3]]}
+        assert pol.parse_policies(doc) == self.make_set()
+
+
+def test_policy_set_key_ignores_insertion_order():
+    a = pol.BatchingPolicy("a", pol.PARALLEL, pol.rule([pol.size_at_least(2)]))
+    b = pol.BatchingPolicy("b", pol.SEQUENTIAL, pol.rule([pol.wait_last_at_least(60.0)]))
+    assert pol.policy_set_key({"a": a, "b": b}) == pol.policy_set_key({"b": b, "a": a})
+    assert pol.policy_set_key({"a": a}) != pol.policy_set_key({"a": a, "b": b})

@@ -132,3 +132,26 @@ def test_fixed_durations_draw_nothing(monkeypatch):
     doc["activities"][0]["duration"] = {"kind": "normal", "mean": 600.0, "stddev": 120.0}
     log = _Engine(parse_model(doc), {}, SimConfig(seed=5)).run()
     assert len(draws) == len(log.instances) > 0
+
+
+def test_seed_free_model_draws_nothing(monkeypatch):
+    # a fixed inter-arrival time is not drawn either, so a seed-free model
+    # takes no draw from any stream
+    draws = []
+    real_visit, real_next = rng.visit_unit, rng.Stream.next_unit
+    monkeypatch.setattr(rng, "visit_unit", lambda *key: draws.append(key) or real_visit(*key))
+    monkeypatch.setattr(
+        rng.Stream, "next_unit", lambda stream: draws.append(stream) or real_next(stream)
+    )
+    fixture = get_fixture("circadian")
+    model = fixture.model()
+    assert engine.seed_free(model)
+    log = _Engine(model, fixture.policies(), SimConfig(seed=5)).run()
+    assert log.instances and draws == []
+    # an exponential inter-arrival time draws once per case
+    doc = copy.deepcopy(fixture.model_doc)
+    doc["arrival"]["interArrival"] = {"kind": "exponential", "mean": 3600.0}
+    model = parse_model(doc)
+    assert not engine.seed_free(model)
+    log = _Engine(model, fixture.policies(), SimConfig(seed=5)).run()
+    assert len(draws) == len(log.case_ids()) > 0
