@@ -25,9 +25,8 @@ Patterns by id:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .calendars import (
     SECONDS_PER_DAY,
@@ -39,7 +38,17 @@ from .calendars import (
 )
 from .eventlog import EventLog
 from .model import ProcessModel
-from .policy import DAILY_HOUR, PARALLEL, SEQUENTIAL, SIZE, WEEK_DAY, BatchingPolicy, PolicySet
+from .policy import (
+    DAILY_HOUR,
+    PARALLEL,
+    SEQUENTIAL,
+    SIZE,
+    WEEK_DAY,
+    BatchingPolicy,
+    PolicySet,
+    check_fields,
+)
+from .reduce import dot, mean, median, percentile
 
 SCENARIO_IDS = tuple(range(1, 20))
 
@@ -152,10 +161,10 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
             ActivityStats(
                 activity_id=activity_id,
                 execution_count=len(instances),
-                mean_processing_time=float(np.mean([r.work_seconds for r in instances])),
-                mean_first_wait=float(np.mean(max_waits)),
-                mean_last_wait=float(np.mean(min_waits)),
-                mean_batch_size=float(np.mean(sizes)),
+                mean_processing_time=mean([r.work_seconds for r in instances]),
+                mean_first_wait=mean(max_waits),
+                mean_last_wait=mean(min_waits),
+                mean_batch_size=mean(sizes),
                 total_waiting=float(sum(r.start_time - r.enable_time for r in instances)),
                 total_cost=float(sum(b.cost for b in batches)),
                 enablement_histogram=enablement_hist,
@@ -234,6 +243,7 @@ class DetectionConfig:
     switch_low: float = 0.2  # pattern 19
 
     def __post_init__(self):
+        check_fields(self, AnalyticsError)
         for name in ("wait_quantile", "processing_quantile"):
             q = getattr(self, name)
             if not 0.0 < q < 1.0:
@@ -301,7 +311,7 @@ def _as_sorted_items(hist: dict[Bucket, float]) -> tuple[tuple[Bucket, float], .
 
 
 def _quantile(values, q: float) -> float:
-    return float(np.percentile(np.asarray(values, dtype=float), q * 100.0, method="linear"))
+    return percentile(values, q * 100.0)
 
 
 def _has_condition(policy: BatchingPolicy | None, kind: str) -> bool:
@@ -312,12 +322,12 @@ def cosine_similarity(a: dict[Bucket, float], b: dict[Bucket, float]) -> float:
     keys = set(a) | set(b)
     if not keys:
         return 0.0
-    va = np.array([a.get(k, 0.0) for k in sorted(keys)], dtype=float)
-    vb = np.array([b.get(k, 0.0) for k in sorted(keys)], dtype=float)
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+    va = [a.get(k, 0.0) for k in sorted(keys)]
+    vb = [b.get(k, 0.0) for k in sorted(keys)]
+    na, nb = math.sqrt(dot(va, va)), math.sqrt(dot(vb, vb))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float(np.dot(va, vb) / (na * nb))
+    return dot(va, vb) / (na * nb)
 
 
 def _schedule_covers(policy: BatchingPolicy | None, buckets) -> bool:
@@ -420,7 +430,7 @@ def window_aligned_waits(
     batches = [b for b in log.batches if b.activity_id == activity_id]
     if not batches:
         raise AnalyticsError(f"activity {activity_id!r} has no batches to align")
-    estimate = float(np.mean([b.busy_seconds for b in batches]))
+    estimate = mean([b.busy_seconds for b in batches])
     first, last = [], []
     for b in batches:
         cal = calendars[b.resource_id]
@@ -523,18 +533,18 @@ def detect_scenarios_from_stats(
             avail = availability_histogram(model, a.activity_id)
             positive = [v for v in avail.values() if v > 0.0]
             if positive:
-                median = float(np.median(positive))
+                typical = median(positive)
                 batch_starts = {
                     bucket_of(b.start_time)
                     for b in log.batches
                     if b.activity_id == a.activity_id
                 }
-                weak = {b for b in batch_starts if avail.get(b, 0.0) < median}
+                weak = {b for b in batch_starts if avail.get(b, 0.0) < typical}
                 if weak:
                     emit(
                         4,
                         a.activity_id,
-                        observed=(("availability_median", median),),
+                        observed=(("availability_median", typical),),
                         histogram=_as_sorted_items(avail),
                     )
         if _has_condition(policy, SIZE) and a.mean_first_wait > first_wait_threshold:
@@ -561,7 +571,7 @@ def detect_scenarios_from_stats(
         if policy is not None and policy.batch_type == SEQUENTIAL:
             emit(7, a.activity_id, **size_evidence)
         if policy is not None and a.idle_batch_share > config.idle_share:
-            mean_busy = float(np.mean(a.per_batch_busy))
+            mean_busy = mean(a.per_batch_busy)
             emit(
                 8,
                 a.activity_id,
@@ -642,7 +652,7 @@ def detect_scenarios_from_stats(
                 if b.activity_id == a.activity_id:
                     per_size.setdefault(b.size, []).append(b.cost / b.size)
             ordered = sorted(per_size)
-            means = [float(np.mean(per_size[s])) for s in ordered]
+            means = [mean(per_size[s]) for s in ordered]
             if all(later >= earlier for earlier, later in zip(means, means[1:])):
                 emit(
                     15,

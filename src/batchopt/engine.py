@@ -73,6 +73,7 @@ from .policy import (
     WEEK_DAY,
     WT_FIRST,
     WT_LAST,
+    check_fields,
     compute_batch_cost,
     evaluate_activation_rule,
     evaluate_condition,
@@ -93,12 +94,13 @@ class SimConfig:
     cycle_time_mode: str = CYCLE_TIME_FULL
 
     def __post_init__(self):
+        check_fields(self, SimulationError)
         if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+            raise SimulationError("warmup must be >= 0")
         if self.total_cases is not None and self.total_cases < 1:
-            raise ValueError("total_cases must be >= 1")
+            raise SimulationError("total_cases must be >= 1")
         if self.cycle_time_mode not in CYCLE_TIME_MODES:
-            raise ValueError(f"unknown cycle time mode {self.cycle_time_mode!r}")
+            raise SimulationError(f"unknown cycle time mode {self.cycle_time_mode!r}")
 
 
 class SimResult(NamedTuple):
@@ -637,10 +639,7 @@ def parse_sim_config(doc) -> SimConfig:
         if key not in _SIM_DOC_KEYS:
             raise SimulationError(f"unknown run-control key {key!r}")
         kwargs[_SIM_DOC_KEYS[key]] = value
-    try:
-        return SimConfig(**kwargs)
-    except (TypeError, ValueError) as err:
-        raise SimulationError(str(err)) from err
+    return SimConfig(**kwargs)
 
 
 def sim_config_to_doc(config: SimConfig) -> dict:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .analytics import (
     GROW_SIZE_SCENARIOS,
     SHRINK_SIZE_SCENARIOS,
@@ -38,12 +36,15 @@ from .policy import (
     CostModel,
     ActivationRule,
     PolicySet,
+    check_fields,
+    finite_number,
     in_hours,
     size_at_least,
     wait_first_at_least,
     wait_last_at_least,
     on_days,
 )
+from .reduce import mean
 from .rng import round_half_up
 
 
@@ -59,6 +60,9 @@ class InterventionConfig:
     top_k: int = 3
 
     def __post_init__(self):
+        check_fields(self, InterventionError)
+        if any(finite_number(lam) is None for lam in self.scale_grid):
+            raise InterventionError(f"scale grid must hold finite numbers, got {self.scale_grid}")
         if not self.scale_grid or any(lam <= 0 for lam in self.scale_grid):
             raise InterventionError(f"scale grid must be positive, got {self.scale_grid}")
         if self.min_size < 1 or self.max_size < self.min_size:
@@ -149,7 +153,7 @@ def scale_size_threshold(sizes, lam: float, config: InterventionConfig = Interve
         raise InterventionError("cannot scale a size threshold without observed batch sizes")
     if lam <= 0:
         raise InterventionError(f"scaling factor must be positive, got {lam}")
-    scaled = round_half_up(lam * float(np.mean(sizes)))
+    scaled = round_half_up(lam * mean(sizes))
     return max(config.min_size, min(config.max_size, scaled))
 
 
@@ -157,14 +161,14 @@ def compute_wt_first_threshold(per_batch_max_waits, lam: float) -> float:
     """Scaled mean of the longest member wait seen in each batch."""
     if not per_batch_max_waits:
         raise InterventionError("no batch waits to derive a wt-first threshold from")
-    return lam * float(np.mean(per_batch_max_waits))
+    return lam * mean(per_batch_max_waits)
 
 
 def compute_wt_last_threshold(per_batch_min_waits, lam: float) -> float:
     """Scaled mean of the shortest member wait seen in each batch."""
     if not per_batch_min_waits:
         raise InterventionError("no batch waits to derive a wt-last threshold from")
-    return lam * float(np.mean(per_batch_min_waits))
+    return lam * mean(per_batch_min_waits)
 
 
 def build_schedule_set(histogram, top_k: int) -> tuple[Bucket, ...]:
@@ -188,7 +192,7 @@ def compute_window_aligned_thresholds(
     nearest sufficiently long availability window."""
     kwargs = {} if search_horizon is None else {"search_horizon": search_horizon}
     first, last = window_aligned_waits(log, calendars, activity_id, **kwargs)
-    return lam * float(np.mean(first)), lam * float(np.mean(last))
+    return lam * mean(first), lam * mean(last)
 
 
 # -- pattern -> deltas ------------------------------------------------------
@@ -284,8 +288,8 @@ def derive_interventions(
                     kind=SET_WAIT_THRESHOLDS,
                     scenario_id=sid,
                     scale=lam,
-                    new_threshold=lam * float(np.mean(ev.aligned_first_waits)),
-                    new_last_threshold=lam * float(np.mean(ev.aligned_last_waits)),
+                    new_threshold=lam * mean(ev.aligned_first_waits),
+                    new_last_threshold=lam * mean(ev.aligned_last_waits),
                 )
             )
     elif sid in SHRINK_SIZE_SCENARIOS or sid in GROW_SIZE_SCENARIOS:

@@ -54,7 +54,7 @@ from .interventions import (
 )
 from .model import ProcessModel
 from .pareto import ParetoFront, Solution, distance_to_front, update_front
-from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, policy_set_key
+from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, check_fields, policy_set_key
 from .rng import Stream, derive_seed, round_half_up, unit
 
 HC = "hc"
@@ -86,6 +86,7 @@ class RLConfig:
     learning_rate: float = 0.05
 
     def __post_init__(self):
+        check_fields(self, OptimizerError)
         if not (self.reward_dominates > self.reward_improves > self.reward_penalty):
             raise OptimizerError(
                 "rewards must be ordered dominate > improve > penalty, got "
@@ -117,6 +118,7 @@ class OptimizerConfig:
     rl: RLConfig = RLConfig()
 
     def __post_init__(self):
+        check_fields(self, OptimizerError)
         if self.strategy not in STRATEGIES:
             raise OptimizerError(f"unknown strategy {self.strategy!r}")
         if self.max_solutions < 1:
@@ -547,7 +549,7 @@ def _build(cls, doc: dict, where: str, field_map: dict[str, str]):
     kwargs = {field_map[k]: v for k, v in doc.items()}
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, SimulationError) as err:
         raise OptimizerError(f"{where}: {err}") from err
 
 
@@ -608,18 +610,25 @@ def parse_optimizer_config(doc) -> OptimizerConfig:
     rest = set(doc) - set(_TOP_KEYS) - {"sim", "detection", "intervention", "rl"}
     if rest:
         raise OptimizerError(f"optimizer config: unknown keys {sorted(rest)}")
-    sim_doc = dict(doc.get("sim", {}))
-    intervention_doc = dict(doc.get("intervention", {}))
+    sections = {name: doc.get(name, {}) for name in ("sim", "detection", "intervention", "rl")}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise OptimizerError(f"{name}: expected an object, got {section!r}")
+    intervention_doc = dict(sections["intervention"])
     if "scaleGrid" in intervention_doc:
+        if not isinstance(intervention_doc["scaleGrid"], list):
+            raise OptimizerError(
+                f"intervention: scaleGrid must be a list, got {intervention_doc['scaleGrid']!r}"
+            )
         intervention_doc["scaleGrid"] = tuple(intervention_doc["scaleGrid"])
     kwargs = {_TOP_KEYS[k]: v for k, v in top.items()}
     if "strategy" in kwargs:
         kwargs["strategy"] = str(kwargs["strategy"]).lower()
     return OptimizerConfig(
-        sim=_build(SimConfig, sim_doc, "sim", _SIM_KEYS),
-        detection=_build(DetectionConfig, dict(doc.get("detection", {})), "detection", _DETECTION_KEYS),
+        sim=_build(SimConfig, sections["sim"], "sim", _SIM_KEYS),
+        detection=_build(DetectionConfig, sections["detection"], "detection", _DETECTION_KEYS),
         intervention=_build(InterventionConfig, intervention_doc, "intervention", _INTERVENTION_KEYS),
-        rl=_build(RLConfig, dict(doc.get("rl", {})), "rl", _RL_KEYS),
+        rl=_build(RLConfig, sections["rl"], "rl", _RL_KEYS),
         **kwargs,
     )
 

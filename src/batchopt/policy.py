@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
+from .model import ParseError
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -43,6 +44,23 @@ def finite_number(value) -> float | None:
     except OverflowError:  # an integer beyond the float range
         return None
     return number if math.isfinite(number) else None
+
+
+def check_fields(obj, error) -> None:
+    """Raise `error` unless each field of the dataclass `obj` holds what its
+    annotation names: `int` an int that is not a bool (`int | None` also
+    None), `float` a finite JSON number (see `finite_number`), `bool` a
+    bool.  Other fields are left to their class; nothing is coerced."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
+        if kind == "int" or (kind == "int | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise error(f"{f.name} must be an integer, got {value!r}")
+        elif kind == "float" and finite_number(value) is None:
+            raise error(f"{f.name} must be a finite number, got {value!r}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise error(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -320,30 +338,38 @@ def _condition_to_doc(c: Condition) -> dict:
     return {"kind": c.kind, "days": [WEEKDAY_NAMES[d] for d in c.days]}
 
 
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
+    """Raise ParseError on the first key of `doc`, in sorted order, that is
+    not in `known`: a misspelled key is an error, never a silent default."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ParseError(f"{where}.{min(unknown)}", f"unknown key; expected one of {list(known)}")
+
+
 def _condition_from_doc(doc, where: str) -> Condition:
     """A condition from its document.  Its field is type-checked, not
     coerced: a threshold is a finite number, hours a list of integers and
     days a list of weekday names."""
-    from .model import ParseError  # local import to avoid a cycle
-
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ParseError(where, "expected a condition object with a kind")
     kind = doc["kind"]
     if kind not in CONDITION_KINDS:
         raise ParseError(where, f"unknown condition kind {kind!r}")
+    name = "threshold" if kind in THRESHOLD_KINDS else "hours" if kind == DAILY_HOUR else "days"
+    _reject_unknown_keys(doc, ("kind", name), where)
     try:
         if kind in THRESHOLD_KINDS:
-            name, expected = "threshold", "a finite number"
+            expected = "a finite number"
             threshold = finite_number(doc[name])
             if threshold is not None:
                 return Condition(kind, threshold=threshold)
         elif kind == DAILY_HOUR:
-            name, expected = "hours", "a list of integer hours"
+            expected = "a list of integer hours"
             hours = doc[name]
             if isinstance(hours, list) and all(type(h) is int for h in hours):
                 return Condition(kind, hours=tuple(sorted(hours)))
         else:
-            name, expected = "days", "a list of weekday names"
+            expected = "a list of weekday names"
             days = doc[name]
             if isinstance(days, list) and all(isinstance(d, str) for d in days):
                 return Condition(kind, days=tuple(sorted(parse_weekday(d) for d in days)))
@@ -363,16 +389,18 @@ def _cost_to_doc(cost: CostModel) -> dict:
     }
 
 
+_COST_KEYS = ("fixedCost", "variableCost", "resourceCostMode", "processingScaleFactor")
+
+
 def _cost_from_doc(doc, where: str) -> CostModel:
     """A cost model from its document.  Its fields are type-checked, not
     coerced: amounts are finite numbers, a variable-cost size is an integer
     and the resource cost mode a string."""
-    from .model import ParseError
-
     if doc is None:
         return CostModel()
     if not isinstance(doc, dict):
         raise ParseError(where, "expected a cost object")
+    _reject_unknown_keys(doc, _COST_KEYS, where)
 
     def amount(key: str, default: float) -> float:
         value = finite_number(doc.get(key, default))
@@ -423,8 +451,6 @@ def serialize_policies(policies: PolicySet) -> dict:
 
 
 def parse_policies(doc) -> PolicySet:
-    from .model import ParseError
-
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -432,11 +458,13 @@ def parse_policies(doc) -> PolicySet:
             raise ParseError("$", f"invalid JSON: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("policies"), list):
         raise ParseError("$", "expected an object with a policies list")
+    _reject_unknown_keys(doc, ("policies",), "$")
     out: PolicySet = {}
     for i, item in enumerate(doc["policies"]):
         where = f"$.policies[{i}]"
         if not isinstance(item, dict):
             raise ParseError(where, "expected an object")
+        _reject_unknown_keys(item, ("activity", "batchType", "rule", "cost"), where)
         for key in ("activity", "batchType", "rule"):
             if key not in item:
                 raise ParseError(f"{where}.{key}", "missing required field")

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytics import (
     SCENARIO_IDS,
     AnalyticsError,
@@ -42,6 +40,7 @@ from .optimize import (
 )
 from .pareto import ParetoFront, Point, Solution, dominates, update_front
 from .policy import PolicySet
+from .reduce import dot, mean, pairwise_sum
 from .rng import unit
 
 ACTION_SLOTS = 4  # options kept per pattern id (one per scaling factor slot)
@@ -67,7 +66,7 @@ def state_vector(
     stats: LogStats | None,
     point: Point,
     initial_point: Point,
-) -> np.ndarray:
+) -> list[float]:
     """Fixed-length observation: five features per activity (sorted by
     id) plus the two objectives, everything scaled against the initial
     solution so magnitudes stay comparable across models."""
@@ -92,13 +91,13 @@ def state_vector(
                     a.mean_first_wait / ct0,
                     a.mean_last_wait / ct0,
                     a.mean_batch_size / BATCH_SIZE_SCALE,
-                    float(np.mean(utilizations)) if utilizations else 0.0,
+                    mean(utilizations) if utilizations else 0.0,
                     a.total_cost / total_cost if total_cost > 0 else 0.0,
                 ]
         features.extend(row)
     features.append(point[0] / ct0)
     features.append(point[1] / cost0)
-    return np.asarray(features, dtype=float)
+    return features
 
 
 def available_actions(
@@ -135,10 +134,10 @@ def available_actions(
 
 @dataclass
 class _Transition:
-    state: np.ndarray
+    state: list[float]
     action: int
     reward: float
-    next_state: np.ndarray
+    next_state: list[float]
     mask: tuple[int, ...]
     logp: float
 
@@ -149,26 +148,29 @@ class _Agent:
 
     def __init__(self, state_dim: int, rl: RLConfig):
         self.rl = rl
-        self.weights = np.zeros((N_ACTIONS, state_dim))
-        self.bias = np.zeros(N_ACTIONS)
-        self.value_weights = np.zeros(state_dim)
+        self.weights = [[0.0] * state_dim for _ in range(N_ACTIONS)]
+        self.bias = [0.0] * N_ACTIONS
+        self.value_weights = [0.0] * state_dim
         self.value_bias = 0.0
 
-    def probabilities(self, state: np.ndarray, mask: tuple[int, ...]) -> np.ndarray:
-        ids = list(mask)
-        logits = self.weights[ids] @ state + self.bias[ids]
-        logits -= logits.max()
-        exp = np.exp(logits)
-        return exp / exp.sum()
+    def probabilities(self, state: list[float], mask: tuple[int, ...]) -> list[float]:
+        logits = [dot(self.weights[a], state) + self.bias[a] for a in mask]
+        top = max(logits)
+        exp = [math.exp(logit - top) for logit in logits]
+        total = pairwise_sum(exp)
+        return [e / total for e in exp]
 
-    def sample(self, state: np.ndarray, mask: tuple[int, ...], u: float) -> tuple[int, float]:
+    def sample(self, state: list[float], mask: tuple[int, ...], u: float) -> tuple[int, float]:
         probs = self.probabilities(state, mask)
-        position = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        position = min(position, len(mask) - 1)
-        return mask[position], float(np.log(probs[position]))
+        # the first position whose cumulative probability exceeds u
+        position, cumulative = 0, probs[0]
+        while cumulative <= u and position < len(mask) - 1:
+            position += 1
+            cumulative += probs[position]
+        return mask[position], math.log(probs[position])
 
-    def value(self, state: np.ndarray) -> float:
-        return float(self.value_weights @ state + self.value_bias)
+    def value(self, state: list[float]) -> float:
+        return dot(self.value_weights, state) + self.value_bias
 
     def train(self, batch: list[_Transition]) -> None:
         lr = self.rl.learning_rate
@@ -178,21 +180,24 @@ class _Agent:
                 advantage = t.reward - self.value(t.state)
                 probs = self.probabilities(t.state, t.mask)
                 position = t.mask.index(t.action)
-                ratio = float(probs[position]) / math.exp(t.logp)
+                ratio = probs[position] / math.exp(t.logp)
                 clipped_out = (advantage >= 0 and ratio > 1 + clip) or (
                     advantage < 0 and ratio < 1 - clip
                 )
                 if not clipped_out:
                     # d log pi(a|s) / d logits = onehot(a) - pi over the mask
-                    grad = -probs
-                    grad[position] += 1.0
                     step = lr * advantage * ratio
-                    for g, action_id in zip(grad, t.mask):
-                        self.weights[action_id] += step * g * t.state
-                        self.bias[action_id] += step * g
+                    for i, action_id in enumerate(t.mask):
+                        g = 1.0 - probs[i] if i == position else -probs[i]
+                        scale = step * g
+                        self.weights[action_id] = [
+                            w + scale * s for w, s in zip(self.weights[action_id], t.state)
+                        ]
+                        self.bias[action_id] += scale
                 error = self.value(t.state) - t.reward
-                self.value_weights -= lr * error * t.state
-                self.value_bias -= lr * error
+                scale = lr * error
+                self.value_weights = [w - scale * s for w, s in zip(self.value_weights, t.state)]
+                self.value_bias -= scale
 
 
 def optimize_rl(

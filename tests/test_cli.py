@@ -164,6 +164,52 @@ class TestSimulate:
         assert "$.policies[0].cost" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"polices": []},
+            {"policies": [{"activity": "ticket", "batchType": "parallel",
+                           "rule": [[{"kind": "size", "threshold": 2}]], "costs": {}}]},
+            {"policies": [{"activity": "ticket", "batchType": "parallel",
+                           "rule": [[{"kind": "size", "treshold": 2, "threshold": 2}]]}]},
+            {"policies": [{"activity": "ticket", "batchType": "parallel",
+                           "rule": [[{"kind": "size", "threshold": 2}]],
+                           "cost": {"fixdCost": 5}}]},
+        ],
+        ids=["top-level", "policy", "condition", "cost"],
+    )
+    def test_unknown_policies_key_is_a_schema_failure(self, tmp_path, capsys, doc):
+        if "policies" not in doc:
+            doc["policies"] = [{"activity": "ticket", "batchType": "parallel",
+                                "rule": [[{"kind": "size", "threshold": 2}]]}]
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", model, "--policies", bad, "--out", str(out)])
+        assert code == 3
+        assert "unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"totalCases": 2.5}, "total_cases must be an integer"),
+            ({"seed": "a"}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"warmup": False}, "warmup must be an integer"),
+        ],
+        ids=["cases-fraction", "seed-string", "seed-bool", "warmup-bool"],
+    )
+    def test_mistyped_run_config_is_a_schema_failure(self, tmp_path, capsys, config, message):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(tmp_path / "run.json", config)
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", model, "--policies", policies,
+                     "--config", bad, "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mean", ["NaN", "Infinity", "-1e400"])
     def test_non_finite_distribution_parameter_is_a_schema_failure(
         self, tmp_path, capsys, mean
@@ -222,6 +268,52 @@ class TestOptimize:
             main(["optimize", "--model", model, "--policies", policies,
                   "--config", config, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"sim": 5}, "sim: expected an object"),
+            ({"detection": [1]}, "detection: expected an object"),
+            ({"intervention": {"scaleGrid": 3}}, "scaleGrid must be a list"),
+            ({"intervention": {"scaleGrid": ["2"]}}, "scale grid must hold finite numbers"),
+            ({"intervention": {"minSize": 1.0}}, "min_size must be an integer"),
+            ({"seed": "a"}, "seed must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"sim": {"seed": 1.5}}, "sim: seed must be an integer"),
+            ({"guided": "no"}, "guided must be true or false"),
+            ({"maxSolutions": 2.5}, "max_solutions must be an integer"),
+            ({"radius": True}, "radius must be a finite number"),
+            ({"coolingFactor": "0.5"}, "cooling_factor must be a finite number"),
+            ({"detection": {"topK": 2.0}}, "top_k must be an integer"),
+            ({"rl": {"bufferSize": True}}, "buffer_size must be an integer"),
+            ({"rl": {"learningRate": "x"}}, "learning_rate must be a finite number"),
+        ],
+        ids=["sim-number", "detection-list", "grid-number", "grid-string", "min-size-float",
+             "seed-string", "seed-bool", "sim-seed-fraction", "guided-string",
+             "budget-fraction", "radius-bool", "cooling-string", "top-k-float",
+             "buffer-bool", "rate-string"],
+    )
+    def test_mistyped_optimizer_config_is_a_schema_failure(
+        self, tmp_path, capsys, config, message
+    ):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(tmp_path / "optimizer.json", {"maxSolutions": 3, **config})
+        out = tmp_path / "out"
+        code = main(["optimize", "--model", model, "--policies", policies,
+                     "--config", bad, "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_optimizer_number_is_a_schema_failure(self, tmp_path, capsys, value):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        path = tmp_path / "optimizer.json"
+        path.write_text('{"maxSolutions": 3, "radius": %s}' % value)
+        code = main(["optimize", "--model", model, "--policies", policies,
+                     "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "radius must be a finite number" in capsys.readouterr().err
 
     def test_rl_with_zero_iterations_keeps_the_initial_point(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")

@@ -192,14 +192,21 @@ class TestCostModel:
         assert c.variable_at(50) == 24.0  # beyond table: flat
 
     def test_variable_cost_against_numpy_interp(self):
-        import numpy as np
+        def interp(x, xs, ys):
+            # np.interp: flat outside the table, linear between its points
+            if x <= xs[0]:
+                return ys[0]
+            for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+                if x <= x1:
+                    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            return ys[-1]
 
         table = ((1, 3.0), (3, 9.0), (7, 11.0), (10, 30.0))
         c = pol.CostModel(variable_cost=table)
         xs = [s for s, _ in table]
         ys = [m for _, m in table]
         for size in range(1, 15):
-            assert c.variable_at(size) == pytest.approx(float(np.interp(size, xs, ys)))
+            assert c.variable_at(size) == pytest.approx(interp(size, xs, ys))
 
     def test_fixed_cost_additivity(self):
         base = pol.CostModel(fixed_cost=0.0)
@@ -286,6 +293,31 @@ class TestPolicyDocuments:
             pol.parse_policies(doc)
         assert "rule[0][0]" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "where, key, path",
+        [
+            ("top", "polices", "$.polices"),
+            ("policy", "costs", "$.policies[0].costs"),
+            ("condition", "treshold", "$.policies[0].rule[0][0].treshold"),
+            ("cost", "fixdCost", "$.policies[0].cost.fixdCost"),
+        ],
+    )
+    def test_parse_rejects_unknown_keys(self, where, key, path):
+        from batchopt.model import ParseError
+
+        doc = pol.serialize_policies(self.make_set())
+        target = {
+            "top": doc,
+            "policy": doc["policies"][0],
+            "condition": doc["policies"][0]["rule"][0][0],
+            "cost": doc["policies"][0]["cost"],
+        }[where]
+        target[key] = 5
+        with pytest.raises(ParseError) as err:
+            pol.parse_policies(doc)
+        assert err.value.path == path
+        assert "unknown key" in str(err.value)
+
     def test_parse_rejects_duplicate_activity(self):
         from batchopt.model import ParseError
 
@@ -332,3 +364,39 @@ def test_policy_set_key_ignores_insertion_order():
     b = pol.BatchingPolicy("b", pol.SEQUENTIAL, pol.rule([pol.wait_last_at_least(60.0)]))
     assert pol.policy_set_key({"a": a, "b": b}) == pol.policy_set_key({"b": b, "a": a})
     assert pol.policy_set_key({"a": a}) != pol.policy_set_key({"a": a, "b": b})
+
+
+class TestCheckFields:
+    """`check_fields` reads each field's annotation, written as a string
+    (`from __future__ import annotations`) or as the type itself."""
+
+    @staticmethod
+    def make(n="int", x="float", flag="bool", cap="int | None", name="str"):
+        from dataclasses import make_dataclass
+
+        return make_dataclass("Config", [("n", n), ("x", x), ("flag", flag), ("cap", cap),
+                                         ("name", name)])
+
+    @pytest.mark.parametrize("types", [{}, {"n": int, "x": float, "flag": bool,
+                                            "cap": int | None, "name": str}],
+                             ids=["string", "type"])
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1, 0.5, True, None, "a"), None),
+            ((1, 2, False, 3, 5), None),
+            ((1.0, 0.5, True, None, "a"), "n must be an integer"),
+            ((True, 0.5, True, None, "a"), "n must be an integer"),
+            ((1, "0.5", True, None, "a"), "x must be a finite number"),
+            ((1, math.inf, True, None, "a"), "x must be a finite number"),
+            ((1, 0.5, 1, None, "a"), "flag must be true or false"),
+            ((1, 0.5, True, 2.5, "a"), "cap must be an integer"),
+        ],
+    )
+    def test_annotation_decides_the_check(self, types, values, message):
+        config = self.make(**types)(*values)
+        if message is None:
+            pol.check_fields(config, ValueError)
+        else:
+            with pytest.raises(ValueError, match=message):
+                pol.check_fields(config, ValueError)

@@ -94,7 +94,7 @@ class TestActionGrid:
         point = (100.0, 10.0)
         state = rlmod.state_vector(self.model, self.stats, point, point)
         expected = rlmod.FEATURES_PER_ACTIVITY * len(self.model.activities) + 2
-        assert state.shape == (expected,)
+        assert len(state) == expected
 
     def test_state_vector_scales_objectives_to_one_at_start(self):
         point = (100.0, 10.0)
