@@ -36,6 +36,7 @@ from .calendars import (
     hour_of,
     weekday_of,
 )
+from .codec import check_fields
 from .eventlog import EventLog
 from .model import ProcessModel
 from .policy import (
@@ -46,7 +47,6 @@ from .policy import (
     WEEK_DAY,
     BatchingPolicy,
     PolicySet,
-    check_fields,
 )
 from .reduce import dot, mean, median, percentile
 

@@ -23,11 +23,11 @@ from dataclasses import replace
 
 from . import __version__
 from .analytics import AnalyticsError, compute_stats, detect_scenarios
+from .codec import ParseError, to_doc
 from .engine import (
     SimConfig,
     SimulationError,
     parse_sim_config,
-    sim_config_to_doc,
     simulate,
 )
 from .eventlog import filter_warmup, render_batch_csv, render_event_csv
@@ -40,12 +40,11 @@ from .metrics import (
     metrics_row,
     render_metrics_csv,
 )
-from .model import ParseError, ValidationError, parse_model, validate_model
+from .model import ValidationError, parse_model, validate_model
 from .optimize import (
     OptimizerConfig,
     OptimizerError,
     optimize_hc_sa,
-    optimizer_config_to_doc,
     parse_optimizer_config,
     render_convergence_csv,
 )
@@ -109,7 +108,7 @@ def _read_json(path: str, what: str):
         raise CliError(EXIT_MISSING_INPUT, f"cannot read {what} file {path}: {err}") from err
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer too long to convert
         raise CliError(EXIT_SCHEMA, f"{what} file {path} is not valid JSON: {err}") from err
 
 
@@ -226,7 +225,7 @@ def cmd_simulate(args) -> int:
         out,
         "simulate",
         {"model": args.model, "policies": args.policies or "", "config": args.config or ""},
-        sim_config_to_doc(config),
+        to_doc(config),
         config.seed,
         started,
     )
@@ -287,7 +286,7 @@ def cmd_optimize(args, parser: argparse.ArgumentParser) -> int:
         out,
         "optimize",
         {"model": args.model, "policies": args.policies or "", "config": args.config or ""},
-        optimizer_config_to_doc(config),
+        to_doc(config),
         config.seed,
         started,
     )
@@ -364,7 +363,7 @@ def cmd_analyze(args) -> int:
         out,
         "analyze",
         {"model": args.model, "policies": args.policies or "", "config": args.config or ""},
-        optimizer_config_to_doc(replace(config, sim=sim_config)),
+        to_doc(replace(config, sim=sim_config)),
         sim_config.seed,
         started,
     )
@@ -378,11 +377,8 @@ def cmd_analyze(args) -> int:
 # -- evaluate -----------------------------------------------------------------
 
 
-def _front_label(doc, path: str) -> str:
-    label = doc.get("label", "") if isinstance(doc, dict) else ""
-    if label:
-        return label
-    return os.path.splitext(os.path.basename(path))[0]
+def _front_label(doc: dict, path: str) -> str:
+    return doc.get("label") or os.path.splitext(os.path.basename(path))[0]
 
 
 def _reference_solutions(reference: FrontPointSet, fronts: list[ParetoFront]) -> ParetoFront:
@@ -410,7 +406,7 @@ def cmd_evaluate(args) -> int:
         try:
             front = parse_front(doc)
             run = FrontPointSet(front.points, label=_front_label(doc, path))
-        except (_SCHEMA_ERRORS + (MetricsError, KeyError, TypeError)) as err:
+        except (_SCHEMA_ERRORS + (MetricsError,)) as err:
             raise CliError(EXIT_SCHEMA, f"front file {path}: {err}") from err
         if not front.solutions:
             raise CliError(EXIT_SCHEMA, f"front file {path}: front has no solutions")

@@ -1,0 +1,117 @@
+"""The wire rules shared by every input document.
+
+A document key is the camelCase of a field name, a misspelled key is an
+error, never a silent default, and no value is coerced: a bool is not a
+number, a string is not a list.  The five config dataclasses
+(`SimConfig`, `OptimizerConfig`, `DetectionConfig`, `InterventionConfig`,
+`RLConfig`) are read by `from_doc` and written by `to_doc` from their own
+fields; each checks its field types in `__post_init__` via `check_fields`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields, is_dataclass
+
+
+class ParseError(ValueError):
+    """Document parse failure; message carries the path to the bad field."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = path
+
+
+def finite_number(value) -> float | None:
+    """`value` as a float if it is a JSON number (an int or a float, not a
+    bool) that a float holds finitely, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def check_fields(obj, error) -> None:
+    """Raise `error` unless each field of the dataclass `obj` holds what its
+    annotation names: `int` an int that is not a bool (`int | None` also
+    None), `float` a finite JSON number (see `finite_number`), `bool` a
+    bool, `str` a string.  Other fields are left to their class; nothing
+    is coerced."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        kind = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
+        if kind == "int" or (kind == "int | None" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise error(f"{f.name} must be an integer, got {value!r}")
+        elif kind == "float" and finite_number(value) is None:
+            raise error(f"{f.name} must be a finite number, got {value!r}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise error(f"{f.name} must be true or false, got {value!r}")
+        elif kind == "str" and not isinstance(value, str):
+            raise error(f"{f.name} must be a string, got {value!r}")
+
+
+def reject_unknown_keys(doc, known, where: str) -> dict:
+    """`doc`, if it is an object whose keys are all in `known`; else a
+    ParseError naming `where`, or its first unknown key in sorted order."""
+    if not isinstance(doc, dict):
+        raise ParseError(where, f"expected an object, got {doc!r}")
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ParseError(f"{where}.{min(unknown)}", f"unknown key; expected one of {list(known)}")
+    return doc
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part.capitalize() for part in rest)
+
+
+def from_doc(cls, doc, error):
+    """The config dataclass `cls` read from its document.
+
+    Each key is the camelCase of a field name; a missing key keeps the
+    field's default.  A field whose default is a dataclass is read from a
+    nested object and a field whose default is a tuple from a list.  Any
+    failure, an unknown key or a value the class rejects, raises `error`
+    with the path of the object at fault."""
+    try:
+        return _read(cls, doc, "$")
+    except ParseError as err:
+        raise error(str(err)) from err
+
+
+def _read(cls, doc, where: str):
+    wire = {_camel(f.name): f for f in fields(cls)}
+    reject_unknown_keys(doc, wire, where)
+    kwargs = {}
+    for key, value in doc.items():
+        f = wire[key]
+        if is_dataclass(f.default):
+            value = _read(type(f.default), value, f"{where}.{key}")
+        elif isinstance(f.default, tuple):
+            if not isinstance(value, list):
+                raise ParseError(where, f"{key} must be a list, got {value!r}")
+            value = tuple(value)
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except (ValueError, RuntimeError) as err:  # the class's own error type
+        raise ParseError(where, str(err)) from err
+
+
+def to_doc(obj) -> dict:
+    """The document of the config dataclass `obj`: `from_doc` reads it
+    back to an equal object."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = to_doc(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        doc[_camel(f.name)] = value
+    return doc

@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 from . import rng
 from .calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
+from .codec import check_fields, from_doc
 from .eventlog import (
     BatchRecord,
     CYCLE_TIME_FULL,
@@ -73,7 +74,6 @@ from .policy import (
     WEEK_DAY,
     WT_FIRST,
     WT_LAST,
-    check_fields,
     compute_batch_cost,
     evaluate_activation_rule,
     evaluate_condition,
@@ -615,37 +615,6 @@ def simulate(model: ProcessModel, policies: PolicySet, config: SimConfig) -> Sim
     return SimResult(log, evaluate_objectives(trimmed, config.cycle_time_mode))
 
 
-_SIM_DOC_KEYS = {
-    "seed": "seed",
-    "totalCases": "total_cases",
-    "warmup": "warmup",
-    "cycleTimeMode": "cycle_time_mode",
-}
-
-
 def parse_sim_config(doc) -> SimConfig:
-    """Parse a run-control document (dict or JSON text)."""
-    import json
-
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as err:
-            raise SimulationError(f"invalid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise SimulationError("expected a JSON object")
-    kwargs = {}
-    for key, value in doc.items():
-        if key not in _SIM_DOC_KEYS:
-            raise SimulationError(f"unknown run-control key {key!r}")
-        kwargs[_SIM_DOC_KEYS[key]] = value
-    return SimConfig(**kwargs)
-
-
-def sim_config_to_doc(config: SimConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "totalCases": config.total_cases,
-        "warmup": config.warmup,
-        "cycleTimeMode": config.cycle_time_mode,
-    }
+    """Read a run-control document (see `codec.from_doc`)."""
+    return from_doc(SimConfig, doc, SimulationError)

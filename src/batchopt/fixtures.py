@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analytics import DetectionConfig, detect_scenarios
-from .engine import SimConfig, sim_config_to_doc, simulate
+from .codec import to_doc
+from .engine import SimConfig, simulate
 from .eventlog import render_batch_csv, render_event_csv
 from .model import WEEKDAY_NAMES, ProcessModel, parse_model
 from .pareto import (
@@ -835,7 +836,7 @@ def fixture_files(fixture: Fixture) -> dict[str, str]:
     files = {
         "model.json": _json_bytes(fixture.model_doc),
         "policies.json": _json_bytes(fixture.policies_doc),
-        "simconfig.json": _json_bytes(sim_config_to_doc(config)),
+        "simconfig.json": _json_bytes(to_doc(config)),
         "events.csv": render_event_csv(result.log),
         "batches.csv": render_batch_csv(result.log),
         "detected.json": _json_bytes(detected_scenarios_doc(fixture)),

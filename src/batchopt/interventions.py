@@ -21,6 +21,7 @@ from .analytics import (
     window_aligned_waits,
 )
 from .calendars import Calendar
+from .codec import check_fields, finite_number
 from .eventlog import EventLog
 from .policy import (
     DAILY_HOUR,
@@ -36,8 +37,6 @@ from .policy import (
     CostModel,
     ActivationRule,
     PolicySet,
-    check_fields,
-    finite_number,
     in_hours,
     size_at_least,
     wait_first_at_least,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import rng
@@ -20,17 +21,15 @@ from .calendars import (
     parse_clock,
     parse_weekday,
 )
+from .codec import ParseError, reject_unknown_keys
 
 GATEWAY_KINDS = ("and-split", "and-join", "xor-split", "xor-join", "or-split", "or-join")
-DISTRIBUTION_KINDS = ("fixed", "uniform", "exponential", "normal")
-
-
-class ParseError(ValueError):
-    """Document parse failure; message carries the path to the bad field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
+DISTRIBUTION_PARAMS = {  # each distribution kind and its parameters
+    "fixed": ("value",),
+    "uniform": ("low", "high"),
+    "exponential": ("mean",),
+    "normal": ("mean", "stddev"),
+}
 
 
 class ValidationError(ValueError):
@@ -319,7 +318,8 @@ def validate_model(model: ProcessModel) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format
+# JSON wire format.  Every object rejects unknown keys and no bool is taken
+# as a number; NaN and inf parse, so that `validate_model` reports them.
 
 def _expect(doc, key: str, path: str, types, required=True):
     if key not in doc:
@@ -327,28 +327,33 @@ def _expect(doc, key: str, path: str, types, required=True):
             raise ParseError(f"{path}.{key}", "missing required field")
         return None
     value = doc[key]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ParseError(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ParseError(f"{path}.{key}", "number out of range")
     return value
 
 
-def _parse_distribution(doc, path: str) -> DurationDistribution:
-    if not isinstance(doc, dict):
-        raise ParseError(path, "expected an object")
+def _number(doc, key: str, path: str, default=None) -> float:
+    """A JSON number as a float; required unless it has a default."""
+    value = _expect(doc, key, path, (int, float), required=default is None)
+    return float(value) if default is None else float(value or default)
+
+
+def _strings(doc, key: str, path: str) -> tuple[str, ...]:
+    items = _expect(doc, key, path, list)
+    if not all(isinstance(item, str) for item in items):
+        raise ParseError(f"{path}.{key}", "expected a list of strings")
+    return tuple(items)
+
+
+def _parse_distribution(doc: dict, path: str) -> DurationDistribution:
     kind = _expect(doc, "kind", path, str)
-    if kind not in DISTRIBUTION_KINDS:
+    if kind not in DISTRIBUTION_PARAMS:
         raise ParseError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-    wanted = {
-        "fixed": ("value",),
-        "uniform": ("low", "high"),
-        "exponential": ("mean",),
-        "normal": ("mean", "stddev"),
-    }[kind]
-    params = []
-    for name in wanted:
-        v = _expect(doc, name, path, (int, float))
-        params.append((name, float(v)))
-    return DurationDistribution(kind, tuple(params))
+    wanted = DISTRIBUTION_PARAMS[kind]
+    reject_unknown_keys(doc, ("kind", *wanted), path)
+    return DurationDistribution(kind, tuple((name, _number(doc, name, path)) for name in wanted))
 
 
 def _serialize_distribution(dist: DurationDistribution) -> dict:
@@ -361,8 +366,7 @@ def _parse_calendar(doc, path: str) -> Calendar:
     intervals = []
     for i, item in enumerate(doc):
         where = f"{path}[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "expected an object")
+        reject_unknown_keys(item, ("weekday", "start", "end"), where)
         day = _expect(item, "weekday", where, str)
         start = _expect(item, "start", where, str)
         end = _expect(item, "end", where, str)
@@ -393,58 +397,57 @@ def parse_model(doc) -> ProcessModel:
             raise ParseError("$", f"invalid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ParseError("$", "expected a JSON object")
+    reject_unknown_keys(doc, ("startNode", "endNodes", "activities", "gateways", "arcs",
+                              "resources", "arrival"), "$")
 
     activities = []
     for i, item in enumerate(_expect(doc, "activities", "$", list)):
         where = f"$.activities[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "expected an object")
+        reject_unknown_keys(item, ("id", "name", "duration", "resources",
+                                   "fixedCostPerExecution"), where)
         activities.append(
             Activity(
                 id=_expect(item, "id", where, str),
                 name=_expect(item, "name", where, str, required=False) or item["id"],
                 duration=_parse_distribution(_expect(item, "duration", where, dict), f"{where}.duration"),
-                resources=tuple(_expect(item, "resources", where, list)),
-                fixed_cost_per_execution=float(
-                    _expect(item, "fixedCostPerExecution", where, (int, float), required=False) or 0.0
-                ),
+                resources=_strings(item, "resources", where),
+                fixed_cost_per_execution=_number(item, "fixedCostPerExecution", where, 0.0),
             )
         )
 
     gateways = []
     for i, item in enumerate(_expect(doc, "gateways", "$", list, required=False) or []):
         where = f"$.gateways[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "expected an object")
+        reject_unknown_keys(item, ("id", "kind", "branchProbabilities"), where)
         probs_doc = _expect(item, "branchProbabilities", where, dict, required=False) or {}
-        probs = tuple(sorted((str(k), float(v)) for k, v in probs_doc.items()))
+        probs_where = f"{where}.branchProbabilities"
+        probs = tuple(sorted((str(k), _number(probs_doc, k, probs_where)) for k in probs_doc))
         gateways.append(Gateway(id=_expect(item, "id", where, str), kind=_expect(item, "kind", where, str), branch_probabilities=probs))
 
     arcs = []
     for i, item in enumerate(_expect(doc, "arcs", "$", list)):
         where = f"$.arcs[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "expected an object")
+        reject_unknown_keys(item, ("source", "target"), where)
         arcs.append(FlowArc(source=_expect(item, "source", where, str), target=_expect(item, "target", where, str)))
 
     resources = []
     for i, item in enumerate(_expect(doc, "resources", "$", list)):
         where = f"$.resources[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "expected an object")
+        reject_unknown_keys(item, ("id", "calendar", "costPerTimeUnit"), where)
         resources.append(
             ResourceProfile(
                 id=_expect(item, "id", where, str),
                 calendar=_parse_calendar(_expect(item, "calendar", where, list), f"{where}.calendar"),
-                cost_per_time_unit=float(_expect(item, "costPerTimeUnit", where, (int, float), required=False) or 0.0),
+                cost_per_time_unit=_number(item, "costPerTimeUnit", where, 0.0),
             )
         )
 
     arr_doc = _expect(doc, "arrival", "$", dict)
+    reject_unknown_keys(arr_doc, ("interArrival", "calendar", "totalCases"), "$.arrival")
     arrival = ArrivalModel(
         inter_arrival=_parse_distribution(_expect(arr_doc, "interArrival", "$.arrival", dict), "$.arrival.interArrival"),
         calendar=_parse_calendar(_expect(arr_doc, "calendar", "$.arrival", list), "$.arrival.calendar"),
-        total_cases=int(_expect(arr_doc, "totalCases", "$.arrival", int)),
+        total_cases=_expect(arr_doc, "totalCases", "$.arrival", int),
     )
 
     return ProcessModel(
@@ -454,7 +457,7 @@ def parse_model(doc) -> ProcessModel:
         resources=tuple(resources),
         arrival=arrival,
         start_node=_expect(doc, "startNode", "$", str),
-        end_nodes=tuple(_expect(doc, "endNodes", "$", list)),
+        end_nodes=_strings(doc, "endNodes", "$"),
     )
 
 

@@ -37,6 +37,7 @@ from .analytics import (
     compute_stats,
     detect_scenarios_from_stats,
 )
+from .codec import check_fields, from_doc
 from .engine import SimConfig, SimResult, SimulationError, seed_free, simulate
 from .eventlog import EventLog
 from .interventions import (
@@ -54,7 +55,7 @@ from .interventions import (
 )
 from .model import ProcessModel
 from .pareto import ParetoFront, Solution, distance_to_front, update_front
-from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, check_fields, policy_set_key
+from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, policy_set_key
 from .rng import Stream, derive_seed, round_half_up, unit
 
 HC = "hc"
@@ -539,122 +540,9 @@ def render_convergence_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- config documents ---------------------------------------------------------
-
-
-def _build(cls, doc: dict, where: str, field_map: dict[str, str]):
-    unknown = set(doc) - set(field_map)
-    if unknown:
-        raise OptimizerError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {field_map[k]: v for k, v in doc.items()}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError, SimulationError) as err:
-        raise OptimizerError(f"{where}: {err}") from err
-
-
-_SIM_KEYS = {
-    "seed": "seed",
-    "totalCases": "total_cases",
-    "warmup": "warmup",
-    "cycleTimeMode": "cycle_time_mode",
-}
-_DETECTION_KEYS = {
-    "waitQuantile": "wait_quantile",
-    "processingQuantile": "processing_quantile",
-    "concentrationShare": "concentration_share",
-    "topK": "top_k",
-    "sizeCap": "size_cap",
-    "idleShare": "idle_share",
-    "costShare": "cost_share",
-    "freqShare": "freq_share",
-    "similarityThreshold": "similarity_threshold",
-    "utilizationHigh": "utilization_high",
-    "utilizationLow": "utilization_low",
-    "switchHigh": "switch_high",
-    "switchLow": "switch_low",
-}
-_INTERVENTION_KEYS = {
-    "scaleGrid": "scale_grid",
-    "minSize": "min_size",
-    "maxSize": "max_size",
-    "topK": "top_k",
-}
-_RL_KEYS = {
-    "maxIterations": "max_iterations",
-    "rewardDominates": "reward_dominates",
-    "rewardImproves": "reward_improves",
-    "rewardPenalty": "reward_penalty",
-    "bufferSize": "buffer_size",
-    "updateEpochs": "update_epochs",
-    "clipRatio": "clip_ratio",
-    "learningRate": "learning_rate",
-}
-_TOP_KEYS = {
-    "strategy": "strategy",
-    "guided": "guided",
-    "maxSolutions": "max_solutions",
-    "radius": "radius",
-    "initialTemperature": "initial_temperature",
-    "coolingFactor": "cooling_factor",
-    "tempEpsilon": "temp_epsilon",
-    "seed": "seed",
-}
-
-
 def parse_optimizer_config(doc) -> OptimizerConfig:
-    """Read the JSON optimizer-config document shape."""
-    if not isinstance(doc, dict):
-        raise OptimizerError("optimizer config must be an object")
-    top = {k: v for k, v in doc.items() if k in _TOP_KEYS}
-    rest = set(doc) - set(_TOP_KEYS) - {"sim", "detection", "intervention", "rl"}
-    if rest:
-        raise OptimizerError(f"optimizer config: unknown keys {sorted(rest)}")
-    sections = {name: doc.get(name, {}) for name in ("sim", "detection", "intervention", "rl")}
-    for name, section in sections.items():
-        if not isinstance(section, dict):
-            raise OptimizerError(f"{name}: expected an object, got {section!r}")
-    intervention_doc = dict(sections["intervention"])
-    if "scaleGrid" in intervention_doc:
-        if not isinstance(intervention_doc["scaleGrid"], list):
-            raise OptimizerError(
-                f"intervention: scaleGrid must be a list, got {intervention_doc['scaleGrid']!r}"
-            )
-        intervention_doc["scaleGrid"] = tuple(intervention_doc["scaleGrid"])
-    kwargs = {_TOP_KEYS[k]: v for k, v in top.items()}
-    if "strategy" in kwargs:
-        kwargs["strategy"] = str(kwargs["strategy"]).lower()
-    return OptimizerConfig(
-        sim=_build(SimConfig, sections["sim"], "sim", _SIM_KEYS),
-        detection=_build(DetectionConfig, sections["detection"], "detection", _DETECTION_KEYS),
-        intervention=_build(InterventionConfig, intervention_doc, "intervention", _INTERVENTION_KEYS),
-        rl=_build(RLConfig, sections["rl"], "rl", _RL_KEYS),
-        **kwargs,
-    )
-
-
-def optimizer_config_to_doc(config: OptimizerConfig) -> dict:
-    return {
-        "strategy": config.strategy,
-        "guided": config.guided,
-        "maxSolutions": config.max_solutions,
-        "radius": config.radius,
-        "initialTemperature": config.initial_temperature,
-        "coolingFactor": config.cooling_factor,
-        "tempEpsilon": config.temp_epsilon,
-        "seed": config.seed,
-        "sim": {
-            "seed": config.sim.seed,
-            "totalCases": config.sim.total_cases,
-            "warmup": config.sim.warmup,
-            "cycleTimeMode": config.sim.cycle_time_mode,
-        },
-        "detection": {k: getattr(config.detection, v) for k, v in _DETECTION_KEYS.items()},
-        "intervention": {
-            "scaleGrid": list(config.intervention.scale_grid),
-            "minSize": config.intervention.min_size,
-            "maxSize": config.intervention.max_size,
-            "topK": config.intervention.top_k,
-        },
-        "rl": {k: getattr(config.rl, v) for k, v in _RL_KEYS.items()},
-    }
+    """Read an optimizer-config document (see `codec.from_doc`); a string
+    strategy is matched without regard to case."""
+    if isinstance(doc, dict) and isinstance(doc.get("strategy"), str):
+        doc = {**doc, "strategy": doc["strategy"].lower()}
+    return from_doc(OptimizerConfig, doc, OptimizerError)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .policy import PolicySet, finite_number, parse_policies, serialize_policies
+from .codec import ParseError, finite_number, reject_unknown_keys
+from .policy import PolicySet, parse_policies, serialize_policies
 
 Point = tuple[float, float]
 
@@ -122,23 +123,44 @@ def front_to_doc(front: ParetoFront, label: str = "") -> dict:
     }
 
 
+_SOLUTION_KEYS = ("point", "logRef", "lineage", "policies")
+
+
 def parse_front(doc) -> ParetoFront:
-    if not isinstance(doc, dict) or "solutions" not in doc:
+    """The front of a `front_to_doc` document.  Every malformed shape, the
+    embedded policies included, raises ParetoError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("solutions"), list):
         raise ParetoError("front document needs a 'solutions' list")
     solutions = []
-    for entry in doc["solutions"]:
-        point = entry["point"]
-        coords = [finite_number(v) for v in point] if isinstance(point, list) else []
-        if len(coords) != 2 or None in coords:
-            raise ParetoError(f"front point must be a list of two finite numbers, got {point!r}")
-        solutions.append(
-            Solution(
-                policies=parse_policies(entry.get("policies", {"policies": []})),
-                point=tuple(coords),
-                log_ref=entry.get("logRef", ""),
-                lineage=tuple(dict(step) for step in entry.get("lineage", ())),
+    try:
+        reject_unknown_keys(doc, ("label", "solutions"), "$")
+        if not isinstance(doc.get("label", ""), str):
+            raise ParseError("$.label", f"expected a string, got {doc['label']!r}")
+        for i, entry in enumerate(doc["solutions"]):
+            where = f"$.solutions[{i}]"
+            reject_unknown_keys(entry, _SOLUTION_KEYS, where)
+            point = entry.get("point")
+            coords = [finite_number(v) for v in point] if isinstance(point, list) else []
+            if len(coords) != 2 or None in coords:
+                raise ParseError(
+                    f"{where}.point", f"expected a list of two finite numbers, got {point!r}"
+                )
+            log_ref = entry.get("logRef", "")
+            if not isinstance(log_ref, str):
+                raise ParseError(f"{where}.logRef", f"expected a string, got {log_ref!r}")
+            lineage = entry.get("lineage", [])
+            if not isinstance(lineage, list) or not all(isinstance(s, dict) for s in lineage):
+                raise ParseError(f"{where}.lineage", f"expected a list of objects, got {lineage!r}")
+            solutions.append(
+                Solution(
+                    policies=parse_policies(entry.get("policies", {"policies": []})),
+                    point=tuple(coords),
+                    log_ref=log_ref,
+                    lineage=tuple(dict(step) for step in lineage),
+                )
             )
-        )
+    except ParseError as err:
+        raise ParetoError(str(err)) from err
     return ParetoFront(tuple(solutions))
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
-from .model import ParseError
+from .codec import ParseError, finite_number, reject_unknown_keys
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -32,35 +32,6 @@ THRESHOLD_KINDS = (SIZE, WT_FIRST, WT_LAST)
 
 class PolicyError(ValueError):
     pass
-
-
-def finite_number(value) -> float | None:
-    """`value` as a float if it is a JSON number (an int or a float, not a
-    bool) that a float holds finitely, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return number if math.isfinite(number) else None
-
-
-def check_fields(obj, error) -> None:
-    """Raise `error` unless each field of the dataclass `obj` holds what its
-    annotation names: `int` an int that is not a bool (`int | None` also
-    None), `float` a finite JSON number (see `finite_number`), `bool` a
-    bool.  Other fields are left to their class; nothing is coerced."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        kind = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
-        if kind == "int" or (kind == "int | None" and value is not None):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise error(f"{f.name} must be an integer, got {value!r}")
-        elif kind == "float" and finite_number(value) is None:
-            raise error(f"{f.name} must be a finite number, got {value!r}")
-        elif kind == "bool" and not isinstance(value, bool):
-            raise error(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -338,14 +309,6 @@ def _condition_to_doc(c: Condition) -> dict:
     return {"kind": c.kind, "days": [WEEKDAY_NAMES[d] for d in c.days]}
 
 
-def _reject_unknown_keys(doc: dict, known: tuple[str, ...], where: str) -> None:
-    """Raise ParseError on the first key of `doc`, in sorted order, that is
-    not in `known`: a misspelled key is an error, never a silent default."""
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ParseError(f"{where}.{min(unknown)}", f"unknown key; expected one of {list(known)}")
-
-
 def _condition_from_doc(doc, where: str) -> Condition:
     """A condition from its document.  Its field is type-checked, not
     coerced: a threshold is a finite number, hours a list of integers and
@@ -356,7 +319,7 @@ def _condition_from_doc(doc, where: str) -> Condition:
     if kind not in CONDITION_KINDS:
         raise ParseError(where, f"unknown condition kind {kind!r}")
     name = "threshold" if kind in THRESHOLD_KINDS else "hours" if kind == DAILY_HOUR else "days"
-    _reject_unknown_keys(doc, ("kind", name), where)
+    reject_unknown_keys(doc, ("kind", name), where)
     try:
         if kind in THRESHOLD_KINDS:
             expected = "a finite number"
@@ -398,9 +361,7 @@ def _cost_from_doc(doc, where: str) -> CostModel:
     and the resource cost mode a string."""
     if doc is None:
         return CostModel()
-    if not isinstance(doc, dict):
-        raise ParseError(where, "expected a cost object")
-    _reject_unknown_keys(doc, _COST_KEYS, where)
+    reject_unknown_keys(doc, _COST_KEYS, where)
 
     def amount(key: str, default: float) -> float:
         value = finite_number(doc.get(key, default))
@@ -458,13 +419,11 @@ def parse_policies(doc) -> PolicySet:
             raise ParseError("$", f"invalid JSON: {err}") from err
     if not isinstance(doc, dict) or not isinstance(doc.get("policies"), list):
         raise ParseError("$", "expected an object with a policies list")
-    _reject_unknown_keys(doc, ("policies",), "$")
+    reject_unknown_keys(doc, ("policies",), "$")
     out: PolicySet = {}
     for i, item in enumerate(doc["policies"]):
         where = f"$.policies[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError(where, "expected an object")
-        _reject_unknown_keys(item, ("activity", "batchType", "rule", "cost"), where)
+        reject_unknown_keys(item, ("activity", "batchType", "rule", "cost"), where)
         for key in ("activity", "batchType", "rule"):
             if key not in item:
                 raise ParseError(f"{where}.{key}", "missing required field")
@@ -484,6 +443,8 @@ def parse_policies(doc) -> PolicySet:
             except PolicyError as err:
                 raise ParseError(f"{where}.rule[{j}]", str(err)) from err
         activity_id = item["activity"]
+        if not isinstance(activity_id, str):
+            raise ParseError(f"{where}.activity", f"expected a string, got {activity_id!r}")
         if activity_id in out:
             raise ParseError(f"{where}.activity", f"duplicate policy for {activity_id!r}")
         out[activity_id] = BatchingPolicy(

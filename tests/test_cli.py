@@ -223,6 +223,49 @@ class TestSimulate:
         assert code == 3
         assert "mean must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("activitiez",), []),
+            (("activities", 0, "duration", "mean"), 5),
+            (("arrival", "calendar", 0, "note"), "x"),
+            (("arrival", "totalCases"), True),
+            (("activities", 0, "duration", "value"), True),
+            (("activities", 0, "fixedCostPerExecution"), True),
+            (("resources", 0, "costPerTimeUnit"), 10**400),
+            (("activities", 0, "duration", "value"), 10**400),
+            (("arrival", "totalCases"), 10**400),
+            (("endNodes",), [["ticket"]]),
+            (("activities", 0, "resources"), [["clerk"]]),
+        ],
+        ids=["top-level-key", "duration-key", "interval-key", "cases-bool", "value-bool",
+             "fixed-cost-bool", "rate-400-digits", "value-400-digits", "cases-400-digits",
+             "end-node-list", "resource-list"],
+    )
+    def test_malformed_model_is_a_schema_failure(self, tmp_path, capsys, path, value):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        doc = json.loads(Path(model).read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        write_json(Path(model), doc)
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", model, "--policies", policies, "--out", str(out)])
+        assert code == 3
+        where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_too_long_to_read_is_a_schema_failure(self, tmp_path, capsys):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        config = tmp_path / "run.json"
+        config.write_text('{"seed": %s}' % ("1" * 5000))
+        code = main(["simulate", "--model", model, "--policies", policies,
+                     "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "run.json is not valid JSON" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
         out = tmp_path / "out"
@@ -287,11 +330,12 @@ class TestOptimize:
             ({"detection": {"topK": 2.0}}, "top_k must be an integer"),
             ({"rl": {"bufferSize": True}}, "buffer_size must be an integer"),
             ({"rl": {"learningRate": "x"}}, "learning_rate must be a finite number"),
+            ({"strategy": 5}, "strategy must be a string"),
         ],
         ids=["sim-number", "detection-list", "grid-number", "grid-string", "min-size-float",
              "seed-string", "seed-bool", "sim-seed-fraction", "guided-string",
              "budget-fraction", "radius-bool", "cooling-string", "top-k-float",
-             "buffer-bool", "rate-string"],
+             "buffer-bool", "rate-string", "strategy-number"],
     )
     def test_mistyped_optimizer_config_is_a_schema_failure(
         self, tmp_path, capsys, config, message
@@ -465,6 +509,32 @@ class TestEvaluate:
         assert code == 3
         err = capsys.readouterr().err
         assert "bad.json" in err and "'stamp'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            (lambda d: d["solutions"][0].update(lineage="ab"), "$.solutions[0].lineage"),
+            (lambda d: d.update(label=5), "$.label"),
+            (lambda d: d.update(solutions={"a": 1}), "needs a 'solutions' list"),
+            (lambda d: d["solutions"][0].update(logRef=5), "$.solutions[0].logRef"),
+            (lambda d: d["solutions"][0].update(note="x"), "$.solutions[0].note: unknown key"),
+            (lambda d: d.update(note="x"), "$.note: unknown key"),
+            (lambda d: d["solutions"][0].pop("point"), "$.solutions[0].point"),
+        ],
+        ids=["lineage-string", "label-number", "solutions-object", "log-ref-number",
+             "solution-key", "top-level-key", "no-point"],
+    )
+    def test_malformed_front_document_is_a_schema_failure(self, tmp_path, capsys, mutation,
+                                                          message):
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+        doc = json.loads((inputs / "front-hc-guided.json").read_text())
+        mutation(doc)
+        bad = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        code = main(["evaluate", str(inputs / "front-sa-guided.json"), bad, "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_front_without_solutions_is_rejected(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from batchopt import optimize as opt
 from batchopt import rl as rlmod
 from batchopt.analytics import compute_stats
+from batchopt.codec import to_doc
 from batchopt.engine import SimulationError, seed_free, simulate
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.interventions import (
@@ -85,7 +86,7 @@ class TestConfigDocs:
             seed=3,
             intervention=InterventionConfig(max_size=8),
         )
-        doc = opt.optimizer_config_to_doc(config)
+        doc = to_doc(config)
         assert opt.parse_optimizer_config(doc) == config
 
     def test_strategy_case_insensitive(self):

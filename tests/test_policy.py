@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from batchopt.codec import check_fields
 
 H = SECONDS_PER_HOUR
 
@@ -318,6 +319,16 @@ class TestPolicyDocuments:
         assert err.value.path == path
         assert "unknown key" in str(err.value)
 
+    @pytest.mark.parametrize("activity", [5, ["ticket"], None])
+    def test_parse_rejects_a_non_string_activity(self, activity):
+        from batchopt.model import ParseError
+
+        doc = pol.serialize_policies(self.make_set())
+        doc["policies"][0]["activity"] = activity
+        with pytest.raises(ParseError) as err:
+            pol.parse_policies(doc)
+        assert err.value.path == "$.policies[0].activity"
+
     def test_parse_rejects_duplicate_activity(self):
         from batchopt.model import ParseError
 
@@ -384,19 +395,20 @@ class TestCheckFields:
         "values, message",
         [
             ((1, 0.5, True, None, "a"), None),
-            ((1, 2, False, 3, 5), None),
+            ((1, 2, False, 3, "b"), None),
             ((1.0, 0.5, True, None, "a"), "n must be an integer"),
             ((True, 0.5, True, None, "a"), "n must be an integer"),
             ((1, "0.5", True, None, "a"), "x must be a finite number"),
             ((1, math.inf, True, None, "a"), "x must be a finite number"),
             ((1, 0.5, 1, None, "a"), "flag must be true or false"),
             ((1, 0.5, True, 2.5, "a"), "cap must be an integer"),
+            ((1, 0.5, True, None, 5), "name must be a string"),
         ],
     )
     def test_annotation_decides_the_check(self, types, values, message):
         config = self.make(**types)(*values)
         if message is None:
-            pol.check_fields(config, ValueError)
+            check_fields(config, ValueError)
         else:
             with pytest.raises(ValueError, match=message):
-                pol.check_fields(config, ValueError)
+                check_fields(config, ValueError)
