@@ -12,6 +12,12 @@ BENCHMARK.json sets; even pairs run the parent first, odd pairs the change
 first, so that a drift of the host's speed does not favour one side. Nothing under ``perfbench/`` is changed or needed beyond
 what the benchmark itself runs.
 
+Both trees run under the same bytecode conditions: the benchmark's
+processes may write ``__pycache__`` (``PYTHONDONTWRITEBYTECODE`` is
+dropped from their environment), and before the first pair each tree
+does one short warm-up run whose result is discarded, so every timed
+run, its set-up probes included, imports from bytecode in both trees.
+
 For every end-to-end metric that BENCHMARK.json declares, the output
 records the parent and change medians, the parent's quartiles (inclusive
 method) and their distance, the change's win count (better in the
@@ -48,11 +54,15 @@ def extract(rev: str, directory: str) -> str:
     return commit
 
 
+# the benchmark's environment: free to write bytecode in either tree
+CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True, env=CHILD_ENV,
     )
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -103,6 +113,8 @@ def main(argv=None) -> int:
             "host": f"{os.cpu_count()} cores, Python {sys.version.split()[0]}",
             "workloads": {},
         }
+        for tree in (parent_tree, "."):
+            run_once(tree, args.workload[0], seeds[0], 1)  # warm-up, discarded
         for workload in args.workload:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):

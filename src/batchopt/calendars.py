@@ -2,11 +2,18 @@
 
 t = 0 is Monday 00:00.  Weeks repeat indefinitely; there are no holidays
 or exceptions.  All calendar arithmetic stays in integer seconds.
+
+A calendar is built once per model and tabulated at construction: its
+merged open spans within the week, their starts, and the open seconds of
+the week before and through each span.  `next_open` is one bisect and
+`work_end` a closed form over those tables (see `_open_through`), so
+neither loops over windows however long the work.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 
 SECONDS_PER_MINUTE = 60
@@ -78,6 +85,9 @@ class Calendar:
     intervals: tuple[Interval, ...]
     _spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # open seconds of the week before / through the end of each span
+    _open_before: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _open_through: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hour_fractions: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,6 +100,9 @@ class Calendar:
                 merged.append((s, e))
         object.__setattr__(self, "_spans", tuple(merged))
         object.__setattr__(self, "_starts", tuple(s for s, _ in merged))
+        through = list(itertools.accumulate(e - s for s, e in merged))
+        object.__setattr__(self, "_open_before", tuple([0] + through[:-1]))
+        object.__setattr__(self, "_open_through", tuple(through))
         fractions = []
         for slot_start in range(0, SECONDS_PER_WEEK, SECONDS_PER_HOUR):
             slot_end = slot_start + SECONDS_PER_HOUR
@@ -117,16 +130,16 @@ class Calendar:
 
     def next_open(self, t: int) -> int:
         """Earliest instant >= t that lies inside an open interval."""
-        if not self._spans:
+        starts = self._starts
+        if not starts:
             raise ValueError("calendar has no intervals")
-        week_base = t - (t % SECONDS_PER_WEEK)
         offset = t % SECONDS_PER_WEEK
-        if self._locate(offset) is not None:
+        i = bisect.bisect_right(starts, offset)
+        if i and offset < self._spans[i - 1][1]:
             return t
-        i = bisect.bisect_left(self._starts, offset)
-        if i < len(self._starts):
-            return week_base + self._starts[i]
-        return week_base + SECONDS_PER_WEEK + self._starts[0]
+        if i < len(starts):
+            return t - offset + starts[i]
+        return t - offset + SECONDS_PER_WEEK + starts[0]
 
     def open_end(self, t: int) -> int:
         """End of the open span containing t.  t must be open."""
@@ -140,21 +153,33 @@ class Calendar:
 
         Work only progresses inside open intervals; closed stretches pause
         it.  Zero work completes immediately at `start`.
+
+        Closed form: count the open seconds from t = 0 to `start`, add
+        `amount`, and find the first instant at which the count reaches
+        that total n.  With W open seconds a week, it is reached in week
+        `(n - 1) // W`, in the first span whose open seconds through its
+        end reach the rest of n; the work ends that far into the span.  A
+        whole number of weeks' open time ends at the end of a week's last
+        span, as stepping window by window does.
         """
         if amount < 0:
             raise ValueError("work amount must be >= 0")
         if amount == 0:
             return start
-        t = self.next_open(start)
-        remaining = amount
-        while True:
-            end = self.open_end(t)
-            slice_ = min(remaining, end - t)
-            t += slice_
-            remaining -= slice_
-            if remaining == 0:
-                return t
-            t = self.next_open(t)
+        starts = self._starts
+        if not starts:
+            raise ValueError("calendar has no intervals")
+        before, through = self._open_before, self._open_through
+        weekly = through[-1]
+        week, offset = divmod(start, SECONDS_PER_WEEK)
+        total = week * weekly + amount
+        i = bisect.bisect_right(starts, offset) - 1
+        if i >= 0:
+            total += min(through[i], before[i] + offset - starts[i])
+        week, rest = divmod(total - 1, weekly)
+        rest += 1
+        j = bisect.bisect_left(through, rest)
+        return week * SECONDS_PER_WEEK + starts[j] + rest - before[j]
 
     def open_seconds_between(self, a: int, b: int) -> int:
         """Total open seconds in [a, b)."""

@@ -27,6 +27,7 @@ from .codec import ParseError, to_doc
 from .engine import (
     SimConfig,
     SimulationError,
+    compile_model,
     parse_sim_config,
     simulate,
 )
@@ -201,7 +202,7 @@ def cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
 
     try:
-        result = simulate(model, policies, config)
+        result = simulate(compile_model(model), policies, config)
     except SimulationError as err:
         raise CliError(EXIT_RUNTIME, f"simulation failed: {err}") from err
 
@@ -317,7 +318,7 @@ def cmd_analyze(args) -> int:
         sim_config = replace(sim_config, seed=args.seed)
 
     try:
-        result = simulate(model, policies, sim_config)
+        result = simulate(compile_model(model), policies, sim_config)
         stats = compute_stats(result.log, model)
         scenarios = detect_scenarios(result.log, model, policies, config.detection, stats)
     except (SimulationError, AnalyticsError) as err:
@@ -425,7 +426,8 @@ def cmd_evaluate(args) -> int:
             else SimConfig()
         )
         try:
-            initial = simulate(model, policies, sim_config)
+            compiled = compile_model(model)
+            initial = simulate(compiled, policies, sim_config)
         except SimulationError as err:
             raise CliError(EXIT_RUNTIME, f"initial simulation failed: {err}") from err
         # one memo for every front: each distinct policy set simulates once
@@ -434,16 +436,16 @@ def cmd_evaluate(args) -> int:
                 filter_warmup(initial.log, sim_config.warmup)
             )
         }
-        gain_context = (initial.log, model, sim_config, memo)
+        gain_context = (initial.log, compiled, sim_config, memo)
 
     reference = build_reference_front(runs)
 
     def gain_for(front: ParetoFront) -> float | None:
         if gain_context is None:
             return None
-        initial_log, model, sim_config, memo = gain_context
+        initial_log, compiled, sim_config, memo = gain_context
         try:
-            return cycle_time_gain(initial_log, front.solutions, model, sim_config, memo)
+            return cycle_time_gain(initial_log, front.solutions, compiled, sim_config, memo)
         except (SimulationError, MetricsError) as err:
             raise CliError(EXIT_RUNTIME, f"gain computation failed: {err}") from err
 

@@ -30,13 +30,24 @@ draw is keyed.  A `fixed` inter-arrival time draws nothing either, so a
 model for which `seed_free` holds draws nothing at all and simulates to
 the same result under every seed.
 
+Whatever depends only on the model is computed once per model, not once
+per simulation: `compile_model` validates it and builds a frozen
+`CompiledModel` (node and branch tables, or-join pairing, encoded ids,
+fixed durations, sorted eligible resources), and the CLI commands, the
+search's `CandidateEvaluator` and `metrics.cycle_time_gain` compile once
+and pass it to every `simulate`.  `simulate` compiles a bare
+`ProcessModel` itself.  What depends on the policy set (the clock-hour
+masks, the waiting-time wakes) is set up once per simulation.  The
+search keeps its own per-run memo of results, and only for seed-free
+models (see optimize.py).
+
 Records are tuples: instance and batch records are built positionally
 as `InstanceRecord` / `BatchRecord` named tuples, and waiting instances
-are `_WaitingInstance` named tuples.  Per-activity set-up (the clock-hour
-mask, sorted eligible resources, fixed durations, the encoded id) is done
-once per simulation, not per instance or batch; nothing is cached across
-simulations.  The search keeps its own per-run memo of results, and only
-for seed-free models (see optimize.py).
+are `_WaitingInstance` named tuples.  An activity without a policy never
+queues: each instance is started at once as a batch of one, and a batch
+of one (from a rule or a flush too) skips the cost-sharing arithmetic of
+larger batches, whose last member absorbs float drift.  A case's visit
+count at a node is kept only where a draw is keyed by it.
 """
 
 from __future__ import annotations
@@ -61,13 +72,20 @@ from .eventlog import (
     evaluate_objectives,
     filter_warmup,
 )
-from .model import ProcessModel, ResourceProfile, validate_model
+from .model import (
+    MAX_CASES,
+    Activity,
+    DurationDistribution,
+    Gateway,
+    ProcessModel,
+    ResourceProfile,
+    validate_model,
+)
 from .policy import (
     BatchState,
     BatchingPolicy,
     CostModel,
     DAILY_HOUR,
-    PARALLEL,
     PolicySet,
     SEQUENTIAL,
     SIZE,
@@ -97,8 +115,8 @@ class SimConfig:
         check_fields(self, SimulationError)
         if self.warmup < 0:
             raise SimulationError("warmup must be >= 0")
-        if self.total_cases is not None and self.total_cases < 1:
-            raise SimulationError("total_cases must be >= 1")
+        if self.total_cases is not None and not 1 <= self.total_cases <= MAX_CASES:
+            raise SimulationError(f"total_cases must lie in [1, {MAX_CASES}]")
         if self.cycle_time_mode not in CYCLE_TIME_MODES:
             raise SimulationError(f"unknown cycle time mode {self.cycle_time_mode!r}")
 
@@ -152,60 +170,197 @@ class _WaitingInstance(NamedTuple):
     work: int  # sampled processing seconds
 
 
-@dataclass
+_SPLITS = ("xor-split", "or-split")
+_JOINS = ("xor-join", "and-join", "or-join")
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledModel:
+    """A validated model and the tables the engine reads from it, built
+    once by `compile_model` and shared by every simulation of the model.
+    Nothing in it depends on a policy set, a seed or a run."""
+
+    model: ProcessModel
+    activities: dict[str, Activity]
+    resources: dict[str, ResourceProfile]
+    gateways: dict[str, Gateway]
+    # node -> one (target, arc id) hop per outgoing arc, in model order
+    hops: dict[str, tuple[tuple[str, str], ...]]
+    # xor/or split -> one (target, arc id, probability, arc key) per hop
+    branches: dict[str, tuple[tuple[str, str, float, bytes], ...]]
+    join_arcs: dict[str, tuple[str, ...]]  # and-join -> its incoming arc ids
+    end_nodes: frozenset[str]
+    or_join_of: dict[str, str]  # or-split -> the or-join its branches reconverge at
+    activity_keys: dict[str, bytes]  # rng.message(id), the id part of a draw
+    gateway_keys: dict[str, bytes]
+    fixed_work: dict[str, int | None]  # the duration of a `fixed` distribution
+    eligible: dict[str, tuple[tuple[str, ResourceProfile], ...]]  # sorted by id
+    default_costs: dict[str, CostModel]  # the cost of a batch with no policy
+
+
+def compile_model(model: ProcessModel) -> CompiledModel:
+    """Validate `model` and build its engine tables.  Raises
+    SimulationError when it fails validation or an or-split has no or-join
+    that all its branches reconverge at."""
+    violations = validate_model(model)
+    if violations:
+        raise SimulationError("model failed validation: " + "; ".join(violations))
+    gateways = {g.id: g for g in model.gateways}
+    resources = {r.id: r for r in model.resources}
+    hops: dict[str, list[tuple[str, str]]] = {}
+    join_arcs: dict[str, list[str]] = {}
+    for arc in model.arcs:
+        hops.setdefault(arc.source, []).append((arc.target, arc.id))
+        join_arcs.setdefault(arc.target, []).append(arc.id)
+    branches = {}
+    for g in model.gateways:
+        if g.kind in _SPLITS:
+            probs = dict(g.branch_probabilities)
+            branches[g.id] = tuple(
+                (target, arc_id, probs[arc_id], rng.message(arc_id))
+                for target, arc_id in hops.get(g.id, ())
+            )
+    return CompiledModel(
+        model=model,
+        activities={a.id: a for a in model.activities},
+        resources=resources,
+        gateways=gateways,
+        hops={node: tuple(h) for node, h in hops.items()},
+        branches=branches,
+        join_arcs={
+            g.id: tuple(join_arcs.get(g.id, ())) for g in model.gateways if g.kind == "and-join"
+        },
+        end_nodes=frozenset(model.end_nodes),
+        or_join_of=_pair_or_splits(model, hops, gateways),
+        activity_keys={a.id: rng.message(a.id) for a in model.activities},
+        gateway_keys={g.id: rng.message(g.id) for g in model.gateways},
+        fixed_work={
+            a.id: rng.round_half_up(a.duration.param("value"))
+            if a.duration.kind == "fixed"
+            else None
+            for a in model.activities
+        },
+        eligible={
+            a.id: tuple((rid, resources[rid]) for rid in sorted(a.resources))
+            for a in model.activities
+        },
+        default_costs={
+            a.id: CostModel(fixed_cost=a.fixed_cost_per_execution) for a in model.activities
+        },
+    )
+
+
+def as_compiled(model: CompiledModel | ProcessModel) -> CompiledModel:
+    """`model` itself when it is compiled, else its compilation."""
+    return model if isinstance(model, CompiledModel) else compile_model(model)
+
+
+def _pair_or_splits(model: ProcessModel, hops, gateways) -> dict[str, str]:
+    """Match each or-split to the or-join every path reconverges at."""
+    or_splits = [g.id for g in model.gateways if g.kind == "or-split"]
+    if not or_splits:
+        return {}
+    # iterative postdominator sets over the node graph with a virtual sink
+    nodes = sorted(model.node_ids)
+    sink = "\x00sink"
+    succ = {n: [target for target, _ in hops.get(n, ())] for n in nodes}
+    for e in model.end_nodes:
+        succ.setdefault(e, []).append(sink)
+    succ[sink] = []
+    post: dict[str, set[str]] = {n: set(nodes) | {sink} for n in nodes}
+    post[sink] = {sink}
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            if not succ[n]:
+                new = {n}
+            else:
+                new = set.intersection(*(post[s] for s in succ[n])) | {n}
+            if new != post[n]:
+                post[n] = new
+                changed = True
+    pairing = {}
+    for s in or_splits:
+        joins = [j for j in post[s] - {s} if j in gateways and gateways[j].kind == "or-join"]
+        if not joins:
+            raise SimulationError(
+                f"or-split {s!r} has no or-join on all outgoing paths; "
+                "or-branches must reconverge"
+            )
+        # nearest = the join postdominated by every other candidate
+        joins.sort(key=lambda j: (len(post[j]), j))
+        pairing[s] = joins[0]
+    return pairing
+
+
+@dataclass(slots=True)
 class _ActivityState:
     policy: BatchingPolicy | None
-    default_cost: CostModel
+    cost: CostModel  # the policy's, else the activity's default
     clock_hours: tuple[int, ...]  # see _clock_hours
+    # (delay, wt-first) per waiting-time condition with a positive
+    # threshold, in rule order: the wakes an enablement schedules
+    wakes: tuple[tuple[int, bool], ...]
     key: bytes  # rng.message(activity id), the id part of its draws
+    duration: DurationDistribution
     fixed_work: int | None  # the duration of a `fixed` distribution
     resources: tuple[tuple[str, ResourceProfile], ...]  # eligible, sorted by id
     # in enable-time order, checked in _enable_instance
     waiting: list[_WaitingInstance] = field(default_factory=list)
 
 
-@dataclass
-class _ResourceState:
-    free_at: int = 0
+def _wakes(policy: BatchingPolicy | None) -> tuple[tuple[int, bool], ...]:
+    """The `_ActivityState.wakes` of an activity under `policy`."""
+    if policy is None:
+        return ()
+    return tuple(
+        (math.ceil(cond.threshold), cond.kind == WT_FIRST)
+        for group in policy.rule.groups
+        for cond in group.conditions
+        if cond.kind in (WT_FIRST, WT_LAST) and cond.threshold > 0
+    )
 
 
 class _Engine:
-    def __init__(self, model: ProcessModel, policies: PolicySet, config: SimConfig):
-        violations = validate_model(model)
-        if violations:
-            raise SimulationError("model failed validation: " + "; ".join(violations))
+    def __init__(self, compiled: CompiledModel, policies: PolicySet, config: SimConfig):
         for activity_id in policies:
-            if not any(a.id == activity_id for a in model.activities):
+            if activity_id not in compiled.activities:
                 raise SimulationError(f"policy references unknown activity {activity_id!r}")
-        self.model = model
+        self.model = compiled.model
         self.config = config
         self.seed = config.seed
         self.hasher = rng.hasher(config.seed)
         self.now = 0
 
-        self.activities = {a.id: a for a in model.activities}
-        self.resources = {r.id: r for r in model.resources}
-        self.gateways = {g.id: g for g in model.gateways}
-        self.outgoing: dict[str, list] = {}
-        for arc in model.arcs:
-            self.outgoing.setdefault(arc.source, []).append(arc)
-        self.incoming: dict[str, list] = {}
-        for arc in model.arcs:
-            self.incoming.setdefault(arc.target, []).append(arc)
+        self.gateways = compiled.gateways
+        self.hops = compiled.hops
+        self.branches = compiled.branches
+        self.join_arcs = compiled.join_arcs
+        self.end_nodes = compiled.end_nodes
+        self.or_join_of = compiled.or_join_of
+        self.gateway_keys = compiled.gateway_keys
 
-        self.act_states = {
-            a.id: self._activity_state(a, policies.get(a.id)) for a in model.activities
-        }
-        self.gateway_keys = {g.id: rng.message(g.id) for g in model.gateways}
-        self.arc_keys = {arc.id: rng.message(arc.id) for arc in model.arcs}
+        self.act_states = {}
+        for activity_id, activity in compiled.activities.items():
+            policy = policies.get(activity_id)
+            self.act_states[activity_id] = _ActivityState(
+                policy=policy,
+                cost=policy.cost if policy else compiled.default_costs[activity_id],
+                clock_hours=_clock_hours(policy),
+                wakes=_wakes(policy),
+                key=compiled.activity_keys[activity_id],
+                duration=activity.duration,
+                fixed_work=compiled.fixed_work[activity_id],
+                resources=compiled.eligible[activity_id],
+            )
         # activities with a rule, in evaluation order
         self.ruled = [
             (a, s) for a, s in sorted(self.act_states.items()) if s.policy is not None
         ]
         self.clocked = [s for _, s in self.ruled if s.clock_hours]
-        self.res_states = {r.id: _ResourceState() for r in model.resources}
+        self.free_at = dict.fromkeys(compiled.resources, 0)  # resource id -> when it frees
 
-        self.or_join_of = self._pair_or_splits()
         self.or_expectations: dict[tuple[int, str], list[int]] = {}
         self.and_counts: dict[tuple[int, str], dict[str, int]] = {}
 
@@ -216,64 +371,8 @@ class _Engine:
 
         self.instances: list[InstanceRecord] = []
         self.batches: list[BatchRecord] = []
+        # (case, node) -> visits so far; kept only where a draw is keyed by it
         self.visit_counts: dict[tuple[int, str], int] = {}
-
-    def _activity_state(self, activity, policy: BatchingPolicy | None) -> _ActivityState:
-        duration = activity.duration
-        return _ActivityState(
-            policy=policy,
-            default_cost=CostModel(fixed_cost=activity.fixed_cost_per_execution),
-            clock_hours=_clock_hours(policy),
-            key=rng.message(activity.id),
-            fixed_work=(
-                rng.round_half_up(duration.param("value")) if duration.kind == "fixed" else None
-            ),
-            resources=tuple((rid, self.resources[rid]) for rid in sorted(activity.resources)),
-        )
-
-    # -- graph preparation ---------------------------------------------------
-
-    def _pair_or_splits(self) -> dict[str, str]:
-        """Match each or-split to the or-join every path reconverges at."""
-        or_splits = [g.id for g in self.model.gateways if g.kind == "or-split"]
-        if not or_splits:
-            return {}
-        # iterative postdominator sets over the node graph with a virtual sink
-        nodes = sorted(self.model.node_ids)
-        sink = "\x00sink"
-        succ = {n: [a.target for a in self.outgoing.get(n, [])] for n in nodes}
-        for e in self.model.end_nodes:
-            succ.setdefault(e, []).append(sink)
-        succ[sink] = []
-        post: dict[str, set[str]] = {n: set(nodes) | {sink} for n in nodes}
-        post[sink] = {sink}
-        changed = True
-        while changed:
-            changed = False
-            for n in nodes:
-                if not succ[n]:
-                    new = {n}
-                else:
-                    new = set.intersection(*(post[s] for s in succ[n])) | {n}
-                if new != post[n]:
-                    post[n] = new
-                    changed = True
-        pairing = {}
-        for s in or_splits:
-            joins = [
-                j
-                for j in post[s] - {s}
-                if j in self.gateways and self.gateways[j].kind == "or-join"
-            ]
-            if not joins:
-                raise SimulationError(
-                    f"or-split {s!r} has no or-join on all outgoing paths; "
-                    "or-branches must reconverge"
-                )
-            # nearest = the join postdominated by every other candidate
-            joins.sort(key=lambda j: (len(post[j]), j))
-            pairing[s] = joins[0]
-        return pairing
 
     # -- event plumbing --------------------------------------------------------
 
@@ -309,11 +408,9 @@ class _Engine:
         from the first waiting instance; wt-last restarts with each one."""
         state = self.act_states[activity_id]
         first = len(state.waiting) == 1
-        for group in state.policy.rule.groups:
-            for cond in group.conditions:
-                if cond.kind == WT_LAST or (cond.kind == WT_FIRST and first):
-                    if cond.threshold > 0:
-                        self._push(self.now + math.ceil(cond.threshold), _WAKE, activity_id)
+        for delay, wt_first in state.wakes:
+            if first or not wt_first:
+                self._push(self.now + delay, _WAKE, activity_id)
 
     # -- arrivals --------------------------------------------------------------
 
@@ -324,44 +421,46 @@ class _Engine:
         fixed_gap = inter_arrival.param("value") if inter_arrival.kind == "fixed" else None
         stream = rng.Stream(self.seed, "arrivals")
         cal = self.model.arrival.calendar
+        seq = self.seq
+        heap = self.heap
         raw = 0.0
         for case_id in range(total):
             if fixed_gap is None:
                 raw += inter_arrival.sample(stream.next_unit())
             else:
                 raw += fixed_gap
-            arrival = cal.next_open(rng.round_half_up(raw))
-            self._push(arrival, _ARRIVAL, case_id)
+            heap.append((cal.next_open(rng.round_half_up(raw)), _ARRIVAL, next(seq), case_id))
+        # arrival times never decrease, so heapify finds the list in heap order
+        heapq.heapify(heap)
+        self.pending_case_events += total
 
     # -- token routing -----------------------------------------------------------
 
     def _route(self, case_id: int, node_id: str, via_arc_id: str | None = None) -> None:
         """Walk a token through gateways until it rests at activities or ends."""
+        act_states = self.act_states
         stack: list[tuple[str, str | None]] = [(node_id, via_arc_id)]
         while stack:
             node, via = stack.pop()
-            if node in self.activities:
+            if node in act_states:
                 self._enable_instance(case_id, node)
                 continue
             gw = self.gateways.get(node)
             if gw is None:
                 raise SimulationError(f"token reached unknown node {node!r}")
-            outs = self.outgoing.get(node, [])
-            if gw.kind in ("xor-join", "and-join", "or-join"):
-                if not self._join_ready(case_id, gw, via):
-                    continue
-            if node in self.model.end_nodes or not outs:
+            kind = gw.kind
+            if kind in _JOINS and not self._join_ready(case_id, gw, via):
                 continue
-            if gw.kind == "xor-split":
-                arc = self._pick_branch(case_id, gw, outs)
-                stack.append((arc.target, arc.id))
-            elif gw.kind == "or-split":
-                for arc in reversed(self._activate_or_branches(case_id, gw, outs)):
-                    stack.append((arc.target, arc.id))
+            outs = self.hops.get(node)
+            if not outs or node in self.end_nodes:
+                continue
+            if kind == "xor-split":
+                stack.append(self._pick_branch(case_id, node))
+            elif kind == "or-split":
+                stack.extend(reversed(self._activate_or_branches(case_id, node)))
             else:
                 # and-split fans out; joins forward along their outgoing arc(s)
-                for arc in reversed(outs):
-                    stack.append((arc.target, arc.id))
+                stack.extend(reversed(outs))
 
     def _join_ready(self, case_id: int, gw, via_arc_id: str | None) -> bool:
         key = (case_id, gw.id)
@@ -371,7 +470,7 @@ class _Engine:
             counts = self.and_counts.setdefault(key, {})
             arc_key = via_arc_id or ""
             counts[arc_key] = counts.get(arc_key, 0) + 1
-            needed = [a.id for a in self.incoming.get(gw.id, [])]
+            needed = self.join_arcs[gw.id]
             if all(counts.get(a, 0) >= 1 for a in needed):
                 for a in needed:
                     counts[a] -= 1
@@ -389,99 +488,131 @@ class _Engine:
             return True
         return False
 
-    def _pick_branch(self, case_id: int, gw, outs):
-        visit = self.visit_counts.get((case_id, gw.id), 0)
-        self.visit_counts[(case_id, gw.id)] = visit + 1
-        probs = dict(gw.branch_probabilities)
-        u = rng.visit_unit(self.hasher, _BRANCHING, case_id, self.gateway_keys[gw.id], visit)
-        acc = 0.0
-        for arc in outs:
-            acc += probs[arc.id]
-            if u < acc:
-                return arc
-        return outs[-1]
+    def _visit(self, case_id: int, node: str) -> int:
+        """The case's visit count at `node` before this visit."""
+        key = (case_id, node)
+        visit = self.visit_counts.get(key, 0)
+        self.visit_counts[key] = visit + 1
+        return visit
 
-    def _activate_or_branches(self, case_id: int, gw, outs) -> list:
-        visit = self.visit_counts.get((case_id, gw.id), 0)
-        self.visit_counts[(case_id, gw.id)] = visit + 1
-        probs = dict(gw.branch_probabilities)
-        gw_key = self.gateway_keys[gw.id]
-        chosen = []
-        for arc in outs:
-            u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, self.arc_keys[arc.id])
-            if u < probs[arc.id]:
-                chosen.append(arc)
+    def _pick_branch(self, case_id: int, gw_id: str) -> tuple[str, str]:
+        visit = self._visit(case_id, gw_id)
+        u = rng.visit_unit(self.hasher, _BRANCHING, case_id, self.gateway_keys[gw_id], visit)
+        table = self.branches[gw_id]
+        acc = 0.0
+        for target, arc_id, probability, _ in table:
+            acc += probability
+            if u < acc:
+                return target, arc_id
+        return table[-1][:2]
+
+    def _activate_or_branches(self, case_id: int, gw_id: str) -> list[tuple[str, str]]:
+        visit = self._visit(case_id, gw_id)
+        gw_key = self.gateway_keys[gw_id]
+        table = self.branches[gw_id]
+        chosen = [
+            branch
+            for branch in table
+            if rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, branch[3])
+            < branch[2]
+        ]
         if not chosen:
-            total = sum(probs[arc.id] for arc in outs)
+            total = sum(branch[2] for branch in table)
             u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, _FALLBACK) * total
             acc = 0.0
-            for arc in outs:
-                acc += probs[arc.id]
+            for branch in table:
+                acc += branch[2]
                 if u < acc:
-                    chosen = [arc]
+                    chosen = [branch]
                     break
             if not chosen:
-                chosen = [outs[-1]]
-        join = self.or_join_of[gw.id]
+                chosen = [table[-1]]
+        join = self.or_join_of[gw_id]
         self.or_expectations.setdefault((case_id, join), []).append(len(chosen))
-        return chosen
+        return [branch[:2] for branch in chosen]
 
     # -- activity lifecycle ---------------------------------------------------
 
     def _enable_instance(self, case_id: int, activity_id: str) -> None:
-        visit = self.visit_counts.get((case_id, activity_id), 0)
-        self.visit_counts[(case_id, activity_id)] = visit + 1
         state = self.act_states[activity_id]
         work = state.fixed_work
         if work is None:
+            visit = self._visit(case_id, activity_id)
             u = rng.visit_unit(self.hasher, _DURATIONS, case_id, state.key, visit)
-            work = rng.round_half_up(self.activities[activity_id].duration.sample(u))
-        if state.waiting and self.now < state.waiting[-1].enable_time:
-            raise SimulationError(
-                f"activity {activity_id!r} enabled at {self.now}, "
-                f"before its last waiting instance ({state.waiting[-1].enable_time})"
-            )
-        state.waiting.append(_WaitingInstance(case_id, self.now, work))
+            work = rng.round_half_up(state.duration.sample(u))
+        now = self.now
         if state.policy is None:
-            self._form_batch(activity_id)
-        else:
+            # nothing ever waits: the instance is a batch of one at once
+            self._start_single(activity_id, state, case_id, now, work)
+            return
+        waiting = state.waiting
+        if waiting and now < waiting[-1].enable_time:
+            raise SimulationError(
+                f"activity {activity_id!r} enabled at {now}, "
+                f"before its last waiting instance ({waiting[-1].enable_time})"
+            )
+        waiting.append(_WaitingInstance(case_id, now, work))
+        if state.wakes:
             self._schedule_timeout_wakes(activity_id)
 
     def _evaluate_rules(self) -> None:
         """Fire every activity whose rule holds right now."""
+        now = self.now
         for activity_id, state in self.ruled:
             waiting = state.waiting
-            if not waiting:
-                continue
-            batch_state = BatchState(
-                len(waiting), waiting[0].enable_time, waiting[-1].enable_time
-            )
-            if evaluate_activation_rule(state.policy.rule, batch_state, self.now):
+            if waiting and evaluate_activation_rule(
+                state.policy.rule,
+                BatchState(len(waiting), waiting[0].enable_time, waiting[-1].enable_time),
+                now,
+            ):
                 self._form_batch(activity_id)
 
     def _choose_resource(self, state: _ActivityState) -> tuple[str, ResourceProfile, int]:
         """The eligible resource that can start earliest (ties by id), its
         profile and its start time."""
+        now = self.now
+        free_at = self.free_at
         best = None
         for rid, profile in state.resources:
-            start = profile.calendar.next_open(max(self.now, self.res_states[rid].free_at))
+            start = profile.calendar.next_open(max(now, free_at[rid]))
             if best is None or start < best[2]:
                 best = (rid, profile, start)
         assert best is not None  # validation guarantees eligible resources
         return best
 
+    def _start_single(
+        self, activity_id: str, state: _ActivityState, case_id: int, enable_time: int, work: int
+    ) -> None:
+        """Form and start a batch of one instance."""
+        rid, profile, start = self._choose_resource(state)
+        end = profile.calendar.work_end(start, work)
+        batch_id = f"b{len(self.batches) + 1:05d}"
+        cost = compute_batch_cost(
+            1, [float(work)], end - start, profile.cost_per_time_unit, state.cost
+        )
+        index = len(self.instances)
+        self.instances.append(
+            InstanceRecord(case_id, activity_id, rid, enable_time, start, end, batch_id, cost, work)
+        )
+        heapq.heappush(self.heap, (end, _COMPLETE, next(self.seq), (case_id, activity_id, index)))
+        self.pending_case_events += 1
+        self.batches.append(
+            BatchRecord(batch_id, activity_id, rid, start, end, (index,), cost, work)
+        )
+        self.free_at[rid] = end
+
     def _form_batch(self, activity_id: str) -> None:
         state = self.act_states[activity_id]
         members = state.waiting
         state.waiting = []
+        if len(members) == 1:
+            w = members[0]
+            self._start_single(activity_id, state, w.case_id, w.enable_time, w.work)
+            return
         rid, profile, start = self._choose_resource(state)
         calendar = profile.calendar
-        policy = state.policy
-        batch_type = policy.batch_type if policy else PARALLEL
-        cost_model = policy.cost if policy else state.default_cost
-
         spans: list[tuple[int, int]] = []
-        if batch_type == SEQUENTIAL:
+        if state.policy.batch_type == SEQUENTIAL:
             cursor = start
             for w in members:
                 end = calendar.work_end(cursor, w.work)
@@ -501,7 +632,7 @@ class _Engine:
             [float(w.work) for w in members],
             batch_end - start,
             profile.cost_per_time_unit,
-            cost_model,
+            state.cost,
         )
         # equal shares, with the last member absorbing float drift so the
         # members always sum back to the batch cost exactly
@@ -529,7 +660,7 @@ class _Engine:
                 busy,
             )
         )
-        self.res_states[rid].free_at = batch_end
+        self.free_at[rid] = batch_end
 
     # -- termination ------------------------------------------------------------
 
@@ -562,6 +693,17 @@ class _Engine:
 
     def run(self) -> EventLog:
         self._generate_arrivals()
+        heap = self.heap
+        heappop = heapq.heappop
+        act_states = self.act_states
+        hops = self.hops
+        end_nodes = self.end_nodes
+        start_node = self.model.start_node
+        enable = self._enable_instance
+        route = self._route
+        # with no rule (or no clock condition) these would do nothing
+        evaluate_rules = self._evaluate_rules if self.ruled else None
+        schedule_tick = self._schedule_tick if self.clocked else None
         while True:
             if self.pending_case_events == 0:
                 if not self._any_waiting():
@@ -569,24 +711,33 @@ class _Engine:
                 if not self._time_can_fire_something():
                     self._flush_all()
                     continue
-            if not self.heap:
+            if not heap:
                 break
-            time, kind, _, payload = heapq.heappop(self.heap)
-            self.now = max(self.now, time)
+            time, kind, _, payload = heappop(heap)
+            if time > self.now:
+                self.now = time
             if kind == _ARRIVAL:
                 self.pending_case_events -= 1
-                self._route(payload, self.model.start_node)
+                if start_node in act_states:
+                    enable(payload, start_node)
+                else:
+                    route(payload, start_node)
             elif kind == _COMPLETE:
                 self.pending_case_events -= 1
                 case_id, activity_id, _idx = payload
-                if activity_id not in self.model.end_nodes:
-                    for arc in self.outgoing.get(activity_id, []):
-                        self._route(case_id, arc.target, arc.id)
+                if activity_id not in end_nodes:
+                    for target, arc_id in hops.get(activity_id, ()):
+                        if target in act_states:
+                            enable(case_id, target)
+                        else:
+                            route(case_id, target, arc_id)
             elif kind == _TICK and time == self.tick_at:
                 self.tick_at = None
             # state changed, a threshold crossed or a clock hour began
-            self._evaluate_rules()
-            self._schedule_tick()
+            if evaluate_rules is not None:
+                evaluate_rules()
+            if schedule_tick is not None:
+                schedule_tick()
         return EventLog(tuple(self.instances), tuple(self.batches))
 
 
@@ -601,16 +752,21 @@ def seed_free(model: ProcessModel) -> bool:
     )
 
 
-def simulate(model: ProcessModel, policies: PolicySet, config: SimConfig) -> SimResult:
+def simulate(
+    model: CompiledModel | ProcessModel, policies: PolicySet, config: SimConfig
+) -> SimResult:
     """Run one deterministic simulation and fold its objectives.
 
-    The returned log is complete (warmup included); the objective values
+    A bare `ProcessModel` is compiled first; callers that simulate one
+    model many times compile it once and pass the `CompiledModel`.  The
+    returned log is complete (warmup included); the objective values
     exclude the warmup cases.
     """
-    total = config.total_cases or model.arrival.total_cases
+    compiled = as_compiled(model)
+    total = config.total_cases or compiled.model.arrival.total_cases
     if config.warmup >= total:
         raise SimulationError("warmup must be smaller than the case count")
-    log = _Engine(model, policies, config).run()
+    log = _Engine(compiled, policies, config).run()
     trimmed = filter_warmup(log, config.warmup)
     return SimResult(log, evaluate_objectives(trimmed, config.cycle_time_mode))
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
+from .calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR
+
 # t = 0 maps to this instant; 2024-01-01 is a Monday, matching the
 # weekly-calendar anchor.
 LOG_EPOCH = datetime(2024, 1, 1)
@@ -27,8 +29,28 @@ EVENT_CSV_HEADER = "case_id,activity,resource,enable_time,start_time,end_time,ba
 BATCH_CSV_HEADER = "batch_id,activity,resource,start_time,end_time,size,busy_seconds,cost"
 
 
+def _time_formatter():
+    """A `format_time` for one render call: each instant is split into its
+    day and second of day by integer arithmetic, and the date text of each
+    day is built with `datetime` once, on first use, in a dict that lives
+    only as long as the returned function."""
+    days: dict[int, str] = {}
+
+    def format_(t: int) -> str:
+        day, second = divmod(t, SECONDS_PER_DAY)
+        prefix = days.get(day)
+        if prefix is None:
+            prefix = days[day] = (LOG_EPOCH + timedelta(days=day)).date().isoformat() + "T"
+        hour, second = divmod(second, SECONDS_PER_HOUR)
+        minute, second = divmod(second, 60)
+        return f"{prefix}{hour:02d}:{minute:02d}:{second:02d}"
+
+    return format_
+
+
 def format_time(t: int) -> str:
-    return (LOG_EPOCH + timedelta(seconds=int(t))).isoformat()
+    """Instant t as ISO 8601 text, as `datetime.isoformat` spells it."""
+    return _time_formatter()(int(t))
 
 
 def parse_time(text: str) -> int:
@@ -156,6 +178,7 @@ def filter_warmup(log: EventLog, warmup: int) -> EventLog:
 # CSV export
 
 def event_rows(log: EventLog):
+    format_time = _time_formatter()
     for r in log.instances:
         yield [
             r.case_id,
@@ -170,6 +193,7 @@ def event_rows(log: EventLog):
 
 
 def batch_rows(log: EventLog):
+    format_time = _time_formatter()
     for b in log.batches:
         yield [
             b.batch_id,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import SimConfig, simulate
+from .engine import CompiledModel, SimConfig, as_compiled, simulate
 # case_cycle_time is not called here, but the benchmark's layer trace
 # (perfbench/layers.py) wraps it under this module's name.
 from .eventlog import EventLog, case_cycle_time, filter_warmup  # noqa: F401
@@ -150,7 +150,7 @@ def mean_case_cycle_time(log: EventLog) -> float:
 def cycle_time_gain(
     initial_log: EventLog,
     solutions: Sequence[Solution],
-    model: ProcessModel,
+    model: CompiledModel | ProcessModel,
     config: SimConfig = SimConfig(),
     memo: dict[tuple, float] | None = None,
 ) -> float:
@@ -162,13 +162,15 @@ def cycle_time_gain(
 
     `memo` maps `policy_set_key` to that mean and is read before and
     filled after each simulation, so a caller scoring several fronts of
-    one model and config simulates each distinct policy set once.
+    one model and config simulates each distinct policy set once.  A
+    bare `ProcessModel` is compiled once per call.
     """
     if not solutions:
         raise MetricsError("cycle_time_gain needs at least one solution")
     if memo is None:
         memo = {}
     baseline = mean_case_cycle_time(filter_warmup(initial_log, config.warmup))
+    model = as_compiled(model)
     best = math.inf
     for sol in solutions:
         key = policy_set_key(sol.policies)

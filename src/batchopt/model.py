@@ -23,6 +23,7 @@ from .calendars import (
 )
 from .codec import ParseError, reject_unknown_keys
 
+MAX_CASES = 1_000_000  # the most cases one simulation may run
 GATEWAY_KINDS = ("and-split", "and-join", "xor-split", "xor-join", "or-split", "or-join")
 DISTRIBUTION_PARAMS = {  # each distribution kind and its parameters
     "fixed": ("value",),
@@ -309,8 +310,8 @@ def validate_model(model: ProcessModel) -> list[str]:
             out.append(f"resource {r.id!r}: cost per time unit must be finite and >= 0")
         out.extend(_calendar_violations(r.calendar, f"resource {r.id!r}"))
 
-    if model.arrival.total_cases < 1:
-        out.append("arrival: totalCases must be >= 1")
+    if not 1 <= model.arrival.total_cases <= MAX_CASES:
+        out.append(f"arrival: totalCases must lie in [1, {MAX_CASES}]")
     out.extend(_calendar_violations(model.arrival.calendar, "arrival"))
     out.extend(_distribution_violations(model.arrival.inter_arrival, "arrival interArrival"))
 

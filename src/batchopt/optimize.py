@@ -38,7 +38,14 @@ from .analytics import (
     detect_scenarios_from_stats,
 )
 from .codec import check_fields, from_doc
-from .engine import SimConfig, SimResult, SimulationError, seed_free, simulate
+from .engine import (
+    SimConfig,
+    SimResult,
+    SimulationError,
+    compile_model,
+    seed_free,
+    simulate,
+)
 from .eventlog import EventLog
 from .interventions import (
     ADD_CONDITION,
@@ -171,10 +178,16 @@ class CandidateEvaluator:
     fresh simulation at the next sim index would have given.
     `simulate`, `compute_stats` and `apply_delta` are the caller's module
     attributes, so each strategy's calls go through its own module's names.
+    The model is compiled once here and every simulation of the run
+    shares it.
     """
 
     def __init__(self, model: ProcessModel, config: OptimizerConfig,
                  simulate, compute_stats, apply_delta):
+        try:
+            self.compiled = compile_model(model)
+        except SimulationError as err:
+            raise OptimizerError(f"model cannot be simulated: {err}") from err
         self.model = model
         self.config = config
         self._simulate = simulate
@@ -196,7 +209,9 @@ class CandidateEvaluator:
         if not cached:
             try:
                 evaluation = Evaluation(
-                    self._simulate(self.model, policies, _sim_config(self.config, self.simulations))
+                    self._simulate(
+                        self.compiled, policies, _sim_config(self.config, self.simulations)
+                    )
                 )
             except SimulationError as err:
                 evaluation = Evaluation(None, err)

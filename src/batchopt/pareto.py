@@ -151,9 +151,12 @@ def parse_front(doc) -> ParetoFront:
             lineage = entry.get("lineage", [])
             if not isinstance(lineage, list) or not all(isinstance(s, dict) for s in lineage):
                 raise ParseError(f"{where}.lineage", f"expected a list of objects, got {lineage!r}")
+            policies = entry.get("policies", {"policies": []})
+            if not isinstance(policies, dict):
+                raise ParseError(f"{where}.policies", f"expected an object, got {policies!r}")
             solutions.append(
                 Solution(
-                    policies=parse_policies(entry.get("policies", {"policies": []})),
+                    policies=parse_policies(policies),
                     point=tuple(coords),
                     log_ref=log_ref,
                     lineage=tuple(dict(step) for step in lineage),

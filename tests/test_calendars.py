@@ -116,3 +116,63 @@ def test_next_open_is_open_and_minimal(t):
     assert cal.contains(t2)
     if t2 > t:
         assert not cal.contains(t)
+
+
+def stepped_work_end(cal, start, amount):
+    """Reference: work window by window, from each next opening to the end
+    of the span it lies in."""
+    if amount == 0:
+        return start
+    t = cal.next_open(start)
+    while True:
+        step = min(amount, cal.open_end(t) - t)
+        t += step
+        amount -= step
+        if amount == 0:
+            return t
+        t = cal.next_open(t)
+
+
+@st.composite
+def week_calendars(draw):
+    """1-7 weekdays, each open all day, from midnight, until midnight or
+    in between, so spans often meet across day and week boundaries."""
+    intervals = []
+    for day in draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True)):
+        start = draw(st.sampled_from([0, draw(st.integers(0, SECONDS_PER_DAY - 1))]))
+        end = draw(st.sampled_from([SECONDS_PER_DAY, draw(st.integers(start + 1, SECONDS_PER_DAY))]))
+        intervals.append(Interval(day, start, end))
+    return Calendar(tuple(intervals))
+
+
+@given(
+    week_calendars(),
+    st.integers(-3 * SECONDS_PER_WEEK, 6 * SECONDS_PER_WEEK),
+    st.integers(0, 12),
+    st.one_of(st.just(0), st.integers(0, 1000), st.fractions(0, 1)),
+)
+def test_closed_form_work_end_matches_stepping(cal, start, weeks, part):
+    # up to 12 weeks of the calendar's open time plus a part of a week's
+    # (whole weeks included), so the reference steps through at most ~90
+    # windows however little the calendar is open
+    weekly = cal.weekly_open_seconds
+    amount = weeks * weekly + (part if isinstance(part, int) else int(part * weekly))
+    assert cal.work_end(start, amount) == stepped_work_end(cal, start, amount)
+
+
+def test_work_end_runs_on_across_the_week_boundary():
+    # Sunday evening and Monday morning meet at the week boundary
+    cal = Calendar((Interval(6, 22 * H, SECONDS_PER_DAY), Interval(0, 0, 2 * H)))
+    sunday_22 = 6 * SECONDS_PER_DAY + 22 * H
+    assert cal.work_end(sunday_22, 3 * H) == SECONDS_PER_WEEK + H
+    # a whole week's open time ends at the end of the week's last span
+    assert cal.work_end(0, 4 * H) == sunday_22 + 2 * H
+    assert cal.work_end(0, 4 * H) == stepped_work_end(cal, 0, 4 * H)
+
+
+def test_work_end_rejects_negative_work_and_empty_calendars():
+    with pytest.raises(ValueError):
+        MON8_12.work_end(0, -1)
+    with pytest.raises(ValueError):
+        Calendar(()).work_end(0, 1)
+    assert Calendar(()).work_end(5, 0) == 5

@@ -210,6 +210,29 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "where, count",
+        [("model", 10**6 + 1), ("model", 10**300), ("config", 10**6 + 1), ("config", 10**400)],
+        ids=["model-million-and-one", "model-300-digits", "config-million-and-one",
+             "config-400-digits"],
+    )
+    def test_case_count_beyond_a_million_is_a_schema_failure(
+        self, tmp_path, capsys, where, count
+    ):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        argv = ["simulate", "--model", model, "--policies", policies]
+        if where == "model":
+            doc = json.loads(Path(model).read_text())
+            doc["arrival"]["totalCases"] = count
+            write_json(Path(model), doc)
+        else:
+            argv += ["--config", write_json(tmp_path / "run.json", {"totalCases": count})]
+        out = tmp_path / "out"
+        code = main(argv + ["--out", str(out)])
+        assert code == 3
+        assert "must lie in [1, 1000000]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mean", ["NaN", "Infinity", "-1e400"])
     def test_non_finite_distribution_parameter_is_a_schema_failure(
         self, tmp_path, capsys, mean
@@ -535,6 +558,17 @@ class TestEvaluate:
         code = main(["evaluate", str(inputs / "front-sa-guided.json"), bad, "--out", str(out)])
         assert code == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_front_policies_given_as_json_text_are_a_schema_failure(self, tmp_path, capsys):
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+        doc = json.loads((inputs / "front-hc-guided.json").read_text())
+        doc["solutions"][0]["policies"] = json.dumps({"policies": []})
+        bad = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        code = main(["evaluate", str(inputs / "front-sa-guided.json"), bad, "--out", str(out)])
+        assert code == 3
+        assert "$.solutions[0].policies: expected an object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_front_without_solutions_is_rejected(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from batchopt.codec import from_doc, to_doc
 from batchopt.engine import SimConfig, SimulationError, parse_sim_config
 from batchopt.eventlog import CYCLE_TIME_MODES
 from batchopt.interventions import InterventionConfig
+from batchopt.model import MAX_CASES
 from batchopt.optimize import STRATEGIES, OptimizerConfig, OptimizerError, RLConfig
 from batchopt.policy import parse_policies, serialize_policies
 
@@ -35,7 +36,7 @@ positive = st.floats(0.0, 1e12, exclude_min=True)
 sim_configs = st.builds(
     SimConfig,
     seed=st.integers(),
-    total_cases=st.none() | st.integers(1, 10**9),
+    total_cases=st.none() | st.integers(1, MAX_CASES),
     warmup=st.integers(0, 10**6),
     cycle_time_mode=st.sampled_from(CYCLE_TIME_MODES),
 )
@@ -184,9 +185,10 @@ def _at(doc, path):
     return reduce(operator.getitem, path, doc)
 
 
-def mutate(doc, data):
+def mutate(doc, data, replacements=REPLACEMENTS):
     """`doc` with one key dropped, one unknown key added, or one value
-    swapped for a bool, a string, None, a list or a 400-digit integer."""
+    swapped for one of `replacements` (by default a bool, a string, None,
+    a list or a 400-digit integer)."""
     doc = copy.deepcopy(doc)
     op = data.draw(st.sampled_from(("drop", "add", "swap")))
     if op == "add":
@@ -198,7 +200,7 @@ def mutate(doc, data):
     if op == "drop":
         del parent[path[-1]]
     else:
-        parent[path[-1]] = data.draw(REPLACEMENTS)
+        parent[path[-1]] = data.draw(replacements)
     return doc
 
 
@@ -258,5 +260,28 @@ def test_mutated_fronts_exit_0_or_3(scratch):
         code = run_cli(scratch, ["evaluate", mutate(front, data), other,
                                  "--model", model, "--policies", policies])
         assert code in (0, 3)
+
+    check()
+
+
+# small counts reach the warmup check (exit 4), and a count just past the
+# bound must be refused before it runs
+RUN_CONFIG_REPLACEMENTS = st.one_of(
+    REPLACEMENTS, st.integers(-1, 40), st.just(MAX_CASES + 1), st.just(MAX_CASES * 10)
+)
+
+
+@pytest.mark.parametrize("source", ["two-batch", "circadian"])
+def test_mutated_run_configs_exit_0_3_or_4(scratch, source):
+    fixture = ROOT / "fixtures" / source
+    config = load(f"fixtures/{source}/simconfig.json")
+
+    @settings(deadline=None)
+    @given(st.data())
+    def check(data):
+        code = run_cli(scratch, ["simulate", "--model", str(fixture / "model.json"),
+                                 "--policies", str(fixture / "policies.json"),
+                                 "--config", mutate(config, data, RUN_CONFIG_REPLACEMENTS)])
+        assert code in (0, 3, 4)
 
     check()

@@ -7,6 +7,7 @@ from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from batchopt.engine import SimConfig, SimulationError, simulate
 from batchopt.eventlog import evaluate_objectives, filter_warmup
+from batchopt.fixtures import all_fixtures
 
 H = SECONDS_PER_HOUR
 
@@ -415,12 +416,54 @@ class TestErrors:
     def test_enablement_before_the_last_waiting_instance_rejected(self):
         # rules read only the ends of the waiting queue, so it must stay
         # in enable-time order
-        sim = engine._Engine(single_activity_model(), size_policy(5), SimConfig())
+        sim = engine._Engine(
+            engine.compile_model(single_activity_model()), size_policy(5), SimConfig()
+        )
         sim.now = 2 * H
         sim._enable_instance(0, "work")
         sim.now = H
         with pytest.raises(SimulationError, match="before its last waiting instance"):
             sim._enable_instance(1, "work")
+
+
+class TestCompiledModel:
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_compiled_and_bare_models_simulate_alike(self, fixture):
+        model, policies, config = fixture.model(), fixture.policies(), fixture.sim_config()
+        compiled = engine.compile_model(model)
+        assert simulate(compiled, policies, config) == simulate(model, policies, config)
+        # a compiled model is shared: a second run reads the same tables
+        assert simulate(compiled, policies, config) == simulate(model, policies, config)
+
+    def test_compiling_validates_once_and_simulating_never(self, monkeypatch):
+        calls = []
+        real = engine.validate_model
+        monkeypatch.setattr(engine, "validate_model", lambda mdl: calls.append(mdl) or real(mdl))
+        compiled = engine.compile_model(single_activity_model())
+        for seed in range(3):
+            simulate(compiled, size_policy(2), SimConfig(seed=seed))
+        assert len(calls) == 1
+        simulate(single_activity_model(), {}, SimConfig())
+        assert len(calls) == 2
+
+    def test_invalid_model_does_not_compile(self):
+        doc = m.serialize_model(single_activity_model())
+        doc["activities"][0]["resources"] = ["ghost"]
+        with pytest.raises(SimulationError, match="ghost"):
+            engine.compile_model(m.parse_model(doc))
+
+
+class TestCaseCountBound:
+    def test_run_config_count_is_bounded(self):
+        SimConfig(total_cases=m.MAX_CASES)
+        with pytest.raises(SimulationError, match="total_cases must lie in"):
+            SimConfig(total_cases=m.MAX_CASES + 1)
+
+    def test_model_count_is_bounded(self):
+        doc = m.serialize_model(single_activity_model())
+        doc["arrival"]["totalCases"] = m.MAX_CASES + 1
+        violations = m.validate_model(m.parse_model(doc))
+        assert violations == [f"arrival: totalCases must lie in [1, {m.MAX_CASES}]"]
 
 
 def gateway_model(gateways, arcs, activities, end_nodes, total_cases=8):

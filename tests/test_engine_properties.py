@@ -22,6 +22,7 @@ from batchopt.engine import (
     _WAKE,
     SimConfig,
     _Engine,
+    compile_model,
     seed_free,
     simulate,
 )
@@ -236,8 +237,8 @@ class HourlyTickEngine(_Engine):
                 self.pending_case_events -= 1
                 case_id, activity_id, _ = payload
                 if activity_id not in self.model.end_nodes:
-                    for arc in self.outgoing.get(activity_id, []):
-                        self._route(case_id, arc.target, arc.id)
+                    for target, arc_id in self.hops.get(activity_id, ()):
+                        self._route(case_id, target, arc_id)
             elif kind == _TICK:
                 tick_pending = False
             self._evaluate_rules()
@@ -346,7 +347,11 @@ def clocked_scenarios(draw):
 def test_next_event_engine_matches_hourly_reference(scenario):
     model, policies, seed = scenario
     config = SimConfig(seed=seed)
-    assert _Engine(model, policies, config).run() == HourlyTickEngine(model, policies, config).run()
+    compiled = compile_model(model)
+    assert (
+        _Engine(compiled, policies, config).run()
+        == HourlyTickEngine(compiled, policies, config).run()
+    )
 
 
 SEED_FREE_FIXTURES = [f for f in all_fixtures() if seed_free(f.model())]

@@ -1,6 +1,8 @@
 import json
+from datetime import datetime, timedelta
 
 import pytest
+from hypothesis import given, strategies as st
 
 from batchopt import eventlog as ev
 from batchopt.cli import main
@@ -142,6 +144,20 @@ class TestTimestamps:
     def test_epoch_is_a_monday(self):
         assert ev.LOG_EPOCH.weekday() == 0
         assert ev.format_time(0) == "2024-01-01T00:00:00"
+
+    @given(
+        st.sampled_from([2023, 2024, 2025, 2027, 2099, 2100]),
+        st.lists(st.integers(-3 * 86400, 3 * 86400), min_size=1, max_size=20),
+    )
+    def test_format_time_spells_instants_as_isoformat_across_year_ends(self, year, offsets):
+        # instants within three days of a new year, 2024 and 2100 among
+        # them (a leap year and a century that is not one), formatted
+        # alone and by one render's formatter, whose day texts are reused
+        new_year = int((datetime(year, 1, 1) - ev.LOG_EPOCH).total_seconds())
+        expected = [(ev.LOG_EPOCH + timedelta(seconds=new_year + o)).isoformat() for o in offsets]
+        assert [ev.format_time(new_year + o) for o in offsets] == expected
+        render_format = ev._time_formatter()
+        assert [render_format(new_year + o) for o in offsets] == expected
 
 
 class TestCsv:

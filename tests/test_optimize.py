@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from batchopt import engine
 from batchopt import optimize as opt
 from batchopt import rl as rlmod
 from batchopt.analytics import compute_stats
@@ -37,6 +38,16 @@ def front_points(front):
 def run(fixture, **overrides):
     config = opt.OptimizerConfig(**overrides)
     return opt.optimize_hc_sa(fixture.model(), fixture.policies(), config)
+
+
+def test_one_search_run_validates_its_model_once(monkeypatch):
+    # the evaluator compiles the model once; no simulation validates again
+    calls = []
+    real = engine.validate_model
+    monkeypatch.setattr(engine, "validate_model", lambda model: calls.append(model) or real(model))
+    result = run(get_fixture("two-batch"), max_solutions=12)
+    assert result.simulations == 12
+    assert len(calls) == 1
 
 
 class TestConfigValidation:

@@ -5,7 +5,7 @@ from hashlib import blake2b
 from hypothesis import given, strategies as st
 
 from batchopt import engine, rng
-from batchopt.engine import SimConfig, _Engine
+from batchopt.engine import SimConfig, _Engine, compile_model
 from batchopt.fixtures import get_fixture
 from batchopt.model import fixed, parse_model
 
@@ -124,13 +124,13 @@ def test_fixed_durations_draw_nothing(monkeypatch):
     monkeypatch.setattr(rng, "visit_unit", lambda *key: draws.append(key) or real(*key))
     # one activity, `ticket`, with a fixed 600 s duration
     doc = get_fixture("two-batch").model_doc
-    log = _Engine(parse_model(doc), {}, SimConfig(seed=5)).run()
+    log = _Engine(compile_model(parse_model(doc)), {}, SimConfig(seed=5)).run()
     assert log.instances and {r.work_seconds for r in log.instances} == {600}
     assert draws == []
     # the same model with a normal duration draws once per instance
     doc = copy.deepcopy(doc)
     doc["activities"][0]["duration"] = {"kind": "normal", "mean": 600.0, "stddev": 120.0}
-    log = _Engine(parse_model(doc), {}, SimConfig(seed=5)).run()
+    log = _Engine(compile_model(parse_model(doc)), {}, SimConfig(seed=5)).run()
     assert len(draws) == len(log.instances) > 0
 
 
@@ -146,12 +146,12 @@ def test_seed_free_model_draws_nothing(monkeypatch):
     fixture = get_fixture("circadian")
     model = fixture.model()
     assert engine.seed_free(model)
-    log = _Engine(model, fixture.policies(), SimConfig(seed=5)).run()
+    log = _Engine(compile_model(model), fixture.policies(), SimConfig(seed=5)).run()
     assert log.instances and draws == []
     # an exponential inter-arrival time draws once per case
     doc = copy.deepcopy(fixture.model_doc)
     doc["arrival"]["interArrival"] = {"kind": "exponential", "mean": 3600.0}
     model = parse_model(doc)
     assert not engine.seed_free(model)
-    log = _Engine(model, fixture.policies(), SimConfig(seed=5)).run()
+    log = _Engine(compile_model(model), fixture.policies(), SimConfig(seed=5)).run()
     assert len(draws) == len(log.case_ids()) > 0
