@@ -136,9 +136,17 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
     for batch in log.batches:
         by_activity.setdefault(batch.activity_id, []).append(batch)
 
+    # each activity's batches in start order, for its stats and allocation
+    ordered = {
+        activity_id: sorted(by_activity[activity_id], key=lambda b: (b.start_time, b.batch_id))
+        for activity_id in sorted(by_activity)
+    }
+    # `week[t % SECONDS_PER_WEEK // SECONDS_PER_HOUR]` is `bucket_of(t)`; a
+    # table keyed by the hour since the epoch would grow with the log's span
+    week = [(day, hour) for day in range(7) for hour in range(24)]
+
     activity_stats = []
-    for activity_id in sorted(by_activity):
-        batches = sorted(by_activity[activity_id], key=lambda b: (b.start_time, b.batch_id))
+    for activity_id, batches in ordered.items():
         instances = [log.instances[i] for b in batches for i in b.members]
         max_waits, min_waits, sizes, busy = [], [], [], []
         interrupted = 0
@@ -153,9 +161,9 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         enablement_hist: dict[Bucket, int] = {}
         execution_hist: dict[Bucket, int] = {}
         for rec in instances:
-            key = bucket_of(rec.enable_time)
+            key = week[rec.enable_time % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
             enablement_hist[key] = enablement_hist.get(key, 0) + 1
-            key = bucket_of(rec.start_time)
+            key = week[rec.start_time % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
             execution_hist[key] = execution_hist.get(key, 0) + 1
         activity_stats.append(
             ActivityStats(
@@ -202,8 +210,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         )
 
     allocation = []
-    for activity_id in sorted(by_activity):
-        batches = sorted(by_activity[activity_id], key=lambda b: (b.start_time, b.batch_id))
+    for activity_id, batches in ordered.items():
         executors = [b.resource_id for b in batches]
         pairs = list(zip(executors, executors[1:]))
         switch_rate = (

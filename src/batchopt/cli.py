@@ -31,7 +31,13 @@ from .engine import (
     parse_sim_config,
     simulate,
 )
-from .eventlog import filter_warmup, render_batch_csv, render_event_csv
+from .eventlog import (
+    LAST_INSTANT,
+    LogTimeError,
+    filter_warmup,
+    render_batch_csv,
+    render_event_csv,
+)
 from .metrics import (
     FrontPointSet,
     MetricsError,
@@ -205,6 +211,9 @@ def cmd_simulate(args) -> int:
         result = simulate(compile_model(model), policies, config)
     except SimulationError as err:
         raise CliError(EXIT_RUNTIME, f"simulation failed: {err}") from err
+    # no instant of a log comes after its last batch end
+    if result.log.horizon > LAST_INSTANT:
+        raise CliError(EXIT_RUNTIME, f"cannot write the log: {LogTimeError(result.log.horizon)}")
 
     out = _resolve_out(args)
     out.write("events.csv", render_event_csv(result.log))
@@ -243,7 +252,8 @@ def cmd_simulate(args) -> int:
 def _effective_optimizer_config(args, parser: argparse.ArgumentParser) -> OptimizerConfig:
     if args.config:
         doc = _read_json(args.config, "optimizer config")
-        if isinstance(doc, dict) and isinstance(doc.get("maxSolutions"), int) and doc["maxSolutions"] < 1:
+        budget = doc.get("maxSolutions") if isinstance(doc, dict) else None
+        if type(budget) is int and budget < 1:  # a bool is no budget: exit 3 below
             parser.error("maxSolutions must be at least 1")
         try:
             config = parse_optimizer_config(doc)

@@ -9,6 +9,12 @@ Instance and batch records are named tuples: the engine builds one per
 instance, and a tuple is several times cheaper to build than a frozen
 dataclass.  Field names and order are part of the API; records compare
 and hash as plain tuples.
+
+`render_event_csv` and `render_batch_csv` write one line per record
+themselves, but their bytes are the ones `csv.writer` (minimal quoting,
+``"\\n"`` line ends) writes for the same rows: integers as `str`, costs as
+`repr`, instants as `datetime.isoformat` spells them, and any id holding a
+comma, a quote or a line break quoted by `csv.writer` itself.
 """
 
 from __future__ import annotations
@@ -24,26 +30,47 @@ from .calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR
 # t = 0 maps to this instant; 2024-01-01 is a Monday, matching the
 # weekly-calendar anchor.
 LOG_EPOCH = datetime(2024, 1, 1)
+# the last instant `datetime` can spell, in seconds from the epoch
+LAST_TIME_TEXT = "9999-12-31T23:59:59"
+LAST_INSTANT = (datetime.fromisoformat(LAST_TIME_TEXT) - LOG_EPOCH) // timedelta(seconds=1)
 
 EVENT_CSV_HEADER = "case_id,activity,resource,enable_time,start_time,end_time,batch_id,cost"
 BATCH_CSV_HEADER = "batch_id,activity,resource,start_time,end_time,size,busy_seconds,cost"
 
 
+class LogTimeError(ValueError):
+    """An instant of the log lies past `LAST_INSTANT`."""
+
+    def __init__(self, t: int):
+        super().__init__(
+            f"instant {t} s lies past {LAST_TIME_TEXT}, the last instant a log can spell"
+        )
+
+
 def _time_formatter():
-    """A `format_time` for one render call: each instant is split into its
-    day and second of day by integer arithmetic, and the date text of each
-    day is built with `datetime` once, on first use, in a dict that lives
-    only as long as the returned function."""
+    """A `format_time` for one render call.
+
+    An instant is spelled as four pieces: the date text of its day, built
+    with `datetime` once per day on first use, then one of 24 hour texts
+    (``"T07:"``), one of 60 minute texts (``"05:"``) and one of 60 second
+    texts (``"09"``).  All of them live only as long as the returned
+    function.  An instant past `LAST_INSTANT` raises `LogTimeError`.
+    """
     days: dict[int, str] = {}
+    hours = [f"T{h:02d}:" for h in range(24)]
+    minutes = [f"{m:02d}:" for m in range(60)]
+    seconds = [f"{s:02d}" for s in range(60)]
 
     def format_(t: int) -> str:
         day, second = divmod(t, SECONDS_PER_DAY)
         prefix = days.get(day)
         if prefix is None:
-            prefix = days[day] = (LOG_EPOCH + timedelta(days=day)).date().isoformat() + "T"
+            if t > LAST_INSTANT:
+                raise LogTimeError(t)
+            prefix = days[day] = (LOG_EPOCH + timedelta(days=day)).date().isoformat()
         hour, second = divmod(second, SECONDS_PER_HOUR)
         minute, second = divmod(second, 60)
-        return f"{prefix}{hour:02d}:{minute:02d}:{second:02d}"
+        return prefix + hours[hour] + minutes[minute] + seconds[second]
 
     return format_
 
@@ -177,49 +204,40 @@ def filter_warmup(log: EventLog, warmup: int) -> EventLog:
 # ---------------------------------------------------------------------------
 # CSV export
 
-def event_rows(log: EventLog):
-    format_time = _time_formatter()
-    for r in log.instances:
-        yield [
-            r.case_id,
-            r.activity_id,
-            r.resource_id,
-            format_time(r.enable_time),
-            format_time(r.start_time),
-            format_time(r.end_time),
-            r.batch_id,
-            repr(r.allocated_cost),
-        ]
-
-
-def batch_rows(log: EventLog):
-    format_time = _time_formatter()
-    for b in log.batches:
-        yield [
-            b.batch_id,
-            b.activity_id,
-            b.resource_id,
-            format_time(b.start_time),
-            format_time(b.end_time),
-            b.size,
-            b.busy_seconds,
-            repr(b.cost),
-        ]
-
-
-def _render(header: str, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header.split(","))
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _csv_text(text: str) -> str:
+    """`text` as one field of a csv row: itself unless it holds a comma, a
+    quote or a line break, and otherwise the quoted field `csv.writer`
+    writes for it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([text])
+        return buf.getvalue()[:-1]
+    return text
 
 
 def render_event_csv(log: EventLog) -> str:
-    return _render(EVENT_CSV_HEADER, event_rows(log))
+    time = _time_formatter()
+    buf = io.StringIO()
+    write = buf.write
+    write(EVENT_CSV_HEADER + "\n")
+    for r in log.instances:
+        write(
+            f"{r.case_id},{_csv_text(r.activity_id)},{_csv_text(r.resource_id)},"
+            f"{time(r.enable_time)},{time(r.start_time)},{time(r.end_time)},"
+            f"{_csv_text(r.batch_id)},{r.allocated_cost!r}\n"
+        )
+    return buf.getvalue()
 
 
 def render_batch_csv(log: EventLog) -> str:
-    return _render(BATCH_CSV_HEADER, batch_rows(log))
-
+    time = _time_formatter()
+    buf = io.StringIO()
+    write = buf.write
+    write(BATCH_CSV_HEADER + "\n")
+    for b in log.batches:
+        write(
+            f"{_csv_text(b.batch_id)},{_csv_text(b.activity_id)},{_csv_text(b.resource_id)},"
+            f"{time(b.start_time)},{time(b.end_time)},{len(b.members)},{b.busy_seconds},"
+            f"{b.cost!r}\n"
+        )
+    return buf.getvalue()

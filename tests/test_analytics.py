@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from batchopt import analytics as an
 from batchopt import eventlog as ev
@@ -103,6 +106,23 @@ class TestComputeStats:
         assert a.enablement_histogram == {(0, 6): 2}
         assert a.execution_histogram == {(0, 8): 2}
         assert sum(a.enablement_histogram.values()) == a.execution_count
+
+    @given(st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 10**6)), min_size=1,
+                    max_size=12))
+    def test_histograms_equal_a_bucket_of_reference(self, spans):
+        # instants anywhere in ~30 years, each its own batch of one
+        instances = tuple(
+            instance(i, enable, enable + wait, enable + wait + H, f"b{i}")
+            for i, (enable, wait) in enumerate(spans)
+        )
+        batches = tuple(
+            batch(r.batch_id, r.start_time, r.end_time, (i,), busy=H)
+            for i, r in enumerate(instances)
+        )
+        log = ev.EventLog(instances, batches)
+        (a,) = an.compute_stats(log, single_activity_model()).activities
+        assert a.enablement_histogram == Counter(an.bucket_of(r.enable_time) for r in instances)
+        assert a.execution_histogram == Counter(an.bucket_of(r.start_time) for r in instances)
 
     def test_utilization_ratio(self):
         # resource open Monday 08:00-16:00, busy 4h, horizon ends Monday 16:00

@@ -1,0 +1,56 @@
+"""The pure helpers of scripts/bench_pairs.py: seed ranges and the pair
+summary (medians, inclusive quartiles, win counts)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+@pytest.mark.parametrize(
+    "text, seeds",
+    [("811-820", list(range(811, 821))), ("5", [5]), ("3-3", [3]), ("4-2", [])],
+)
+def test_parse_seeds_is_an_inclusive_range(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_summary_medians_and_inclusive_quartiles():
+    parent = [4.0, 1.0, 3.0, 2.0, 5.0]
+    change = [1.0, 1.0, 1.0, 1.0, 1.0]
+    summary = bench_pairs.summarize(parent, change, "lower")
+    assert summary["parent_median"] == 3.0
+    assert summary["change_median"] == 1.0
+    # inclusive method: the quartiles of 1..5 are 2 and 4
+    assert summary["parent_quartiles"] == [2.0, 4.0]
+    assert summary["parent_iqr"] == 2.0
+    assert summary["parent"] == parent and summary["change"] == change
+    assert summary["better"] == "lower"
+
+
+def test_summary_even_count_median_and_quartiles():
+    summary = bench_pairs.summarize([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], "lower")
+    assert summary["parent_median"] == 2.5
+    assert summary["parent_quartiles"] == [1.75, 3.25]
+
+
+@pytest.mark.parametrize(
+    "better, wins",
+    # pairs: change lower, change higher, tie, change lower
+    [("lower", 2), ("higher", 1)],
+)
+def test_wins_count_the_declared_direction_and_a_tie_is_no_win(better, wins):
+    parent = [2.0, 2.0, 2.0, 2.0]
+    change = [1.0, 3.0, 2.0, 1.5]
+    assert bench_pairs.summarize(parent, change, better)["change_wins"] == wins
+
+
+def test_all_ties_win_nothing_either_way():
+    values = [0.5, 0.7, 0.6]
+    for better in ("lower", "higher"):
+        assert bench_pairs.summarize(values, list(values), better)["change_wins"] == 0

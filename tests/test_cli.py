@@ -233,6 +233,21 @@ class TestSimulate:
         assert "must lie in [1, 1000000]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_log_past_year_9999_is_a_runtime_failure(self, tmp_path, capsys):
+        # 400 cases a billion seconds apart: both within bounds, but the
+        # log reaches past the last instant `datetime` can spell
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        doc = json.loads(Path(model).read_text())
+        doc["arrival"]["interArrival"] = {"kind": "fixed", "value": 1e9}
+        doc["arrival"]["totalCases"] = 400
+        write_json(Path(model), doc)
+        out = tmp_path / "out"
+        code = main(["simulate", "--model", model, "--policies", policies, "--out", str(out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "instant 400000000600 s lies past 9999-12-31T23:59:59" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mean", ["NaN", "Infinity", "-1e400"])
     def test_non_finite_distribution_parameter_is_a_schema_failure(
         self, tmp_path, capsys, mean
@@ -348,6 +363,7 @@ class TestOptimize:
             ({"sim": {"seed": 1.5}}, "sim: seed must be an integer"),
             ({"guided": "no"}, "guided must be true or false"),
             ({"maxSolutions": 2.5}, "max_solutions must be an integer"),
+            ({"maxSolutions": False}, "max_solutions must be an integer"),
             ({"radius": True}, "radius must be a finite number"),
             ({"coolingFactor": "0.5"}, "cooling_factor must be a finite number"),
             ({"detection": {"topK": 2.0}}, "top_k must be an integer"),
@@ -357,7 +373,7 @@ class TestOptimize:
         ],
         ids=["sim-number", "detection-list", "grid-number", "grid-string", "min-size-float",
              "seed-string", "seed-bool", "sim-seed-fraction", "guided-string",
-             "budget-fraction", "radius-bool", "cooling-string", "top-k-float",
+             "budget-fraction", "budget-false", "radius-bool", "cooling-string", "top-k-float",
              "buffer-bool", "rate-string", "strategy-number"],
     )
     def test_mistyped_optimizer_config_is_a_schema_failure(

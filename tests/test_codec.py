@@ -8,7 +8,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from batchopt.analytics import DetectionConfig
 from batchopt.cli import main
@@ -282,6 +282,50 @@ def test_mutated_run_configs_exit_0_3_or_4(scratch, source):
         code = run_cli(scratch, ["simulate", "--model", str(fixture / "model.json"),
                                  "--policies", str(fixture / "policies.json"),
                                  "--config", mutate(config, data, RUN_CONFIG_REPLACEMENTS)])
+        assert code in (0, 3, 4)
+
+    check()
+
+
+def _budget(doc, *path, default):
+    """The count at `path` of a mutated optimizer config, or its default
+    when a mutation dropped it."""
+    for key in path:
+        if not isinstance(doc, dict):
+            return None
+        doc = doc.get(key, default if key == path[-1] else {})
+    return doc if isinstance(doc, int) and not isinstance(doc, bool) else None
+
+
+OPTIMIZER_CONFIGS = {
+    strategy: to_doc(OptimizerConfig(strategy=strategy, max_solutions=3,
+                                     rl=RLConfig(max_iterations=3)))
+    for strategy in STRATEGIES
+}
+
+
+@pytest.mark.parametrize("command", ["optimize", "analyze"])
+@pytest.mark.parametrize("strategy", sorted(OPTIMIZER_CONFIGS))
+def test_mutated_optimizer_configs_exit_0_3_or_4(scratch, command, strategy):
+    fixture = ROOT / "fixtures" / "two-batch"
+
+    @settings(deadline=None)
+    @given(st.data())
+    def check(data):
+        config = mutate(OPTIMIZER_CONFIGS[strategy], data, RUN_CONFIG_REPLACEMENTS)
+        max_solutions = _budget(config, "maxSolutions", default=50)
+        if command == "optimize":
+            # a search runs at most three simulations or RL iterations
+            assume(max_solutions is None or max_solutions <= 3)
+            assume((_budget(config, "rl", "maxIterations", default=50) or 0) <= 3)
+        argv = [command, "--model", str(fixture / "model.json"),
+                "--policies", str(fixture / "policies.json"), "--config", config]
+        try:
+            code = run_cli(scratch, argv)
+        except SystemExit as exc:  # argparse's usage error, for a budget below 1
+            assert command == "optimize" and max_solutions < 1
+            assert exc.code == 2
+            return
         assert code in (0, 3, 4)
 
     check()
