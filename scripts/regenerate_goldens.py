@@ -1,12 +1,17 @@
-"""Regenerate (or verify) the committed golden files under fixtures/.
+"""Regenerate (or verify) the committed fixture tree under fixtures/.
 
 Usage:
-    python scripts/regenerate_goldens.py [--check] [--root DIR] [NAME ...]
+    python scripts/regenerate_goldens.py [--check] [NAME ...]
 
-Without --check every fixture's files are rewritten in place and the
-per-file status is printed. With --check nothing is written; a nonzero
-exit flags any stale, missing, or extra content so CI can catch a code
-change that silently altered fixture behavior.
+Each fixture's committed model.json, policies.json and simconfig.json,
+with its manifest.json entry (description, targetActivity, scenarios),
+are the source. Without --check the derived files (events.csv,
+batches.csv, detected.json, the oracle_front.csv of monotone-tradeoff
+and the manifest's `files` lists) are rewritten from them, the inputs
+are rewritten in canonical form, and each file's status is printed.
+With --check nothing is written; a nonzero exit flags any stale,
+missing or non-canonical file, so CI catches a code change that
+silently altered fixture behavior. See docs/fixtures.md.
 """
 
 from __future__ import annotations
@@ -17,22 +22,17 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from batchopt.fixtures import all_fixtures, get_fixture, regenerate_goldens
+from batchopt.fixtures import FIXTURES_ROOT, get_fixture, regenerate_goldens
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="fixture names (default: all)")
     parser.add_argument("--check", action="store_true", help="diff only, write nothing")
-    parser.add_argument(
-        "--root",
-        default=str(Path(__file__).resolve().parent.parent / "fixtures"),
-        help="golden tree root (default: fixtures/ next to src/)",
-    )
     args = parser.parse_args(argv)
 
     fixtures = tuple(get_fixture(n) for n in args.names) if args.names else None
-    report = regenerate_goldens(args.root, fixtures=fixtures, check=args.check)
+    report = regenerate_goldens(FIXTURES_ROOT, fixtures=fixtures, check=args.check)
 
     stale = 0
     for fixture, name, status in report:

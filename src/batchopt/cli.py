@@ -47,7 +47,7 @@ from .metrics import (
     metrics_row,
     render_metrics_csv,
 )
-from .model import ValidationError, parse_model, validate_model
+from .model import parse_model
 from .optimize import (
     OptimizerConfig,
     OptimizerError,
@@ -76,7 +76,6 @@ MANIFEST_FILE = "manifest.json"
 
 _SCHEMA_ERRORS = (
     ParseError,
-    ValidationError,
     PolicyError,
     ParetoError,
     SimulationError,
@@ -127,23 +126,15 @@ def _parse_doc(path: str, what: str, parser):
         raise CliError(EXIT_SCHEMA, f"{what} file {path}: {err}") from err
 
 
-def _parse_valid_model(doc):
-    model = parse_model(doc)
-    violations = validate_model(model)
-    if violations:
-        raise ValidationError(violations)
-    return model
-
-
 def _load_inputs(args):
-    """The model and the policies files, each parsed and validated, and
-    every policy checked to name an activity of the model."""
-    model = _parse_doc(args.model, "model", _parse_valid_model)
+    """The model file compiled (so validated once) and the policies file
+    parsed, with every policy checked to name an activity of the model."""
+    compiled = _parse_doc(args.model, "model", lambda doc: compile_model(parse_model(doc)))
     if args.policies is None:
-        return model, {}
+        return compiled, {}
     policies = _parse_doc(args.policies, "policies", parse_policies)
-    _check_activities(model, policies, f"policies file {args.policies}")
-    return model, policies
+    _check_activities(compiled.model, policies, f"policies file {args.policies}")
+    return compiled, policies
 
 
 def _check_activities(model, policies, where: str) -> None:
@@ -200,7 +191,7 @@ def _write_manifest(out: _OutputDir, command: str, inputs: dict, effective_confi
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    model, policies = _load_inputs(args)
+    compiled, policies = _load_inputs(args)
     config = (
         _parse_doc(args.config, "run config", parse_sim_config) if args.config else SimConfig()
     )
@@ -208,7 +199,7 @@ def cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
 
     try:
-        result = simulate(compile_model(model), policies, config)
+        result = simulate(compiled, policies, config)
     except SimulationError as err:
         raise CliError(EXIT_RUNTIME, f"simulation failed: {err}") from err
     # no instant of a log comes after its last batch end
@@ -275,12 +266,12 @@ def _effective_optimizer_config(args, parser: argparse.ArgumentParser) -> Optimi
 
 def cmd_optimize(args, parser: argparse.ArgumentParser) -> int:
     started = time.monotonic()
-    model, policies = _load_inputs(args)
+    compiled, policies = _load_inputs(args)
     config = _effective_optimizer_config(args, parser)
 
     runner = optimize_rl if config.strategy == "rl" else optimize_hc_sa
     try:
-        result = runner(model, policies, config)
+        result = runner(compiled, policies, config)
     except OptimizerError as err:
         raise CliError(EXIT_RUNTIME, f"optimization failed: {err}") from err
 
@@ -317,7 +308,8 @@ def _histogram_doc(hist) -> dict:
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
-    model, policies = _load_inputs(args)
+    compiled, policies = _load_inputs(args)
+    model = compiled.model
     config = (
         _parse_doc(args.config, "optimizer config", parse_optimizer_config)
         if args.config
@@ -328,7 +320,7 @@ def cmd_analyze(args) -> int:
         sim_config = replace(sim_config, seed=args.seed)
 
     try:
-        result = simulate(compile_model(model), policies, sim_config)
+        result = simulate(compiled, policies, sim_config)
         stats = compute_stats(result.log, model)
         scenarios = detect_scenarios(result.log, model, policies, config.detection, stats)
     except (SimulationError, AnalyticsError) as err:
@@ -426,17 +418,18 @@ def cmd_evaluate(args) -> int:
 
     gain_context = None
     if args.model:
-        model, policies = _load_inputs(args)
+        compiled, policies = _load_inputs(args)
         for path, front in zip(args.fronts, fronts):
             for i, solution in enumerate(front.solutions):
-                _check_activities(model, solution.policies, f"front file {path}, solution {i}")
+                _check_activities(
+                    compiled.model, solution.policies, f"front file {path}, solution {i}"
+                )
         sim_config = (
             _parse_doc(args.config, "run config", parse_sim_config)
             if args.config
             else SimConfig()
         )
         try:
-            compiled = compile_model(model)
             initial = simulate(compiled, policies, sim_config)
         except SimulationError as err:
             raise CliError(EXIT_RUNTIME, f"initial simulation failed: {err}") from err

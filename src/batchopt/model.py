@@ -33,12 +33,6 @@ DISTRIBUTION_PARAMS = {  # each distribution kind and its parameters
 }
 
 
-class ValidationError(ValueError):
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
 @dataclass(frozen=True)
 class DurationDistribution:
     """Sampling spec for processing / inter-arrival times, in seconds."""

@@ -39,10 +39,11 @@ from .analytics import (
 )
 from .codec import check_fields, from_doc
 from .engine import (
+    CompiledModel,
     SimConfig,
     SimResult,
     SimulationError,
-    compile_model,
+    as_compiled,
     seed_free,
     simulate,
 )
@@ -71,6 +72,7 @@ RL = "rl"
 STRATEGIES = (HC, SA, RL)
 
 DEFAULT_PERTURBATIONS = 5
+MAX_BUDGET = 1_000_000  # the most simulations, iterations or epochs a config document may ask
 FALLBACK_MAX_WAIT = 8 * 3600.0  # threshold draw range when nothing was observed
 
 CONVERGENCE_CSV_HEADER = "simulations,best_cycle_time,best_cost"
@@ -178,22 +180,22 @@ class CandidateEvaluator:
     fresh simulation at the next sim index would have given.
     `simulate`, `compute_stats` and `apply_delta` are the caller's module
     attributes, so each strategy's calls go through its own module's names.
-    The model is compiled once here and every simulation of the run
-    shares it.
+    The model is compiled here unless it comes compiled, and every
+    simulation of the run shares that compilation.
     """
 
-    def __init__(self, model: ProcessModel, config: OptimizerConfig,
+    def __init__(self, model: CompiledModel | ProcessModel, config: OptimizerConfig,
                  simulate, compute_stats, apply_delta):
         try:
-            self.compiled = compile_model(model)
+            self.compiled = as_compiled(model)
         except SimulationError as err:
             raise OptimizerError(f"model cannot be simulated: {err}") from err
-        self.model = model
+        self.model = self.compiled.model
         self.config = config
         self._simulate = simulate
         self._compute_stats = compute_stats
         self._apply_delta = apply_delta
-        self.memo: dict[tuple, Evaluation] | None = {} if seed_free(model) else None
+        self.memo: dict[tuple, Evaluation] | None = {} if seed_free(self.model) else None
         self.front: ParetoFront | None = None
         self.audit: list[dict] = []
         self.convergence: list[dict] = []
@@ -477,7 +479,7 @@ def _candidate_deltas(
 
 
 def optimize_hc_sa(
-    model: ProcessModel, initial_policies: PolicySet, config: OptimizerConfig
+    model: CompiledModel | ProcessModel, initial_policies: PolicySet, config: OptimizerConfig
 ) -> OptimizeResult:
     if config.strategy not in (HC, SA):
         raise OptimizerError(f"strategy must be {HC!r} or {SA!r}, got {config.strategy!r}")
@@ -557,7 +559,16 @@ def render_convergence_csv(rows: list[dict]) -> str:
 
 def parse_optimizer_config(doc) -> OptimizerConfig:
     """Read an optimizer-config document (see `codec.from_doc`); a string
-    strategy is matched without regard to case."""
+    strategy is matched without regard to case, and `maxSolutions`,
+    `rl.maxIterations` and `rl.updateEpochs` may be at most `MAX_BUDGET`."""
     if isinstance(doc, dict) and isinstance(doc.get("strategy"), str):
         doc = {**doc, "strategy": doc["strategy"].lower()}
-    return from_doc(OptimizerConfig, doc, OptimizerError)
+    config = from_doc(OptimizerConfig, doc, OptimizerError)
+    for key, value in (
+        ("maxSolutions", config.max_solutions),
+        ("rl.maxIterations", config.rl.max_iterations),
+        ("rl.updateEpochs", config.rl.update_epochs),
+    ):
+        if value > MAX_BUDGET:
+            raise OptimizerError(f"$.{key}: must be at most {MAX_BUDGET}")
+    return config

@@ -21,7 +21,7 @@ from .analytics import (
     compute_stats,
     detect_scenarios_from_stats,
 )
-from .engine import simulate
+from .engine import CompiledModel, simulate
 from .eventlog import EventLog
 from .interventions import (
     InterventionError,
@@ -201,7 +201,7 @@ class _Agent:
 
 
 def optimize_rl(
-    model: ProcessModel, initial_policies: PolicySet, config: OptimizerConfig
+    model: CompiledModel | ProcessModel, initial_policies: PolicySet, config: OptimizerConfig
 ) -> OptimizeResult:
     if config.strategy != RL:
         raise OptimizerError(f"strategy must be {RL!r}, got {config.strategy!r}")
@@ -210,6 +210,7 @@ def optimize_rl(
     rl = config.rl
 
     search = CandidateEvaluator(model, config, simulate, compute_stats, apply_delta)
+    model = search.model
     root, evaluation = search.start(initial_policies, reward=None)
     current = root
     state = state_vector(model, search.stats(evaluation), root.point, root.point)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from batchopt import cli, engine
 from batchopt.cli import EXIT_OK, MANIFEST_FILE, config_hash, main
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.pareto import render_front_csv
@@ -388,6 +389,31 @@ class TestOptimize:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"maxSolutions": 10**6 + 1}, "$.maxSolutions"),
+            ({"maxSolutions": 10**400}, "$.maxSolutions"),
+            ({"strategy": "rl", "rl": {"maxIterations": 10**6 + 1}}, "$.rl.maxIterations"),
+            ({"strategy": "rl", "rl": {"maxIterations": 10**12}}, "$.rl.maxIterations"),
+            ({"strategy": "rl", "rl": {"updateEpochs": 10**6 + 1}}, "$.rl.updateEpochs"),
+        ],
+        ids=["budget-million-and-one", "budget-400-digits", "iterations-million-and-one",
+             "iterations-10e12", "epochs-million-and-one"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "analyze"])
+    def test_budget_beyond_a_million_is_a_schema_failure(
+        self, tmp_path, capsys, command, config, key
+    ):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(tmp_path / "optimizer.json", config)
+        out = tmp_path / "out"
+        code = main([command, "--model", model, "--policies", policies,
+                     "--config", bad, "--out", str(out)])
+        assert code == 3
+        assert f"{key}: must be at most 1000000" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_optimizer_number_is_a_schema_failure(self, tmp_path, capsys, value):
         model, policies = fixture_inputs(tmp_path, "two-batch")
@@ -601,3 +627,62 @@ class TestConfigHash:
 
     def test_sensitive_to_values(self):
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+def or_split_without_join(tmp_path: Path) -> str:
+    """two-batch's model with an or-split after `ticket` whose two
+    branches end apart: it validates, but cannot be compiled."""
+    doc = get_fixture("two-batch").model_doc
+    ticket = doc["activities"][0]
+    doc["activities"] += [{**ticket, "id": "file"}, {**ticket, "id": "mail"}]
+    doc["gateways"] = [
+        {"id": "pick", "kind": "or-split",
+         "branchProbabilities": {"pick->file": 0.5, "pick->mail": 0.5}}
+    ]
+    doc["arcs"] = [
+        {"source": "ticket", "target": "pick"},
+        {"source": "pick", "target": "file"},
+        {"source": "pick", "target": "mail"},
+    ]
+    doc["endNodes"] = ["file", "mail"]
+    return write_json(tmp_path / "model.json", doc)
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "analyze", "evaluate"])
+def test_or_split_that_never_reconverges_is_a_schema_failure(tmp_path, capsys, command):
+    model = or_split_without_join(tmp_path)
+    out = tmp_path / "out"
+    if command == "evaluate":
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+        argv = [command, str(inputs / "front-hc-guided.json"),
+                str(inputs / "front-sa-guided.json"), "--model", model]
+    else:
+        argv = [command, "--model", model]
+    code = main(argv + ["--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "model.json" in err and "'pick'" in err and "reconverge" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "analyze", "evaluate"])
+def test_each_command_validates_its_model_once(tmp_path, monkeypatch, command):
+    calls = []
+    real = engine.validate_model
+
+    def spy(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(engine, "validate_model", spy)
+    # the name a separate load-time check in the CLI would call
+    monkeypatch.setattr(cli, "validate_model", spy, raising=False)
+    inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+    argv = ["--model", str(inputs / "model.json"), "--policies", str(inputs / "policies.json"),
+            "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv = [str(inputs / "front-hc-guided.json"), str(inputs / "front-sa-guided.json")] + argv
+    elif command == "optimize":
+        argv += ["--config", write_json(tmp_path / "optimizer.json", {"maxSolutions": 3})]
+    assert main([command] + argv) == EXIT_OK
+    assert len(calls) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from batchopt import metrics as mx
 from batchopt.engine import SimConfig, simulate
 from batchopt.eventlog import EventLog, case_cycle_time
-from batchopt.fixtures import _activity, _all_week, _chain_model, _resource, _spans, get_fixture
+from batchopt.fixtures import get_fixture
 from batchopt.model import parse_model
 from batchopt.pareto import Solution
 from batchopt.policy import (
@@ -169,20 +169,15 @@ class TestMetricsTable:
 
 
 def _chain_doc() -> dict:
-    return _chain_model(
-        [
-            _activity("intake", 60.0, "desk"),
-            _activity("review", 600.0, "examiner", 2.0),
-        ],
-        [_resource("desk", _all_week()), _resource("examiner", _all_week())],
-        inter_arrival=86400.0,
-        total_cases=3,
-        arrival_calendar=_spans(
-            ("Monday", "06:00", "06:30"),
-            ("Tuesday", "06:00", "06:30"),
-            ("Wednesday", "06:00", "06:30"),
-        ),
-    )
+    doc = get_fixture("upstream-first-waits").model_doc  # intake -> review
+    doc["activities"][1]["fixedCostPerExecution"] = 2.0
+    doc["arrival"]["interArrival"]["value"] = 86400.0
+    doc["arrival"]["totalCases"] = 3
+    doc["arrival"]["calendar"] = [
+        {"weekday": day, "start": "06:00", "end": "06:30"}
+        for day in ("Monday", "Tuesday", "Wednesday")
+    ]
+    return doc
 
 
 def _schedule_policies(hour: int):

@@ -59,6 +59,16 @@ class TestConfigValidation:
         with pytest.raises(opt.OptimizerError):
             opt.OptimizerConfig(max_solutions=0)
 
+    def test_document_budgets_are_bounded_by_a_million(self):
+        at_bound = {"maxSolutions": 10**6, "rl": {"maxIterations": 10**6, "updateEpochs": 10**6}}
+        config = opt.parse_optimizer_config(at_bound)
+        assert config.max_solutions == config.rl.max_iterations == opt.MAX_BUDGET
+        zero = opt.parse_optimizer_config({"rl": {"maxIterations": 0, "updateEpochs": 0}})
+        assert zero.rl.max_iterations == zero.rl.update_epochs == 0
+        for doc in ({"maxSolutions": 10**6 + 1}, {"rl": {"updateEpochs": 10**6 + 1}}):
+            with pytest.raises(opt.OptimizerError, match="must be at most 1000000"):
+                opt.parse_optimizer_config(doc)
+
     def test_radius_must_be_nonnegative(self):
         with pytest.raises(opt.OptimizerError):
             opt.OptimizerConfig(radius=-0.1)
