@@ -56,6 +56,8 @@ SCENARIO_IDS = tuple(range(1, 20))
 SHRINK_SIZE_SCENARIOS = (5, 7, 14, 15, 16, 19)
 #: patterns whose prescribed fix grows the size threshold
 GROW_SIZE_SCENARIOS = (6, 10, 11, 12, 13, 17, 18)
+#: how far past a batch's start pattern 9 looks for a window that fits it
+ALIGN_HORIZON = 4 * SECONDS_PER_WEEK
 
 
 class AnalyticsError(ValueError):
@@ -97,7 +99,6 @@ class ActivityStats:
 class ResourceStats:
     resource_id: str
     utilization: float  # busy seconds / calendar-open seconds over the log span
-    availability_histogram: dict[Bucket, float]  # open fraction per week slot
 
 
 @dataclass(frozen=True)
@@ -195,19 +196,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         available = profile.calendar.open_seconds_between(0, horizon)
         busy = busy_by_resource.get(profile.id, 0)
         utilization = min(1.0, busy / available) if available > 0 else 0.0
-        hist = {
-            (d, h): frac
-            for d in range(7)
-            for h in range(24)
-            if (frac := profile.calendar.hour_fraction(d, h)) > 0.0
-        }
-        resource_stats.append(
-            ResourceStats(
-                resource_id=profile.id,
-                utilization=utilization,
-                availability_histogram=hist,
-            )
-        )
+        resource_stats.append(ResourceStats(resource_id=profile.id, utilization=utilization))
 
     allocation = []
     for activity_id, batches in ordered.items():
@@ -294,12 +283,6 @@ class Evidence:
     aligned_last_waits: tuple[float, ...] = ()
     partner_activity: str = ""
     mean_cost_per_instance: float = 0.0
-
-    def value(self, name: str) -> float:
-        for key, v in self.observed:
-            if key == name:
-                return v
-        raise AnalyticsError(f"evidence has no observation named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -422,17 +405,14 @@ def fitting_slot_histogram(
 
 
 def window_aligned_waits(
-    log: EventLog,
-    calendars: dict[str, Calendar],
-    activity_id: str,
-    search_horizon: int = 4 * SECONDS_PER_WEEK,
+    log: EventLog, calendars: dict[str, Calendar], activity_id: str
 ) -> tuple[list[float], list[float]]:
     """Per-batch first/last waits the activity would have shown had each
     batch started at the beginning of the nearest availability window (at
     or after the observed start) long enough for a typical batch.
 
-    Raises AnalyticsError when some batch finds no such window within the
-    search horizon.
+    Raises AnalyticsError when some batch finds no such window within
+    `ALIGN_HORIZON` of its start.
     """
     batches = [b for b in log.batches if b.activity_id == activity_id]
     if not batches:
@@ -443,14 +423,14 @@ def window_aligned_waits(
         cal = calendars[b.resource_id]
         chosen = None
         for ws, we in cal.windows_from(b.start_time):
-            if ws - b.start_time > search_horizon:
+            if ws - b.start_time > ALIGN_HORIZON:
                 break
             if we - ws >= estimate:
                 chosen = ws
                 break
         if chosen is None:
             raise AnalyticsError(
-                f"no availability window within {search_horizon}s fits batches of "
+                f"no availability window within {ALIGN_HORIZON}s fits batches of "
                 f"activity {activity_id!r} (need {estimate:.0f}s)"
             )
         shift = chosen - b.start_time

@@ -5,9 +5,10 @@ or exceptions.  All calendar arithmetic stays in integer seconds.
 
 A calendar is built once per model and tabulated at construction: its
 merged open spans within the week, their starts, and the open seconds of
-the week before and through each span.  `next_open` is one bisect and
-`work_end` a closed form over those tables (see `_open_through`), so
-neither loops over windows however long the work.
+the week before and through each span.  `next_open` is one bisect, and
+`work_end` and `open_seconds_between` are closed forms over the open
+seconds counted from t = 0 (see `_open_until`), so none of them loops
+over windows however long the work or the span.
 """
 
 from __future__ import annotations
@@ -114,10 +115,6 @@ class Calendar:
             fractions.append(covered / SECONDS_PER_HOUR)
         object.__setattr__(self, "_hour_fractions", tuple(fractions))
 
-    @property
-    def weekly_open_seconds(self) -> int:
-        return sum(e - s for s, e in self._spans)
-
     def _locate(self, offset: int) -> tuple[int, int] | None:
         """The span containing week-offset, or None."""
         i = bisect.bisect_right(self._starts, offset) - 1
@@ -148,56 +145,48 @@ class Calendar:
             raise ValueError(f"instant {t} is not inside an open interval")
         return t - (t % SECONDS_PER_WEEK) + span[1]
 
+    def _open_until(self, t: int) -> int:
+        """Open seconds in [0, t), negative for t < 0: the open time of the
+        whole weeks before t's week plus that of t's week before t."""
+        before, through, starts = self._open_before, self._open_through, self._starts
+        week, offset = divmod(t, SECONDS_PER_WEEK)
+        count = week * through[-1]
+        i = bisect.bisect_right(starts, offset) - 1
+        if i >= 0:
+            count += min(through[i], before[i] + offset - starts[i])
+        return count
+
     def work_end(self, start: int, amount: int) -> int:
         """Completion instant for `amount` seconds of work begun at `start`.
 
         Work only progresses inside open intervals; closed stretches pause
         it.  Zero work completes immediately at `start`.
 
-        Closed form: count the open seconds from t = 0 to `start`, add
-        `amount`, and find the first instant at which the count reaches
-        that total n.  With W open seconds a week, it is reached in week
-        `(n - 1) // W`, in the first span whose open seconds through its
-        end reach the rest of n; the work ends that far into the span.  A
-        whole number of weeks' open time ends at the end of a week's last
-        span, as stepping window by window does.
+        Closed form: the work ends at the first instant at which the open
+        seconds from t = 0 reach n = `_open_until(start) + amount`.  With W
+        open seconds a week, that is in week `(n - 1) // W`, in the first
+        span whose open seconds through its end reach the rest of n; the
+        work ends that far into the span.  A whole number of weeks' open
+        time ends at the end of a week's last span, as stepping window by
+        window does.
         """
         if amount < 0:
             raise ValueError("work amount must be >= 0")
         if amount == 0:
             return start
-        starts = self._starts
-        if not starts:
+        if not self._starts:
             raise ValueError("calendar has no intervals")
-        before, through = self._open_before, self._open_through
-        weekly = through[-1]
-        week, offset = divmod(start, SECONDS_PER_WEEK)
-        total = week * weekly + amount
-        i = bisect.bisect_right(starts, offset) - 1
-        if i >= 0:
-            total += min(through[i], before[i] + offset - starts[i])
-        week, rest = divmod(total - 1, weekly)
+        through = self._open_through
+        week, rest = divmod(self._open_until(start) + amount - 1, through[-1])
         rest += 1
         j = bisect.bisect_left(through, rest)
-        return week * SECONDS_PER_WEEK + starts[j] + rest - before[j]
+        return week * SECONDS_PER_WEEK + self._starts[j] + rest - self._open_before[j]
 
     def open_seconds_between(self, a: int, b: int) -> int:
         """Total open seconds in [a, b)."""
         if b <= a or not self._spans:
             return 0
-        full_weeks = (b - a) // SECONDS_PER_WEEK
-        total = full_weeks * self.weekly_open_seconds
-        t = a + full_weeks * SECONDS_PER_WEEK
-        while t < b:
-            if self.contains(t):
-                end = min(self.open_end(t), b)
-                total += end - t
-                t = end
-            else:
-                t = self.next_open(t)
-                if t >= b:
-                    break
-        return total
+        return self._open_until(b) - self._open_until(a)
 
     def hour_fraction(self, weekday: int, hour: int) -> float:
         """Fraction of the (weekday, hour) slot covered by open intervals."""
@@ -222,7 +211,3 @@ class Calendar:
             yield (start, end)
             cur = self.next_open(end)
 
-
-def always_open() -> Calendar:
-    """A 24x7 calendar."""
-    return Calendar(tuple(Interval(d, 0, SECONDS_PER_DAY) for d in range(7)))

@@ -252,13 +252,9 @@ def _effective_optimizer_config(args, parser: argparse.ArgumentParser) -> Optimi
             raise CliError(EXIT_SCHEMA, f"optimizer config file {args.config}: {err}") from err
     else:
         config = OptimizerConfig()
+    overrides = {"seed": args.seed, "strategy": args.strategy, "guided": args.guided}
     try:
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.strategy is not None:
-            config = replace(config, strategy=args.strategy)
-        if args.guided is not None:
-            config = replace(config, guided=args.guided)
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except OptimizerError as err:
         raise CliError(EXIT_SCHEMA, str(err)) from err
     return config

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import rng
-from .calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_WEEK
+from .calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from .codec import check_fields, from_doc
 from .eventlog import (
     BatchRecord,
@@ -94,7 +94,6 @@ from .policy import (
     WT_LAST,
     compute_batch_cost,
     evaluate_activation_rule,
-    evaluate_condition,
 )
 
 
@@ -140,26 +139,18 @@ _FALLBACK = rng.message("fallback")
 def _clock_hours(policy: BatchingPolicy | None) -> tuple[int, ...]:
     """Sorted week-hours (0 = Monday 00:00-01:00) in which some condition
     group that reads the clock has all its daily-hour / week-day conditions
-    true; the union of those groups' 168-slot masks.  A daily-hour
-    condition reads only the hour of the day and a week-day condition only
-    the day, so a group's mask is its true hours of day times its true
-    days: 24 + 7 probes, not 168."""
+    true; the union of those groups' 168-slot masks.  A group holds at most
+    one condition of each kind, and a daily-hour condition reads only the
+    hour of the day and a week-day condition only the day, so a group's
+    mask is its hours times its days (all 24 or all 7 when it lacks one)."""
     if policy is None:
         return ()
-    probe = BatchState(1, 0, 0)  # clock conditions ignore the waiting list
     hours: set[int] = set()
     for group in policy.rule.groups:
-        daily = [c for c in group.conditions if c.kind == DAILY_HOUR]
-        weekly = [c for c in group.conditions if c.kind == WEEK_DAY]
-        if daily or weekly:
-            day_hours = [
-                h for h in range(24)
-                if all(evaluate_condition(c, probe, h * SECONDS_PER_HOUR) for c in daily)
-            ]
-            days = [
-                d for d in range(7)
-                if all(evaluate_condition(c, probe, d * SECONDS_PER_DAY) for c in weekly)
-            ]
+        daily, weekly = group.find(DAILY_HOUR), group.find(WEEK_DAY)
+        if daily is not None or weekly is not None:
+            day_hours = range(24) if daily is None else daily.hours
+            days = range(7) if weekly is None else weekly.days
             hours.update(d * 24 + h for d in days for h in day_hours)
     return tuple(sorted(hours))
 

@@ -80,10 +80,6 @@ def format_time(t: int) -> str:
     return _time_formatter()(int(t))
 
 
-def parse_time(text: str) -> int:
-    return int((datetime.fromisoformat(text) - LOG_EPOCH).total_seconds())
-
-
 class InstanceRecord(NamedTuple):
     case_id: int
     activity_id: str
@@ -123,9 +119,6 @@ class EventLog:
 
     def batch_enable_times(self, batch: BatchRecord) -> list[int]:
         return [self.instances[i].enable_time for i in batch.members]
-
-    def case_ids(self) -> list[int]:
-        return sorted({r.case_id for r in self.instances})
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from pathlib import Path
 from .analytics import DetectionConfig, detect_scenarios
 from .codec import to_doc
 from .engine import SimConfig, parse_sim_config, simulate
-from .eventlog import render_batch_csv, render_event_csv
+from .eventlog import EventLog, render_batch_csv, render_event_csv
 from .model import ProcessModel, parse_model
 from .pareto import (
     ParetoFront,
@@ -196,12 +196,10 @@ def enumerate_oracle_front(
 # ---------------------------------------------------------------------------
 # golden files
 
-def detected_scenarios_doc(fixture: Fixture) -> dict:
-    """Scenario ids per activity on the fixture's initial log."""
-    model = fixture.model()
-    policies = fixture.policies()
-    result = simulate(model, policies, fixture.sim_config())
-    found = detect_scenarios(result.log, model, policies, DetectionConfig())
+def detected_scenarios_doc(log: EventLog, model: ProcessModel, policies: PolicySet) -> dict:
+    """Scenario ids per activity detected on `log`, simulated from `model`
+    under `policies`."""
+    found = detect_scenarios(log, model, policies, DetectionConfig())
     by_activity: dict[str, list[int]] = {}
     for inst in found:
         ids = by_activity.setdefault(inst.activity_id, [])
@@ -226,7 +224,7 @@ def fixture_files(fixture: Fixture) -> dict[str, str]:
         "simconfig.json": _json_bytes(to_doc(config)),
         "events.csv": render_event_csv(result.log),
         "batches.csv": render_batch_csv(result.log),
-        "detected.json": _json_bytes(detected_scenarios_doc(fixture)),
+        "detected.json": _json_bytes(detected_scenarios_doc(result.log, model, policies)),
     }
     if fixture.name == "monotone-tradeoff":
         files["oracle_front.csv"] = render_front_csv(enumerate_oracle_front(fixture))

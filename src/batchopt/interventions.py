@@ -18,11 +18,8 @@ from .analytics import (
     LogStats,
     ScenarioInstance,
     top_buckets,
-    window_aligned_waits,
 )
-from .calendars import Calendar
 from .codec import check_fields, finite_number
-from .eventlog import EventLog
 from .policy import (
     DAILY_HOUR,
     PARALLEL,
@@ -115,17 +112,6 @@ class PolicyDelta:
         if self.kind not in DELTA_KINDS:
             raise InterventionError(f"unknown delta kind {self.kind!r}")
 
-    def describe(self) -> str:
-        detail = {
-            ADD_CONDITION: f"{self.condition_kind}>={self.new_threshold:g}",
-            REPLACE_THRESHOLD: f"{self.condition_kind}:={self.new_threshold:g}",
-            ADD_SCHEDULE: ("constrain " if self.constrain else "") + repr(list(self.schedule)),
-            SCALE_SIZE: f"size:={self.new_threshold:g}",
-            SET_WAIT_THRESHOLDS: f"wt-first:={self.new_threshold:g} wt-last:={self.new_last_threshold:g}",
-            TOGGLE_BATCH_TYPE: "flip batch type",
-        }[self.kind]
-        return f"s{self.scenario_id:02d} λ={self.scale:g} {self.activity_id}: {self.kind} {detail}"
-
 
 def delta_to_doc(delta: PolicyDelta) -> dict:
     return {
@@ -178,20 +164,6 @@ def build_schedule_set(histogram, top_k: int) -> tuple[Bucket, ...]:
     if not chosen:
         raise InterventionError("schedule histogram holds no positive buckets")
     return tuple(chosen)
-
-
-def compute_window_aligned_thresholds(
-    log: EventLog,
-    calendars: dict[str, Calendar],
-    activity_id: str,
-    lam: float,
-    search_horizon: int | None = None,
-) -> tuple[float, float]:
-    """Waiting thresholds that re-anchor batch firing at the start of the
-    nearest sufficiently long availability window."""
-    kwargs = {} if search_horizon is None else {"search_horizon": search_horizon}
-    first, last = window_aligned_waits(log, calendars, activity_id, **kwargs)
-    return lam * mean(first), lam * mean(last)
 
 
 # -- pattern -> deltas ------------------------------------------------------

@@ -130,7 +130,7 @@ def mean_case_cycle_time(log: EventLog) -> float:
     """Mean wall-clock cycle time over the log's cases.
 
     One pass folds each case's first start and last completion, so this
-    agrees with averaging `case_cycle_time` over `log.case_ids()`.
+    agrees with averaging `case_cycle_time` over the log's case ids.
     """
     spans: dict[int, list[int]] = {}
     for r in log.instances:

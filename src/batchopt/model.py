@@ -7,10 +7,9 @@ are plain JSON; see docs/model-schema.md for the wire format.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import rng
 from .calendars import (
@@ -61,18 +60,6 @@ class DurationDistribution:
 
 def fixed(value: float) -> DurationDistribution:
     return DurationDistribution("fixed", (("value", float(value)),))
-
-
-def uniform_dist(low: float, high: float) -> DurationDistribution:
-    return DurationDistribution("uniform", (("low", float(low)), ("high", float(high))))
-
-
-def exponential_dist(mean: float) -> DurationDistribution:
-    return DurationDistribution("exponential", (("mean", float(mean)),))
-
-
-def normal_dist(mean: float, stddev: float) -> DurationDistribution:
-    return DurationDistribution("normal", (("mean", float(mean)), ("stddev", float(stddev))))
 
 
 @dataclass(frozen=True)
@@ -316,6 +303,10 @@ def validate_model(model: ProcessModel) -> list[str]:
 # JSON wire format.  Every object rejects unknown keys and no bool is taken
 # as a number; NaN and inf parse, so that `validate_model` reports them.
 
+_JSON_TYPES = {(int, float): "a number", int: "an integer", str: "a string", list: "a list",
+               dict: "an object"}
+
+
 def _expect(doc, key: str, path: str, types, required=True):
     if key not in doc:
         if required:
@@ -323,7 +314,7 @@ def _expect(doc, key: str, path: str, types, required=True):
         return None
     value = doc[key]
     if not isinstance(value, types) or isinstance(value, bool):
-        raise ParseError(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
+        raise ParseError(f"{path}.{key}", f"expected {_JSON_TYPES[types]}, got {value!r}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ParseError(f"{path}.{key}", "number out of range")
     return value
@@ -384,12 +375,7 @@ def _serialize_calendar(cal: Calendar) -> list[dict]:
 
 
 def parse_model(doc) -> ProcessModel:
-    """Parse a model document (dict or JSON text).  Raises ParseError."""
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as err:
-            raise ParseError("$", f"invalid JSON: {err}") from err
+    """The model of a parsed JSON model document.  Raises ParseError."""
     if not isinstance(doc, dict):
         raise ParseError("$", "expected a JSON object")
     reject_unknown_keys(doc, ("startNode", "endNodes", "activities", "gateways", "arcs",

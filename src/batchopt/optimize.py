@@ -131,6 +131,10 @@ class OptimizerConfig:
         check_fields(self, OptimizerError)
         if self.strategy not in STRATEGIES:
             raise OptimizerError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == RL and not self.guided:
+            raise OptimizerError(
+                "strategy rl needs guided: its action space is the intervention set"
+            )
         if self.max_solutions < 1:
             raise OptimizerError("max_solutions must be >= 1")
         if self.radius < 0:

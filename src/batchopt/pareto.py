@@ -10,7 +10,7 @@ snapshots without locks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .codec import ParseError, finite_number, reject_unknown_keys
 from .policy import PolicySet, parse_policies, serialize_policies

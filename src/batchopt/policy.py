@@ -9,9 +9,9 @@ kind appears at most once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
 from .codec import ParseError, finite_number, reject_unknown_keys
@@ -115,10 +115,6 @@ class ActivationRule:
 
     groups: tuple[ConditionGroup, ...] = ()
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.groups
-
     def has_kind(self, kind: str) -> bool:
         return any(g.find(kind) is not None for g in self.groups)
 
@@ -128,35 +124,18 @@ def rule(*groups) -> ActivationRule:
     return ActivationRule(tuple(ConditionGroup(tuple(g)) for g in groups))
 
 
-@dataclass(frozen=True)
-class BatchState:
+class BatchState(NamedTuple):
     """What a rule sees of an activity's waiting instances: how many wait,
     and the enable times of the earliest and the latest of them.
 
-    Building one is O(1), whatever the queue length; `of` builds one from
-    the full list of enable times, checking that it is in waiting order.
+    Building one is O(1), whatever the queue length; the engine keeps its
+    waiting queue in enable-time order, so `first_enable <= last_enable`.
     An empty state (size 0) never fires a rule.
     """
 
     size: int
     first_enable: int
     last_enable: int
-
-    def __post_init__(self):
-        if self.size < 0:
-            raise PolicyError(f"waiting count must be >= 0, got {self.size}")
-        if self.first_enable > self.last_enable:
-            raise PolicyError("waiting instances must be ordered by enable time")
-
-    @classmethod
-    def of(cls, enable_times) -> "BatchState":
-        """State of a waiting list given by its enable times, in waiting order."""
-        times = tuple(enable_times)
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise PolicyError("waiting instances must be ordered by enable time")
-        if not times:
-            return cls(0, 0, 0)
-        return cls(len(times), times[0], times[-1])
 
 
 def evaluate_condition(condition: Condition, state: BatchState, now: int) -> bool:
@@ -288,15 +267,6 @@ def policy_set_key(policies: PolicySet) -> tuple:
     return tuple(sorted(policies.items()))
 
 
-def policy_set(*policies: BatchingPolicy) -> PolicySet:
-    out: PolicySet = {}
-    for p in policies:
-        if p.activity_id in out:
-            raise PolicyError(f"duplicate policy for activity {p.activity_id!r}")
-        out[p.activity_id] = p
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON wire format
 
@@ -412,11 +382,7 @@ def serialize_policies(policies: PolicySet) -> dict:
 
 
 def parse_policies(doc) -> PolicySet:
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as err:
-            raise ParseError("$", f"invalid JSON: {err}") from err
+    """The policy set of a parsed JSON policies document.  Raises ParseError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("policies"), list):
         raise ParseError("$", "expected an object with a policies list")
     reject_unknown_keys(doc, ("policies",), "$")

@@ -105,16 +105,17 @@ def available_actions(
     log: EventLog,
     policies: PolicySet,
     config: OptimizerConfig,
-    stats: LogStats | None = None,
+    stats: LogStats | None,
 ) -> dict[int, PolicyDelta]:
-    """The unmasked slice of the action grid for this log.
+    """The unmasked slice of the action grid for this log, given its stats
+    (None when they could not be computed: no actions).
 
     Action id (pattern_id - 1) * ACTION_SLOTS + j selects the j-th delta
     derived for the first detected instance of that pattern (instances
     are ordered by activity, so the mapping is deterministic)."""
+    if stats is None:
+        return {}
     try:
-        if stats is None:
-            stats = compute_stats(log, model)
         instances = detect_scenarios_from_stats(log, model, policies, stats, config.detection)
     except AnalyticsError:
         return {}
@@ -137,7 +138,6 @@ class _Transition:
     state: list[float]
     action: int
     reward: float
-    next_state: list[float]
     mask: tuple[int, ...]
     logp: float
 
@@ -205,8 +205,6 @@ def optimize_rl(
 ) -> OptimizeResult:
     if config.strategy != RL:
         raise OptimizerError(f"strategy must be {RL!r}, got {config.strategy!r}")
-    if not config.guided:
-        raise OptimizerError("the action space is the intervention set; there is no unguided variant")
     rl = config.rl
 
     search = CandidateEvaluator(model, config, simulate, compute_stats, apply_delta)
@@ -234,7 +232,7 @@ def optimize_rl(
         move_reward = reward(search.front, child.point, rl)
         search.front, row["accepted"] = update_front(search.front, child)
         next_state = state_vector(model, search.stats(child_evaluation), child.point, root.point)
-        buffer.append(_Transition(state, action, move_reward, next_state, mask, logp))
+        buffer.append(_Transition(state, action, move_reward, mask, logp))
         if len(buffer) >= rl.buffer_size:
             agent.train(buffer)
             buffer = []

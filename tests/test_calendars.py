@@ -7,7 +7,6 @@ from batchopt.calendars import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     SECONDS_PER_WEEK,
-    always_open,
     hour_of,
     parse_clock,
     weekday_of,
@@ -65,11 +64,12 @@ def test_work_end_zero_amount():
 
 def test_open_seconds_between():
     cal = WEEKDAYS_8_12
-    assert cal.weekly_open_seconds == 5 * 4 * H
+    assert cal.open_seconds_between(0, SECONDS_PER_WEEK) == 5 * 4 * H
     assert cal.open_seconds_between(0, SECONDS_PER_DAY) == 4 * H
     assert cal.open_seconds_between(9 * H, 10 * H) == H
     assert cal.open_seconds_between(0, 2 * SECONDS_PER_WEEK) == 2 * 5 * 4 * H
     assert cal.open_seconds_between(10 * H, 10 * H) == 0
+    assert Calendar(()).open_seconds_between(0, SECONDS_PER_WEEK) == 0
 
 
 def test_hour_fraction():
@@ -89,7 +89,8 @@ def test_windows_merge_across_week_boundary():
 
 
 def test_windows_always_open_capped():
-    gen = always_open().windows_from(0)
+    always_open = Calendar(tuple(Interval(d, 0, SECONDS_PER_DAY) for d in range(7)))
+    gen = always_open.windows_from(0)
     start, end = next(gen)
     assert start == 0 and end >= SECONDS_PER_WEEK
 
@@ -97,7 +98,7 @@ def test_windows_always_open_capped():
 def test_overlapping_intervals_merge():
     cal = Calendar((Interval(0, 8 * H, 10 * H), Interval(0, 9 * H, 12 * H)))
     assert cal.open_end(8 * H) == 12 * H
-    assert cal.weekly_open_seconds == 4 * H
+    assert cal.open_seconds_between(0, SECONDS_PER_WEEK) == 4 * H
 
 
 @given(st.integers(min_value=0, max_value=4 * SECONDS_PER_WEEK), st.integers(min_value=0, max_value=10 * H))
@@ -155,9 +156,37 @@ def test_closed_form_work_end_matches_stepping(cal, start, weeks, part):
     # up to 12 weeks of the calendar's open time plus a part of a week's
     # (whole weeks included), so the reference steps through at most ~90
     # windows however little the calendar is open
-    weekly = cal.weekly_open_seconds
+    weekly = cal.open_seconds_between(0, SECONDS_PER_WEEK)
     amount = weeks * weekly + (part if isinstance(part, int) else int(part * weekly))
     assert cal.work_end(start, amount) == stepped_work_end(cal, start, amount)
+
+
+def walked_open_seconds(cal, a, b):
+    """Reference: whole weeks' open time, then the rest of [a, b) walked
+    window by window."""
+    if b <= a or not cal.intervals:
+        return 0
+    full_weeks = (b - a) // SECONDS_PER_WEEK
+    total = full_weeks * sum(iv.end - iv.start for iv in cal.intervals)
+    t = a + full_weeks * SECONDS_PER_WEEK
+    while t < b:
+        if cal.contains(t):
+            end = min(cal.open_end(t), b)
+            total += end - t
+            t = end
+        else:
+            t = cal.next_open(t)
+    return total
+
+
+@given(
+    week_calendars(),
+    st.integers(-3 * SECONDS_PER_WEEK, 6 * SECONDS_PER_WEEK),
+    st.one_of(st.integers(-SECONDS_PER_DAY, 2 * SECONDS_PER_DAY),
+              st.integers(0, 5 * SECONDS_PER_WEEK)),
+)
+def test_open_seconds_between_matches_walking_windows(cal, a, span):
+    assert cal.open_seconds_between(a, a + span) == walked_open_seconds(cal, a, a + span)
 
 
 def test_work_end_runs_on_across_the_week_boundary():

@@ -263,25 +263,32 @@ class TestSimulate:
         assert "mean must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, message",
         [
-            (("activitiez",), []),
-            (("activities", 0, "duration", "mean"), 5),
-            (("arrival", "calendar", 0, "note"), "x"),
-            (("arrival", "totalCases"), True),
-            (("activities", 0, "duration", "value"), True),
-            (("activities", 0, "fixedCostPerExecution"), True),
-            (("resources", 0, "costPerTimeUnit"), 10**400),
-            (("activities", 0, "duration", "value"), 10**400),
-            (("arrival", "totalCases"), 10**400),
-            (("endNodes",), [["ticket"]]),
-            (("activities", 0, "resources"), [["clerk"]]),
+            (("activitiez",), [], "unknown key"),
+            (("activities", 0, "duration", "mean"), 5, "unknown key"),
+            (("arrival", "calendar", 0, "note"), "x", "unknown key"),
+            (("arrival", "totalCases"), True, "expected an integer, got True"),
+            (("activities", 0, "duration", "value"), True, "expected a number, got True"),
+            (("activities", 0, "fixedCostPerExecution"), True, "expected a number, got True"),
+            (("resources", 0, "costPerTimeUnit"), 10**400, "number out of range"),
+            (("activities", 0, "duration", "value"), 10**400, "number out of range"),
+            (("arrival", "totalCases"), 10**400, "number out of range"),
+            (("endNodes",), [["ticket"]], "expected a list of strings"),
+            (("activities", 0, "resources"), [["clerk"]], "expected a list of strings"),
+            (("activities", 0, "fixedCostPerExecution"), "5", "expected a number, got '5'"),
+            (("arrival", "totalCases"), 2.5, "expected an integer, got 2.5"),
+            (("startNode",), 5, "expected a string, got 5"),
+            (("arcs",), {}, "expected a list, got {}"),
+            (("arrival",), [], "expected an object, got []"),
         ],
         ids=["top-level-key", "duration-key", "interval-key", "cases-bool", "value-bool",
              "fixed-cost-bool", "rate-400-digits", "value-400-digits", "cases-400-digits",
-             "end-node-list", "resource-list"],
+             "end-node-list", "resource-list", "fixed-cost-string", "cases-fraction",
+             "start-node-number", "arcs-object", "arrival-list"],
     )
-    def test_malformed_model_is_a_schema_failure(self, tmp_path, capsys, path, value):
+    def test_malformed_model_is_a_schema_failure(self, tmp_path, capsys, path, value,
+                                                  message):
         model, policies = fixture_inputs(tmp_path, "two-batch")
         doc = json.loads(Path(model).read_text())
         target = doc
@@ -293,7 +300,7 @@ class TestSimulate:
         code = main(["simulate", "--model", model, "--policies", policies, "--out", str(out)])
         assert code == 3
         where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
-        assert where in capsys.readouterr().err
+        assert f"{where}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integer_too_long_to_read_is_a_schema_failure(self, tmp_path, capsys):
@@ -436,6 +443,37 @@ class TestOptimize:
         assert code == EXIT_OK
         rows = read(out, "front.csv").rstrip("\n").splitlines()
         assert len(rows) == 2  # header plus the initial solution
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ({"maxSolutions": 3}, ["--strategy", "rl", "--unguided"]),
+            ({"strategy": "rl", "guided": False}, []),
+        ],
+        ids=["flags", "config"],
+    )
+    def test_rl_without_guidance_is_a_schema_failure(self, tmp_path, capsys, config, flags):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        path = write_json(tmp_path / "optimizer.json", config)
+        out = tmp_path / "out"
+        code = main(["optimize", "--model", model, "--policies", policies,
+                     "--config", path, "--out", str(out), *flags])
+        assert code == 3
+        assert "strategy rl needs guided" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_override_the_config_together(self, tmp_path):
+        # rl with the config's guided: false would be rejected; the
+        # --guided given with --strategy rl replaces it in the same step
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        config = write_json(
+            tmp_path / "optimizer.json", {"guided": False, "rl": {"maxIterations": 2}}
+        )
+        out = tmp_path / "out"
+        code = main(["optimize", "--model", model, "--policies", policies, "--config", config,
+                     "--out", str(out), "--strategy", "rl", "--guided"])
+        assert code == EXIT_OK
+        assert json.loads(read(out, "front.json"))["label"] == "rl+"
 
     def test_unguided_flag_flips_the_label(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")

@@ -84,10 +84,12 @@ def rl_configs(draw):
     )
 
 
+# rl has no unguided form: the config rejects it
 optimizer_configs = st.builds(
-    OptimizerConfig,
-    strategy=st.sampled_from(STRATEGIES),
-    guided=st.booleans(),
+    lambda strategy_guided, **fields: OptimizerConfig(*strategy_guided, **fields),
+    strategy_guided=st.sampled_from(
+        [(s, g) for s in STRATEGIES for g in (True, False) if s != "rl" or g]
+    ),
     max_solutions=st.integers(1, 10**6),
     radius=st.floats(0.0, 1e6),
     initial_temperature=positive,

@@ -66,7 +66,9 @@ class TestPatternCoverage:
 
     def test_committed_ids_are_detected(self):
         for fixture in fx.all_fixtures():
-            doc = fx.detected_scenarios_doc(fixture)
+            model, policies = fixture.model(), fixture.policies()
+            log = simulate(model, policies, fixture.sim_config()).log
+            doc = fx.detected_scenarios_doc(log, model, policies)
             found = set(doc.get(fixture.target_activity, []))
             assert set(fixture.scenario_ids) <= found, fixture.name
 

@@ -83,10 +83,15 @@ class TestWindowAlignedThresholds:
             ),
             batches=(batch("b0", 8 * H, 11 * H, (0, 1), busy=3 * H),),
         )
-        f, l = iv.compute_window_aligned_thresholds(log, {"r1": cal}, "work", 1.0)
-        assert (f, l) == (8 * H, 3 * H)
-        f, l = iv.compute_window_aligned_thresholds(log, {"r1": cal}, "work", 0.5)
-        assert (f, l) == (4 * H, 1.5 * H)
+        first, last = an.window_aligned_waits(log, {"r1": cal}, "work")
+        evidence = an.Evidence(aligned_first_waits=tuple(first), aligned_last_waits=tuple(last))
+        inst = an.ScenarioInstance(9, "work", evidence)
+        config = iv.InterventionConfig(scale_grid=(1.0, 0.5))
+        deltas = iv.derive_interventions(inst, an.LogStats((), (), ()), {}, config)
+        assert [(d.new_threshold, d.new_last_threshold) for d in deltas] == [
+            (8 * H, 3 * H),
+            (4 * H, 1.5 * H),
+        ]
 
 
 def simulated(policies=None, **kwargs):

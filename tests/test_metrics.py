@@ -15,7 +15,6 @@ from batchopt.policy import (
     PARALLEL,
     in_hours,
     parse_policies,
-    policy_set,
     rule,
 )
 
@@ -181,11 +180,11 @@ def _chain_doc() -> dict:
 
 
 def _schedule_policies(hour: int):
-    return policy_set(
-        BatchingPolicy(
+    return {
+        "review": BatchingPolicy(
             "review", PARALLEL, rule([in_hours(hour)]), CostModel(fixed_cost=2.0)
         )
-    )
+    }
 
 
 def _solution(hour: int) -> Solution:
@@ -284,6 +283,6 @@ class TestMeanCaseCycleTime:
             parse_policies(fixture.policies_doc),
             SimConfig(seed=3, total_cases=200),
         )
-        ids = log.case_ids()
+        ids = sorted({r.case_id for r in log.instances})
         per_case = [case_cycle_time(log, c) for c in ids]
         assert mx.mean_case_cycle_time(log) == sum(per_case) / len(ids)

@@ -86,8 +86,8 @@ def test_parse_round_trip_fixpoint():
     parsed = m.parse_model(branching_model_doc())
     doc2 = m.serialize_model(parsed)
     assert m.parse_model(doc2) == parsed
-    # and via text
-    assert m.parse_model(json.dumps(doc2)) == parsed
+    # and via JSON text
+    assert m.parse_model(json.loads(json.dumps(doc2))) == parsed
 
 
 def test_parse_reports_path_of_bad_field():
@@ -183,9 +183,10 @@ def test_validate_rejects_nan_branch_probability():
 
 def test_distribution_sampling_kinds():
     assert m.fixed(60).sample(0.9) == 60
-    assert m.uniform_dist(10, 20).sample(0.5) == 15
-    assert m.exponential_dist(100).sample(0.0) == 0.0
-    assert m.normal_dist(50, 0).sample(0.3) == 50
+    D = m.DurationDistribution
+    assert D("uniform", (("low", 10.0), ("high", 20.0))).sample(0.5) == 15
+    assert D("exponential", (("mean", 100.0),)).sample(0.0) == 0.0
+    assert D("normal", (("mean", 50.0), ("stddev", 0.0))).sample(0.3) == 50
 
 
 def test_arc_id_format():

@@ -23,7 +23,6 @@ from batchopt.policy import (
     CostModel,
     PARALLEL,
     SIZE,
-    policy_set,
     policy_set_key,
     rule,
     wait_first_at_least,
@@ -173,14 +172,14 @@ class TestRandomPerturbation:
     def test_new_size_condition_starts_from_one(self):
         # no size condition on the policy: the rescale seeds from 1.0, so
         # the default grid can only land on 1 or 2
-        policies = policy_set(
-            BatchingPolicy(
+        policies = {
+            "issue": BatchingPolicy(
                 "issue",
                 PARALLEL,
                 rule([wait_first_at_least(600.0)]),
                 CostModel(fixed_cost=10.0),
             )
-        )
+        }
         assert not policies["issue"].rule.has_kind(SIZE)
         sizes = [
             d.new_threshold for d in self.draws(policies=policies, count=120)

@@ -90,6 +90,10 @@ class TestActionGrid:
             assert 0 <= action_id < rlmod.N_ACTIONS
             assert action_id % rlmod.ACTION_SLOTS < rlmod.ACTION_SLOTS
 
+    def test_no_stats_no_actions(self):
+        config = rl_config(self.fixture)
+        assert rlmod.available_actions(self.model, self.log, self.policies, config, None) == {}
+
     def test_state_vector_length(self):
         point = (100.0, 10.0)
         state = rlmod.state_vector(self.model, self.stats, point, point)
@@ -111,10 +115,9 @@ class TestOptimizeRL:
             rlmod.optimize_rl(fx.model(), fx.policies(), config)
 
     def test_requires_guided_mode(self):
-        fx = get_fixture("monotone-tradeoff")
-        config = OptimizerConfig(strategy="rl", guided=False)
-        with pytest.raises(OptimizerError):
-            rlmod.optimize_rl(fx.model(), fx.policies(), config)
+        # the config itself rejects rl without guidance, before any search
+        with pytest.raises(OptimizerError, match="strategy rl needs guided"):
+            OptimizerConfig(strategy="rl", guided=False)
 
     def test_zero_iterations_returns_initial_point(self):
         fx = get_fixture("monotone-tradeoff")

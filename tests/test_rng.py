@@ -154,4 +154,4 @@ def test_seed_free_model_draws_nothing(monkeypatch):
     model = parse_model(doc)
     assert not engine.seed_free(model)
     log = _Engine(compile_model(model), fixture.policies(), SimConfig(seed=5)).run()
-    assert len(draws) == len(log.case_ids()) > 0
+    assert len(draws) == len({r.case_id for r in log.instances}) > 0
