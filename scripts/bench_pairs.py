@@ -51,7 +51,7 @@ def extract(rev: str, directory: str) -> str:
     archive = subprocess.run(["git", "archive", "--format=tar", commit], capture_output=True,
                              check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(directory)
+        tar.extractall(directory, filter="data")
     return commit
 
 

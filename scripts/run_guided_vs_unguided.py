@@ -26,6 +26,7 @@ from batchopt.metrics import (
     build_reference_front,
     metrics_row,
     render_metrics_csv,
+    weakly_dominates,
 )
 from batchopt.optimize import OptimizerConfig, optimize_hc_sa
 from batchopt.pareto import front_to_doc
@@ -73,9 +74,7 @@ def main(argv=None) -> int:
 
     mean_plus = sum(r["hausdorff"] for r in rows if r["label"].startswith("hc+")) / args.seeds
     mean_minus = sum(r["hausdorff"] for r in rows if r["label"].startswith("hc-")) / args.seeds
-    covered = all(
-        any(g[0] <= u[0] and g[1] <= u[1] for g in plus.points) for u in minus.points
-    )
+    covered = weakly_dominates(plus, minus)
 
     print(render_metrics_csv(rows), end="")
     print(f"mean hausdorff: hc+ {mean_plus!r}, hc- {mean_minus!r}")

@@ -1,11 +1,14 @@
 """Event-log analytics: aggregate statistics and inefficiency detection.
 
-compute_stats reduces an event log to per-activity, per-resource, and
-per-activity-allocation summaries.  detect_scenarios then evaluates the
-nineteen inefficiency patterns against those summaries and emits one
-ScenarioInstance per (pattern, activity) hit, each carrying enough
-numeric evidence for the interventions module to act on without going
-back to the log.
+compute_stats reduces an event log to one `ActivityStats` per activity
+and one `ResourceStats` per resource: the only reduction of the log
+that detection and the interventions module read.  detect_scenarios then
+evaluates the nineteen inefficiency patterns against those stats and
+emits one ScenarioInstance per (pattern, activity) hit.  An instance
+carries the numbers that tripped the trigger and what detection computes
+beyond the stats (the model-derived schedule histograms of patterns 4
+and 8, the window-aligned waits of pattern 9); the fix of every other
+pattern reads the activity's stats.  See docs/patterns.md.
 
 Patterns by id:
   1/2   excessive first/last-instance waiting in batches
@@ -52,10 +55,6 @@ from .reduce import dot, mean, median, percentile
 
 SCENARIO_IDS = tuple(range(1, 20))
 
-#: patterns whose prescribed fix shrinks the size threshold
-SHRINK_SIZE_SCENARIOS = (5, 7, 14, 15, 16, 19)
-#: patterns whose prescribed fix grows the size threshold
-GROW_SIZE_SCENARIOS = (6, 10, 11, 12, 13, 17, 18)
 #: how far past a batch's start pattern 9 looks for a window that fits it
 ALIGN_HORIZON = 4 * SECONDS_PER_WEEK
 
@@ -83,12 +82,19 @@ class ActivityStats:
     total_cost: float
     enablement_histogram: dict[Bucket, int]
     execution_histogram: dict[Bucket, int]
-    # per-batch series, ordered by batch start (evidence for interventions)
+    # per-batch series, ordered by batch start
     batch_sizes: tuple[int, ...]
+    batch_starts: tuple[int, ...]
+    batch_resources: tuple[str, ...]
     per_batch_max_waits: tuple[int, ...]
     per_batch_min_waits: tuple[int, ...]
     per_batch_busy: tuple[int, ...]
     idle_batch_share: float  # fraction of batches interrupted by closed time
+    switch_rate: float  # consecutive batch pairs handled by different resources
+    distinct_resource_count: int
+    # (size, mean cost per instance) by ascending size; only filled when
+    # the activity ran batches of two or more sizes
+    cost_by_size: tuple[tuple[int, float], ...]
 
     @property
     def batch_count(self) -> int:
@@ -102,17 +108,9 @@ class ResourceStats:
 
 
 @dataclass(frozen=True)
-class AllocationVariability:
-    activity_id: str
-    distinct_resource_count: int
-    switch_rate: float  # consecutive batch pairs handled by different resources
-
-
-@dataclass(frozen=True)
 class LogStats:
     activities: tuple[ActivityStats, ...]
     resources: tuple[ResourceStats, ...]
-    allocation: tuple[AllocationVariability, ...]
 
     def activity(self, activity_id: str) -> ActivityStats:
         for s in self.activities:
@@ -137,28 +135,34 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
     for batch in log.batches:
         by_activity.setdefault(batch.activity_id, []).append(batch)
 
-    # each activity's batches in start order, for its stats and allocation
-    ordered = {
-        activity_id: sorted(by_activity[activity_id], key=lambda b: (b.start_time, b.batch_id))
-        for activity_id in sorted(by_activity)
-    }
     # `week[t % SECONDS_PER_WEEK // SECONDS_PER_HOUR]` is `bucket_of(t)`; a
     # table keyed by the hour since the epoch would grow with the log's span
     week = [(day, hour) for day in range(7) for hour in range(24)]
 
     activity_stats = []
-    for activity_id, batches in ordered.items():
+    for activity_id in sorted(by_activity):
+        in_log_order = by_activity[activity_id]
+        batches = sorted(in_log_order, key=lambda b: (b.start_time, b.batch_id))
         instances = [log.instances[i] for b in batches for i in b.members]
-        max_waits, min_waits, sizes, busy = [], [], [], []
+        max_waits, min_waits, sizes, starts, executors, busy = [], [], [], [], [], []
         interrupted = 0
         for b in batches:
             enables = [log.instances[i].enable_time for i in b.members]
             max_waits.append(b.start_time - min(enables))
             min_waits.append(b.start_time - max(enables))
             sizes.append(b.size)
+            starts.append(b.start_time)
+            executors.append(b.resource_id)
             busy.append(b.busy_seconds)
             if (b.end_time - b.start_time) > b.busy_seconds:
                 interrupted += 1
+        switches = sum(x != y for x, y in zip(executors, executors[1:]))
+        cost_by_size = ()
+        if len(set(sizes)) >= 2:
+            per_size: dict[int, list[float]] = {}
+            for b in in_log_order:  # log order fixes the bits of each mean
+                per_size.setdefault(b.size, []).append(b.cost / b.size)
+            cost_by_size = tuple((s, mean(per_size[s])) for s in sorted(per_size))
         enablement_hist: dict[Bucket, int] = {}
         execution_hist: dict[Bucket, int] = {}
         for rec in instances:
@@ -179,10 +183,15 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
                 enablement_histogram=enablement_hist,
                 execution_histogram=execution_hist,
                 batch_sizes=tuple(sizes),
+                batch_starts=tuple(starts),
+                batch_resources=tuple(executors),
                 per_batch_max_waits=tuple(max_waits),
                 per_batch_min_waits=tuple(min_waits),
                 per_batch_busy=tuple(busy),
                 idle_batch_share=interrupted / len(batches),
+                switch_rate=switches / (len(batches) - 1) if len(batches) > 1 else 0.0,
+                distinct_resource_count=len(set(executors)),
+                cost_by_size=cost_by_size,
             )
         )
 
@@ -198,26 +207,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         utilization = min(1.0, busy / available) if available > 0 else 0.0
         resource_stats.append(ResourceStats(resource_id=profile.id, utilization=utilization))
 
-    allocation = []
-    for activity_id, batches in ordered.items():
-        executors = [b.resource_id for b in batches]
-        pairs = list(zip(executors, executors[1:]))
-        switch_rate = (
-            sum(1 for a, b in pairs if a != b) / len(pairs) if pairs else 0.0
-        )
-        allocation.append(
-            AllocationVariability(
-                activity_id=activity_id,
-                distinct_resource_count=len(set(executors)),
-                switch_rate=switch_rate,
-            )
-        )
-
-    return LogStats(
-        activities=tuple(activity_stats),
-        resources=tuple(resource_stats),
-        allocation=tuple(allocation),
-    )
+    return LogStats(activities=tuple(activity_stats), resources=tuple(resource_stats))
 
 
 @dataclass(frozen=True)
@@ -265,31 +255,21 @@ class DetectionConfig:
 
 
 @dataclass(frozen=True)
-class Evidence:
-    """Numeric payload a detected pattern hands to the interventions module.
+class ScenarioInstance:
+    """One pattern hit on one activity.
 
-    Which fields are filled depends on the pattern; the per-batch series
-    feed the threshold formulas, the histograms feed schedule building,
-    and the aligned waits feed the window-alignment fix.
+    `observed` holds the numbers behind the trigger. The other fields hold
+    what detection computes beyond the activity's stats: the model-derived
+    schedule histograms of patterns 4 and 8, and the window-aligned waits
+    of pattern 9. The fixes of the other patterns read the stats.
     """
 
-    observed: tuple[tuple[str, float], ...] = ()
-    batch_sizes: tuple[int, ...] = ()
-    per_batch_max_waits: tuple[int, ...] = ()
-    per_batch_min_waits: tuple[int, ...] = ()
-    histogram: tuple[tuple[Bucket, float], ...] = ()
-    histogram_alt: tuple[tuple[Bucket, float], ...] = ()
-    aligned_first_waits: tuple[float, ...] = ()
-    aligned_last_waits: tuple[float, ...] = ()
-    partner_activity: str = ""
-    mean_cost_per_instance: float = 0.0
-
-
-@dataclass(frozen=True)
-class ScenarioInstance:
     scenario_id: int
     activity_id: str
-    evidence: Evidence
+    observed: tuple[tuple[str, float], ...] = ()
+    histograms: tuple[tuple[tuple[Bucket, float], ...], ...] = ()
+    aligned_first_waits: tuple[float, ...] = ()
+    aligned_last_waits: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.scenario_id not in SCENARIO_IDS:
@@ -405,7 +385,7 @@ def fitting_slot_histogram(
 
 
 def window_aligned_waits(
-    log: EventLog, calendars: dict[str, Calendar], activity_id: str
+    a: ActivityStats, calendars: dict[str, Calendar]
 ) -> tuple[list[float], list[float]]:
     """Per-batch first/last waits the activity would have shown had each
     batch started at the beginning of the nearest availability window (at
@@ -414,16 +394,14 @@ def window_aligned_waits(
     Raises AnalyticsError when some batch finds no such window within
     `ALIGN_HORIZON` of its start.
     """
-    batches = [b for b in log.batches if b.activity_id == activity_id]
-    if not batches:
-        raise AnalyticsError(f"activity {activity_id!r} has no batches to align")
-    estimate = mean([b.busy_seconds for b in batches])
+    estimate = mean(a.per_batch_busy)
     first, last = [], []
-    for b in batches:
-        cal = calendars[b.resource_id]
+    for start, resource_id, max_wait, min_wait in zip(
+        a.batch_starts, a.batch_resources, a.per_batch_max_waits, a.per_batch_min_waits
+    ):
         chosen = None
-        for ws, we in cal.windows_from(b.start_time):
-            if ws - b.start_time > ALIGN_HORIZON:
+        for ws, we in calendars[resource_id].windows_from(start):
+            if ws - start > ALIGN_HORIZON:
                 break
             if we - ws >= estimate:
                 chosen = ws
@@ -431,12 +409,11 @@ def window_aligned_waits(
         if chosen is None:
             raise AnalyticsError(
                 f"no availability window within {ALIGN_HORIZON}s fits batches of "
-                f"activity {activity_id!r} (need {estimate:.0f}s)"
+                f"activity {a.activity_id!r} (need {estimate:.0f}s)"
             )
-        shift = chosen - b.start_time
-        enables = [log.instances[i].enable_time for i in b.members]
-        first.append(max(0.0, (b.start_time - min(enables)) + shift))
-        last.append(max(0.0, (b.start_time - max(enables)) + shift))
+        shift = chosen - start
+        first.append(max(0.0, max_wait + shift))
+        last.append(max(0.0, min_wait + shift))
     return first, last
 
 
@@ -453,11 +430,10 @@ def detect_scenarios(
     """
     if stats is None:
         stats = compute_stats(log, model)
-    return detect_scenarios_from_stats(log, model, policies, stats, config)
+    return detect_scenarios_from_stats(model, policies, stats, config)
 
 
 def detect_scenarios_from_stats(
-    log: EventLog,
     model: ProcessModel,
     policies: PolicySet,
     stats: LogStats,
@@ -471,19 +447,14 @@ def detect_scenarios_from_stats(
     )
     process_cost = sum(a.total_cost for a in acts)
     process_count = sum(a.execution_count for a in acts)
-    switch_by_activity = {v.activity_id: v for v in stats.allocation}
 
     found: list[ScenarioInstance] = []
 
-    def emit(scenario_id, activity_id, **evidence):
-        found.append(ScenarioInstance(scenario_id, activity_id, Evidence(**evidence)))
+    def emit(scenario_id, activity_id, **fields):
+        found.append(ScenarioInstance(scenario_id, activity_id, **fields))
 
     for a in acts:
         policy = policies.get(a.activity_id)
-        mean_cost = a.total_cost / a.execution_count
-        size_evidence = dict(
-            batch_sizes=a.batch_sizes, mean_cost_per_instance=mean_cost
-        )
 
         # -- waiting time -------------------------------------------------
         if policy is not None and a.mean_first_wait > first_wait_threshold:
@@ -491,56 +462,37 @@ def detect_scenarios_from_stats(
                 1,
                 a.activity_id,
                 observed=(("mean_first_wait", a.mean_first_wait), ("threshold", first_wait_threshold)),
-                per_batch_max_waits=a.per_batch_max_waits,
             )
         if policy is not None and a.mean_last_wait > last_wait_threshold:
             emit(
                 2,
                 a.activity_id,
                 observed=(("mean_last_wait", a.mean_last_wait), ("threshold", last_wait_threshold)),
-                per_batch_min_waits=a.per_batch_min_waits,
             )
         if policy is not None:
             enable_total = sum(a.enablement_histogram.values())
-            top = top_buckets({k: float(v) for k, v in a.enablement_histogram.items()}, config.top_k)
+            top = top_buckets(a.enablement_histogram, config.top_k)
             top_mass = sum(a.enablement_histogram[b] for b in top)
             if (
                 enable_total > 0
                 and top_mass / enable_total >= config.concentration_share
                 and not _schedule_covers(policy, top)
             ):
-                emit(
-                    3,
-                    a.activity_id,
-                    observed=(("top_bucket_share", top_mass / enable_total),),
-                    histogram=_as_sorted_items({k: float(v) for k, v in a.enablement_histogram.items()}),
-                    histogram_alt=_as_sorted_items({k: float(v) for k, v in a.execution_histogram.items()}),
-                )
+                emit(3, a.activity_id, observed=(("top_bucket_share", top_mass / enable_total),))
         if policy is not None:
             avail = availability_histogram(model, a.activity_id)
             positive = [v for v in avail.values() if v > 0.0]
             if positive:
                 typical = median(positive)
-                batch_starts = {
-                    bucket_of(b.start_time)
-                    for b in log.batches
-                    if b.activity_id == a.activity_id
-                }
-                weak = {b for b in batch_starts if avail.get(b, 0.0) < typical}
-                if weak:
+                if any(avail.get(bucket_of(t), 0.0) < typical for t in a.batch_starts):
                     emit(
                         4,
                         a.activity_id,
                         observed=(("availability_median", typical),),
-                        histogram=_as_sorted_items(avail),
+                        histograms=(_as_sorted_items(avail),),
                     )
         if _has_condition(policy, SIZE) and a.mean_first_wait > first_wait_threshold:
-            emit(
-                5,
-                a.activity_id,
-                observed=(("mean_first_wait", a.mean_first_wait),),
-                **size_evidence,
-            )
+            emit(5, a.activity_id, observed=(("mean_first_wait", a.mean_first_wait),))
 
         # -- processing time ----------------------------------------------
         if (
@@ -549,30 +501,23 @@ def detect_scenarios_from_stats(
             and a.mean_processing_time > processing_threshold
             and a.mean_batch_size < config.size_cap
         ):
-            emit(
-                6,
-                a.activity_id,
-                observed=(("mean_processing_time", a.mean_processing_time),),
-                **size_evidence,
-            )
+            emit(6, a.activity_id, observed=(("mean_processing_time", a.mean_processing_time),))
         if policy is not None and policy.batch_type == SEQUENTIAL:
-            emit(7, a.activity_id, **size_evidence)
+            emit(7, a.activity_id)
         if policy is not None and a.idle_batch_share > config.idle_share:
             mean_busy = mean(a.per_batch_busy)
             emit(
                 8,
                 a.activity_id,
                 observed=(("idle_batch_share", a.idle_batch_share), ("mean_busy", mean_busy)),
-                histogram=_as_sorted_items(window_start_histogram(model, a.activity_id)),
-                histogram_alt=_as_sorted_items(
-                    fitting_slot_histogram(model, a.activity_id, mean_busy)
+                histograms=(
+                    _as_sorted_items(window_start_histogram(model, a.activity_id)),
+                    _as_sorted_items(fitting_slot_histogram(model, a.activity_id, mean_busy)),
                 ),
             )
             calendars = {r.id: r.calendar for r in model.resources}
             try:
-                aligned_first, aligned_last = window_aligned_waits(
-                    log, calendars, a.activity_id
-                )
+                aligned_first, aligned_last = window_aligned_waits(a, calendars)
             except AnalyticsError:
                 pass  # no usable window; the schedule-based fix still applies
             else:
@@ -592,94 +537,49 @@ def detect_scenarios_from_stats(
                     witness = s
                     break
             if witness is not None:
-                emit(
-                    10,
-                    a.activity_id,
-                    observed=(("subadditive_at_size", float(witness)),),
-                    **size_evidence,
-                )
+                emit(10, a.activity_id, observed=(("subadditive_at_size", float(witness)),))
         cost_share = a.total_cost / process_cost if process_cost > 0 else 0.0
         freq_share = a.execution_count / process_count
         if cost_share > config.cost_share:
-            emit(11, a.activity_id, observed=(("cost_share", cost_share),), **size_evidence)
+            emit(11, a.activity_id, observed=(("cost_share", cost_share),))
         if freq_share > config.freq_share:
-            emit(12, a.activity_id, observed=(("freq_share", freq_share),), **size_evidence)
-        best_partner, best_similarity = "", 0.0
-        for other in acts:
-            if other.activity_id == a.activity_id:
-                continue
-            sim = cosine_similarity(
-                {k: float(v) for k, v in a.enablement_histogram.items()},
-                {k: float(v) for k, v in other.enablement_histogram.items()},
-            )
-            if sim > best_similarity or (sim == best_similarity and not best_partner):
-                best_partner, best_similarity = other.activity_id, sim
-        if cost_share < config.cost_share and best_similarity > config.similarity_threshold:
-            emit(
-                13,
-                a.activity_id,
-                observed=(("similarity", best_similarity), ("cost_share", cost_share)),
-                partner_activity=best_partner,
-                **size_evidence,
-            )
+            emit(12, a.activity_id, observed=(("freq_share", freq_share),))
+        similarity = max(
+            (
+                cosine_similarity(a.enablement_histogram, other.enablement_histogram)
+                for other in acts
+                if other.activity_id != a.activity_id
+            ),
+            default=0.0,
+        )
+        if cost_share < config.cost_share and similarity > config.similarity_threshold:
+            emit(13, a.activity_id, observed=(("similarity", similarity), ("cost_share", cost_share)))
         if (
             cost_share < config.cost_share
             and freq_share < config.freq_share
-            and best_similarity <= config.similarity_threshold
+            and similarity <= config.similarity_threshold
         ):
-            emit(
-                14,
-                a.activity_id,
-                observed=(("similarity", best_similarity), ("cost_share", cost_share)),
-                **size_evidence,
-            )
-        if policy is not None and len(set(a.batch_sizes)) >= 2:
-            per_size: dict[int, list[float]] = {}
-            for b in log.batches:
-                if b.activity_id == a.activity_id:
-                    per_size.setdefault(b.size, []).append(b.cost / b.size)
-            ordered = sorted(per_size)
-            means = [mean(per_size[s]) for s in ordered]
+            emit(14, a.activity_id, observed=(("similarity", similarity), ("cost_share", cost_share)))
+        if policy is not None and a.cost_by_size:
+            means = [m for _, m in a.cost_by_size]
             if all(later >= earlier for earlier, later in zip(means, means[1:])):
                 emit(
                     15,
                     a.activity_id,
-                    observed=tuple((f"cost_at_{s}", m) for s, m in zip(ordered, means)),
-                    **size_evidence,
+                    observed=tuple((f"cost_at_{s}", m) for s, m in a.cost_by_size),
                 )
 
         # -- resources -----------------------------------------------------
         eligible = model.activity(a.activity_id).resources
         utilizations = [stats.resource(rid).utilization for rid in eligible]
         if any(u > config.utilization_high for u in utilizations):
-            emit(
-                16,
-                a.activity_id,
-                observed=(("max_utilization", max(utilizations)),),
-                **size_evidence,
-            )
+            emit(16, a.activity_id, observed=(("max_utilization", max(utilizations)),))
         if utilizations and all(u < config.utilization_low for u in utilizations):
-            emit(
-                17,
-                a.activity_id,
-                observed=(("max_utilization", max(utilizations)),),
-                **size_evidence,
-            )
-        variability = switch_by_activity[a.activity_id]
-        if variability.switch_rate > config.switch_high:
-            emit(
-                18,
-                a.activity_id,
-                observed=(("switch_rate", variability.switch_rate),),
-                **size_evidence,
-            )
-        if variability.switch_rate < config.switch_low and _has_condition(policy, SIZE):
-            emit(
-                19,
-                a.activity_id,
-                observed=(("switch_rate", variability.switch_rate),),
-                **size_evidence,
-            )
+            emit(17, a.activity_id, observed=(("max_utilization", max(utilizations)),))
+        if a.switch_rate > config.switch_high:
+            emit(18, a.activity_id, observed=(("switch_rate", a.switch_rate),))
+        if a.switch_rate < config.switch_low and _has_condition(policy, SIZE):
+            emit(19, a.activity_id, observed=(("switch_rate", a.switch_rate),))
 
     found.sort(key=lambda s: (s.scenario_id, s.activity_id))
     return found

@@ -46,6 +46,7 @@ from .metrics import (
     mean_case_cycle_time,
     metrics_row,
     render_metrics_csv,
+    weakly_dominates,
 )
 from .model import parse_model
 from .optimize import (
@@ -345,11 +346,11 @@ def cmd_analyze(args) -> int:
         ],
         "allocation": [
             {
-                "activity": v.activity_id,
-                "distinctResources": v.distinct_resource_count,
-                "switchRate": v.switch_rate,
+                "activity": a.activity_id,
+                "distinctResources": a.distinct_resource_count,
+                "switchRate": a.switch_rate,
             }
-            for v in stats.allocation
+            for a in stats.activities
         ],
         "scenarios": sorted(
             ({"activity": s.activity_id, "scenarioId": s.scenario_id} for s in scenarios),
@@ -388,12 +389,6 @@ def _reference_solutions(reference: FrontPointSet, fronts: list[ParetoFront]) ->
         for solution in front.solutions:
             by_point.setdefault(solution.point, solution)
     return ParetoFront(tuple(by_point[p] for p in reference.points))
-
-
-def _weakly_dominates(covering: FrontPointSet, covered: FrontPointSet) -> bool:
-    return all(
-        any(g[0] <= u[0] and g[1] <= u[1] for g in covering.points) for u in covered.points
-    )
 
 
 def cmd_evaluate(args) -> int:
@@ -458,7 +453,7 @@ def cmd_evaluate(args) -> int:
         minus = build_reference_front(unguided, label="--")
         rows.append(metrics_row(plus, reference))
         rows.append(metrics_row(minus, reference))
-        covered = _weakly_dominates(plus, minus)
+        covered = weakly_dominates(plus, minus)
         verdict = f"++ weakly dominates --: {'yes' if covered else 'no'}"
 
     out = _resolve_out(args)

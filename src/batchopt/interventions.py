@@ -3,22 +3,20 @@
 Each detected pattern prescribes a direction (shrink or grow the size
 threshold, add or retune a waiting threshold, align firing with a
 schedule).  derive_interventions expands a pattern instance into one
-PolicyDelta per applicable scaling factor; apply_delta executes a delta
-as a pure function from policy set to policy set.
+PolicyDelta per applicable scaling factor.  The numbers behind a delta
+come from the activity's `ActivityStats` (wait series, batch sizes,
+cost, count histograms), except for what only detection computes: the
+model-derived schedule histograms of patterns 4 and 8 and the aligned
+waits of pattern 9, which the `ScenarioInstance` carries.  apply_delta
+executes a delta as a pure function from policy set to policy set.  See
+docs/patterns.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analytics import (
-    GROW_SIZE_SCENARIOS,
-    SHRINK_SIZE_SCENARIOS,
-    Bucket,
-    LogStats,
-    ScenarioInstance,
-    top_buckets,
-)
+from .analytics import AnalyticsError, Bucket, LogStats, ScenarioInstance, top_buckets
 from .codec import check_fields, finite_number
 from .policy import (
     DAILY_HOUR,
@@ -42,6 +40,12 @@ from .policy import (
 )
 from .reduce import mean
 from .rng import round_half_up
+
+
+#: patterns whose prescribed fix shrinks the size threshold
+SHRINK_SIZE_SCENARIOS = (5, 7, 14, 15, 16, 19)
+#: patterns whose prescribed fix grows the size threshold
+GROW_SIZE_SCENARIOS = (6, 10, 11, 12, 13, 17, 18)
 
 
 class InterventionError(ValueError):
@@ -179,7 +183,10 @@ def derive_interventions(
     scaling factor (or one per schedule criterion)."""
     sid = instance.scenario_id
     activity_id = instance.activity_id
-    ev = instance.evidence
+    try:
+        a = stats.activity(activity_id)
+    except AnalyticsError as err:
+        raise InterventionError(str(err)) from err
     policy = policies.get(activity_id)
     deltas: list[PolicyDelta] = []
 
@@ -202,56 +209,35 @@ def derive_interventions(
                 )
             )
 
+    def schedule_delta(histogram, constrain=False):
+        return PolicyDelta(
+            activity_id=activity_id,
+            kind=ADD_SCHEDULE,
+            scenario_id=sid,
+            schedule=build_schedule_set(histogram, config.top_k),
+            constrain=constrain,
+        )
+
     if sid == 1:
         if policy is None:
             raise InterventionError("pattern 1 requires a batched activity")
-        wait_delta(WT_FIRST, ev.per_batch_max_waits, compute_wt_first_threshold)
+        wait_delta(WT_FIRST, a.per_batch_max_waits, compute_wt_first_threshold)
     elif sid == 2:
         if policy is None:
             raise InterventionError("pattern 2 requires a batched activity")
-        wait_delta(WT_LAST, ev.per_batch_min_waits, compute_wt_last_threshold)
+        wait_delta(WT_LAST, a.per_batch_min_waits, compute_wt_last_threshold)
     elif sid == 3:
-        seen = set()
-        for histogram in (ev.histogram, ev.histogram_alt):
-            if not histogram:
-                continue
-            schedule = build_schedule_set(histogram, config.top_k)
-            if schedule in seen:
-                continue
-            seen.add(schedule)
-            deltas.append(
-                PolicyDelta(
-                    activity_id=activity_id,
-                    kind=ADD_SCHEDULE,
-                    scenario_id=sid,
-                    schedule=schedule,
-                )
-            )
+        for histogram in (a.enablement_histogram, a.execution_histogram):
+            delta = schedule_delta(histogram)
+            if not deltas or deltas[0].schedule != delta.schedule:
+                deltas.append(delta)
     elif sid == 4:
-        deltas.append(
-            PolicyDelta(
-                activity_id=activity_id,
-                kind=ADD_SCHEDULE,
-                scenario_id=sid,
-                schedule=build_schedule_set(ev.histogram, config.top_k),
-            )
-        )
+        deltas.append(schedule_delta(instance.histograms[0]))
     elif sid == 8:
-        for histogram in (ev.histogram, ev.histogram_alt):
-            if not histogram:
-                continue
-            deltas.append(
-                PolicyDelta(
-                    activity_id=activity_id,
-                    kind=ADD_SCHEDULE,
-                    scenario_id=sid,
-                    schedule=build_schedule_set(histogram, config.top_k),
-                    constrain=True,
-                )
-            )
+        deltas.extend(schedule_delta(h, constrain=True) for h in instance.histograms if h)
     elif sid == 9:
-        if not ev.aligned_first_waits or not ev.aligned_last_waits:
-            raise InterventionError("pattern 9 evidence lacks window-aligned waits")
+        if not instance.aligned_first_waits or not instance.aligned_last_waits:
+            raise InterventionError("pattern 9 instance lacks window-aligned waits")
         for lam in config.scale_grid:
             deltas.append(
                 PolicyDelta(
@@ -259,8 +245,8 @@ def derive_interventions(
                     kind=SET_WAIT_THRESHOLDS,
                     scenario_id=sid,
                     scale=lam,
-                    new_threshold=lam * mean(ev.aligned_first_waits),
-                    new_last_threshold=lam * mean(ev.aligned_last_waits),
+                    new_threshold=lam * mean(instance.aligned_first_waits),
+                    new_last_threshold=lam * mean(instance.aligned_last_waits),
                 )
             )
     elif sid in SHRINK_SIZE_SCENARIOS or sid in GROW_SIZE_SCENARIOS:
@@ -274,8 +260,8 @@ def derive_interventions(
                     kind=SCALE_SIZE,
                     scenario_id=sid,
                     scale=lam,
-                    new_threshold=float(scale_size_threshold(ev.batch_sizes, lam, config)),
-                    new_policy_fixed_cost=ev.mean_cost_per_instance,
+                    new_threshold=float(scale_size_threshold(a.batch_sizes, lam, config)),
+                    new_policy_fixed_cost=a.total_cost / a.execution_count,
                 )
             )
     else:

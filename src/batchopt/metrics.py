@@ -126,6 +126,14 @@ def purity(
     return shared / len(a)
 
 
+def weakly_dominates(covering: FrontPointSet, covered: FrontPointSet) -> bool:
+    """True when every point of `covered` is matched or beaten on both
+    objectives by some point of `covering`."""
+    return all(
+        any(g[0] <= u[0] and g[1] <= u[1] for g in covering.points) for u in covered.points
+    )
+
+
 def mean_case_cycle_time(log: EventLog) -> float:
     """Mean wall-clock cycle time over the log's cases.
 

@@ -47,7 +47,6 @@ from .engine import (
     seed_free,
     simulate,
 )
-from .eventlog import EventLog
 from .interventions import (
     ADD_CONDITION,
     ADD_SCHEDULE,
@@ -343,12 +342,11 @@ class _Candidate:
 
 def guided_deltas(
     model: ProcessModel,
-    log: EventLog,
     policies: PolicySet,
     stats: LogStats | None,
     config: OptimizerConfig,
 ) -> list[PolicyDelta]:
-    """All deltas the detected patterns of this log prescribe, given its
+    """All deltas the detected patterns of a log prescribe, given its
     stats (None when they could not be computed: no deltas).
 
     Pattern instances whose derivation cannot be completed are skipped so
@@ -357,7 +355,7 @@ def guided_deltas(
     if stats is None:
         return []
     try:
-        instances = detect_scenarios_from_stats(log, model, policies, stats, config.detection)
+        instances = detect_scenarios_from_stats(model, policies, stats, config.detection)
     except AnalyticsError:
         return []
     deltas: list[PolicyDelta] = []
@@ -465,9 +463,7 @@ def _candidate_deltas(
     evaluation = candidate.evaluation
     stats = search.stats(evaluation)
     if evaluation.deltas is None:
-        evaluation.deltas = guided_deltas(
-            search.model, evaluation.result.log, candidate.solution.policies, stats, config
-        )
+        evaluation.deltas = guided_deltas(search.model, candidate.solution.policies, stats, config)
     if config.guided:
         return evaluation.deltas
     # the unguided baseline spends exactly the budget the guided search

@@ -22,7 +22,6 @@ from .analytics import (
     detect_scenarios_from_stats,
 )
 from .engine import CompiledModel, simulate
-from .eventlog import EventLog
 from .interventions import (
     InterventionError,
     PolicyDelta,
@@ -102,12 +101,11 @@ def state_vector(
 
 def available_actions(
     model: ProcessModel,
-    log: EventLog,
     policies: PolicySet,
     config: OptimizerConfig,
     stats: LogStats | None,
 ) -> dict[int, PolicyDelta]:
-    """The unmasked slice of the action grid for this log, given its stats
+    """The unmasked slice of the action grid for a log, given its stats
     (None when they could not be computed: no actions).
 
     Action id (pattern_id - 1) * ACTION_SLOTS + j selects the j-th delta
@@ -116,7 +114,7 @@ def available_actions(
     if stats is None:
         return {}
     try:
-        instances = detect_scenarios_from_stats(log, model, policies, stats, config.detection)
+        instances = detect_scenarios_from_stats(model, policies, stats, config.detection)
     except AnalyticsError:
         return {}
     first_of = {}
@@ -218,7 +216,7 @@ def optimize_rl(
     for iteration in range(1, rl.max_iterations + 1):
         if evaluation.actions is None:
             evaluation.actions = available_actions(
-                model, evaluation.result.log, current.policies, config, search.stats(evaluation)
+                model, current.policies, config, search.stats(evaluation)
             )
         actions = evaluation.actions
         if not actions:

@@ -9,6 +9,8 @@ from batchopt import model as m
 from batchopt import policy as pol
 from batchopt.calendars import Calendar, Interval, SECONDS_PER_DAY, SECONDS_PER_HOUR
 from batchopt.engine import SimConfig, simulate
+from batchopt.fixtures import all_fixtures
+from batchopt.reduce import mean
 
 H = SECONDS_PER_HOUR
 
@@ -67,6 +69,36 @@ def single_activity_model(total_cases=3, inter_arrival=3600, duration=3600, reso
             },
         }
     )
+
+
+def activity_stats(activity_id="work", **fields):
+    """An ActivityStats of one batch of one instance; `fields` override."""
+    defaults = dict(
+        execution_count=1,
+        mean_processing_time=0.0,
+        mean_first_wait=0.0,
+        mean_last_wait=0.0,
+        mean_batch_size=1.0,
+        total_waiting=0.0,
+        total_cost=0.0,
+        enablement_histogram={},
+        execution_histogram={},
+        batch_sizes=(1,),
+        batch_starts=(0,),
+        batch_resources=("r1",),
+        per_batch_max_waits=(0,),
+        per_batch_min_waits=(0,),
+        per_batch_busy=(0,),
+        idle_batch_share=0.0,
+        switch_rate=0.0,
+        distinct_resource_count=1,
+        cost_by_size=(),
+    )
+    return an.ActivityStats(activity_id=activity_id, **{**defaults, **fields})
+
+
+def log_stats(*activities):
+    return an.LogStats(activities=activities, resources=())
 
 
 class TestComputeStats:
@@ -171,9 +203,35 @@ class TestComputeStats:
         doc["resources"].append({"id": "r2", "calendar": ALL_WEEK, "costPerTimeUnit": 0.0})
         doc["activities"][0]["resources"] = ["r1", "r2"]
         stats = an.compute_stats(log, m.parse_model(doc))
-        (v,) = stats.allocation
-        assert v.distinct_resource_count == 2
-        assert v.switch_rate == 1.0
+        a = stats.activity("work")
+        assert a.distinct_resource_count == 2
+        assert a.switch_rate == 1.0
+        assert a.batch_resources == ("r1", "r2", "r1")
+        assert a.batch_starts == (H, 3 * H, 5 * H)
+
+    def test_cost_by_size_averages_per_instance_cost_by_size(self):
+        log = ev.EventLog(
+            instances=(
+                instance(0, 0, H, 2 * H, "b0"),
+                instance(1, 0, 3 * H, 4 * H, "b1"),
+                instance(2, 0, 3 * H, 4 * H, "b1"),
+                instance(3, 0, 5 * H, 6 * H, "b2"),
+            ),
+            batches=(
+                batch("b0", H, 2 * H, (0,), cost=3.0),
+                batch("b1", 3 * H, 4 * H, (1, 2), cost=4.0),
+                batch("b2", 5 * H, 6 * H, (3,), cost=5.0),
+            ),
+        )
+        a = an.compute_stats(log, single_activity_model()).activity("work")
+        assert a.cost_by_size == ((1, 4.0), (2, 2.0))
+
+    def test_cost_by_size_empty_for_one_size(self):
+        log = ev.EventLog(
+            instances=(instance(0, 0, H, 2 * H, "b0"), instance(1, 0, 3 * H, 4 * H, "b1")),
+            batches=(batch("b0", H, 2 * H, (0,), cost=3.0), batch("b1", 3 * H, 4 * H, (1,))),
+        )
+        assert an.compute_stats(log, single_activity_model()).activity("work").cost_by_size == ()
 
     def test_empty_log_rejected(self):
         with pytest.raises(an.AnalyticsError):
@@ -216,6 +274,46 @@ class TestHelpers:
         assert (0, 12) not in hist
 
 
+def reference_window_aligned_waits(log, calendars, activity_id):
+    """The log-scanning form of `window_aligned_waits`: batches in log
+    order, waits read from the member instances."""
+    batches = [b for b in log.batches if b.activity_id == activity_id]
+    if not batches:
+        raise an.AnalyticsError(f"activity {activity_id!r} has no batches to align")
+    estimate = mean([b.busy_seconds for b in batches])
+    first, last = [], []
+    for b in batches:
+        chosen = None
+        for ws, we in calendars[b.resource_id].windows_from(b.start_time):
+            if ws - b.start_time > an.ALIGN_HORIZON:
+                break
+            if we - ws >= estimate:
+                chosen = ws
+                break
+        if chosen is None:
+            raise an.AnalyticsError(f"no window fits batches of activity {activity_id!r}")
+        shift = chosen - b.start_time
+        enables = [log.instances[i].enable_time for i in b.members]
+        first.append(max(0.0, (b.start_time - min(enables)) + shift))
+        last.append(max(0.0, (b.start_time - max(enables)) + shift))
+    return first, last
+
+
+def assert_aligned_waits_match_reference(log, model, calendars, activity_id):
+    """The stats-based waits equal the reference's as sorted lists, or
+    both raise."""
+    a = an.compute_stats(log, model).activity(activity_id)
+    try:
+        expected = reference_window_aligned_waits(log, calendars, activity_id)
+    except an.AnalyticsError:
+        with pytest.raises(an.AnalyticsError):
+            an.window_aligned_waits(a, calendars)
+        return None
+    first, last = an.window_aligned_waits(a, calendars)
+    assert (sorted(first), sorted(last)) == (sorted(expected[0]), sorted(expected[1]))
+    return first, last
+
+
 class TestWindowAlignment:
     def make_log(self, ready, first_wait, last_wait, busy):
         return ev.EventLog(
@@ -226,35 +324,50 @@ class TestWindowAlignment:
             batches=(batch("b0", ready, ready + busy, (0, 1), busy=busy),),
         )
 
+    def aligned(self, cal, **log_args):
+        log = self.make_log(**log_args)
+        return assert_aligned_waits_match_reference(
+            log, single_activity_model(), {"r1": cal}, "work"
+        )
+
     def test_shift_to_window_start(self):
         # ready 2h before an 8h window; batch needs 3h; waits (6h, 1h)
         cal = Calendar((Interval(0, 10 * H, 18 * H),))
-        log = self.make_log(ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
-        first, last = an.window_aligned_waits(log, {"r1": cal}, "work")
+        first, last = self.aligned(cal, ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
         assert first == [8 * H]
         assert last == [3 * H]
 
     def test_short_window_is_skipped(self):
         # a 1h window cannot host a 3h batch; the next 6h window can
         cal = Calendar((Interval(0, 9 * H, 10 * H), Interval(0, 12 * H, 18 * H)))
-        log = self.make_log(ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
-        first, last = an.window_aligned_waits(log, {"r1": cal}, "work")
+        first, last = self.aligned(cal, ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
         assert first == [6 * H + 4 * H]
         assert last == [1 * H + 4 * H]
 
     def test_ready_inside_roomy_window_keeps_waits(self):
         cal = Calendar((Interval(0, 6 * H, 18 * H),))
-        log = self.make_log(ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
-        first, last = an.window_aligned_waits(log, {"r1": cal}, "work")
+        first, last = self.aligned(cal, ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
         assert first == [6 * H]
         assert last == [1 * H]
 
     def test_no_fitting_window_raises(self):
         cal = Calendar((Interval(0, 9 * H, 10 * H),))  # only 1h of weekly capacity
         log = self.make_log(ready=8 * H, first_wait=6 * H, last_wait=1 * H, busy=3 * H)
+        assert assert_aligned_waits_match_reference(
+            log, single_activity_model(), {"r1": cal}, "work"
+        ) is None
+        a = an.compute_stats(log, single_activity_model()).activity("work")
         with pytest.raises(an.AnalyticsError) as err:
-            an.window_aligned_waits(log, {"r1": cal}, "work")
+            an.window_aligned_waits(a, {"r1": cal})
         assert "work" in str(err.value)
+
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_every_fixture_activity_matches_the_reference(self, fixture):
+        model, policies = fixture.model(), fixture.policies()
+        log = simulate(model, policies, fixture.sim_config()).log
+        calendars = {r.id: r.calendar for r in model.resources}
+        for activity_id in sorted({b.activity_id for b in log.batches}):
+            assert_aligned_waits_match_reference(log, model, calendars, activity_id)
 
 
 def size_policy(threshold, batch_type=pol.PARALLEL):

@@ -7,8 +7,9 @@ from batchopt import policy as pol
 from batchopt.calendars import Calendar, Interval, SECONDS_PER_HOUR
 from batchopt.engine import SimConfig, simulate
 from batchopt.eventlog import EventLog
+from batchopt.fixtures import all_fixtures
 
-from test_analytics import batch, instance, single_activity_model
+from test_analytics import activity_stats, batch, instance, log_stats, single_activity_model
 
 H = SECONDS_PER_HOUR
 
@@ -83,11 +84,13 @@ class TestWindowAlignedThresholds:
             ),
             batches=(batch("b0", 8 * H, 11 * H, (0, 1), busy=3 * H),),
         )
-        first, last = an.window_aligned_waits(log, {"r1": cal}, "work")
-        evidence = an.Evidence(aligned_first_waits=tuple(first), aligned_last_waits=tuple(last))
-        inst = an.ScenarioInstance(9, "work", evidence)
+        stats = an.compute_stats(log, single_activity_model())
+        first, last = an.window_aligned_waits(stats.activity("work"), {"r1": cal})
+        inst = an.ScenarioInstance(
+            9, "work", aligned_first_waits=tuple(first), aligned_last_waits=tuple(last)
+        )
         config = iv.InterventionConfig(scale_grid=(1.0, 0.5))
-        deltas = iv.derive_interventions(inst, an.LogStats((), (), ()), {}, config)
+        deltas = iv.derive_interventions(inst, stats, {}, config)
         assert [(d.new_threshold, d.new_last_threshold) for d in deltas] == [
             (8 * H, 3 * H),
             (4 * H, 1.5 * H),
@@ -101,13 +104,10 @@ def simulated(policies=None, **kwargs):
 
 
 class TestDerive:
-    def evidence_sizes(self, sizes, mean_cost=0.0):
-        return an.Evidence(batch_sizes=tuple(sizes), mean_cost_per_instance=mean_cost)
-
     def test_shrink_patterns_emit_only_shrinking_factors(self):
-        stats = an.LogStats((), (), ())
-        for sid in an.SHRINK_SIZE_SCENARIOS:
-            inst = an.ScenarioInstance(sid, "work", self.evidence_sizes([4, 6]))
+        stats = log_stats(activity_stats(batch_sizes=(4, 6)))
+        for sid in iv.SHRINK_SIZE_SCENARIOS:
+            inst = an.ScenarioInstance(sid, "work")
             deltas = iv.derive_interventions(inst, stats, {})
             assert deltas, sid
             for d in deltas:
@@ -117,9 +117,9 @@ class TestDerive:
                 assert d.scenario_id == sid
 
     def test_grow_patterns_emit_only_growing_factors(self):
-        stats = an.LogStats((), (), ())
-        for sid in an.GROW_SIZE_SCENARIOS:
-            inst = an.ScenarioInstance(sid, "work", self.evidence_sizes([4, 6]))
+        stats = log_stats(activity_stats(batch_sizes=(4, 6)))
+        for sid in iv.GROW_SIZE_SCENARIOS:
+            inst = an.ScenarioInstance(sid, "work")
             deltas = iv.derive_interventions(inst, stats, {})
             assert deltas, sid
             for d in deltas:
@@ -132,8 +132,8 @@ class TestDerive:
             batch_type=pol.PARALLEL,
             rule=pol.rule([pol.wait_first_at_least(4 * H)]),
         )
-        inst = an.ScenarioInstance(1, "work", an.Evidence(per_batch_max_waits=(10 * H,)))
-        deltas = iv.derive_interventions(inst, an.LogStats((), (), ()), {"work": policy})
+        stats = log_stats(activity_stats(per_batch_max_waits=(10 * H,)))
+        deltas = iv.derive_interventions(an.ScenarioInstance(1, "work"), stats, {"work": policy})
         assert {d.kind for d in deltas} == {iv.REPLACE_THRESHOLD}
         assert {d.scale for d in deltas} == set(iv.InterventionConfig().shrink_factors)
         by_scale = {d.scale: d.new_threshold for d in deltas}
@@ -145,49 +145,51 @@ class TestDerive:
             batch_type=pol.PARALLEL,
             rule=pol.rule([pol.size_at_least(4)]),
         )
-        inst = an.ScenarioInstance(1, "work", an.Evidence(per_batch_max_waits=(10 * H,)))
-        deltas = iv.derive_interventions(inst, an.LogStats((), (), ()), {"work": policy})
+        stats = log_stats(activity_stats(per_batch_max_waits=(10 * H,)))
+        deltas = iv.derive_interventions(an.ScenarioInstance(1, "work"), stats, {"work": policy})
         assert all(d.kind == iv.ADD_CONDITION and d.condition_kind == pol.WT_FIRST for d in deltas)
 
     def test_pattern_1_on_unbatched_activity_rejected(self):
-        inst = an.ScenarioInstance(1, "work", an.Evidence(per_batch_max_waits=(10 * H,)))
+        stats = log_stats(activity_stats(per_batch_max_waits=(10 * H,)))
         with pytest.raises(iv.InterventionError):
-            iv.derive_interventions(inst, an.LogStats((), (), ()), {})
+            iv.derive_interventions(an.ScenarioInstance(1, "work"), stats, {})
+
+    def test_activity_missing_from_stats_rejected(self):
+        stats = log_stats(activity_stats("other"))
+        for sid in an.SCENARIO_IDS:
+            with pytest.raises(iv.InterventionError):
+                iv.derive_interventions(an.ScenarioInstance(sid, "work"), stats, {})
 
     def test_pattern_3_emits_enablement_and_execution_schedules(self):
-        ev = an.Evidence(
-            histogram=(((0, 8), 10.0),),
-            histogram_alt=(((0, 9), 10.0),),
+        stats = log_stats(
+            activity_stats(enablement_histogram={(0, 8): 10}, execution_histogram={(0, 9): 10})
         )
-        deltas = iv.derive_interventions(
-            an.ScenarioInstance(3, "work", ev), an.LogStats((), (), ()), {}
-        )
+        deltas = iv.derive_interventions(an.ScenarioInstance(3, "work"), stats, {})
         assert [d.schedule for d in deltas] == [((0, 8),), ((0, 9),)]
         assert all(not d.constrain for d in deltas)
 
     def test_pattern_3_deduplicates_equal_schedules(self):
-        ev = an.Evidence(histogram=(((0, 8), 10.0),), histogram_alt=(((0, 8), 4.0),))
-        deltas = iv.derive_interventions(
-            an.ScenarioInstance(3, "work", ev), an.LogStats((), (), ()), {}
+        stats = log_stats(
+            activity_stats(enablement_histogram={(0, 8): 10}, execution_histogram={(0, 8): 4})
         )
+        deltas = iv.derive_interventions(an.ScenarioInstance(3, "work"), stats, {})
         assert len(deltas) == 1
 
     def test_pattern_8_constrains_per_criterion(self):
-        ev = an.Evidence(
-            histogram=(((0, 9), 8.0 * H),),
-            histogram_alt=(((0, 9), 8.0 * H), ((0, 10), 7.0 * H)),
+        inst = an.ScenarioInstance(
+            8,
+            "work",
+            histograms=((((0, 9), 8.0 * H),), (((0, 9), 8.0 * H), ((0, 10), 7.0 * H))),
         )
-        deltas = iv.derive_interventions(
-            an.ScenarioInstance(8, "work", ev), an.LogStats((), (), ()), {}
-        )
+        deltas = iv.derive_interventions(inst, log_stats(activity_stats()), {})
         assert len(deltas) == 2
         assert all(d.constrain for d in deltas)
 
     def test_pattern_9_uses_full_grid(self):
-        ev = an.Evidence(aligned_first_waits=(8.0 * H,), aligned_last_waits=(3.0 * H,))
-        deltas = iv.derive_interventions(
-            an.ScenarioInstance(9, "work", ev), an.LogStats((), (), ()), {}
+        inst = an.ScenarioInstance(
+            9, "work", aligned_first_waits=(8.0 * H,), aligned_last_waits=(3.0 * H,)
         )
+        deltas = iv.derive_interventions(inst, log_stats(activity_stats()), {})
         cfg = iv.InterventionConfig()
         assert [d.scale for d in deltas] == list(cfg.scale_grid)
         one = next(d for d in deltas if d.scale == 1.25)
@@ -335,6 +337,36 @@ class TestEndToEnd:
                     changed += 1
         assert changed > 0
 
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_wait_and_size_deltas_follow_their_formulas(self, fixture):
+        model, policies = fixture.model(), fixture.policies()
+        log = simulate(model, policies, fixture.sim_config()).log
+        stats = an.compute_stats(log, model)
+        config = iv.InterventionConfig()
+        for inst in an.detect_scenarios(log, model, policies, stats=stats):
+            a = stats.activity(inst.activity_id)
+            sid = inst.scenario_id
+            if sid not in (1, 2) + iv.SHRINK_SIZE_SCENARIOS + iv.GROW_SIZE_SCENARIOS:
+                continue
+            deltas = iv.derive_interventions(inst, stats, policies, config)
+            grows = sid in iv.GROW_SIZE_SCENARIOS
+            factors = config.grow_factors if grows else config.shrink_factors
+            assert [d.scale for d in deltas] == list(factors), (fixture.name, sid)
+            for d in deltas:
+                if sid == 1:
+                    assert d.new_threshold == iv.compute_wt_first_threshold(
+                        a.per_batch_max_waits, d.scale
+                    )
+                elif sid == 2:
+                    assert d.new_threshold == iv.compute_wt_last_threshold(
+                        a.per_batch_min_waits, d.scale
+                    )
+                else:
+                    assert d.new_threshold == iv.scale_size_threshold(
+                        a.batch_sizes, d.scale, config
+                    )
+                    assert d.new_policy_fixed_cost == a.total_cost / a.execution_count
+
     def test_delta_doc_round_trip_fields(self):
         delta = iv.PolicyDelta(
             "work", iv.ADD_SCHEDULE, 8, schedule=((0, 8),), constrain=True
@@ -347,7 +379,7 @@ class TestEndToEnd:
 
 @settings(deadline=None)
 @given(
-    sid=st.sampled_from(an.SHRINK_SIZE_SCENARIOS + an.GROW_SIZE_SCENARIOS),
+    sid=st.sampled_from(iv.SHRINK_SIZE_SCENARIOS + iv.GROW_SIZE_SCENARIOS),
     sizes=st.lists(st.integers(1, 50), min_size=1, max_size=20),
     has_policy=st.booleans(),
 )
@@ -360,8 +392,8 @@ def test_size_deltas_always_apply_cleanly(sid, sizes, has_policy):
             rule=pol.rule([pol.size_at_least(2), pol.wait_first_at_least(3600)]),
             cost=pol.CostModel(),
         )
-    inst = an.ScenarioInstance(sid, "work", an.Evidence(batch_sizes=tuple(sizes)))
-    for delta in iv.derive_interventions(inst, an.LogStats((), (), ()), policies):
+    stats = log_stats(activity_stats(batch_sizes=tuple(sizes)))
+    for delta in iv.derive_interventions(an.ScenarioInstance(sid, "work"), stats, policies):
         out = iv.apply_delta(policies, delta)
         new_policy = out["work"]
         assert new_policy.rule.has_kind(pol.SIZE)

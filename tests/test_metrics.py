@@ -134,6 +134,27 @@ class TestReferenceFront:
         assert ref.label == "joint"
 
 
+class TestWeaklyDominates:
+    def test_equal_and_better_points_cover(self):
+        covering = front((1.0, 5.0), (3.0, 2.0))
+        assert mx.weakly_dominates(covering, front((1.0, 5.0), (4.0, 2.0)))
+
+    def test_one_uncovered_point_fails(self):
+        covering = front((1.0, 5.0), (3.0, 2.0))
+        assert not mx.weakly_dominates(covering, front((1.0, 5.0), (2.0, 3.0)))
+
+    def test_each_point_needs_one_cover_on_both_axes(self):
+        # (2, 2) is beaten on cost by one point and on cycle time by the other
+        assert not mx.weakly_dominates(front((1.0, 5.0), (5.0, 1.0)), front((2.0, 2.0)))
+
+    def test_empty_covered_set_is_covered(self):
+        assert mx.weakly_dominates(front((1.0, 1.0)), mx.FrontPointSet(()))
+
+    def test_reflexive(self):
+        run = front((1.0, 5.0), (3.0, 2.0))
+        assert mx.weakly_dominates(run, run)
+
+
 class TestMetricsTable:
     def test_row_fields(self):
         ref = front((1.0, 1.0), label="reference")
