@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import re
 from dataclasses import dataclass, field
 
 SECONDS_PER_MINUTE = 60
@@ -52,14 +53,12 @@ def parse_weekday(name: str) -> int:
 
 
 def parse_clock(text: str) -> int:
-    """'HH:MM' -> seconds into the day.  '24:00' is the end-of-day bound."""
-    parts = text.strip().split(":")
-    if len(parts) != 2:
+    """'HH:MM' in ASCII digits -> seconds into the day.  '24:00' is the
+    end-of-day bound."""
+    match = re.fullmatch(r"([01][0-9]|2[0-3]):([0-5][0-9])|24:00", text)
+    if match is None:
         raise ValueError(f"bad clock value: {text!r}")
-    hh, mm = int(parts[0]), int(parts[1])
-    if not (0 <= hh <= 24 and 0 <= mm <= 59) or (hh == 24 and mm != 0):
-        raise ValueError(f"bad clock value: {text!r}")
-    return hh * SECONDS_PER_HOUR + mm * SECONDS_PER_MINUTE
+    return int(match[1] or 24) * SECONDS_PER_HOUR + int(match[2] or 0) * SECONDS_PER_MINUTE
 
 
 def format_clock(seconds_into_day: int) -> str:

@@ -6,11 +6,13 @@ number, a string is not a list.  The five config dataclasses
 (`SimConfig`, `OptimizerConfig`, `DetectionConfig`, `InterventionConfig`,
 `RLConfig`) are read by `from_doc` and written by `to_doc` from their own
 fields; each checks its field types in `__post_init__` via `check_fields`.
+The model, policies and front documents read each field with `read`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import fields, is_dataclass
 
 
@@ -32,6 +34,47 @@ def finite_number(value) -> float | None:
     except OverflowError:  # an integer beyond the float range
         return None
     return number if math.isfinite(number) else None
+
+
+REQUIRED = object()  # the `default` of a field that must be present
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string"),
+          list: (list, "a list"), dict: (dict, "an object")}
+
+
+def read(doc: dict, key: str, where: str, kind: type, default=REQUIRED):
+    """`doc[key]` if it holds the JSON `kind` (`float` any number, NaN and
+    inf included, returned as a float; `int`, `str`, `list` or `dict`), or
+    `default` when the key is missing; else a ParseError at
+    `<where>.<key>`.  A bool is never a number, and an integer beyond the
+    float range is `number out of range`."""
+    path = f"{where}.{key}"
+    if key not in doc:
+        if default is REQUIRED:
+            raise ParseError(path, "missing required field")
+        return default
+    value = doc[key]
+    types, name = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ParseError(path, f"expected {name}, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ParseError(path, "number out of range")
+    return float(value) if kind is float else value
+
+
+def read_finite(doc: dict, key: str, where: str, default=REQUIRED) -> float:
+    """`read` of a number that must also be finite."""
+    value = read(doc, key, where, float, default)
+    if not math.isfinite(value):
+        raise ParseError(f"{where}.{key}", f"expected a finite number, got {value!r}")
+    return value
+
+
+def read_strings(doc: dict, key: str, where: str) -> tuple[str, ...]:
+    """`read` of a required list whose items are all strings."""
+    items = read(doc, key, where, list)
+    if not all(isinstance(item, str) for item in items):
+        raise ParseError(f"{where}.{key}", "expected a list of strings")
+    return tuple(items)
 
 
 def check_fields(obj, error) -> None:

@@ -8,7 +8,6 @@ are plain JSON; see docs/model-schema.md for the wire format.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import rng
@@ -20,7 +19,7 @@ from .calendars import (
     parse_clock,
     parse_weekday,
 )
-from .codec import ParseError, reject_unknown_keys
+from .codec import ParseError, read, read_strings, reject_unknown_keys
 
 MAX_CASES = 1_000_000  # the most cases one simulation may run
 GATEWAY_KINDS = ("and-split", "and-join", "xor-split", "xor-join", "or-split", "or-join")
@@ -286,6 +285,19 @@ def validate_model(model: ProcessModel) -> list[str]:
         if g.kind.endswith("-join") and len(incoming.get(g.id, [])) < 2:
             out.append(f"gateway {g.id!r}: join needs at least 2 incoming arcs")
 
+    # a token that enters a cycle of gateways alone never rests at an activity
+    gateway_next = {g.id: {arc.target for arc in outgoing.get(g.id, [])} for g in model.gateways
+                    if g.id not in model.end_nodes}
+    for g in sorted(gateway_next):
+        seen, frontier = set(), list(gateway_next[g])
+        while frontier:
+            n = frontier.pop()
+            if n not in seen and n in gateway_next:
+                seen.add(n)
+                frontier.extend(gateway_next[n])
+        if g in seen:
+            out.append(f"gateway {g!r}: lies on a cycle of gateways only")
+
     for r in model.resources:
         if not 0 <= r.cost_per_time_unit < math.inf:
             out.append(f"resource {r.id!r}: cost per time unit must be finite and >= 0")
@@ -300,62 +312,24 @@ def validate_model(model: ProcessModel) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format.  Every object rejects unknown keys and no bool is taken
-# as a number; NaN and inf parse, so that `validate_model` reports them.
-
-_JSON_TYPES = {(int, float): "a number", int: "an integer", str: "a string", list: "a list",
-               dict: "an object"}
-
-
-def _expect(doc, key: str, path: str, types, required=True):
-    if key not in doc:
-        if required:
-            raise ParseError(f"{path}.{key}", "missing required field")
-        return None
-    value = doc[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ParseError(f"{path}.{key}", f"expected {_JSON_TYPES[types]}, got {value!r}")
-    if isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ParseError(f"{path}.{key}", "number out of range")
-    return value
-
-
-def _number(doc, key: str, path: str, default=None) -> float:
-    """A JSON number as a float; required unless it has a default."""
-    value = _expect(doc, key, path, (int, float), required=default is None)
-    return float(value) if default is None else float(value or default)
-
-
-def _strings(doc, key: str, path: str) -> tuple[str, ...]:
-    items = _expect(doc, key, path, list)
-    if not all(isinstance(item, str) for item in items):
-        raise ParseError(f"{path}.{key}", "expected a list of strings")
-    return tuple(items)
-
+# JSON wire format, read through `codec.read`: every object rejects unknown
+# keys; NaN and inf parse, so that `validate_model` reports them.
 
 def _parse_distribution(doc: dict, path: str) -> DurationDistribution:
-    kind = _expect(doc, "kind", path, str)
+    kind = read(doc, "kind", path, str)
     if kind not in DISTRIBUTION_PARAMS:
         raise ParseError(f"{path}.kind", f"unknown distribution kind {kind!r}")
     wanted = DISTRIBUTION_PARAMS[kind]
     reject_unknown_keys(doc, ("kind", *wanted), path)
-    return DurationDistribution(kind, tuple((name, _number(doc, name, path)) for name in wanted))
+    return DurationDistribution(kind, tuple((name, read(doc, name, path, float)) for name in wanted))
 
 
-def _serialize_distribution(dist: DurationDistribution) -> dict:
-    return {"kind": dist.kind, **{k: v for k, v in dist.params}}
-
-
-def _parse_calendar(doc, path: str) -> Calendar:
-    if not isinstance(doc, list):
-        raise ParseError(path, "expected a list of intervals")
+def _parse_calendar(doc: list, path: str) -> Calendar:
     intervals = []
     for i, item in enumerate(doc):
         where = f"{path}[{i}]"
         reject_unknown_keys(item, ("weekday", "start", "end"), where)
-        day = _expect(item, "weekday", where, str)
-        start = _expect(item, "start", where, str)
-        end = _expect(item, "end", where, str)
+        day, start, end = (read(item, key, where, str) for key in ("weekday", "start", "end"))
         try:
             intervals.append(Interval(parse_weekday(day), parse_clock(start), parse_clock(end)))
         except ValueError as err:
@@ -363,72 +337,60 @@ def _parse_calendar(doc, path: str) -> Calendar:
     return Calendar(tuple(intervals))
 
 
-def _serialize_calendar(cal: Calendar) -> list[dict]:
-    return [
-        {
-            "weekday": WEEKDAY_NAMES[iv.weekday],
-            "start": format_clock(iv.start),
-            "end": format_clock(iv.end),
-        }
-        for iv in cal.intervals
-    ]
-
-
 def parse_model(doc) -> ProcessModel:
     """The model of a parsed JSON model document.  Raises ParseError."""
-    if not isinstance(doc, dict):
-        raise ParseError("$", "expected a JSON object")
     reject_unknown_keys(doc, ("startNode", "endNodes", "activities", "gateways", "arcs",
                               "resources", "arrival"), "$")
 
     activities = []
-    for i, item in enumerate(_expect(doc, "activities", "$", list)):
+    for i, item in enumerate(read(doc, "activities", "$", list)):
         where = f"$.activities[{i}]"
         reject_unknown_keys(item, ("id", "name", "duration", "resources",
                                    "fixedCostPerExecution"), where)
+        activity_id = read(item, "id", where, str)
         activities.append(
             Activity(
-                id=_expect(item, "id", where, str),
-                name=_expect(item, "name", where, str, required=False) or item["id"],
-                duration=_parse_distribution(_expect(item, "duration", where, dict), f"{where}.duration"),
-                resources=_strings(item, "resources", where),
-                fixed_cost_per_execution=_number(item, "fixedCostPerExecution", where, 0.0),
+                id=activity_id,
+                name=read(item, "name", where, str, "") or activity_id,
+                duration=_parse_distribution(read(item, "duration", where, dict), f"{where}.duration"),
+                resources=read_strings(item, "resources", where),
+                fixed_cost_per_execution=read(item, "fixedCostPerExecution", where, float, 0.0),
             )
         )
 
     gateways = []
-    for i, item in enumerate(_expect(doc, "gateways", "$", list, required=False) or []):
+    for i, item in enumerate(read(doc, "gateways", "$", list, [])):
         where = f"$.gateways[{i}]"
         reject_unknown_keys(item, ("id", "kind", "branchProbabilities"), where)
-        probs_doc = _expect(item, "branchProbabilities", where, dict, required=False) or {}
+        probs_doc = read(item, "branchProbabilities", where, dict, {})
         probs_where = f"{where}.branchProbabilities"
-        probs = tuple(sorted((str(k), _number(probs_doc, k, probs_where)) for k in probs_doc))
-        gateways.append(Gateway(id=_expect(item, "id", where, str), kind=_expect(item, "kind", where, str), branch_probabilities=probs))
+        probs = tuple(sorted((k, read(probs_doc, k, probs_where, float)) for k in probs_doc))
+        gateways.append(Gateway(id=read(item, "id", where, str), kind=read(item, "kind", where, str), branch_probabilities=probs))
 
     arcs = []
-    for i, item in enumerate(_expect(doc, "arcs", "$", list)):
+    for i, item in enumerate(read(doc, "arcs", "$", list)):
         where = f"$.arcs[{i}]"
         reject_unknown_keys(item, ("source", "target"), where)
-        arcs.append(FlowArc(source=_expect(item, "source", where, str), target=_expect(item, "target", where, str)))
+        arcs.append(FlowArc(source=read(item, "source", where, str), target=read(item, "target", where, str)))
 
     resources = []
-    for i, item in enumerate(_expect(doc, "resources", "$", list)):
+    for i, item in enumerate(read(doc, "resources", "$", list)):
         where = f"$.resources[{i}]"
         reject_unknown_keys(item, ("id", "calendar", "costPerTimeUnit"), where)
         resources.append(
             ResourceProfile(
-                id=_expect(item, "id", where, str),
-                calendar=_parse_calendar(_expect(item, "calendar", where, list), f"{where}.calendar"),
-                cost_per_time_unit=_number(item, "costPerTimeUnit", where, 0.0),
+                id=read(item, "id", where, str),
+                calendar=_parse_calendar(read(item, "calendar", where, list), f"{where}.calendar"),
+                cost_per_time_unit=read(item, "costPerTimeUnit", where, float, 0.0),
             )
         )
 
-    arr_doc = _expect(doc, "arrival", "$", dict)
+    arr_doc = read(doc, "arrival", "$", dict)
     reject_unknown_keys(arr_doc, ("interArrival", "calendar", "totalCases"), "$.arrival")
     arrival = ArrivalModel(
-        inter_arrival=_parse_distribution(_expect(arr_doc, "interArrival", "$.arrival", dict), "$.arrival.interArrival"),
-        calendar=_parse_calendar(_expect(arr_doc, "calendar", "$.arrival", list), "$.arrival.calendar"),
-        total_cases=_expect(arr_doc, "totalCases", "$.arrival", int),
+        inter_arrival=_parse_distribution(read(arr_doc, "interArrival", "$.arrival", dict), "$.arrival.interArrival"),
+        calendar=_parse_calendar(read(arr_doc, "calendar", "$.arrival", list), "$.arrival.calendar"),
+        total_cases=read(arr_doc, "totalCases", "$.arrival", int),
     )
 
     return ProcessModel(
@@ -437,46 +399,6 @@ def parse_model(doc) -> ProcessModel:
         arcs=tuple(arcs),
         resources=tuple(resources),
         arrival=arrival,
-        start_node=_expect(doc, "startNode", "$", str),
-        end_nodes=_strings(doc, "endNodes", "$"),
+        start_node=read(doc, "startNode", "$", str),
+        end_nodes=read_strings(doc, "endNodes", "$"),
     )
-
-
-def serialize_model(model: ProcessModel) -> dict:
-    """Model -> plain document; parse(serialize(m)) == m."""
-    return {
-        "startNode": model.start_node,
-        "endNodes": list(model.end_nodes),
-        "activities": [
-            {
-                "id": a.id,
-                "name": a.name,
-                "duration": _serialize_distribution(a.duration),
-                "resources": list(a.resources),
-                "fixedCostPerExecution": a.fixed_cost_per_execution,
-            }
-            for a in model.activities
-        ],
-        "gateways": [
-            {
-                "id": g.id,
-                "kind": g.kind,
-                "branchProbabilities": {k: v for k, v in g.branch_probabilities},
-            }
-            for g in model.gateways
-        ],
-        "arcs": [{"source": arc.source, "target": arc.target} for arc in model.arcs],
-        "resources": [
-            {
-                "id": r.id,
-                "calendar": _serialize_calendar(r.calendar),
-                "costPerTimeUnit": r.cost_per_time_unit,
-            }
-            for r in model.resources
-        ],
-        "arrival": {
-            "interArrival": _serialize_distribution(model.arrival.inter_arrival),
-            "calendar": _serialize_calendar(model.arrival.calendar),
-            "totalCases": model.arrival.total_cases,
-        },
-    }

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import ParseError, finite_number, reject_unknown_keys
+from .codec import ParseError, finite_number, read, reject_unknown_keys
 from .policy import PolicySet, parse_policies, serialize_policies
 
 Point = tuple[float, float]
@@ -129,14 +129,11 @@ _SOLUTION_KEYS = ("point", "logRef", "lineage", "policies")
 def parse_front(doc) -> ParetoFront:
     """The front of a `front_to_doc` document.  Every malformed shape, the
     embedded policies included, raises ParetoError."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("solutions"), list):
-        raise ParetoError("front document needs a 'solutions' list")
     solutions = []
     try:
         reject_unknown_keys(doc, ("label", "solutions"), "$")
-        if not isinstance(doc.get("label", ""), str):
-            raise ParseError("$.label", f"expected a string, got {doc['label']!r}")
-        for i, entry in enumerate(doc["solutions"]):
+        read(doc, "label", "$", str, "")
+        for i, entry in enumerate(read(doc, "solutions", "$", list)):
             where = f"$.solutions[{i}]"
             reject_unknown_keys(entry, _SOLUTION_KEYS, where)
             point = entry.get("point")
@@ -145,20 +142,14 @@ def parse_front(doc) -> ParetoFront:
                 raise ParseError(
                     f"{where}.point", f"expected a list of two finite numbers, got {point!r}"
                 )
-            log_ref = entry.get("logRef", "")
-            if not isinstance(log_ref, str):
-                raise ParseError(f"{where}.logRef", f"expected a string, got {log_ref!r}")
-            lineage = entry.get("lineage", [])
-            if not isinstance(lineage, list) or not all(isinstance(s, dict) for s in lineage):
+            lineage = read(entry, "lineage", where, list, [])
+            if not all(isinstance(step, dict) for step in lineage):
                 raise ParseError(f"{where}.lineage", f"expected a list of objects, got {lineage!r}")
-            policies = entry.get("policies", {"policies": []})
-            if not isinstance(policies, dict):
-                raise ParseError(f"{where}.policies", f"expected an object, got {policies!r}")
             solutions.append(
                 Solution(
-                    policies=parse_policies(policies),
+                    policies=parse_policies(read(entry, "policies", where, dict, {"policies": []})),
                     point=tuple(coords),
-                    log_ref=log_ref,
+                    log_ref=read(entry, "logRef", where, str, ""),
                     lineage=tuple(dict(step) for step in lineage),
                 )
             )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
-from .codec import ParseError, finite_number, reject_unknown_keys
+from .codec import ParseError, finite_number, read, read_finite, read_strings, reject_unknown_keys
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -283,34 +283,29 @@ def _condition_from_doc(doc, where: str) -> Condition:
     """A condition from its document.  Its field is type-checked, not
     coerced: a threshold is a finite number, hours a list of integers and
     days a list of weekday names."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ParseError(where, "expected a condition object with a kind")
-    kind = doc["kind"]
+    if not isinstance(doc, dict):
+        raise ParseError(where, f"expected a condition object, got {doc!r}")
+    kind = read(doc, "kind", where, str)
     if kind not in CONDITION_KINDS:
         raise ParseError(where, f"unknown condition kind {kind!r}")
     name = "threshold" if kind in THRESHOLD_KINDS else "hours" if kind == DAILY_HOUR else "days"
     reject_unknown_keys(doc, ("kind", name), where)
-    try:
+    if kind in THRESHOLD_KINDS:
+        value = read_finite(doc, name, where)
+    elif kind == DAILY_HOUR:
+        value = read(doc, name, where, list)
+        if not all(type(h) is int for h in value):
+            raise ParseError(f"{where}.{name}", f"expected a list of integer hours, got {value!r}")
+    else:
+        value = read_strings(doc, name, where)
+    try:  # the reads above raise ParseError, itself a ValueError
         if kind in THRESHOLD_KINDS:
-            expected = "a finite number"
-            threshold = finite_number(doc[name])
-            if threshold is not None:
-                return Condition(kind, threshold=threshold)
-        elif kind == DAILY_HOUR:
-            expected = "a list of integer hours"
-            hours = doc[name]
-            if isinstance(hours, list) and all(type(h) is int for h in hours):
-                return Condition(kind, hours=tuple(sorted(hours)))
-        else:
-            expected = "a list of weekday names"
-            days = doc[name]
-            if isinstance(days, list) and all(isinstance(d, str) for d in days):
-                return Condition(kind, days=tuple(sorted(parse_weekday(d) for d in days)))
-    except KeyError:
-        raise ParseError(f"{where}.{name}", "missing required field") from None
+            return Condition(kind, threshold=value)
+        if kind == DAILY_HOUR:
+            return Condition(kind, hours=tuple(sorted(value)))
+        return Condition(kind, days=tuple(sorted(parse_weekday(d) for d in value)))
     except ValueError as err:
         raise ParseError(where, str(err)) from err
-    raise ParseError(f"{where}.{name}", f"expected {expected}, got {doc[name]!r}")
 
 
 def _cost_to_doc(cost: CostModel) -> dict:
@@ -329,21 +324,9 @@ def _cost_from_doc(doc, where: str) -> CostModel:
     """A cost model from its document.  Its fields are type-checked, not
     coerced: amounts are finite numbers, a variable-cost size is an integer
     and the resource cost mode a string."""
-    if doc is None:
-        return CostModel()
     reject_unknown_keys(doc, _COST_KEYS, where)
-
-    def amount(key: str, default: float) -> float:
-        value = finite_number(doc.get(key, default))
-        if value is None:
-            raise ParseError(f"{where}.{key}", f"expected a finite number, got {doc[key]!r}")
-        return value
-
-    table = doc.get("variableCost", [])
-    if not isinstance(table, list):
-        raise ParseError(f"{where}.variableCost", f"expected a list of pairs, got {table!r}")
     variable_cost = []
-    for i, pair in enumerate(table):
+    for i, pair in enumerate(read(doc, "variableCost", where, list, [])):
         size = money = None
         if isinstance(pair, list) and len(pair) == 2:
             size, money = pair[0], finite_number(pair[1])
@@ -353,15 +336,12 @@ def _cost_from_doc(doc, where: str) -> CostModel:
                 f"expected an [integer size, finite amount] pair, got {pair!r}",
             )
         variable_cost.append((size, money))
-    mode = doc.get("resourceCostMode", PER_TIME)
-    if not isinstance(mode, str):
-        raise ParseError(f"{where}.resourceCostMode", f"expected a string, got {mode!r}")
     try:
         return CostModel(
-            fixed_cost=amount("fixedCost", 0.0),
+            fixed_cost=read_finite(doc, "fixedCost", where, 0.0),
             variable_cost=tuple(variable_cost),
-            resource_cost_mode=mode,
-            processing_scale_factor=amount("processingScaleFactor", 1.0),
+            resource_cost_mode=read(doc, "resourceCostMode", where, str, PER_TIME),
+            processing_scale_factor=read_finite(doc, "processingScaleFactor", where, 1.0),
         )
     except PolicyError as err:
         raise ParseError(where, str(err)) from err
@@ -383,22 +363,17 @@ def serialize_policies(policies: PolicySet) -> dict:
 
 def parse_policies(doc) -> PolicySet:
     """The policy set of a parsed JSON policies document.  Raises ParseError."""
-    if not isinstance(doc, dict) or not isinstance(doc.get("policies"), list):
-        raise ParseError("$", "expected an object with a policies list")
     reject_unknown_keys(doc, ("policies",), "$")
     out: PolicySet = {}
-    for i, item in enumerate(doc["policies"]):
+    for i, item in enumerate(read(doc, "policies", "$", list)):
         where = f"$.policies[{i}]"
         reject_unknown_keys(item, ("activity", "batchType", "rule", "cost"), where)
-        for key in ("activity", "batchType", "rule"):
-            if key not in item:
-                raise ParseError(f"{where}.{key}", "missing required field")
-        if item["batchType"] not in BATCH_TYPES:
-            raise ParseError(f"{where}.batchType", f"unknown batch type {item['batchType']!r}")
-        if not isinstance(item["rule"], list):
-            raise ParseError(f"{where}.rule", "expected a list of condition groups")
+        activity_id = read(item, "activity", where, str)
+        batch_type = read(item, "batchType", where, str)
+        if batch_type not in BATCH_TYPES:
+            raise ParseError(f"{where}.batchType", f"unknown batch type {batch_type!r}")
         groups = []
-        for j, group_doc in enumerate(item["rule"]):
+        for j, group_doc in enumerate(read(item, "rule", where, list)):
             if not isinstance(group_doc, list):
                 raise ParseError(f"{where}.rule[{j}]", "expected a list of conditions")
             conditions = tuple(
@@ -408,15 +383,12 @@ def parse_policies(doc) -> PolicySet:
                 groups.append(ConditionGroup(conditions))
             except PolicyError as err:
                 raise ParseError(f"{where}.rule[{j}]", str(err)) from err
-        activity_id = item["activity"]
-        if not isinstance(activity_id, str):
-            raise ParseError(f"{where}.activity", f"expected a string, got {activity_id!r}")
         if activity_id in out:
             raise ParseError(f"{where}.activity", f"duplicate policy for {activity_id!r}")
         out[activity_id] = BatchingPolicy(
             activity_id=activity_id,
-            batch_type=item["batchType"],
+            batch_type=batch_type,
             rule=ActivationRule(tuple(groups)),
-            cost=_cost_from_doc(item.get("cost"), f"{where}.cost"),
+            cost=_cost_from_doc(read(item, "cost", where, dict, {}), f"{where}.cost"),
         )
     return out

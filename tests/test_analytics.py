@@ -47,28 +47,30 @@ def batch(batch_id, start, end, members, cost=0.0, busy=None, activity="work", r
     )
 
 
-def single_activity_model(total_cases=3, inter_arrival=3600, duration=3600, resource_calendar=None, fixed_cost=0.0):
-    return m.parse_model(
-        {
-            "startNode": "work",
-            "endNodes": ["work"],
-            "activities": [
-                {
-                    "id": "work",
-                    "duration": {"kind": "fixed", "value": duration},
-                    "resources": ["r1"],
-                    "fixedCostPerExecution": fixed_cost,
-                }
-            ],
-            "arcs": [],
-            "resources": [{"id": "r1", "calendar": resource_calendar or ALL_WEEK, "costPerTimeUnit": 0.0}],
-            "arrival": {
-                "interArrival": {"kind": "fixed", "value": inter_arrival},
-                "calendar": ALL_WEEK,
-                "totalCases": total_cases,
-            },
-        }
-    )
+def single_activity_doc(total_cases=3, inter_arrival=3600, duration=3600, resource_calendar=None, fixed_cost=0.0):
+    return {
+        "startNode": "work",
+        "endNodes": ["work"],
+        "activities": [
+            {
+                "id": "work",
+                "duration": {"kind": "fixed", "value": duration},
+                "resources": ["r1"],
+                "fixedCostPerExecution": fixed_cost,
+            }
+        ],
+        "arcs": [],
+        "resources": [{"id": "r1", "calendar": resource_calendar or ALL_WEEK, "costPerTimeUnit": 0.0}],
+        "arrival": {
+            "interArrival": {"kind": "fixed", "value": inter_arrival},
+            "calendar": ALL_WEEK,
+            "totalCases": total_cases,
+        },
+    }
+
+
+def single_activity_model(**kwargs):
+    return m.parse_model(single_activity_doc(**kwargs))
 
 
 def activity_stats(activity_id="work", **fields):
@@ -199,7 +201,7 @@ class TestComputeStats:
                 batch("b2", 5 * H, 6 * H, (2,), resource="r1"),
             ),
         )
-        doc = m.serialize_model(single_activity_model())
+        doc = single_activity_doc()
         doc["resources"].append({"id": "r2", "calendar": ALL_WEEK, "costPerTimeUnit": 0.0})
         doc["activities"][0]["resources"] = ["r1", "r2"]
         stats = an.compute_stats(log, m.parse_model(doc))

@@ -33,6 +33,10 @@ def test_parse_clock():
         parse_clock("25:00")
     with pytest.raises(ValueError):
         parse_clock("8")
+    # only HH:MM in ASCII digits, nothing `int()` would also take
+    for text in ("1_0:00", "9:5", "9:05", "+1:00", " 9 : 05", "\u0663:00", "24:01", "09:60"):
+        with pytest.raises(ValueError):
+            parse_clock(text)
 
 
 def test_contains_and_next_open():

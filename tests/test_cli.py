@@ -619,7 +619,7 @@ class TestEvaluate:
         [
             (lambda d: d["solutions"][0].update(lineage="ab"), "$.solutions[0].lineage"),
             (lambda d: d.update(label=5), "$.label"),
-            (lambda d: d.update(solutions={"a": 1}), "needs a 'solutions' list"),
+            (lambda d: d.update(solutions={"a": 1}), "$.solutions: expected a list, got {'a': 1}"),
             (lambda d: d["solutions"][0].update(logRef=5), "$.solutions[0].logRef"),
             (lambda d: d["solutions"][0].update(note="x"), "$.solutions[0].note: unknown key"),
             (lambda d: d.update(note="x"), "$.note: unknown key"),
@@ -724,3 +724,94 @@ def test_each_command_validates_its_model_once(tmp_path, monkeypatch, command):
         argv += ["--config", write_json(tmp_path / "optimizer.json", {"maxSolutions": 3})]
     assert main([command] + argv) == EXIT_OK
     assert len(calls) == 1
+
+
+CIRCADIAN = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+
+
+def _set(doc, path, value):
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    [
+        ("model", ("activities", 0, "fixedCostPerExecution"), "5",
+         "$.activities[0].fixedCostPerExecution: expected a number, got '5'"),
+        ("policies", ("policies", 0, "cost", "fixedCost"), "5",
+         "$.policies[0].cost.fixedCost: expected a number, got '5'"),
+        ("policies", ("policies", 0, "rule", 0, 0, "threshold"), "5",
+         "$.policies[0].rule[0][0].threshold: expected a number, got '5'"),
+        ("front", ("solutions", 0, "logRef"), 5,
+         "$.solutions[0].logRef: expected a string, got 5"),
+    ],
+    ids=["model-fixed-cost", "policies-fixed-cost", "policies-threshold", "front-log-ref"],
+)
+def test_a_mistyped_field_reads_the_same_in_every_document(tmp_path, capsys, kind, path, value,
+                                                           message):
+    if kind == "front":
+        doc = json.loads((CIRCADIAN / "front-hc-guided.json").read_text())
+        _set(doc, path, value)
+        argv = ["evaluate", str(CIRCADIAN / "front-sa-guided.json"),
+                write_json(tmp_path / "bad.json", doc)]
+    else:
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        target = model if kind == "model" else policies
+        doc = json.loads(Path(target).read_text())
+        _set(doc, path, value)
+        write_json(Path(target), doc)
+        argv = ["simulate", "--model", model, "--policies", policies]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def gateway_cycle_model(tmp_path: Path, gateways, arcs) -> str:
+    """two-batch's model with `ticket` leading into `gateways` and a second
+    activity `file` as its end."""
+    doc = get_fixture("two-batch").model_doc
+    doc["activities"].append({**doc["activities"][0], "id": "file"})
+    doc["gateways"] = gateways
+    doc["arcs"] = arcs
+    doc["endNodes"] = ["file"]
+    return write_json(tmp_path / "model.json", doc)
+
+
+@pytest.mark.parametrize(
+    "gateways, arcs, gateway",
+    [
+        ([{"id": "g", "kind": "and-split"}],
+         [("ticket", "g"), ("g", "g"), ("g", "file")], "g"),
+        ([{"id": "j", "kind": "xor-join"},
+          {"id": "s", "kind": "xor-split", "branchProbabilities": {"s->j": 1.0, "s->file": 0.0}}],
+         [("ticket", "j"), ("j", "s"), ("s", "j"), ("s", "file")], "j"),
+    ],
+    ids=["and-split-self-loop", "xor-join-split-loop"],
+)
+def test_a_cycle_of_gateways_only_is_a_schema_failure(tmp_path, capsys, gateways, arcs, gateway):
+    # a token entering such a cycle never rests at an activity, so the
+    # simulation would never end
+    model = gateway_cycle_model(
+        tmp_path, gateways, [{"source": s, "target": t} for s, t in arcs]
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"gateway {gateway!r}: lies on a cycle of gateways only" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("clock", ["1_0:00", "9:5", "+1:00", " 9 : 05", "\u0663:00"])
+def test_a_clock_not_spelled_hh_mm_is_a_schema_failure(tmp_path, capsys, clock):
+    model, policies = fixture_inputs(tmp_path, "two-batch")
+    doc = json.loads(Path(model).read_text())
+    doc["resources"][0]["calendar"][1]["start"] = clock
+    write_json(Path(model), doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--policies", policies, "--out", str(out)]) == 3
+    assert "$.resources[0].calendar[1]: bad clock value" in capsys.readouterr().err
+    assert not out.exists()

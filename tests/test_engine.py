@@ -17,28 +17,30 @@ ALL_WEEK = [
 ]
 
 
-def single_activity_model(total_cases=3, inter_arrival=3600, duration=3600, resource_calendar=None, fixed_cost=0.0):
-    return m.parse_model(
-        {
-            "startNode": "work",
-            "endNodes": ["work"],
-            "activities": [
-                {
-                    "id": "work",
-                    "duration": {"kind": "fixed", "value": duration},
-                    "resources": ["r1"],
-                    "fixedCostPerExecution": fixed_cost,
-                }
-            ],
-            "arcs": [],
-            "resources": [{"id": "r1", "calendar": resource_calendar or ALL_WEEK, "costPerTimeUnit": 0.0}],
-            "arrival": {
-                "interArrival": {"kind": "fixed", "value": inter_arrival},
-                "calendar": ALL_WEEK,
-                "totalCases": total_cases,
-            },
-        }
-    )
+def single_activity_doc(total_cases=3, inter_arrival=3600, duration=3600, resource_calendar=None, fixed_cost=0.0):
+    return {
+        "startNode": "work",
+        "endNodes": ["work"],
+        "activities": [
+            {
+                "id": "work",
+                "duration": {"kind": "fixed", "value": duration},
+                "resources": ["r1"],
+                "fixedCostPerExecution": fixed_cost,
+            }
+        ],
+        "arcs": [],
+        "resources": [{"id": "r1", "calendar": resource_calendar or ALL_WEEK, "costPerTimeUnit": 0.0}],
+        "arrival": {
+            "interArrival": {"kind": "fixed", "value": inter_arrival},
+            "calendar": ALL_WEEK,
+            "totalCases": total_cases,
+        },
+    }
+
+
+def single_activity_model(**kwargs):
+    return m.parse_model(single_activity_doc(**kwargs))
 
 
 def by_case(log, activity_id="work"):
@@ -196,7 +198,7 @@ class TestActivationTiming:
 
     def test_scheduled_hour_fires_at_boundary(self):
         arrival_cal = [{"weekday": "Monday", "start": "06:00", "end": "07:00"}]
-        model_doc = m.serialize_model(single_activity_model(total_cases=3, inter_arrival=600))
+        model_doc = single_activity_doc(total_cases=3, inter_arrival=600)
         model_doc["arrival"]["calendar"] = arrival_cal
         model = m.parse_model(model_doc)
         policies = {
@@ -213,7 +215,7 @@ class TestActivationTiming:
 
     def test_scheduled_hour_fires_immediately_within_hour(self):
         arrival_cal = [{"weekday": "Monday", "start": "08:00", "end": "09:00"}]
-        model_doc = m.serialize_model(single_activity_model(total_cases=2, inter_arrival=600))
+        model_doc = single_activity_doc(total_cases=2, inter_arrival=600)
         model_doc["arrival"]["calendar"] = arrival_cal
         model = m.parse_model(model_doc)
         policies = {
@@ -263,7 +265,7 @@ class TestActivationTiming:
         assert instants == [H, 2 * H, 3 * H, 4 * 24 * H]
 
     def test_earlier_clock_hour_preempts_a_pending_tick(self):
-        doc = m.serialize_model(single_activity_model(total_cases=2))
+        doc = single_activity_doc(total_cases=2)
         doc["activities"].append(dict(doc["activities"][0], id="file", name="file"))
         doc["arcs"] = [{"source": "work", "target": "file"}]
         doc["endNodes"] = ["file"]
@@ -365,7 +367,7 @@ class TestDeterminism:
         assert enables(log_plain) == enables(log_batched)
 
     def test_different_seed_different_log(self):
-        model_doc = m.serialize_model(single_activity_model(total_cases=10))
+        model_doc = single_activity_doc(total_cases=10)
         model_doc["arrival"]["interArrival"] = {"kind": "exponential", "mean": 1800}
         model = m.parse_model(model_doc)
         a, _ = simulate(model, {}, SimConfig(seed=1))
@@ -397,7 +399,7 @@ class TestWarmup:
 
 class TestErrors:
     def test_unvalidated_model_rejected(self):
-        doc = m.serialize_model(single_activity_model())
+        doc = single_activity_doc()
         doc["activities"][0]["resources"] = ["ghost"]
         with pytest.raises(SimulationError) as err:
             simulate(m.parse_model(doc), {}, SimConfig(seed=1))
@@ -447,7 +449,7 @@ class TestCompiledModel:
         assert len(calls) == 2
 
     def test_invalid_model_does_not_compile(self):
-        doc = m.serialize_model(single_activity_model())
+        doc = single_activity_doc()
         doc["activities"][0]["resources"] = ["ghost"]
         with pytest.raises(SimulationError, match="ghost"):
             engine.compile_model(m.parse_model(doc))
@@ -460,7 +462,7 @@ class TestCaseCountBound:
             SimConfig(total_cases=m.MAX_CASES + 1)
 
     def test_model_count_is_bounded(self):
-        doc = m.serialize_model(single_activity_model())
+        doc = single_activity_doc()
         doc["arrival"]["totalCases"] = m.MAX_CASES + 1
         violations = m.validate_model(m.parse_model(doc))
         assert violations == [f"arrival: totalCases must lie in [1, {m.MAX_CASES}]"]

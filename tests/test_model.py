@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -80,14 +79,6 @@ def branching_model_doc():
             "totalCases": 20,
         },
     }
-
-
-def test_parse_round_trip_fixpoint():
-    parsed = m.parse_model(branching_model_doc())
-    doc2 = m.serialize_model(parsed)
-    assert m.parse_model(doc2) == parsed
-    # and via JSON text
-    assert m.parse_model(json.loads(json.dumps(doc2))) == parsed
 
 
 def test_parse_reports_path_of_bad_field():
