@@ -32,7 +32,7 @@ WEEKDAY_NAMES = (
     "Saturday",
     "Sunday",
 )
-_WEEKDAY_INDEX = {name.lower(): i for i, name in enumerate(WEEKDAY_NAMES)}
+_WEEKDAY_INDEX = {name: i for i, name in enumerate(WEEKDAY_NAMES)}
 
 
 def weekday_of(t: int) -> int:
@@ -46,10 +46,11 @@ def hour_of(t: int) -> int:
 
 
 def parse_weekday(name: str) -> int:
-    key = name.strip().lower()
-    if key not in _WEEKDAY_INDEX:
+    """Index of one of `WEEKDAY_NAMES` spelled exactly: no other case and
+    no surrounding space."""
+    if name not in _WEEKDAY_INDEX:
         raise ValueError(f"unknown weekday name: {name!r}")
-    return _WEEKDAY_INDEX[key]
+    return _WEEKDAY_INDEX[name]
 
 
 def parse_clock(text: str) -> int:
@@ -80,7 +81,13 @@ class Interval:
 
 @dataclass(frozen=True)
 class Calendar:
-    """A weekly repeating set of open intervals."""
+    """A weekly repeating set of open intervals.
+
+    A calendar whose merged spans are exactly the whole week, however its
+    intervals split it (say, each day in two at some minute), is open at
+    every instant: `next_open(t)` is t and `work_end(s, a)` is s + a, so
+    both return at once, after the same argument checks as any other
+    calendar's."""
 
     intervals: tuple[Interval, ...]
     _spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
@@ -89,6 +96,7 @@ class Calendar:
     _open_before: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _open_through: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hour_fractions: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _always_open: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spans = sorted(iv.week_offsets() for iv in self.intervals)
@@ -99,6 +107,7 @@ class Calendar:
             else:
                 merged.append((s, e))
         object.__setattr__(self, "_spans", tuple(merged))
+        object.__setattr__(self, "_always_open", merged == [(0, SECONDS_PER_WEEK)])
         object.__setattr__(self, "_starts", tuple(s for s, _ in merged))
         through = list(itertools.accumulate(e - s for s, e in merged))
         object.__setattr__(self, "_open_before", tuple([0] + through[:-1]))
@@ -126,6 +135,8 @@ class Calendar:
 
     def next_open(self, t: int) -> int:
         """Earliest instant >= t that lies inside an open interval."""
+        if self._always_open:
+            return t
         starts = self._starts
         if not starts:
             raise ValueError("calendar has no intervals")
@@ -175,6 +186,8 @@ class Calendar:
             return start
         if not self._starts:
             raise ValueError("calendar has no intervals")
+        if self._always_open:
+            return start + amount
         through = self._open_through
         week, rest = divmod(self._open_until(start) + amount - 1, through[-1])
         rest += 1

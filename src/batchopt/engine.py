@@ -15,6 +15,14 @@ conditions change truth only on hour boundaries, so no rule can newly hold
 at any other instant.  When no future event can ever fire a rule, the
 remaining waiting instances are flushed as final batches.
 
+The event set has two parts.  Every case's arrival is generated before
+the first event, into a list that is already in event order; the
+completions, wakes and ticks that the run schedules as it goes are kept
+in a heap.  The loop takes the earlier of the next arrival and the heap's
+first event, both ordered on (time, kind, seq), so events are processed
+in the order one heap of all of them would give, while the heap holds
+only the events in flight, not every case's arrival.
+
 An activity's waiting queue only grows by appends at the current instant
 and is emptied whole when a batch forms, so it stays in enable-time order.
 A rule therefore reads just the queue's length and its first and last
@@ -355,6 +363,9 @@ class _Engine:
         self.or_expectations: dict[tuple[int, str], list[int]] = {}
         self.and_counts: dict[tuple[int, str], dict[str, int]] = {}
 
+        # every arrival event, in event order (see _generate_arrivals), and a
+        # heap of the events scheduled while the simulation runs
+        self.arrivals: list = []
         self.heap: list = []
         self.seq = itertools.count()
         self.pending_case_events = 0
@@ -369,7 +380,7 @@ class _Engine:
 
     def _push(self, time: int, kind: int, payload) -> None:
         heapq.heappush(self.heap, (time, kind, next(self.seq), payload))
-        if kind in (_COMPLETE, _ARRIVAL):
+        if kind == _COMPLETE:
             self.pending_case_events += 1
 
     def _schedule_tick(self) -> None:
@@ -406,6 +417,9 @@ class _Engine:
     # -- arrivals --------------------------------------------------------------
 
     def _generate_arrivals(self) -> None:
+        """Fill `self.arrivals` with every case's arrival event, in event
+        order: arrival times never decrease and their sequence numbers
+        rise, so the list is sorted on (time, kind, seq) as it is built."""
         total = self.config.total_cases or self.model.arrival.total_cases
         inter_arrival = self.model.arrival.inter_arrival
         # a fixed gap is not drawn; the arrivals stream has no other consumer
@@ -413,16 +427,14 @@ class _Engine:
         stream = rng.Stream(self.seed, "arrivals")
         cal = self.model.arrival.calendar
         seq = self.seq
-        heap = self.heap
+        arrivals = self.arrivals
         raw = 0.0
         for case_id in range(total):
             if fixed_gap is None:
                 raw += inter_arrival.sample(stream.next_unit())
             else:
                 raw += fixed_gap
-            heap.append((cal.next_open(rng.round_half_up(raw)), _ARRIVAL, next(seq), case_id))
-        # arrival times never decrease, so heapify finds the list in heap order
-        heapq.heapify(heap)
+            arrivals.append((cal.next_open(rng.round_half_up(raw)), _ARRIVAL, next(seq), case_id))
         self.pending_case_events += total
 
     # -- token routing -----------------------------------------------------------
@@ -684,6 +696,8 @@ class _Engine:
 
     def run(self) -> EventLog:
         self._generate_arrivals()
+        arrivals = self.arrivals
+        arrived = 0  # arrivals[arrived] is the next arrival
         heap = self.heap
         heappop = heapq.heappop
         act_states = self.act_states
@@ -702,9 +716,16 @@ class _Engine:
                 if not self._time_can_fire_something():
                     self._flush_all()
                     continue
-            if not heap:
+            # the earlier of the next arrival and the heap's first event;
+            # both are ordered on (time, kind, seq)
+            if arrived < len(arrivals) and (not heap or arrivals[arrived] < heap[0]):
+                time, kind, _, payload = arrivals[arrived]
+                arrivals[arrived] = None  # free it, as popping it from the heap would
+                arrived += 1
+            elif heap:
+                time, kind, _, payload = heappop(heap)
+            else:
                 break
-            time, kind, _, payload = heappop(heap)
             if time > self.now:
                 self.now = time
             if kind == _ARRIVAL:

@@ -147,7 +147,9 @@ def parse_front(doc) -> ParetoFront:
                 raise ParseError(f"{where}.lineage", f"expected a list of objects, got {lineage!r}")
             solutions.append(
                 Solution(
-                    policies=parse_policies(read(entry, "policies", where, dict, {"policies": []})),
+                    policies=parse_policies(
+                        read(entry, "policies", where, dict, {"policies": []}), f"{where}.policies"
+                    ),
                     point=tuple(coords),
                     log_ref=read(entry, "logRef", where, str, ""),
                     lineage=tuple(dict(step) for step in lineage),

@@ -361,12 +361,13 @@ def serialize_policies(policies: PolicySet) -> dict:
     }
 
 
-def parse_policies(doc) -> PolicySet:
-    """The policy set of a parsed JSON policies document.  Raises ParseError."""
-    reject_unknown_keys(doc, ("policies",), "$")
+def parse_policies(doc, root: str = "$") -> PolicySet:
+    """The policy set of a parsed JSON policies document.  Raises ParseError
+    with paths from `root`, the path of the document itself."""
+    reject_unknown_keys(doc, ("policies",), root)
     out: PolicySet = {}
-    for i, item in enumerate(read(doc, "policies", "$", list)):
-        where = f"$.policies[{i}]"
+    for i, item in enumerate(read(doc, "policies", root, list)):
+        where = f"{root}.policies[{i}]"
         reject_unknown_keys(item, ("activity", "batchType", "rule", "cost"), where)
         activity_id = read(item, "activity", where, str)
         batch_type = read(item, "batchType", where, str)

@@ -193,6 +193,32 @@ def test_open_seconds_between_matches_walking_windows(cal, a, span):
     assert cal.open_seconds_between(a, a + span) == walked_open_seconds(cal, a, a + span)
 
 
+@st.composite
+def whole_week_calendars(draw):
+    """The whole week, each day open all day or split in two at a drawn
+    minute, so most are open all week only once adjacent intervals merge."""
+    intervals = []
+    for day in range(7):
+        split = draw(st.one_of(st.just(0), st.integers(1, 24 * 60 - 1))) * 60
+        if split:
+            intervals += [Interval(day, 0, split), Interval(day, split, SECONDS_PER_DAY)]
+        else:
+            intervals.append(Interval(day, 0, SECONDS_PER_DAY))
+    return Calendar(tuple(intervals))
+
+
+@given(
+    whole_week_calendars(),
+    st.integers(-3 * SECONDS_PER_WEEK, 6 * SECONDS_PER_WEEK),
+    st.integers(0, 3 * SECONDS_PER_WEEK),
+)
+def test_a_whole_week_calendar_is_open_at_every_instant(cal, t, amount):
+    assert cal._always_open
+    assert cal.next_open(t) == t
+    assert cal.work_end(t, amount) == t + amount == stepped_work_end(cal, t, amount)
+    assert cal.open_seconds_between(t, t + amount) == amount
+
+
 def test_work_end_runs_on_across_the_week_boundary():
     # Sunday evening and Monday morning meet at the week boundary
     cal = Calendar((Interval(6, 22 * H, SECONDS_PER_DAY), Interval(0, 0, 2 * H)))
@@ -209,3 +235,20 @@ def test_work_end_rejects_negative_work_and_empty_calendars():
     with pytest.raises(ValueError):
         Calendar(()).work_end(0, 1)
     assert Calendar(()).work_end(5, 0) == 5
+
+
+@pytest.mark.parametrize("day, minute", [(6, 23 * 60 + 59), (2, 12 * 60), (0, 0)])
+def test_a_week_closed_for_one_minute_pauses_over_it(day, minute):
+    closed = day * SECONDS_PER_DAY + minute * 60
+    intervals = [Interval(d, 0, SECONDS_PER_DAY) for d in range(7) if d != day]
+    if minute:
+        intervals.append(Interval(day, 0, minute * 60))
+    intervals.append(Interval(day, minute * 60 + 60, SECONDS_PER_DAY))
+    cal = Calendar(tuple(intervals))
+    assert cal.next_open(closed) == closed + 60
+    assert cal.next_open(closed + 59) == closed + 60
+    assert cal.next_open(closed + 60) == closed + 60
+    # work begun just before the closed minute pauses over it
+    assert cal.work_end(closed - 30, 90) == closed + 120
+    # a week of work from the closed minute waits it out, then meets it once more
+    assert cal.work_end(closed, SECONDS_PER_WEEK) == closed + SECONDS_PER_WEEK + 120

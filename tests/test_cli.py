@@ -651,6 +651,20 @@ class TestEvaluate:
         assert "$.solutions[0].policies: expected an object" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_error_in_embedded_policies_names_the_solution(self, tmp_path, capsys):
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+        doc = json.loads((inputs / "front-hc-guided.json").read_text())
+        doc["solutions"][1]["policies"]["policies"][0]["batchType"] = "serial"
+        bad = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        code = main(["evaluate", str(inputs / "front-sa-guided.json"), bad, "--out", str(out)])
+        assert code == 3
+        assert (
+            "$.solutions[1].policies.policies[0].batchType: unknown batch type 'serial'"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_front_without_solutions_is_rejected(self, tmp_path, capsys):
         a = self.optimize_front(tmp_path, "good", guided=True)
         empty = write_json(tmp_path / "empty.json", {"label": "x", "solutions": []})
@@ -802,6 +816,32 @@ def test_a_cycle_of_gateways_only_is_a_schema_failure(tmp_path, capsys, gateways
     assert main(["simulate", "--model", model, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"gateway {gateway!r}: lies on a cycle of gateways only" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("day", [" tUESDAY ", "tuesday", "Tuesday ", "TUESDAY"])
+def test_a_weekday_not_spelled_exactly_is_a_schema_failure(tmp_path, capsys, day):
+    model, policies = fixture_inputs(tmp_path, "two-batch")
+    doc = json.loads(Path(model).read_text())
+    doc["resources"][0]["calendar"][1]["weekday"] = day
+    write_json(Path(model), doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--policies", policies, "--out", str(out)]) == 3
+    assert f"$.resources[0].calendar[1]: unknown weekday name: {day!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("days", [["monday"], [" Monday"], ["Monday", "FRIDAY"]])
+def test_a_week_day_condition_not_spelled_exactly_is_a_schema_failure(tmp_path, capsys, days):
+    model, _ = fixture_inputs(tmp_path, "two-batch")
+    bad = write_json(
+        tmp_path / "bad.json",
+        {"policies": [{"activity": "ticket", "batchType": "parallel",
+                       "rule": [[{"kind": "week-day", "days": days}]]}]},
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--policies", bad, "--out", str(out)]) == 3
+    assert "$.policies[0].rule[0][0]: unknown weekday name" in capsys.readouterr().err
     assert not out.exists()
 
 

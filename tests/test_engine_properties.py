@@ -217,7 +217,11 @@ class HourlyTickEngine(_Engine):
                         self._push(when, _WAKE, activity_id)
 
     def run(self) -> EventLog:
+        # one heap for every event, arrivals included, so the engine's merge
+        # of its pre-sorted arrivals with its heap is checked against it
         self._generate_arrivals()
+        for event in self.arrivals:
+            heapq.heappush(self.heap, event)
         tick_pending = False
         while True:
             if self.pending_case_events == 0:
@@ -373,3 +377,43 @@ def test_seed_free_model_simulates_the_same_under_any_seed(fixture, a, b):
     second = simulate(model, policies, SimConfig(seed=b))
     assert first.log == second.log
     assert first.objectives == second.objectives
+
+
+def test_completion_arrival_and_wake_at_one_instant_keep_event_order():
+    # 600 s of work after a 600 s arrival gap: at t = 1800 case 1 completes
+    # `intake`, case 2 arrives and the wt-first 600 wake that case 0 set at
+    # `review` falls due.  The completion goes first and fires the review
+    # batch onto the shared clerk, so case 2's intake waits until 2400.
+    doc = {
+        "startNode": "intake",
+        "endNodes": ["review"],
+        "activities": [
+            {"id": a, "duration": {"kind": "fixed", "value": 600}, "resources": ["clerk"]}
+            for a in ("intake", "review")
+        ],
+        "arcs": [{"source": "intake", "target": "review"}],
+        "resources": [{"id": "clerk", "calendar": ALL_WEEK}],
+        "arrival": {
+            "interArrival": {"kind": "fixed", "value": 600},
+            "calendar": ALL_WEEK,
+            "totalCases": 4,
+        },
+    }
+    compiled = compile_model(m.parse_model(doc))
+    policies = {
+        "review": pol.BatchingPolicy(
+            activity_id="review",
+            batch_type=pol.PARALLEL,
+            rule=pol.rule([pol.wait_first_at_least(600)]),
+        )
+    }
+    config = SimConfig(seed=0)
+    log = _Engine(compiled, policies, config).run()
+    assert log == HourlyTickEngine(compiled, policies, config).run()
+    assert [r[:7] for r in log.instances[:5]] == [
+        (0, "intake", "clerk", 600, 600, 1200, "b00001"),
+        (1, "intake", "clerk", 1200, 1200, 1800, "b00002"),
+        (0, "review", "clerk", 1200, 1800, 2400, "b00003"),
+        (1, "review", "clerk", 1800, 1800, 2400, "b00003"),
+        (2, "intake", "clerk", 1800, 2400, 3000, "b00004"),
+    ]
