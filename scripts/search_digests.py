@@ -4,60 +4,62 @@ Usage:
     python scripts/search_digests.py [--check]
 
 The goldens pin the simulated logs and the detected patterns, not what
-the searches make of them. This script runs every fixture under four
-arms (hc+, sa+, rl+ and hc-) at seeds 0 and 1 with a budget of 30
-simulations, and takes one sha256 per run over the text of its front
-document, audit rows and convergence rows, as `batchopt optimize`
-writes them. Without --check the digests are written to
-tests/search_digests.json; with --check they are compared with that
-file, a nonzero exit names each run that differs.
+the searches make of them. This script runs `batchopt optimize` on every
+fixture under four arms (hc+, sa+, rl+ and hc-) at seeds 0 and 1 with a
+budget of 30 simulations, and takes one sha256 per run over the
+front.json, audit.jsonl and convergence.csv it writes, in that order.
+Without --check the digests are written to tests/search_digests.json;
+with --check they are compared with that file, a nonzero exit names each
+run that differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from batchopt.fixtures import all_fixtures
-from batchopt.optimize import OptimizerConfig, optimize_hc_sa, render_convergence_csv
-from batchopt.pareto import front_to_doc
-from batchopt.rl import optimize_rl
+from batchopt import cli
+from batchopt.fixtures import FIXTURES_ROOT, MANIFEST_NAME
 
 DIGESTS_PATH = ROOT / "tests" / "search_digests.json"
 ARMS = (("hc", True), ("sa", True), ("rl", True), ("hc", False))
 SEEDS = (0, 1)
 BUDGET = 30
-
-
-def run_text(model, policies, strategy: str, guided: bool, seed: int) -> str:
-    """The front, audit and convergence text of one search run."""
-    config = OptimizerConfig(strategy=strategy, guided=guided, max_solutions=BUDGET, seed=seed)
-    runner = optimize_rl if strategy == "rl" else optimize_hc_sa
-    result = runner(model, policies, config)
-    label = strategy + ("+" if guided else "-")
-    return (
-        json.dumps(front_to_doc(result.front, label=label), indent=2, sort_keys=True)
-        + "\n"
-        + "".join(json.dumps(row, sort_keys=True) + "\n" for row in result.audit)
-        + render_convergence_csv(result.convergence)
-    )
+HASHED_OUTPUTS = ("front.json", "audit.jsonl", "convergence.csv")
 
 
 def compute_digests() -> dict[str, str]:
     digests = {}
-    for fixture in all_fixtures():
-        model, policies = fixture.model(), fixture.policies()
-        for strategy, guided in ARMS:
-            for seed in SEEDS:
-                text = run_text(model, policies, strategy, guided, seed)
-                key = f"{fixture.name}/{strategy}{'+' if guided else '-'}/seed{seed}"
-                digests[key] = hashlib.sha256(text.encode()).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "optimizer.json"
+        config.write_text(json.dumps({"maxSolutions": BUDGET}))
+        for fixture in json.loads((FIXTURES_ROOT / MANIFEST_NAME).read_text()):
+            inputs = FIXTURES_ROOT / fixture
+            for strategy, guided in ARMS:
+                for seed in SEEDS:
+                    key = f"{fixture}/{strategy}{'+' if guided else '-'}/seed{seed}"
+                    out = Path(tmp) / key
+                    argv = ["optimize", "--model", str(inputs / "model.json"),
+                            "--policies", str(inputs / "policies.json"), "--config", str(config),
+                            "--strategy", strategy, "--guided" if guided else "--unguided",
+                            "--seed", str(seed), "--out", str(out)]
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = cli.main(argv)
+                    if code != cli.EXIT_OK:
+                        raise SystemExit(f"{key}: batchopt optimize exited {code}")
+                    digest = hashlib.sha256()
+                    for name in HASHED_OUTPUTS:
+                        digest.update((out / name).read_bytes())
+                    digests[key] = digest.hexdigest()
     return digests
 
 

@@ -1,11 +1,17 @@
 """Command line front end: simulate, optimize, analyze, evaluate.
 
-Each subcommand reads JSON documents, writes its outputs into one
-directory, and finishes with a manifest recording the command, inputs,
-effective configuration (and its hash), seed, tool version, and output
-names. Primary outputs are deterministic for a given seed; the manifest
-additionally carries the wall-clock duration and so is not compared
-byte-for-byte.
+Each `cmd_*` function reads JSON documents and computes, touching no
+file: it returns its outputs as an ordered `{name: text}` dict, the
+effective configuration document, the seed and a one-line summary.
+`main` dispatches to it and, once it has succeeded, `_write_outputs`
+creates the output directory, writes the outputs in order and finishes
+with a manifest recording the command, inputs, effective configuration
+(and its hash), seed, tool version, and output names. A failed command
+thus leaves no directory. The price is memory: a command's rendered
+outputs are all held at once until they are written (for `simulate`,
+`events.csv` and `batches.csv` together). Primary outputs are deterministic for a given
+seed; the manifest additionally carries the wall-clock duration and so
+is not compared byte-for-byte.
 
 Exit codes: 0 success, 2 missing input or usage error, 3 schema
 violation in an input document, 4 runtime failure.
@@ -84,6 +90,11 @@ _SCHEMA_ERRORS = (
 )
 
 
+# what a command returns: its outputs in write order ({name: text}), the
+# effective config document, the seed and its one-line summary
+CommandResult = tuple[dict[str, str], dict, int, str]
+
+
 class CliError(Exception):
     """A diagnosed failure carrying its exit code."""
 
@@ -148,54 +159,35 @@ def _check_activities(model, policies, where: str) -> None:
             )
 
 
-# -- output plumbing ----------------------------------------------------------
+# -- configs ------------------------------------------------------------------
 
 
-class _OutputDir:
-    """Collects written file names so the manifest can list them."""
-
-    def __init__(self, root: str):
-        self.root = root
-        self.written: list[str] = []
-        os.makedirs(root, exist_ok=True)
-
-    def write(self, name: str, text: str) -> None:
-        with open(os.path.join(self.root, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        self.written.append(name)
+def _run_config(args) -> SimConfig:
+    """The run config file parsed, or the defaults without one."""
+    return _parse_doc(args.config, "run config", parse_sim_config) if args.config else SimConfig()
 
 
-def _resolve_out(args) -> _OutputDir:
-    if args.out:
-        return _OutputDir(args.out)
-    root = os.environ.get(OUT_ROOT_ENV, ".")
-    return _OutputDir(os.path.join(root, args.command))
+def _optimizer_config(args, parser: argparse.ArgumentParser) -> OptimizerConfig:
+    """The optimizer config file parsed, or the defaults without one; an
+    integer `maxSolutions` below 1 is a usage error (exit 2)."""
 
+    def parse(doc) -> OptimizerConfig:
+        budget = doc.get("maxSolutions") if isinstance(doc, dict) else None
+        if type(budget) is int and budget < 1:  # a bool is no budget: exit 3
+            parser.error("maxSolutions must be at least 1")
+        return parse_optimizer_config(doc)
 
-def _write_manifest(out: _OutputDir, command: str, inputs: dict, effective_config: dict,
-                    seed: int, started: float) -> None:
-    manifest = {
-        "command": command,
-        "inputs": inputs,
-        "configHash": config_hash(effective_config),
-        "effectiveConfig": effective_config,
-        "seed": seed,
-        "version": __version__,
-        "outputs": list(out.written),
-        "durationSeconds": round(time.monotonic() - started, 6),
-    }
-    out.write(MANIFEST_FILE, _json_text(manifest))
+    if not args.config:
+        return OptimizerConfig()
+    return _parse_doc(args.config, "optimizer config", parse)
 
 
 # -- simulate -----------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
+def cmd_simulate(args, parser: argparse.ArgumentParser) -> CommandResult:
     compiled, policies = _load_inputs(args)
-    config = (
-        _parse_doc(args.config, "run config", parse_sim_config) if args.config else SimConfig()
-    )
+    config = _run_config(args)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
 
@@ -207,13 +199,11 @@ def cmd_simulate(args) -> int:
     if result.log.horizon > LAST_INSTANT:
         raise CliError(EXIT_RUNTIME, f"cannot write the log: {LogTimeError(result.log.horizon)}")
 
-    out = _resolve_out(args)
-    out.write("events.csv", render_event_csv(result.log))
-    out.write("batches.csv", render_batch_csv(result.log))
     obj = result.objectives
-    out.write(
-        "objectives.json",
-        _json_text(
+    outputs = {
+        "events.csv": render_event_csv(result.log),
+        "batches.csv": render_batch_csv(result.log),
+        "objectives.json": _json_text(
             {
                 "avgCycleTime": obj.avg_cycle_time,
                 "avgCost": obj.avg_cost,
@@ -222,49 +212,25 @@ def cmd_simulate(args) -> int:
                 "instances": obj.instance_count,
             }
         ),
-    )
-    _write_manifest(
-        out,
-        "simulate",
-        {"model": args.model, "policies": args.policies or "", "config": args.config or ""},
-        to_doc(config),
-        config.seed,
-        started,
-    )
-    print(
+    }
+    summary = (
         f"simulated {obj.instance_count} instances: "
         f"avg cycle time {obj.avg_cycle_time!r}, avg cost {obj.avg_cost!r}"
     )
-    return EXIT_OK
+    return outputs, to_doc(config), config.seed, summary
 
 
 # -- optimize -----------------------------------------------------------------
 
 
-def _effective_optimizer_config(args, parser: argparse.ArgumentParser) -> OptimizerConfig:
-    if args.config:
-        doc = _read_json(args.config, "optimizer config")
-        budget = doc.get("maxSolutions") if isinstance(doc, dict) else None
-        if type(budget) is int and budget < 1:  # a bool is no budget: exit 3 below
-            parser.error("maxSolutions must be at least 1")
-        try:
-            config = parse_optimizer_config(doc)
-        except OptimizerError as err:
-            raise CliError(EXIT_SCHEMA, f"optimizer config file {args.config}: {err}") from err
-    else:
-        config = OptimizerConfig()
+def cmd_optimize(args, parser: argparse.ArgumentParser) -> CommandResult:
+    compiled, policies = _load_inputs(args)
+    config = _optimizer_config(args, parser)
     overrides = {"seed": args.seed, "strategy": args.strategy, "guided": args.guided}
     try:
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except OptimizerError as err:
         raise CliError(EXIT_SCHEMA, str(err)) from err
-    return config
-
-
-def cmd_optimize(args, parser: argparse.ArgumentParser) -> int:
-    started = time.monotonic()
-    compiled, policies = _load_inputs(args)
-    config = _effective_optimizer_config(args, parser)
 
     runner = optimize_rl if config.strategy == "rl" else optimize_hc_sa
     try:
@@ -273,27 +239,17 @@ def cmd_optimize(args, parser: argparse.ArgumentParser) -> int:
         raise CliError(EXIT_RUNTIME, f"optimization failed: {err}") from err
 
     label = config.strategy + ("+" if config.guided else "-")
-    out = _resolve_out(args)
-    out.write("front.json", _json_text(front_to_doc(result.front, label=label)))
-    out.write("front.csv", render_front_csv(result.front))
-    out.write(
-        "audit.jsonl",
-        "".join(json.dumps(row, sort_keys=True) + "\n" for row in result.audit),
-    )
-    out.write("convergence.csv", render_convergence_csv(result.convergence))
-    _write_manifest(
-        out,
-        "optimize",
-        {"model": args.model, "policies": args.policies or "", "config": args.config or ""},
-        to_doc(config),
-        config.seed,
-        started,
-    )
-    print(
+    outputs = {
+        "front.json": _json_text(front_to_doc(result.front, label=label)),
+        "front.csv": render_front_csv(result.front),
+        "audit.jsonl": "".join(json.dumps(row, sort_keys=True) + "\n" for row in result.audit),
+        "convergence.csv": render_convergence_csv(result.convergence),
+    }
+    summary = (
         f"{label}: front of {len(result.front)} after {result.simulations} simulations "
         f"({result.failures} failed)"
     )
-    return EXIT_OK
+    return outputs, to_doc(config), config.seed, summary
 
 
 # -- analyze ------------------------------------------------------------------
@@ -303,21 +259,15 @@ def _histogram_doc(hist) -> dict:
     return {f"{day}-{hour:02d}": value for (day, hour), value in sorted(hist.items())}
 
 
-def cmd_analyze(args) -> int:
-    started = time.monotonic()
+def cmd_analyze(args, parser: argparse.ArgumentParser) -> CommandResult:
     compiled, policies = _load_inputs(args)
     model = compiled.model
-    config = (
-        _parse_doc(args.config, "optimizer config", parse_optimizer_config)
-        if args.config
-        else OptimizerConfig()
-    )
-    sim_config = config.sim
+    config = _optimizer_config(args, parser)
     if args.seed is not None:
-        sim_config = replace(sim_config, seed=args.seed)
+        config = replace(config, sim=replace(config.sim, seed=args.seed))
 
     try:
-        result = simulate(compiled, policies, sim_config)
+        result = simulate(compiled, policies, config.sim)
         stats = compute_stats(result.log, model)
         scenarios = detect_scenarios(result.log, model, policies, config.detection, stats)
     except (SimulationError, AnalyticsError) as err:
@@ -357,21 +307,11 @@ def cmd_analyze(args) -> int:
             key=lambda row: (row["activity"], row["scenarioId"]),
         ),
     }
-    out = _resolve_out(args)
-    out.write("report.json", _json_text(report))
-    _write_manifest(
-        out,
-        "analyze",
-        {"model": args.model, "policies": args.policies or "", "config": args.config or ""},
-        to_doc(replace(config, sim=sim_config)),
-        sim_config.seed,
-        started,
-    )
-    print(
+    summary = (
         f"analyzed {len(stats.activities)} activities: "
         f"{len(report['scenarios'])} scenario hits"
     )
-    return EXIT_OK
+    return {"report.json": _json_text(report)}, to_doc(config), config.sim.seed, summary
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -391,8 +331,11 @@ def _reference_solutions(reference: FrontPointSet, fronts: list[ParetoFront]) ->
     return ParetoFront(tuple(by_point[p] for p in reference.points))
 
 
-def cmd_evaluate(args) -> int:
-    started = time.monotonic()
+def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
+    if len(args.fronts) < 2:
+        parser.error("evaluate needs at least two front documents")
+    if not args.model and (args.policies is not None or args.config is not None):
+        parser.error("evaluate --policies and --config need --model")
     fronts: list[ParetoFront] = []
     runs: list[FrontPointSet] = []
     for path in args.fronts:
@@ -407,7 +350,7 @@ def cmd_evaluate(args) -> int:
         fronts.append(front)
         runs.append(run)
 
-    gain_context = None
+    gains = [None] * len(fronts)
     if args.model:
         compiled, policies = _load_inputs(args)
         for path, front in zip(args.fronts, fronts):
@@ -415,11 +358,7 @@ def cmd_evaluate(args) -> int:
                 _check_activities(
                     compiled.model, solution.policies, f"front file {path}, solution {i}"
                 )
-        sim_config = (
-            _parse_doc(args.config, "run config", parse_sim_config)
-            if args.config
-            else SimConfig()
-        )
+        sim_config = _run_config(args)
         try:
             initial = simulate(compiled, policies, sim_config)
         except SimulationError as err:
@@ -430,20 +369,16 @@ def cmd_evaluate(args) -> int:
                 filter_warmup(initial.log, sim_config.warmup)
             )
         }
-        gain_context = (initial.log, compiled, sim_config, memo)
-
-    reference = build_reference_front(runs)
-
-    def gain_for(front: ParetoFront) -> float | None:
-        if gain_context is None:
-            return None
-        initial_log, compiled, sim_config, memo = gain_context
         try:
-            return cycle_time_gain(initial_log, front.solutions, compiled, sim_config, memo)
+            gains = [
+                cycle_time_gain(initial.log, front.solutions, compiled, sim_config, memo)
+                for front in fronts
+            ]
         except (SimulationError, MetricsError) as err:
             raise CliError(EXIT_RUNTIME, f"gain computation failed: {err}") from err
 
-    rows = [metrics_row(run, reference, gain_for(front)) for run, front in zip(runs, fronts)]
+    reference = build_reference_front(runs)
+    rows = [metrics_row(run, reference, gain) for run, gain in zip(runs, gains)]
 
     guided = [r for r in runs if r.label.endswith("+")]
     unguided = [r for r in runs if r.label.endswith("-")]
@@ -456,28 +391,14 @@ def cmd_evaluate(args) -> int:
         covered = weakly_dominates(plus, minus)
         verdict = f"++ weakly dominates --: {'yes' if covered else 'no'}"
 
-    out = _resolve_out(args)
-    out.write("metrics.csv", render_metrics_csv(rows))
-    out.write("metrics.txt", _render_metrics_text(reference, rows, verdict))
-    out.write(
-        "reference_front.json",
-        _json_text(front_to_doc(_reference_solutions(reference, fronts), label="reference")),
-    )
-    _write_manifest(
-        out,
-        "evaluate",
-        {
-            "fronts": list(args.fronts),
-            "model": args.model or "",
-            "policies": args.policies or "",
-            "config": args.config or "",
-        },
-        {"fronts": [r.label for r in runs]},
-        0,
-        started,
-    )
-    print(f"evaluated {len(runs)} fronts against a reference of {len(reference)} points")
-    return EXIT_OK
+    reference_doc = front_to_doc(_reference_solutions(reference, fronts), label="reference")
+    outputs = {
+        "metrics.csv": render_metrics_csv(rows),
+        "metrics.txt": _render_metrics_text(reference, rows, verdict),
+        "reference_front.json": _json_text(reference_doc),
+    }
+    summary = f"evaluated {len(runs)} fronts against a reference of {len(reference)} points"
+    return outputs, {"fronts": [r.label for r in runs]}, 0, summary
 
 
 def _render_metrics_text(reference: FrontPointSet, rows: list[dict], verdict: str) -> str:
@@ -543,24 +464,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "simulate": cmd_simulate,
+    "optimize": cmd_optimize,
+    "analyze": cmd_analyze,
+    "evaluate": cmd_evaluate,
+}
+
+
+def _write_outputs(args, outputs: dict[str, str], effective_config: dict, seed: int,
+                   started: float) -> None:
+    """Create the output directory, write the outputs in order, and the
+    manifest last."""
+    root = args.out or os.path.join(os.environ.get(OUT_ROOT_ENV, "."), args.command)
+    os.makedirs(root, exist_ok=True)
+
+    def write(name: str, text: str) -> None:
+        with open(os.path.join(root, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    for name, text in outputs.items():
+        write(name, text)
+    inputs = {name: getattr(args, name) or "" for name in ("model", "policies", "config")}
+    if args.command == "evaluate":
+        inputs["fronts"] = list(args.fronts)
+    manifest = {
+        "command": args.command,
+        "inputs": inputs,
+        "configHash": config_hash(effective_config),
+        "effectiveConfig": effective_config,
+        "seed": seed,
+        "version": __version__,
+        "outputs": list(outputs),
+        "durationSeconds": round(time.monotonic() - started, 6),
+    }
+    write(MANIFEST_FILE, _json_text(manifest))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "optimize":
-            return cmd_optimize(args, parser)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "evaluate":
-            if len(args.fronts) < 2:
-                parser.error("evaluate needs at least two front documents")
-            return cmd_evaluate(args)
+        outputs, effective_config, seed, summary = _COMMANDS[args.command](args, parser)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    raise AssertionError(f"unhandled command {args.command!r}")
+    _write_outputs(args, outputs, effective_config, seed, started)
+    print(summary)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -337,7 +337,6 @@ class _Candidate:
     solution: Solution
     evaluation: Evaluation
     dist: float
-    index: int  # insertion order, the hill-climbing tiebreaker
 
 
 def guided_deltas(
@@ -486,8 +485,7 @@ def optimize_hc_sa(
 
     search = CandidateEvaluator(model, config, simulate, compute_stats, apply_delta)
     root, evaluation = search.start(initial_policies, dist=0.0, enqueued=True)
-    queue = [_Candidate(root, evaluation, 0.0, 0)]
-    next_insert = 1
+    queue = [_Candidate(root, evaluation, 0.0)]  # kept in insertion order
 
     mode = config.strategy
     radius = config.radius
@@ -504,7 +502,8 @@ def optimize_hc_sa(
     while queue and search.simulations < config.max_solutions:
         iteration += 1
         if mode == HC:
-            at = min(range(len(queue)), key=lambda i: (queue[i].dist, queue[i].index))
+            # the first of the nearest: insertion order breaks ties
+            at = min(range(len(queue)), key=lambda i: queue[i].dist)
         else:
             at = int(pop_stream.next_unit() * len(queue))
         parent = queue.pop(at)
@@ -528,8 +527,7 @@ def optimize_hc_sa(
             else:
                 enqueue = accept_stream.next_unit() < math.exp(-dist / temperature)
             if enqueue:
-                queue.append(_Candidate(child, evaluation, dist, next_insert))
-                next_insert += 1
+                queue.append(_Candidate(child, evaluation, dist))
                 row["enqueued"] = True
             search.record(row)
 

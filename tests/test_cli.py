@@ -353,10 +353,13 @@ class TestOptimize:
     def test_zero_budget_is_a_usage_error(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
         config = oracle_config(tmp_path, maxSolutions=0)
-        with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--model", model, "--policies", policies,
-                  "--config", config, "--out", str(tmp_path / "out")])
-        assert exc.value.code == 2
+        for command in ("optimize", "analyze"):
+            out = tmp_path / command
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", model, "--policies", policies,
+                      "--config", config, "--out", str(out)])
+            assert exc.value.code == 2, command
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "config, message",
@@ -576,6 +579,18 @@ class TestEvaluate:
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", a, "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--policies", "--config"])
+    def test_baseline_flag_without_model_is_a_usage_error(self, tmp_path, capsys, flag):
+        inputs = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", str(inputs / "front-hc-guided.json"),
+                  str(inputs / "front-sa-guided.json"), flag, str(tmp_path / "missing.json"),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "need --model" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_front_is_a_schema_failure(self, tmp_path, capsys):
         a = self.optimize_front(tmp_path, "good", guided=True)

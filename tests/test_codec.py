@@ -325,7 +325,7 @@ def test_mutated_optimizer_configs_exit_0_3_or_4(scratch, command, strategy):
         try:
             code = run_cli(scratch, argv)
         except SystemExit as exc:  # argparse's usage error, for a budget below 1
-            assert command == "optimize" and max_solutions < 1
+            assert max_solutions is not None and max_solutions < 1
             assert exc.code == 2
             return
         assert code in (0, 3, 4)

@@ -257,12 +257,13 @@ def _clock(minute: int) -> str:
 
 
 @st.composite
-def calendars(draw):
-    """One random open stretch on each of 1-4 distinct weekdays."""
+def calendars(draw, step: int = 1):
+    """One random open stretch on each of 1-4 distinct weekdays, its
+    bounds on a grid of `step` minutes."""
     intervals = []
     for day in draw(st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True)):
-        start = draw(st.integers(0, 24 * 60 - 1))
-        end = draw(st.integers(start + 1, 24 * 60))
+        start = draw(st.integers(0, 24 * 60 // step - 1)) * step
+        end = draw(st.integers(start // step + 1, 24 * 60 // step)) * step
         intervals.append({"weekday": WEEKDAY_NAMES[day], "start": _clock(start), "end": _clock(end)})
     return intervals
 
@@ -280,11 +281,24 @@ mixed_conditions = st.one_of(
     clock_conditions,
 )
 
+# On a grid of GRID seconds (which divides an hour) durations, arrival
+# gaps, waiting thresholds and calendar bounds make completions, arrivals,
+# wakes and ticks fall on one instant, so their (time, kind) order counts.
+GRID = 600
+grid_fixed = st.integers(1, 6).map(lambda k: {"kind": "fixed", "value": k * GRID})
+grid_waits = st.integers(0, 6).map(lambda k: k * GRID)
+grid_conditions = st.one_of(
+    st.builds(pol.size_at_least, st.integers(1, 5)),
+    st.builds(pol.wait_first_at_least, grid_waits),
+    st.builds(pol.wait_last_at_least, grid_waits),
+    clock_conditions,
+)
+
 
 @st.composite
-def clocked_groups(draw):
+def clocked_groups(draw, conditions=mixed_conditions):
     """A group that reads the clock, plus up to two other conditions."""
-    others = draw(st.lists(mixed_conditions, max_size=2, unique_by=lambda c: c.kind))
+    others = draw(st.lists(conditions, max_size=2, unique_by=lambda c: c.kind))
     clock = draw(clock_conditions)
     return [c for c in others if c.kind != clock.kind] + [clock]
 
@@ -297,7 +311,18 @@ arrival_gaps = st.one_of(
 
 
 @st.composite
-def clocked_scenarios(draw):
+def clocked_scenarios(draw, on_grid: bool = False):
+    if on_grid:
+        # one calendar for the resources and the arrivals, so that work runs
+        # while cases still arrive and completions meet arrivals
+        shared = st.just(draw(st.one_of(st.just(ALL_WEEK), calendars(GRID // 60))))
+        duration, gap, conditions = grid_fixed, grid_fixed, grid_conditions
+        resource_calendar, arrival_calendar, cases = shared, shared, st.integers(4, 16)
+    else:
+        duration, gap, conditions = durations, arrival_gaps, mixed_conditions
+        resource_calendar = calendars()
+        arrival_calendar = st.one_of(st.just(ALL_WEEK), calendars())
+        cases = st.integers(1, 16)
     n_acts = draw(st.integers(1, 3))
     acts = [f"step{i}" for i in range(n_acts)]
     resources = ["r0", "r1"]
@@ -307,7 +332,7 @@ def clocked_scenarios(draw):
         "activities": [
             {
                 "id": a,
-                "duration": draw(durations),
+                "duration": draw(duration),
                 "resources": draw(
                     st.lists(st.sampled_from(resources), min_size=1, max_size=2, unique=True)
                 ),
@@ -317,12 +342,13 @@ def clocked_scenarios(draw):
         ],
         "arcs": [{"source": acts[i], "target": acts[i + 1]} for i in range(n_acts - 1)],
         "resources": [
-            {"id": r, "calendar": draw(calendars()), "costPerTimeUnit": 0.5} for r in resources
+            {"id": r, "calendar": draw(resource_calendar), "costPerTimeUnit": 0.5}
+            for r in resources
         ],
         "arrival": {
-            "interArrival": draw(arrival_gaps),
-            "calendar": draw(st.one_of(st.just(ALL_WEEK), calendars())),
-            "totalCases": draw(st.integers(1, 16)),
+            "interArrival": draw(gap),
+            "calendar": draw(arrival_calendar),
+            "totalCases": draw(cases),
         },
     }
     policies = {}
@@ -331,8 +357,8 @@ def clocked_scenarios(draw):
             groups = draw(
                 st.lists(
                     st.one_of(
-                        clocked_groups(),
-                        st.lists(mixed_conditions, min_size=1, max_size=3, unique_by=lambda c: c.kind),
+                        clocked_groups(conditions),
+                        st.lists(conditions, min_size=1, max_size=3, unique_by=lambda c: c.kind),
                     ),
                     max_size=3,
                 )
@@ -346,9 +372,7 @@ def clocked_scenarios(draw):
     return m.parse_model(doc), policies, seed
 
 
-@settings(deadline=None)
-@given(clocked_scenarios())
-def test_next_event_engine_matches_hourly_reference(scenario):
+def _assert_matches_hourly_reference(scenario) -> None:
     model, policies, seed = scenario
     config = SimConfig(seed=seed)
     compiled = compile_model(model)
@@ -356,6 +380,18 @@ def test_next_event_engine_matches_hourly_reference(scenario):
         _Engine(compiled, policies, config).run()
         == HourlyTickEngine(compiled, policies, config).run()
     )
+
+
+@settings(deadline=None)
+@given(clocked_scenarios())
+def test_next_event_engine_matches_hourly_reference(scenario):
+    _assert_matches_hourly_reference(scenario)
+
+
+@settings(deadline=None)
+@given(clocked_scenarios(on_grid=True))
+def test_next_event_engine_matches_hourly_reference_on_a_grid(scenario):
+    _assert_matches_hourly_reference(scenario)
 
 
 SEED_FREE_FIXTURES = [f for f in all_fixtures() if seed_free(f.model())]
