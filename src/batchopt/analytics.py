@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calendars import (
     SECONDS_PER_DAY,
@@ -51,6 +52,7 @@ from .policy import (
     BatchingPolicy,
     PolicySet,
 )
+from .records import Record
 from .reduce import dot, mean, median, percentile
 
 SCENARIO_IDS = tuple(range(1, 20))
@@ -70,8 +72,7 @@ def bucket_of(t: int) -> Bucket:
     return (weekday_of(t), hour_of(t))
 
 
-@dataclass(frozen=True)
-class ActivityStats:
+class ActivityStats(NamedTuple):
     activity_id: str
     execution_count: int
     mean_processing_time: float
@@ -101,14 +102,12 @@ class ActivityStats:
         return len(self.batch_sizes)
 
 
-@dataclass(frozen=True)
-class ResourceStats:
+class ResourceStats(NamedTuple):
     resource_id: str
     utilization: float  # busy seconds / calendar-open seconds over the log span
 
 
-@dataclass(frozen=True)
-class LogStats:
+class LogStats(NamedTuple):
     activities: tuple[ActivityStats, ...]
     resources: tuple[ResourceStats, ...]
 
@@ -254,8 +253,7 @@ class DetectionConfig:
             raise AnalyticsError(f"size_cap must be >= 1, got {self.size_cap}")
 
 
-@dataclass(frozen=True)
-class ScenarioInstance:
+class ScenarioInstance(Record):
     """One pattern hit on one activity.
 
     `observed` holds the numbers behind the trigger. The other fields hold
@@ -264,14 +262,24 @@ class ScenarioInstance:
     of pattern 9. The fixes of the other patterns read the stats.
     """
 
-    scenario_id: int
-    activity_id: str
-    observed: tuple[tuple[str, float], ...] = ()
-    histograms: tuple[tuple[tuple[Bucket, float], ...], ...] = ()
-    aligned_first_waits: tuple[float, ...] = ()
-    aligned_last_waits: tuple[float, ...] = ()
+    __slots__ = ("scenario_id", "activity_id", "observed", "histograms",
+                 "aligned_first_waits", "aligned_last_waits")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        scenario_id: int,
+        activity_id: str,
+        observed: tuple[tuple[str, float], ...] = (),
+        histograms: tuple[tuple[tuple[Bucket, float], ...], ...] = (),
+        aligned_first_waits: tuple[float, ...] = (),
+        aligned_last_waits: tuple[float, ...] = (),
+    ):
+        self.scenario_id = scenario_id
+        self.activity_id = activity_id
+        self.observed = observed
+        self.histograms = histograms
+        self.aligned_first_waits = aligned_first_waits
+        self.aligned_last_waits = aligned_last_waits
         if self.scenario_id not in SCENARIO_IDS:
             raise AnalyticsError(f"unknown scenario id {self.scenario_id}")
 

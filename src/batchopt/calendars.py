@@ -16,7 +16,9 @@ from __future__ import annotations
 import bisect
 import itertools
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .records import Record
 
 SECONDS_PER_MINUTE = 60
 SECONDS_PER_HOUR = 3600
@@ -66,8 +68,7 @@ def format_clock(seconds_into_day: int) -> str:
     return f"{seconds_into_day // SECONDS_PER_HOUR:02d}:{(seconds_into_day % SECONDS_PER_HOUR) // 60:02d}"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """One weekly availability window, bounded within a single day."""
 
     weekday: int  # 0 = Monday
@@ -79,9 +80,9 @@ class Interval:
         return base + self.start, base + self.end
 
 
-@dataclass(frozen=True)
-class Calendar:
-    """A weekly repeating set of open intervals.
+class Calendar(Record):
+    """A weekly repeating set of open intervals; calendars compare by
+    `intervals` alone.
 
     A calendar whose merged spans are exactly the whole week, however its
     intervals split it (say, each day in two at some minute), is open at
@@ -89,29 +90,25 @@ class Calendar:
     both return at once, after the same argument checks as any other
     calendar's."""
 
-    intervals: tuple[Interval, ...]
-    _spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # open seconds of the week before / through the end of each span
-    _open_before: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _open_through: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _hour_fractions: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _always_open: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("intervals", "_spans", "_starts", "_open_before", "_open_through",
+                 "_hour_fractions", "_always_open")
 
-    def __post_init__(self):
-        spans = sorted(iv.week_offsets() for iv in self.intervals)
+    def __init__(self, intervals: tuple[Interval, ...]):
+        self.intervals = intervals
+        spans = sorted(iv.week_offsets() for iv in intervals)
         merged: list[tuple[int, int]] = []
         for s, e in spans:
             if merged and s <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], e))
             else:
                 merged.append((s, e))
-        object.__setattr__(self, "_spans", tuple(merged))
-        object.__setattr__(self, "_always_open", merged == [(0, SECONDS_PER_WEEK)])
-        object.__setattr__(self, "_starts", tuple(s for s, _ in merged))
+        self._spans = tuple(merged)
+        self._always_open = merged == [(0, SECONDS_PER_WEEK)]
+        self._starts = tuple(s for s, _ in merged)
+        # open seconds of the week before / through the end of each span
         through = list(itertools.accumulate(e - s for s, e in merged))
-        object.__setattr__(self, "_open_before", tuple([0] + through[:-1]))
-        object.__setattr__(self, "_open_through", tuple(through))
+        self._open_before = tuple([0] + through[:-1])
+        self._open_through = tuple(through)
         fractions = []
         for slot_start in range(0, SECONDS_PER_WEEK, SECONDS_PER_HOUR):
             slot_end = slot_start + SECONDS_PER_HOUR
@@ -121,7 +118,7 @@ class Calendar:
                 if hi > lo:
                     covered += hi - lo
             fractions.append(covered / SECONDS_PER_HOUR)
-        object.__setattr__(self, "_hour_fractions", tuple(fractions))
+        self._hour_fractions = tuple(fractions)
 
     def _locate(self, offset: int) -> tuple[int, int] | None:
         """The span containing week-offset, or None."""

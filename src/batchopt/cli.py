@@ -475,30 +475,34 @@ _COMMANDS = {
 def _write_outputs(args, outputs: dict[str, str], effective_config: dict, seed: int,
                    started: float) -> None:
     """Create the output directory, write the outputs in order, and the
-    manifest last."""
+    manifest last.  A directory that cannot be made or written, such as an
+    `--out` naming a file or a path under one, is a CliError naming it."""
     root = args.out or os.path.join(os.environ.get(OUT_ROOT_ENV, "."), args.command)
-    os.makedirs(root, exist_ok=True)
+    inputs = {name: getattr(args, name) or "" for name in ("model", "policies", "config")}
+    if args.command == "evaluate":
+        inputs["fronts"] = list(args.fronts)
 
     def write(name: str, text: str) -> None:
         with open(os.path.join(root, name), "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    for name, text in outputs.items():
-        write(name, text)
-    inputs = {name: getattr(args, name) or "" for name in ("model", "policies", "config")}
-    if args.command == "evaluate":
-        inputs["fronts"] = list(args.fronts)
-    manifest = {
-        "command": args.command,
-        "inputs": inputs,
-        "configHash": config_hash(effective_config),
-        "effectiveConfig": effective_config,
-        "seed": seed,
-        "version": __version__,
-        "outputs": list(outputs),
-        "durationSeconds": round(time.monotonic() - started, 6),
-    }
-    write(MANIFEST_FILE, _json_text(manifest))
+    try:
+        os.makedirs(root, exist_ok=True)
+        for name, text in outputs.items():
+            write(name, text)
+        manifest = {
+            "command": args.command,
+            "inputs": inputs,
+            "configHash": config_hash(effective_config),
+            "effectiveConfig": effective_config,
+            "seed": seed,
+            "version": __version__,
+            "outputs": list(outputs),
+            "durationSeconds": round(time.monotonic() - started, 6),
+        }
+        write(MANIFEST_FILE, _json_text(manifest))
+    except OSError as err:
+        raise CliError(EXIT_MISSING_INPUT, f"cannot write outputs to {root}: {err.strerror}") from err
 
 
 def main(argv=None) -> int:
@@ -507,10 +511,10 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         outputs, effective_config, seed, summary = _COMMANDS[args.command](args, parser)
+        _write_outputs(args, outputs, effective_config, seed, started)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    _write_outputs(args, outputs, effective_config, seed, started)
     print(summary)
     return EXIT_OK
 

@@ -2,11 +2,17 @@
 
 A document key is the camelCase of a field name, a misspelled key is an
 error, never a silent default, and no value is coerced: a bool is not a
-number, a string is not a list.  The five config dataclasses
-(`SimConfig`, `OptimizerConfig`, `DetectionConfig`, `InterventionConfig`,
-`RLConfig`) are read by `from_doc` and written by `to_doc` from their own
-fields; each checks its field types in `__post_init__` via `check_fields`.
-The model, policies and front documents read each field with `read`.
+number, a string is not a list.  The model, policies and front documents
+read each field with `read`.
+
+Five classes stay dataclasses: the configs `SimConfig`, `OptimizerConfig`,
+`DetectionConfig`, `InterventionConfig` and `RLConfig`.  Their documents
+have no reader of their own: `from_doc` reads them and `to_doc` writes
+them from `dataclasses.fields`, each field's camelCase name, type and
+default, and each config checks its field types in `__post_init__` via
+`check_fields`, which reads the same annotations.  Every other record is a
+`typing.NamedTuple` or a `records.Record`, whose classes cost next to
+nothing to define at import.
 """
 
 from __future__ import annotations

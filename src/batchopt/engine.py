@@ -39,7 +39,7 @@ model for which `seed_free` holds draws nothing at all and simulates to
 the same result under every seed.
 
 Whatever depends only on the model is computed once per model, not once
-per simulation: `compile_model` validates it and builds a frozen
+per simulation: `compile_model` validates it and builds its
 `CompiledModel` (node and branch tables, or-join pairing, encoded ids,
 fixed durations, sorted eligible resources), and the CLI commands, the
 search's `CandidateEvaluator` and `metrics.cycle_time_gain` compile once
@@ -64,7 +64,7 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import rng
@@ -83,7 +83,6 @@ from .eventlog import (
 from .model import (
     MAX_CASES,
     Activity,
-    DurationDistribution,
     Gateway,
     ProcessModel,
     ResourceProfile,
@@ -173,28 +172,63 @@ _SPLITS = ("xor-split", "or-split")
 _JOINS = ("xor-join", "and-join", "or-join")
 
 
-@dataclass(frozen=True, eq=False)
 class CompiledModel:
     """A validated model and the tables the engine reads from it, built
-    once by `compile_model` and shared by every simulation of the model.
-    Nothing in it depends on a policy set, a seed or a run."""
+    once by `compile_model`, which validates the model first, and shared
+    by every simulation of the model.  Nothing in it depends on a policy
+    set, a seed or a run."""
 
-    model: ProcessModel
-    activities: dict[str, Activity]
-    resources: dict[str, ResourceProfile]
-    gateways: dict[str, Gateway]
-    # node -> one (target, arc id) hop per outgoing arc, in model order
-    hops: dict[str, tuple[tuple[str, str], ...]]
-    # xor/or split -> one (target, arc id, probability, arc key) per hop
-    branches: dict[str, tuple[tuple[str, str, float, bytes], ...]]
-    join_arcs: dict[str, tuple[str, ...]]  # and-join -> its incoming arc ids
-    end_nodes: frozenset[str]
-    or_join_of: dict[str, str]  # or-split -> the or-join its branches reconverge at
-    activity_keys: dict[str, bytes]  # rng.message(id), the id part of a draw
-    gateway_keys: dict[str, bytes]
-    fixed_work: dict[str, int | None]  # the duration of a `fixed` distribution
-    eligible: dict[str, tuple[tuple[str, ResourceProfile], ...]]  # sorted by id
-    default_costs: dict[str, CostModel]  # the cost of a batch with no policy
+    __slots__ = ("model", "activities", "resources", "gateways", "hops", "branches",
+                 "join_arcs", "end_nodes", "or_join_of", "activity_keys", "gateway_keys",
+                 "fixed_work", "eligible", "default_costs")
+
+    def __init__(self, model: ProcessModel):
+        hops: dict[str, list[tuple[str, str]]] = {}
+        join_arcs: dict[str, list[str]] = {}
+        for arc in model.arcs:
+            hops.setdefault(arc.source, []).append((arc.target, arc.id))
+            join_arcs.setdefault(arc.target, []).append(arc.id)
+        self.model = model
+        self.activities: dict[str, Activity] = {a.id: a for a in model.activities}
+        self.resources: dict[str, ResourceProfile] = {r.id: r for r in model.resources}
+        self.gateways: dict[str, Gateway] = {g.id: g for g in model.gateways}
+        # node -> one (target, arc id) hop per outgoing arc, in model order
+        self.hops = {node: tuple(h) for node, h in hops.items()}
+        # xor/or split -> one (target, arc id, probability, arc key) per hop
+        self.branches: dict[str, tuple[tuple[str, str, float, bytes], ...]] = {}
+        for g in model.gateways:
+            if g.kind in _SPLITS:
+                probs = dict(g.branch_probabilities)
+                self.branches[g.id] = tuple(
+                    (target, arc_id, probs[arc_id], rng.message(arc_id))
+                    for target, arc_id in hops.get(g.id, ())
+                )
+        # and-join -> its incoming arc ids
+        self.join_arcs = {
+            g.id: tuple(join_arcs.get(g.id, ())) for g in model.gateways if g.kind == "and-join"
+        }
+        self.end_nodes = frozenset(model.end_nodes)
+        # or-split -> the or-join its branches reconverge at
+        self.or_join_of = _pair_or_splits(model, hops, self.gateways)
+        # rng.message(id), the id part of a draw
+        self.activity_keys = {a.id: rng.message(a.id) for a in model.activities}
+        self.gateway_keys = {g.id: rng.message(g.id) for g in model.gateways}
+        # the duration of a `fixed` distribution
+        self.fixed_work = {
+            a.id: rng.round_half_up(a.duration.param("value"))
+            if a.duration.kind == "fixed"
+            else None
+            for a in model.activities
+        }
+        # eligible resources, sorted by id
+        self.eligible = {
+            a.id: tuple((rid, self.resources[rid]) for rid in sorted(a.resources))
+            for a in model.activities
+        }
+        # the cost of a batch with no policy
+        self.default_costs = {
+            a.id: CostModel(fixed_cost=a.fixed_cost_per_execution) for a in model.activities
+        }
 
 
 def compile_model(model: ProcessModel) -> CompiledModel:
@@ -204,49 +238,7 @@ def compile_model(model: ProcessModel) -> CompiledModel:
     violations = validate_model(model)
     if violations:
         raise SimulationError("model failed validation: " + "; ".join(violations))
-    gateways = {g.id: g for g in model.gateways}
-    resources = {r.id: r for r in model.resources}
-    hops: dict[str, list[tuple[str, str]]] = {}
-    join_arcs: dict[str, list[str]] = {}
-    for arc in model.arcs:
-        hops.setdefault(arc.source, []).append((arc.target, arc.id))
-        join_arcs.setdefault(arc.target, []).append(arc.id)
-    branches = {}
-    for g in model.gateways:
-        if g.kind in _SPLITS:
-            probs = dict(g.branch_probabilities)
-            branches[g.id] = tuple(
-                (target, arc_id, probs[arc_id], rng.message(arc_id))
-                for target, arc_id in hops.get(g.id, ())
-            )
-    return CompiledModel(
-        model=model,
-        activities={a.id: a for a in model.activities},
-        resources=resources,
-        gateways=gateways,
-        hops={node: tuple(h) for node, h in hops.items()},
-        branches=branches,
-        join_arcs={
-            g.id: tuple(join_arcs.get(g.id, ())) for g in model.gateways if g.kind == "and-join"
-        },
-        end_nodes=frozenset(model.end_nodes),
-        or_join_of=_pair_or_splits(model, hops, gateways),
-        activity_keys={a.id: rng.message(a.id) for a in model.activities},
-        gateway_keys={g.id: rng.message(g.id) for g in model.gateways},
-        fixed_work={
-            a.id: rng.round_half_up(a.duration.param("value"))
-            if a.duration.kind == "fixed"
-            else None
-            for a in model.activities
-        },
-        eligible={
-            a.id: tuple((rid, resources[rid]) for rid in sorted(a.resources))
-            for a in model.activities
-        },
-        default_costs={
-            a.id: CostModel(fixed_cost=a.fixed_cost_per_execution) for a in model.activities
-        },
-    )
+    return CompiledModel(model)
 
 
 def as_compiled(model: CompiledModel | ProcessModel) -> CompiledModel:
@@ -293,20 +285,27 @@ def _pair_or_splits(model: ProcessModel, hops, gateways) -> dict[str, str]:
     return pairing
 
 
-@dataclass(slots=True)
 class _ActivityState:
-    policy: BatchingPolicy | None
-    cost: CostModel  # the policy's, else the activity's default
-    clock_hours: tuple[int, ...]  # see _clock_hours
-    # (delay, wt-first) per waiting-time condition with a positive
-    # threshold, in rule order: the wakes an enablement schedules
-    wakes: tuple[tuple[int, bool], ...]
-    key: bytes  # rng.message(activity id), the id part of its draws
-    duration: DurationDistribution
-    fixed_work: int | None  # the duration of a `fixed` distribution
-    resources: tuple[tuple[str, ResourceProfile], ...]  # eligible, sorted by id
-    # in enable-time order, checked in _enable_instance
-    waiting: list[_WaitingInstance] = field(default_factory=list)
+    """What the engine reads of one activity under one policy set."""
+
+    __slots__ = ("policy", "cost", "clock_hours", "wakes", "key", "duration", "fixed_work",
+                 "resources", "waiting")
+
+    def __init__(self, compiled: CompiledModel, activity: Activity,
+                 policy: BatchingPolicy | None):
+        self.policy = policy
+        # the policy's cost model, else the activity's default
+        self.cost = policy.cost if policy else compiled.default_costs[activity.id]
+        self.clock_hours = _clock_hours(policy)
+        # (delay, wt-first) per waiting-time condition with a positive
+        # threshold, in rule order: the wakes an enablement schedules
+        self.wakes = _wakes(policy)
+        self.key = compiled.activity_keys[activity.id]  # the id part of its draws
+        self.duration = activity.duration
+        self.fixed_work = compiled.fixed_work[activity.id]  # the duration of a `fixed` one
+        self.resources = compiled.eligible[activity.id]  # (id, profile), sorted by id
+        # in enable-time order, checked in _enable_instance
+        self.waiting: list[_WaitingInstance] = []
 
 
 def _wakes(policy: BatchingPolicy | None) -> tuple[tuple[int, bool], ...]:
@@ -342,16 +341,8 @@ class _Engine:
 
         self.act_states = {}
         for activity_id, activity in compiled.activities.items():
-            policy = policies.get(activity_id)
             self.act_states[activity_id] = _ActivityState(
-                policy=policy,
-                cost=policy.cost if policy else compiled.default_costs[activity_id],
-                clock_hours=_clock_hours(policy),
-                wakes=_wakes(policy),
-                key=compiled.activity_keys[activity_id],
-                duration=activity.duration,
-                fixed_work=compiled.fixed_work[activity_id],
-                resources=compiled.eligible[activity_id],
+                compiled, activity, policies.get(activity_id)
             )
         # activities with a rule, in evaluation order
         self.ruled = [

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import NamedTuple
 
@@ -107,8 +106,7 @@ class BatchRecord(NamedTuple):
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(NamedTuple):
     instances: tuple[InstanceRecord, ...]
     batches: tuple[BatchRecord, ...]
 
@@ -121,8 +119,7 @@ class EventLog:
         return [self.instances[i].enable_time for i in batch.members]
 
 
-@dataclass(frozen=True)
-class ObjectiveValues:
+class ObjectiveValues(NamedTuple):
     """The minimized pair: (avg_cycle_time, avg_cost)."""
 
     avg_cycle_time: float

@@ -20,7 +20,7 @@ module only works from a source checkout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analytics import DetectionConfig, detect_scenarios
@@ -161,8 +161,8 @@ def size_grid_policies(fixture: Fixture, size: int, batch_type: str) -> PolicySe
     by a bare size threshold of the given type."""
     policies = dict(fixture.policies())
     base = policies[fixture.target_activity]
-    policies[fixture.target_activity] = replace(
-        base, batch_type=batch_type, rule=rule([size_at_least(size)])
+    policies[fixture.target_activity] = base._replace(
+        batch_type=batch_type, rule=rule([size_at_least(size)])
     )
     return policies
 

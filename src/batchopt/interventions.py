@@ -14,7 +14,7 @@ docs/patterns.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .analytics import AnalyticsError, Bucket, LogStats, ScenarioInstance, top_buckets
 from .codec import check_fields, finite_number
@@ -38,6 +38,7 @@ from .policy import (
     wait_last_at_least,
     on_days,
 )
+from .records import Record
 from .reduce import mean
 from .rng import round_half_up
 
@@ -97,22 +98,36 @@ DELTA_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class PolicyDelta:
+class PolicyDelta(Record):
     """One reified policy edit, carrying its provenance for the audit trail."""
 
-    activity_id: str
-    kind: str
-    scenario_id: int = 0  # 0 = random perturbation, no pattern behind it
-    scale: float = 1.0
-    condition_kind: str = ""  # add-condition / replace-threshold target
-    new_threshold: float = 0.0
-    new_last_threshold: float = 0.0  # set-wait-thresholds only
-    schedule: tuple[Bucket, ...] = ()  # add-schedule only
-    constrain: bool = False  # add-schedule: tighten existing groups instead
-    new_policy_fixed_cost: float = 0.0  # cost seed when the edit creates a policy
+    __slots__ = ("activity_id", "kind", "scenario_id", "scale", "condition_kind",
+                 "new_threshold", "new_last_threshold", "schedule", "constrain",
+                 "new_policy_fixed_cost")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        activity_id: str,
+        kind: str,
+        scenario_id: int = 0,
+        scale: float = 1.0,
+        condition_kind: str = "",
+        new_threshold: float = 0.0,
+        new_last_threshold: float = 0.0,
+        schedule: tuple[Bucket, ...] = (),
+        constrain: bool = False,
+        new_policy_fixed_cost: float = 0.0,
+    ):
+        self.activity_id = activity_id
+        self.kind = kind
+        self.scenario_id = scenario_id  # 0 = random perturbation, no pattern behind it
+        self.scale = scale
+        self.condition_kind = condition_kind  # add-condition / replace-threshold target
+        self.new_threshold = new_threshold
+        self.new_last_threshold = new_last_threshold  # set-wait-thresholds only
+        self.schedule = schedule  # add-schedule only
+        self.constrain = constrain  # add-schedule: tighten existing groups instead
+        self.new_policy_fixed_cost = new_policy_fixed_cost  # cost seed when the edit creates a policy
         if self.kind not in DELTA_KINDS:
             raise InterventionError(f"unknown delta kind {self.kind!r}")
 
@@ -288,7 +303,7 @@ def _replace_thresholds(rule: ActivationRule, kind: str, value: float) -> Activa
         conditions = []
         for c in group.conditions:
             if c.kind == kind:
-                conditions.append(replace(c, threshold=value))
+                conditions.append(c._replace(threshold=value))
                 hits += 1
             else:
                 conditions.append(c)
@@ -324,14 +339,14 @@ def _constrain_with_schedule(rule: ActivationRule, schedule) -> ActivationRule:
                 if c.kind == DAILY_HOUR:
                     had_hour = True
                     if hour in c.hours:
-                        conditions.append(replace(c, hours=(hour,)))
+                        conditions.append(c._replace(hours=(hour,)))
                     else:
                         feasible = False
                         break
                 elif c.kind == WEEK_DAY:
                     had_day = True
                     if day in c.days:
-                        conditions.append(replace(c, days=(day,)))
+                        conditions.append(c._replace(days=(day,)))
                     else:
                         feasible = False
                         break

@@ -11,7 +11,6 @@ solution over the initial policy set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import CompiledModel, SimConfig, as_compiled, simulate
@@ -21,6 +20,7 @@ from .eventlog import EventLog, case_cycle_time, filter_warmup  # noqa: F401
 from .model import ProcessModel
 from .pareto import Point, Solution, dominates
 from .policy import policy_set_key
+from .records import Record
 
 PURITY_TOLERANCE = 1e-9
 
@@ -31,14 +31,14 @@ class MetricsError(ValueError):
     """Raised when a metric is evaluated on inputs it is not defined for."""
 
 
-@dataclass(frozen=True)
-class FrontPointSet:
+class FrontPointSet(Record):
     """A labelled set of objective points produced by one optimizer run."""
 
-    points: tuple[Point, ...]
-    label: str = ""
+    __slots__ = ("points", "label")
 
-    def __post_init__(self) -> None:
+    def __init__(self, points: tuple[Point, ...], label: str = ""):
+        self.points = points
+        self.label = label
         for x, y in self.points:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise MetricsError(f"non-finite point ({x}, {y}) in {self.label!r}")

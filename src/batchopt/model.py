@@ -8,7 +8,7 @@ are plain JSON; see docs/model-schema.md for the wire format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rng
 from .calendars import (
@@ -20,6 +20,7 @@ from .calendars import (
     parse_weekday,
 )
 from .codec import ParseError, read, read_strings, reject_unknown_keys
+from .records import Record
 
 MAX_CASES = 1_000_000  # the most cases one simulation may run
 GATEWAY_KINDS = ("and-split", "and-join", "xor-split", "xor-join", "or-split", "or-join")
@@ -31,12 +32,14 @@ DISTRIBUTION_PARAMS = {  # each distribution kind and its parameters
 }
 
 
-@dataclass(frozen=True)
-class DurationDistribution:
+class DurationDistribution(Record):
     """Sampling spec for processing / inter-arrival times, in seconds."""
 
-    kind: str
-    params: tuple[tuple[str, float], ...]
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple[tuple[str, float], ...]):
+        self.kind = kind
+        self.params = params
 
     def param(self, name: str) -> float:
         for k, v in self.params:
@@ -61,8 +64,7 @@ def fixed(value: float) -> DurationDistribution:
     return DurationDistribution("fixed", (("value", float(value)),))
 
 
-@dataclass(frozen=True)
-class Activity:
+class Activity(NamedTuple):
     id: str
     name: str
     duration: DurationDistribution
@@ -70,16 +72,21 @@ class Activity:
     fixed_cost_per_execution: float = 0.0
 
 
-@dataclass(frozen=True)
-class Gateway:
-    id: str
-    kind: str
-    # arc id ("source->target") -> probability; split kinds only
-    branch_probabilities: tuple[tuple[str, float], ...] = ()
+class Gateway(Record):
+    """A gateway node; a record, not a named tuple, since the engine reads
+    its kind at every gateway a token passes."""
+
+    __slots__ = ("id", "kind", "branch_probabilities")
+
+    def __init__(self, id: str, kind: str,
+                 branch_probabilities: tuple[tuple[str, float], ...] = ()):
+        self.id = id
+        self.kind = kind
+        # arc id ("source->target") -> probability; split kinds only
+        self.branch_probabilities = branch_probabilities
 
 
-@dataclass(frozen=True)
-class FlowArc:
+class FlowArc(NamedTuple):
     source: str
     target: str
 
@@ -88,22 +95,22 @@ class FlowArc:
         return f"{self.source}->{self.target}"
 
 
-@dataclass(frozen=True)
-class ResourceProfile:
-    id: str
-    calendar: Calendar
-    cost_per_time_unit: float = 0.0  # money per busy second in per-time mode
+class ResourceProfile(Record):
+    __slots__ = ("id", "calendar", "cost_per_time_unit")
+
+    def __init__(self, id: str, calendar: Calendar, cost_per_time_unit: float = 0.0):
+        self.id = id
+        self.calendar = calendar
+        self.cost_per_time_unit = cost_per_time_unit  # money per busy second in per-time mode
 
 
-@dataclass(frozen=True)
-class ArrivalModel:
+class ArrivalModel(NamedTuple):
     inter_arrival: DurationDistribution
     calendar: Calendar
     total_cases: int
 
 
-@dataclass(frozen=True)
-class ProcessModel:
+class ProcessModel(NamedTuple):
     activities: tuple[Activity, ...]
     gateways: tuple[Gateway, ...]
     arcs: tuple[FlowArc, ...]

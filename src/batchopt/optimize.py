@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .analytics import (
     AnalyticsError,
@@ -144,8 +145,7 @@ class OptimizerConfig:
             raise OptimizerError("temperatures must be positive")
 
 
-@dataclass
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     front: ParetoFront
     audit: list[dict]
     convergence: list[dict]  # rows keyed simulations / best_cycle_time / best_cost
@@ -160,17 +160,19 @@ def _sim_config(config: OptimizerConfig, sim_index: int) -> SimConfig:
 _PENDING = object()  # a lazily computed Evaluation field not computed yet
 
 
-@dataclass(eq=False)
 class Evaluation:
     """One simulated policy set: its result, or the error its simulation
     raised, plus what the search derives from its log, each computed at
     most once.  With a memo, every candidate with an equal set shares it."""
 
-    result: SimResult | None
-    error: SimulationError | None = None
-    stats: object = _PENDING  # LogStats, or None when they cannot be computed
-    deltas: list[PolicyDelta] | None = None  # HC/SA guided deltas
-    actions: dict | None = None  # the RL action map
+    __slots__ = ("result", "error", "stats", "deltas", "actions")
+
+    def __init__(self, result: SimResult | None, error: SimulationError | None = None):
+        self.result = result
+        self.error = error
+        self.stats: object = _PENDING  # LogStats, or None when they cannot be computed
+        self.deltas: list[PolicyDelta] | None = None  # HC/SA guided deltas
+        self.actions: dict | None = None  # the RL action map
 
 
 class CandidateEvaluator:
@@ -332,8 +334,7 @@ class CandidateEvaluator:
         )
 
 
-@dataclass
-class _Candidate:
+class _Candidate(NamedTuple):
     solution: Solution
     evaluation: Evaluation
     dist: float

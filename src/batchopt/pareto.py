@@ -10,10 +10,10 @@ snapshots without locks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .codec import ParseError, finite_number, read, reject_unknown_keys
 from .policy import PolicySet, parse_policies, serialize_policies
+from .records import Record
 
 Point = tuple[float, float]
 
@@ -30,8 +30,7 @@ def dominates(a: Point, b: Point) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """One evaluated policy set.
 
     lineage records the applied-delta documents that produced this
@@ -39,22 +38,24 @@ class Solution:
     simulation that scored it.
     """
 
-    policies: PolicySet
-    point: Point
-    log_ref: str = ""
-    lineage: tuple[dict, ...] = ()
+    __slots__ = ("policies", "point", "log_ref", "lineage")
 
-    def __post_init__(self):
+    def __init__(self, policies: PolicySet, point: Point, log_ref: str = "",
+                 lineage: tuple[dict, ...] = ()):
+        self.policies = policies
+        self.point = point
+        self.log_ref = log_ref
+        self.lineage = lineage
         x, y = self.point
         if not (math.isfinite(x) and math.isfinite(y)) or x < 0 or y < 0:
             raise ParetoError(f"objective point must be finite and >= 0, got {self.point!r}")
 
 
-@dataclass(frozen=True)
-class ParetoFront:
-    solutions: tuple[Solution, ...] = ()
+class ParetoFront(Record):
+    __slots__ = ("solutions",)
 
-    def __post_init__(self):
+    def __init__(self, solutions: tuple[Solution, ...] = ()):
+        self.solutions = solutions
         points = [s.point for s in self.solutions]
         for i, a in enumerate(points):
             for b in points[i + 1 :]:

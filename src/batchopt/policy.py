@@ -10,11 +10,11 @@ kind appears at most once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .calendars import hour_of, weekday_of, WEEKDAY_NAMES, parse_weekday
 from .codec import ParseError, finite_number, read, read_finite, read_strings, reject_unknown_keys
+from .records import Record
 
 SEQUENTIAL = "sequential"
 PARALLEL = "parallel"
@@ -34,8 +34,7 @@ class PolicyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(Record):
     """One atomic activation test.
 
     size: threshold = minimum number of waiting instances.
@@ -43,12 +42,14 @@ class Condition:
     daily-hour: hours = allowed hours of day; week-day: days = allowed weekdays.
     """
 
-    kind: str
-    threshold: float = 0.0
-    hours: tuple[int, ...] = ()
-    days: tuple[int, ...] = ()
+    __slots__ = ("kind", "threshold", "hours", "days")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, threshold: float = 0.0, hours: tuple[int, ...] = (),
+                 days: tuple[int, ...] = ()):
+        self.kind = kind
+        self.threshold = threshold
+        self.hours = hours
+        self.days = days
         if self.kind not in CONDITION_KINDS:
             raise PolicyError(f"unknown condition kind {self.kind!r}")
         if not math.isfinite(self.threshold):
@@ -89,13 +90,13 @@ def on_days(*days: int) -> Condition:
     return Condition(WEEK_DAY, days=tuple(sorted(set(days))))
 
 
-@dataclass(frozen=True)
-class ConditionGroup:
+class ConditionGroup(Record):
     """A conjunction; at most one condition per kind."""
 
-    conditions: tuple[Condition, ...]
+    __slots__ = ("conditions",)
 
-    def __post_init__(self):
+    def __init__(self, conditions: tuple[Condition, ...]):
+        self.conditions = conditions
         kinds = [c.kind for c in self.conditions]
         if len(kinds) != len(set(kinds)):
             raise PolicyError(f"condition kind repeated within a group: {kinds}")
@@ -109,11 +110,13 @@ class ConditionGroup:
         return None
 
 
-@dataclass(frozen=True)
-class ActivationRule:
+class ActivationRule(Record):
     """Disjunction of groups; empty rule never activates."""
 
-    groups: tuple[ConditionGroup, ...] = ()
+    __slots__ = ("groups",)
+
+    def __init__(self, groups: tuple[ConditionGroup, ...] = ()):
+        self.groups = groups
 
     def has_kind(self, kind: str) -> bool:
         return any(g.find(kind) is not None for g in self.groups)
@@ -176,8 +179,7 @@ PROCESSING_SCALED = "processing-scaled"
 RESOURCE_COST_MODES = (PER_TIME, PROCESSING_SCALED)
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(Record):
     """Batch cost = fixed + variable(size) + resource component.
 
     variable_cost is a piecewise-linear table of (size, money) points with
@@ -187,12 +189,14 @@ class CostModel:
     (scale_factor / size) x total pure work time (processing-scaled).
     """
 
-    fixed_cost: float = 0.0
-    variable_cost: tuple[tuple[int, float], ...] = ()
-    resource_cost_mode: str = PER_TIME
-    processing_scale_factor: float = 1.0
+    __slots__ = ("fixed_cost", "variable_cost", "resource_cost_mode", "processing_scale_factor")
 
-    def __post_init__(self):
+    def __init__(self, fixed_cost: float = 0.0, variable_cost: tuple[tuple[int, float], ...] = (),
+                 resource_cost_mode: str = PER_TIME, processing_scale_factor: float = 1.0):
+        self.fixed_cost = fixed_cost
+        self.variable_cost = variable_cost
+        self.resource_cost_mode = resource_cost_mode
+        self.processing_scale_factor = processing_scale_factor
         amounts = [("fixed cost", self.fixed_cost)]
         amounts += [("processing scale factor", self.processing_scale_factor)]
         amounts += [("variable cost", m) for _, m in self.variable_cost]
@@ -246,14 +250,15 @@ def compute_batch_cost(
     return cost.fixed_cost + cost.variable_at(batch_size) + resource_part
 
 
-@dataclass(frozen=True)
-class BatchingPolicy:
-    activity_id: str
-    batch_type: str
-    rule: ActivationRule
-    cost: CostModel = field(default_factory=CostModel)
+class BatchingPolicy(Record):
+    __slots__ = ("activity_id", "batch_type", "rule", "cost")
 
-    def __post_init__(self):
+    def __init__(self, activity_id: str, batch_type: str, rule: ActivationRule,
+                 cost: CostModel | None = None):
+        self.activity_id = activity_id
+        self.batch_type = batch_type
+        self.rule = rule
+        self.cost = CostModel() if cost is None else cost
         if self.batch_type not in BATCH_TYPES:
             raise PolicyError(f"unknown batch type {self.batch_type!r}")
 

@@ -12,7 +12,7 @@ uses the clipped-ratio surrogate on full experience buffers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytics import (
     SCENARIO_IDS,
@@ -131,8 +131,7 @@ def available_actions(
     return actions
 
 
-@dataclass
-class _Transition:
+class _Transition(NamedTuple):
     state: list[float]
     action: int
     reward: float

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from hashlib import blake2b
-from statistics import NormalDist
 
 _U64 = 2**64
 
@@ -104,6 +103,8 @@ def normal_truncated(u: float, mean: float, stddev: float) -> float:
     """Normal(mean, stddev) conditioned on being >= 0 (exact truncation)."""
     if stddev <= 0:
         return max(0.0, mean)
+    from statistics import NormalDist  # imported on the first normal draw: start-up skips it
+
     dist = NormalDist(mean, stddev)
     lo = dist.cdf(0.0)
     # map u into the surviving tail; clamp away from the inv_cdf poles

@@ -63,6 +63,19 @@ class TestSimulate:
         assert code == 2
         assert absent in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "path-under-file"])
+    def test_out_that_cannot_be_a_directory_is_a_usage_failure(self, tmp_path, capsys, under):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = str(taken / under) if under else str(taken)
+        code = main(["simulate", "--model", model, "--policies", policies, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {out}: ")
+        assert "Traceback" not in err
+        assert taken.read_text() == "kept\n"
+
     def test_bad_policy_document_is_a_schema_failure(self, tmp_path, capsys):
         model, _ = fixture_inputs(tmp_path, "two-batch")
         bad = write_json(
