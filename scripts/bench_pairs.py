@@ -12,6 +12,14 @@ BENCHMARK.json sets; even pairs run the parent first, odd pairs the change
 first, so that a drift of the host's speed does not favour one side. Nothing under ``perfbench/`` is changed or needed beyond
 what the benchmark itself runs.
 
+After a workload's pairs, each tree runs one traced gate at the first
+seed, ``python3 perfbench/run.py --workload NAME --seed FIRST --seconds 1
+--trace 1`` (parent first), and the output records, next to the
+end-to-end summary, every per-layer metric that BENCHMARK.json declares
+as parent and change values of that one run: counts such as
+``calendars.next_open.calls`` compare exactly, and self times such as
+``eventlog.evaluate_objectives.self_s`` show where a change moved time.
+
 Both trees run under the same bytecode conditions: the benchmark's
 processes may write ``__pycache__`` (``PYTHONDONTWRITEBYTECODE`` is
 dropped from their environment), and before the first pair each tree
@@ -59,10 +67,13 @@ def extract(rev: str, directory: str) -> str:
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
+def run_once(tree: str, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict[str, float]:
+    """The metrics of one benchmark run in `tree`: end-to-end ones
+    untraced, per-layer ones traced."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, env=CHILD_ENV,
     )
     lines = done.stdout.strip().splitlines()
@@ -87,6 +98,16 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def compare_layers(parent: dict[str, float], change: dict[str, float],
+                   declared: dict[str, str]) -> dict:
+    """Each declared per-layer metric of one traced run per tree: its
+    direction and both values (None where a run does not report it)."""
+    return {
+        name: {"better": better, "parent": parent.get(name), "change": change.get(name)}
+        for name, better in declared.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True)
@@ -103,6 +124,7 @@ def main(argv=None) -> int:
         benchmark = json.load(fh)
     seconds = benchmark["run_seconds"]
     declared = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    layers = {m["name"]: m["better"] for m in benchmark["per_layer"]}
     out_path = args.out or f"BENCH_{args.tag}.json"
 
     with tempfile.TemporaryDirectory() as parent_tree:
@@ -125,6 +147,13 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{m} {runs['parent'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
                     for m in declared), flush=True)
+            traced = {side: run_once(tree, workload, seeds[0], 1, trace=1)
+                      for side, tree in (("parent", parent_tree), ("change", "."))}
+            changed = [m for m in layers if m.endswith(".calls")
+                       and traced["parent"].get(m) != traced["change"].get(m)]
+            print(f"{workload} traced gate, seed {seeds[0]}, call counts that changed: "
+                  + (", ".join(f"{m} {traced['parent'].get(m)} -> {traced['change'].get(m)}"
+                               for m in changed) or "none"), flush=True)
             report["workloads"][workload] = {
                 "seeds": seeds,
                 "pairs": len(seeds),
@@ -132,6 +161,10 @@ def main(argv=None) -> int:
                     name: summarize([r[name] for r in runs["parent"]],
                                     [r[name] for r in runs["change"]], better)
                     for name, better in declared.items()
+                },
+                "traced": {
+                    "command": f"python3 perfbench/run.py --seed {seeds[0]} --seconds 1 --trace 1",
+                    "layers": compare_layers(traced["parent"], traced["change"], layers),
                 },
             }
             with open(out_path, "w", encoding="utf-8") as fh:

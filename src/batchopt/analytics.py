@@ -130,6 +130,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         raise AnalyticsError("cannot analyze an empty event log")
 
     horizon = max(r.end_time for r in log.instances)
+    enable_times = [r.enable_time for r in log.instances]
     by_activity: dict[str, list] = {}
     for batch in log.batches:
         by_activity.setdefault(batch.activity_id, []).append(batch)
@@ -146,7 +147,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         max_waits, min_waits, sizes, starts, executors, busy = [], [], [], [], [], []
         interrupted = 0
         for b in batches:
-            enables = [log.instances[i].enable_time for i in b.members]
+            enables = [enable_times[i] for i in b.members]
             max_waits.append(b.start_time - min(enables))
             min_waits.append(b.start_time - max(enables))
             sizes.append(b.size)

@@ -31,6 +31,7 @@ from . import __version__
 from .analytics import AnalyticsError, compute_stats, detect_scenarios
 from .codec import ParseError, to_doc
 from .engine import (
+    SamplePath,
     SimConfig,
     SimulationError,
     compile_model,
@@ -359,8 +360,10 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
                     compiled.model, solution.policies, f"front file {path}, solution {i}"
                 )
         sim_config = _run_config(args)
+        # one sample path for every simulation: the initial run fills it
+        path = SamplePath()
         try:
-            initial = simulate(compiled, policies, sim_config)
+            initial = simulate(compiled, policies, sim_config, path)
         except SimulationError as err:
             raise CliError(EXIT_RUNTIME, f"initial simulation failed: {err}") from err
         # one memo for every front: each distinct policy set simulates once
@@ -371,7 +374,7 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
         }
         try:
             gains = [
-                cycle_time_gain(initial.log, front.solutions, compiled, sim_config, memo)
+                cycle_time_gain(initial.log, front.solutions, compiled, sim_config, memo, path)
                 for front in fronts
             ]
         except (SimulationError, MetricsError) as err:

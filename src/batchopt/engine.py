@@ -45,9 +45,15 @@ fixed durations, sorted eligible resources), and the CLI commands, the
 search's `CandidateEvaluator` and `metrics.cycle_time_gain` compile once
 and pass it to every `simulate`.  `simulate` compiles a bare
 `ProcessModel` itself.  What depends on the policy set (the clock-hour
-masks, the waiting-time wakes) is set up once per simulation.  The
-search keeps its own per-run memo of results, and only for seed-free
-models (see optimize.py).
+masks, the waiting-time wakes) is set up once per simulation.  What
+depends on the model, seed and case count but not on the policy set (the
+arrival events and every keyed draw) can be kept in a `SamplePath`: the
+first simulation given one fills it and later ones replay it, with the
+same bytes as drawing afresh.  Only `batchopt evaluate` and
+`metrics.cycle_time_gain` build one, because they re-simulate many policy
+sets under one seed; a lone simulation keeps nothing, and a search gives
+each simulation its own seed.  The search keeps its own per-run memo of
+results, and only for seed-free models (see optimize.py).
 
 Records are tuples: instance and batch records are built positionally
 as `InstanceRecord` / `BatchRecord` named tuples, and waiting instances
@@ -132,6 +138,45 @@ class SimResult(NamedTuple):
     objectives: ObjectiveValues
 
 
+class SamplePath:
+    """The arrival events and keyed draws of one (compiled model, seed,
+    case count), shared by simulations of different policy sets.
+
+    A new path is empty.  The first simulation given it binds it to its
+    compiled model, seed and case count and fills it as it runs; every
+    later one replays it: it copies the arrival events and looks each
+    draw up, drawing only what the path misses.  A draw is stored under
+    (case, node, visit), its key without the stream label, which the node
+    implies; the value is what the draw decides, which depends on nothing
+    else under the bound model and seed: a duration's seconds, an
+    xor-split's hop, or the hops an or-split's per-branch and fallback
+    draws activate.  A simulation under any other compiled model, seed or
+    case count raises SimulationError rather than replay the wrong draws.
+    """
+
+    __slots__ = ("compiled", "seed", "total_cases", "arrivals", "draws")
+
+    def __init__(self):
+        self.compiled: CompiledModel | None = None
+        self.seed: int | None = None
+        self.total_cases: int | None = None
+        self.arrivals: tuple | None = None  # the arrival events, in event order
+        self.draws: dict[tuple[int, str, int], object] = {}
+
+    def bind(self, compiled: CompiledModel, seed: int, total_cases: int) -> None:
+        """Bind an empty path to a run; check a bound one against it."""
+        if self.compiled is None:
+            self.compiled, self.seed, self.total_cases = compiled, seed, total_cases
+        elif self.compiled is not compiled:
+            raise SimulationError("sample path was filled under another compiled model")
+        elif self.seed != seed:
+            raise SimulationError(f"sample path was filled under seed {self.seed}, not {seed}")
+        elif self.total_cases != total_cases:
+            raise SimulationError(
+                f"sample path was filled for {self.total_cases} cases, not {total_cases}"
+            )
+
+
 # event kinds, in same-instant processing order
 _COMPLETE, _ARRIVAL, _WAKE, _TICK = 0, 1, 2, 3
 
@@ -194,14 +239,14 @@ class CompiledModel:
         self.gateways: dict[str, Gateway] = {g.id: g for g in model.gateways}
         # node -> one (target, arc id) hop per outgoing arc, in model order
         self.hops = {node: tuple(h) for node, h in hops.items()}
-        # xor/or split -> one (target, arc id, probability, arc key) per hop
-        self.branches: dict[str, tuple[tuple[str, str, float, bytes], ...]] = {}
+        # xor/or split -> one (hop, probability, arc key) per hop, the hop
+        # being the (target, arc id) tuple of `self.hops` itself
+        self.branches: dict[str, tuple[tuple[tuple[str, str], float, bytes], ...]] = {}
         for g in model.gateways:
             if g.kind in _SPLITS:
                 probs = dict(g.branch_probabilities)
                 self.branches[g.id] = tuple(
-                    (target, arc_id, probs[arc_id], rng.message(arc_id))
-                    for target, arc_id in hops.get(g.id, ())
+                    (hop, probs[hop[1]], rng.message(hop[1])) for hop in self.hops.get(g.id, ())
                 )
         # and-join -> its incoming arc ids
         self.join_arcs = {
@@ -321,12 +366,18 @@ def _wakes(policy: BatchingPolicy | None) -> tuple[tuple[int, bool], ...]:
 
 
 class _Engine:
-    def __init__(self, compiled: CompiledModel, policies: PolicySet, config: SimConfig):
+    def __init__(self, compiled: CompiledModel, policies: PolicySet, config: SimConfig,
+                 path: SamplePath | None = None):
         for activity_id in policies:
             if activity_id not in compiled.activities:
                 raise SimulationError(f"policy references unknown activity {activity_id!r}")
         self.model = compiled.model
-        self.config = config
+        self.total_cases = config.total_cases or compiled.model.arrival.total_cases
+        if path is not None:
+            path.bind(compiled, config.seed, self.total_cases)
+        self.path = path
+        # the path's draws, read before and filled after each draw
+        self.draws = None if path is None else path.draws
         self.seed = config.seed
         self.hasher = rng.hasher(config.seed)
         self.now = 0
@@ -407,11 +458,26 @@ class _Engine:
 
     # -- arrivals --------------------------------------------------------------
 
+    def _load_arrivals(self) -> None:
+        """Fill `self.arrivals`: a copy of the path's arrival events when it
+        holds them (`run` frees the slots it takes), else generated, and
+        kept in the path when there is one."""
+        path = self.path
+        if path is None or path.arrivals is None:
+            self._generate_arrivals()
+            if path is not None:
+                path.arrivals = tuple(self.arrivals)
+            return
+        self.arrivals = list(path.arrivals)
+        # the generated events took the sequence numbers 0..total-1
+        self.seq = itertools.count(self.total_cases)
+        self.pending_case_events += self.total_cases
+
     def _generate_arrivals(self) -> None:
         """Fill `self.arrivals` with every case's arrival event, in event
         order: arrival times never decrease and their sequence numbers
         rise, so the list is sorted on (time, kind, seq) as it is built."""
-        total = self.config.total_cases or self.model.arrival.total_cases
+        total = self.total_cases
         inter_arrival = self.model.arrival.inter_arrival
         # a fixed gap is not drawn; the arrivals stream has no other consumer
         fixed_gap = inter_arrival.param("value") if inter_arrival.kind == "fixed" else None
@@ -449,7 +515,7 @@ class _Engine:
             if not outs or node in self.end_nodes:
                 continue
             if kind == "xor-split":
-                stack.append(self._pick_branch(case_id, node))
+                stack.append(self._drawn(self._draw_branch, case_id, node))
             elif kind == "or-split":
                 stack.extend(reversed(self._activate_or_branches(case_id, node)))
             else:
@@ -482,48 +548,69 @@ class _Engine:
             return True
         return False
 
-    def _visit(self, case_id: int, node: str) -> int:
-        """The case's visit count at `node` before this visit."""
+    def _drawn(self, draw, case_id: int, node: str):
+        """What `draw(case_id, node, visit)` decides at this visit of the
+        case to `node`; with a sample path, looked up there and drawn only
+        when the path misses it.  The visit is counted either way."""
         key = (case_id, node)
         visit = self.visit_counts.get(key, 0)
         self.visit_counts[key] = visit + 1
-        return visit
+        draws = self.draws
+        if draws is None:
+            return draw(case_id, node, visit)
+        key = (case_id, node, visit)
+        value = draws.get(key)
+        if value is None:
+            value = draws[key] = draw(case_id, node, visit)
+        return value
 
-    def _pick_branch(self, case_id: int, gw_id: str) -> tuple[str, str]:
-        visit = self._visit(case_id, gw_id)
+    def _draw_work(self, case_id: int, activity_id: str, visit: int) -> int:
+        """The processing seconds of a visit to an activity that draws."""
+        state = self.act_states[activity_id]
+        u = rng.visit_unit(self.hasher, _DURATIONS, case_id, state.key, visit)
+        return rng.round_half_up(state.duration.sample(u))
+
+    def _draw_branch(self, case_id: int, gw_id: str, visit: int) -> tuple[str, str]:
+        """The (target, arc id) hop an xor-split picks."""
         u = rng.visit_unit(self.hasher, _BRANCHING, case_id, self.gateway_keys[gw_id], visit)
         table = self.branches[gw_id]
         acc = 0.0
-        for target, arc_id, probability, _ in table:
+        for hop, probability, _ in table:
             acc += probability
             if u < acc:
-                return target, arc_id
-        return table[-1][:2]
+                return hop
+        return table[-1][0]
 
-    def _activate_or_branches(self, case_id: int, gw_id: str) -> list[tuple[str, str]]:
-        visit = self._visit(case_id, gw_id)
+    def _draw_or_branches(
+        self, case_id: int, gw_id: str, visit: int
+    ) -> tuple[tuple[str, str], ...]:
+        """The (target, arc id) hops an or-split activates: each branch
+        whose own draw falls below its probability, else the one branch a
+        fallback draw picks in proportion to the probabilities."""
         gw_key = self.gateway_keys[gw_id]
         table = self.branches[gw_id]
-        chosen = [
-            branch
-            for branch in table
-            if rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, branch[3])
-            < branch[2]
-        ]
+        chosen = tuple(
+            hop
+            for hop, probability, arc_key in table
+            if rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, arc_key)
+            < probability
+        )
         if not chosen:
-            total = sum(branch[2] for branch in table)
+            total = sum(probability for _, probability, _ in table)
             u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, _FALLBACK) * total
             acc = 0.0
-            for branch in table:
-                acc += branch[2]
+            for hop, probability, _ in table:
+                acc += probability
                 if u < acc:
-                    chosen = [branch]
-                    break
-            if not chosen:
-                chosen = [table[-1]]
+                    return (hop,)
+            return (table[-1][0],)
+        return chosen
+
+    def _activate_or_branches(self, case_id: int, gw_id: str) -> tuple[tuple[str, str], ...]:
+        hops = self._drawn(self._draw_or_branches, case_id, gw_id)
         join = self.or_join_of[gw_id]
-        self.or_expectations.setdefault((case_id, join), []).append(len(chosen))
-        return [branch[:2] for branch in chosen]
+        self.or_expectations.setdefault((case_id, join), []).append(len(hops))
+        return hops
 
     # -- activity lifecycle ---------------------------------------------------
 
@@ -531,9 +618,7 @@ class _Engine:
         state = self.act_states[activity_id]
         work = state.fixed_work
         if work is None:
-            visit = self._visit(case_id, activity_id)
-            u = rng.visit_unit(self.hasher, _DURATIONS, case_id, state.key, visit)
-            work = rng.round_half_up(state.duration.sample(u))
+            work = self._drawn(self._draw_work, case_id, activity_id)
         now = self.now
         if state.policy is None:
             # nothing ever waits: the instance is a batch of one at once
@@ -686,7 +771,7 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> EventLog:
-        self._generate_arrivals()
+        self._load_arrivals()
         arrivals = self.arrivals
         arrived = 0  # arrivals[arrived] is the next arrival
         heap = self.heap
@@ -756,20 +841,25 @@ def seed_free(model: ProcessModel) -> bool:
 
 
 def simulate(
-    model: CompiledModel | ProcessModel, policies: PolicySet, config: SimConfig
+    model: CompiledModel | ProcessModel,
+    policies: PolicySet,
+    config: SimConfig,
+    path: SamplePath | None = None,
 ) -> SimResult:
     """Run one deterministic simulation and fold its objectives.
 
     A bare `ProcessModel` is compiled first; callers that simulate one
-    model many times compile it once and pass the `CompiledModel`.  The
-    returned log is complete (warmup included); the objective values
+    model many times compile it once and pass the `CompiledModel`, and
+    may pass a `SamplePath` to replay the arrivals and draws of an earlier
+    simulation of that compiled model under the same seed and case count.
+    The returned log is complete (warmup included); the objective values
     exclude the warmup cases.
     """
     compiled = as_compiled(model)
     total = config.total_cases or compiled.model.arrival.total_cases
     if config.warmup >= total:
         raise SimulationError("warmup must be smaller than the case count")
-    log = _Engine(compiled, policies, config).run()
+    log = _Engine(compiled, policies, config, path).run()
     trimmed = filter_warmup(log, config.warmup)
     return SimResult(log, evaluate_objectives(trimmed, config.cycle_time_mode))
 

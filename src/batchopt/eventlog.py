@@ -115,9 +115,6 @@ class EventLog(NamedTuple):
         ends = [b.end_time for b in self.batches]
         return max(ends) if ends else 0
 
-    def batch_enable_times(self, batch: BatchRecord) -> list[int]:
-        return [self.instances[i].enable_time for i in batch.members]
-
 
 class ObjectiveValues(NamedTuple):
     """The minimized pair: (avg_cycle_time, avg_cost)."""
@@ -147,12 +144,19 @@ def evaluate_objectives(log: EventLog, cycle_time_mode: str = CYCLE_TIME_FULL) -
     """
     if cycle_time_mode not in CYCLE_TIME_MODES:
         raise ValueError(f"unknown cycle time mode {cycle_time_mode!r}")
+    waiting_and_idle = cycle_time_mode == CYCLE_TIME_WAITING_AND_IDLE
+    enable_times = [r.enable_time for r in log.instances]
     total_cycle = 0.0
     total_cost = 0.0
     for batch in log.batches:
-        earliest = min(log.batch_enable_times(batch))
+        members = batch.members
+        # a batch of one, the common case, needs no list
+        if len(members) == 1:
+            earliest = enable_times[members[0]]
+        else:
+            earliest = min([enable_times[i] for i in members])
         span = batch.end_time - earliest
-        if cycle_time_mode == CYCLE_TIME_WAITING_AND_IDLE:
+        if waiting_and_idle:
             span -= batch.busy_seconds
         total_cycle += span
         total_cost += batch.cost

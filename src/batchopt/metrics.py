@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .engine import CompiledModel, SimConfig, as_compiled, simulate
+from .engine import CompiledModel, SamplePath, SimConfig, as_compiled, simulate
 # case_cycle_time is not called here, but the benchmark's layer trace
 # (perfbench/layers.py) wraps it under this module's name.
 from .eventlog import EventLog, case_cycle_time, filter_warmup  # noqa: F401
@@ -161,6 +161,7 @@ def cycle_time_gain(
     model: CompiledModel | ProcessModel,
     config: SimConfig = SimConfig(),
     memo: dict[tuple, float] | None = None,
+    path: SamplePath | None = None,
 ) -> float:
     """Cycle time saved by the best solution relative to the initial run.
 
@@ -170,13 +171,17 @@ def cycle_time_gain(
 
     `memo` maps `policy_set_key` to that mean and is read before and
     filled after each simulation, so a caller scoring several fronts of
-    one model and config simulates each distinct policy set once.  A
-    bare `ProcessModel` is compiled once per call.
+    one model and config simulates each distinct policy set once.  Every
+    solution replays one `SamplePath`: `path` when given (it must belong
+    to the compiled model and `config`), else a new one that the first
+    simulation fills.  A bare `ProcessModel` is compiled once per call.
     """
     if not solutions:
         raise MetricsError("cycle_time_gain needs at least one solution")
     if memo is None:
         memo = {}
+    if path is None:
+        path = SamplePath()
     baseline = mean_case_cycle_time(filter_warmup(initial_log, config.warmup))
     model = as_compiled(model)
     best = math.inf
@@ -184,7 +189,7 @@ def cycle_time_gain(
         key = policy_set_key(sol.policies)
         mean = memo.get(key)
         if mean is None:
-            result = simulate(model, sol.policies, config)
+            result = simulate(model, sol.policies, config, path)
             mean = mean_case_cycle_time(filter_warmup(result.log, config.warmup))
             memo[key] = mean
         best = min(best, mean)

@@ -54,3 +54,47 @@ def test_all_ties_win_nothing_either_way():
     values = [0.5, 0.7, 0.6]
     for better in ("lower", "higher"):
         assert bench_pairs.summarize(values, list(values), better)["change_wins"] == 0
+
+
+def test_layer_comparison_pairs_each_declared_metric():
+    declared = {"calendars.next_open.calls": "lower", "eventlog.evaluate_objectives.self_s": "lower"}
+    parent = {"calendars.next_open.calls": 10, "eventlog.evaluate_objectives.self_s": 0.5}
+    change = {"calendars.next_open.calls": 8}
+    assert bench_pairs.compare_layers(parent, change, declared) == {
+        "calendars.next_open.calls": {"better": "lower", "parent": 10, "change": 8},
+        "eventlog.evaluate_objectives.self_s": {"better": "lower", "parent": 0.5, "change": None},
+    }
+
+
+STUB = """
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+correct = args["--workload"] != "broken"
+metrics = {"trace": {"value": int(args["--trace"])},
+           "seconds": {"value": float(args["--seconds"])},
+           "seed": {"value": int(args["--seed"])}}
+print("a report line")
+print(json.dumps({"correct": correct, "metrics": metrics}))
+"""
+
+
+def _stub_tree(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB)
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_run_once_passes_the_trace_flag_and_reads_the_last_line(tmp_path, trace):
+    tree = _stub_tree(tmp_path)
+    metrics = bench_pairs.run_once(tree, "busy", 7, 1, trace=trace)
+    assert metrics == {"trace": trace, "seconds": 1.0, "seed": 7}
+
+
+def test_run_once_untraced_by_default(tmp_path):
+    assert bench_pairs.run_once(_stub_tree(tmp_path), "busy", 7, 50)["trace"] == 0
+
+
+def test_run_once_stops_on_an_incorrect_run(tmp_path):
+    with pytest.raises(SystemExit, match="benchmark failed"):
+        bench_pairs.run_once(_stub_tree(tmp_path), "broken", 7, 1, trace=1)

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from batchopt import cli, engine
+from batchopt import cli, engine, metrics
 from batchopt.cli import EXIT_OK, MANIFEST_FILE, config_hash, main
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
-from batchopt.pareto import render_front_csv
+from batchopt.pareto import front_to_doc, render_front_csv
+from batchopt.policy import policy_set_key
 
 
 def write_json(path: Path, doc) -> str:
@@ -699,6 +700,43 @@ class TestEvaluate:
         code = main(["evaluate", a, empty, "--out", str(tmp_path / "out")])
         assert code == 3
         assert "empty.json" in capsys.readouterr().err
+
+    def test_each_distinct_policy_set_simulates_once_on_one_sample_path(
+        self, tmp_path, monkeypatch
+    ):
+        fixture = get_fixture("busy-step")
+        model, policies = fixture_inputs(tmp_path, "busy-step")
+        oracle = enumerate_oracle_front(fixture)
+        assert len(oracle.solutions) >= 2
+        distinct = {policy_set_key(fixture.policies())} | {
+            policy_set_key(s.policies) for s in oracle.solutions
+        }
+        front = front_to_doc(oracle, label="oracle")
+        # the second front repeats the first's solutions and adds the initial set
+        again = {"label": "again", "solutions": front["solutions"] + [
+            {"point": [1e9, 0.0], "policies": fixture.policies_doc}
+        ]}
+        fronts = [write_json(tmp_path / "a.json", front), write_json(tmp_path / "b.json", again)]
+        simulated, generated = [], []
+        real_simulate, real_generate = engine.simulate, engine._Engine._generate_arrivals
+
+        def spy(model, policies, config, path=None):
+            simulated.append(policy_set_key(policies))
+            return real_simulate(model, policies, config, path)
+
+        def generate(self):
+            generated.append(self.total_cases)
+            real_generate(self)
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        monkeypatch.setattr(metrics, "simulate", spy)
+        monkeypatch.setattr(engine._Engine, "_generate_arrivals", generate)
+        out = tmp_path / "out"
+        assert main(["evaluate", *fronts, "--model", model, "--policies", policies,
+                     "--out", str(out)]) == EXIT_OK
+        assert len(simulated) == len(set(simulated))
+        assert set(simulated) == distinct
+        assert generated == [fixture.model().arrival.total_cases]
 
 
 class TestConfigHash:

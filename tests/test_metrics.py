@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batchopt import metrics as mx
-from batchopt.engine import SimConfig, simulate
+from batchopt.engine import SamplePath, SimConfig, compile_model, simulate
 from batchopt.eventlog import EventLog, case_cycle_time
-from batchopt.fixtures import get_fixture
+from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.model import parse_model
 from batchopt.pareto import Solution
 from batchopt.policy import (
@@ -273,9 +273,9 @@ class TestCycleTimeGain:
         ]
         simulated = []
 
-        def spy(model, policies, config):
+        def spy(model, policies, config, path=None):
             simulated.append(mx.policy_set_key(policies))
-            return simulate(model, policies, config)
+            return simulate(model, policies, config, path)
 
         monkeypatch.setattr(mx, "simulate", spy)
         # seeded with the initial run, as `batchopt evaluate` does
@@ -290,6 +290,26 @@ class TestCycleTimeGain:
         keys = [mx.policy_set_key(_schedule_policies(h)) for h in (7, 9)]
         assert simulated == keys
         assert set(memo) == set(keys) | {mx.policy_set_key(_schedule_policies(8))}
+
+
+@pytest.mark.parametrize("name", ["busy-step", "stray-branch"])
+def test_gain_is_the_same_with_and_without_a_shared_path(name):
+    fixture = get_fixture(name)
+    model, config = fixture.model(), fixture.sim_config()
+    compiled = compile_model(model)
+    solutions = enumerate_oracle_front(fixture).solutions
+    assert len(solutions) >= 2
+    # shared: the initial run fills the path, as `batchopt evaluate` does
+    path = SamplePath()
+    initial = simulate(compiled, fixture.policies(), config, path)
+    shared = mx.cycle_time_gain(initial.log, solutions, compiled, config, path=path)
+    assert path.draws  # both fixtures branch at random
+    own = mx.cycle_time_gain(initial.log, solutions, compiled, config)
+    # no path at all: every solution drawn afresh
+    fresh = mx.mean_case_cycle_time(initial.log) - min(
+        mx.mean_case_cycle_time(simulate(model, s.policies, config).log) for s in solutions
+    )
+    assert shared == own == fresh
 
 
 class TestMeanCaseCycleTime:
