@@ -21,13 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from batchopt.fixtures import get_fixture
 from batchopt.interventions import InterventionConfig
-from batchopt.metrics import (
-    FrontPointSet,
-    build_reference_front,
-    metrics_row,
-    render_metrics_csv,
-    weakly_dominates,
-)
+from batchopt.metrics import compare_fronts, render_metrics_csv
 from batchopt.optimize import OptimizerConfig, optimize_hc_sa
 from batchopt.pareto import front_to_doc
 
@@ -46,7 +40,6 @@ def main(argv=None) -> int:
     policies = fixture.policies()
     intervention = InterventionConfig(max_size=args.max_size)
 
-    runs = []
     fronts = {}
     for guided in (True, False):
         for seed in range(args.seeds):
@@ -57,24 +50,13 @@ def main(argv=None) -> int:
                 seed=seed,
                 intervention=intervention,
             )
-            result = optimize_hc_sa(model, policies, config)
-            label = f"hc{'+' if guided else '-'}-seed{seed}"
-            runs.append(FrontPointSet(result.front.points, label=label))
-            fronts[label] = result.front
+            label = f"seed{seed}-hc{'+' if guided else '-'}"
+            fronts[label] = optimize_hc_sa(model, policies, config).front
 
-    reference = build_reference_front(runs)
-    rows = [metrics_row(run, reference) for run in runs]
-
-    guided_runs = [r for r in runs if "+" in r.label]
-    unguided_runs = [r for r in runs if "-seed" in r.label and "+" not in r.label]
-    plus = build_reference_front(guided_runs, label="++")
-    minus = build_reference_front(unguided_runs, label="--")
-    rows.append(metrics_row(plus, reference))
-    rows.append(metrics_row(minus, reference))
-
-    mean_plus = sum(r["hausdorff"] for r in rows if r["label"].startswith("hc+")) / args.seeds
-    mean_minus = sum(r["hausdorff"] for r in rows if r["label"].startswith("hc-")) / args.seeds
-    covered = weakly_dominates(plus, minus)
+    _, rows, covered = compare_fronts(list(fronts.items()))
+    # the first rows score the hc+ runs, the next the hc- runs
+    mean_plus = sum(r["hausdorff"] for r in rows[: args.seeds]) / args.seeds
+    mean_minus = sum(r["hausdorff"] for r in rows[args.seeds : 2 * args.seeds]) / args.seeds
 
     print(render_metrics_csv(rows), end="")
     print(f"mean hausdorff: hc+ {mean_plus!r}, hc- {mean_minus!r}")

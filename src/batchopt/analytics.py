@@ -217,7 +217,7 @@ class DetectionConfig:
     wait_quantile: float = 0.75  # patterns 1, 2, 5: wait above this quantile
     processing_quantile: float = 0.75  # pattern 6
     concentration_share: float = 0.5  # pattern 3: mass held by the top buckets
-    top_k: int = 3  # patterns 3, 4: bucket count examined
+    top_k: int = 3  # pattern 3: bucket count examined
     size_cap: float = 10.0  # pattern 6: mean batch size considered small
     idle_share: float = 0.2  # patterns 8, 9: interrupted-batch fraction
     cost_share: float = 0.25  # patterns 11, 13, 14

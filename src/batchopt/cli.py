@@ -31,29 +31,19 @@ from . import __version__
 from .analytics import AnalyticsError, compute_stats, detect_scenarios
 from .codec import ParseError, to_doc
 from .engine import (
-    SamplePath,
     SimConfig,
     SimulationError,
     compile_model,
     parse_sim_config,
     simulate,
 )
-from .eventlog import (
-    LAST_INSTANT,
-    LogTimeError,
-    filter_warmup,
-    render_batch_csv,
-    render_event_csv,
-)
+from .eventlog import LAST_INSTANT, LogTimeError, render_batch_csv, render_event_csv
 from .metrics import (
-    FrontPointSet,
+    CycleTimes,
     MetricsError,
-    build_reference_front,
+    compare_fronts,
     cycle_time_gain,
-    mean_case_cycle_time,
-    metrics_row,
     render_metrics_csv,
-    weakly_dominates,
 )
 from .model import parse_model
 from .optimize import (
@@ -70,7 +60,7 @@ from .pareto import (
     parse_front,
     render_front_csv,
 )
-from .policy import PolicyError, parse_policies, policy_set_key
+from .policy import PolicyError, parse_policies
 from .rl import optimize_rl
 
 EXIT_OK = 0
@@ -322,89 +312,52 @@ def _front_label(doc: dict, path: str) -> str:
     return doc.get("label") or os.path.splitext(os.path.basename(path))[0]
 
 
-def _reference_solutions(reference: FrontPointSet, fronts: list[ParetoFront]) -> ParetoFront:
-    """Rebuild a full front document for the reference point set by picking,
-    per surviving point, the first input solution that produced it."""
-    by_point = {}
-    for front in fronts:
-        for solution in front.solutions:
-            by_point.setdefault(solution.point, solution)
-    return ParetoFront(tuple(by_point[p] for p in reference.points))
-
-
 def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
     if len(args.fronts) < 2:
         parser.error("evaluate needs at least two front documents")
     if not args.model and (args.policies is not None or args.config is not None):
         parser.error("evaluate --policies and --config need --model")
-    fronts: list[ParetoFront] = []
-    runs: list[FrontPointSet] = []
+    fronts: list[tuple[str, ParetoFront]] = []
     for path in args.fronts:
         doc = _read_json(path, "front")
         try:
             front = parse_front(doc)
-            run = FrontPointSet(front.points, label=_front_label(doc, path))
-        except (_SCHEMA_ERRORS + (MetricsError,)) as err:
+        except _SCHEMA_ERRORS as err:
             raise CliError(EXIT_SCHEMA, f"front file {path}: {err}") from err
         if not front.solutions:
             raise CliError(EXIT_SCHEMA, f"front file {path}: front has no solutions")
-        fronts.append(front)
-        runs.append(run)
+        fronts.append((_front_label(doc, path), front))
 
-    gains = [None] * len(fronts)
+    gains = None
     if args.model:
         compiled, policies = _load_inputs(args)
-        for path, front in zip(args.fronts, fronts):
+        for path, (_, front) in zip(args.fronts, fronts):
             for i, solution in enumerate(front.solutions):
                 _check_activities(
                     compiled.model, solution.policies, f"front file {path}, solution {i}"
                 )
-        sim_config = _run_config(args)
-        # one sample path for every simulation: the initial run fills it
-        path = SamplePath()
+        cycle_times = CycleTimes(compiled, _run_config(args))
         try:
-            initial = simulate(compiled, policies, sim_config, path)
-        except SimulationError as err:
+            baseline = cycle_times.mean(policies)
+        except (SimulationError, MetricsError) as err:
             raise CliError(EXIT_RUNTIME, f"initial simulation failed: {err}") from err
-        # one memo for every front: each distinct policy set simulates once
-        memo = {
-            policy_set_key(policies): mean_case_cycle_time(
-                filter_warmup(initial.log, sim_config.warmup)
-            )
-        }
         try:
-            gains = [
-                cycle_time_gain(initial.log, front.solutions, compiled, sim_config, memo, path)
-                for front in fronts
-            ]
+            gains = [cycle_time_gain(baseline, front.solutions, cycle_times) for _, front in fronts]
         except (SimulationError, MetricsError) as err:
             raise CliError(EXIT_RUNTIME, f"gain computation failed: {err}") from err
 
-    reference = build_reference_front(runs)
-    rows = [metrics_row(run, reference, gain) for run, gain in zip(runs, gains)]
-
-    guided = [r for r in runs if r.label.endswith("+")]
-    unguided = [r for r in runs if r.label.endswith("-")]
-    verdict = ""
-    if guided and unguided:
-        plus = build_reference_front(guided, label="++")
-        minus = build_reference_front(unguided, label="--")
-        rows.append(metrics_row(plus, reference))
-        rows.append(metrics_row(minus, reference))
-        covered = weakly_dominates(plus, minus)
-        verdict = f"++ weakly dominates --: {'yes' if covered else 'no'}"
-
-    reference_doc = front_to_doc(_reference_solutions(reference, fronts), label="reference")
+    reference, rows, covered = compare_fronts(fronts, gains)
+    verdict = "" if covered is None else f"++ weakly dominates --: {'yes' if covered else 'no'}"
     outputs = {
         "metrics.csv": render_metrics_csv(rows),
         "metrics.txt": _render_metrics_text(reference, rows, verdict),
-        "reference_front.json": _json_text(reference_doc),
+        "reference_front.json": _json_text(front_to_doc(reference, label="reference")),
     }
-    summary = f"evaluated {len(runs)} fronts against a reference of {len(reference)} points"
-    return outputs, {"fronts": [r.label for r in runs]}, 0, summary
+    summary = f"evaluated {len(fronts)} fronts against a reference of {len(reference)} points"
+    return outputs, {"fronts": [label for label, _ in fronts]}, 0, summary
 
 
-def _render_metrics_text(reference: FrontPointSet, rows: list[dict], verdict: str) -> str:
+def _render_metrics_text(reference: ParetoFront, rows: list[dict], verdict: str) -> str:
     lines = [f"reference front: {len(reference)} points"]
     header = f"{'label':<24} {'points':>6} {'hausdorff':>16} {'purity':>8} {'gain':>16}"
     lines.append(header)

@@ -42,16 +42,16 @@ Whatever depends only on the model is computed once per model, not once
 per simulation: `compile_model` validates it and builds its
 `CompiledModel` (node and branch tables, or-join pairing, encoded ids,
 fixed durations, sorted eligible resources), and the CLI commands, the
-search's `CandidateEvaluator` and `metrics.cycle_time_gain` compile once
-and pass it to every `simulate`.  `simulate` compiles a bare
+search's `CandidateEvaluator` and `metrics.CycleTimes` compile once and
+pass it to every `simulate`.  `simulate` compiles a bare
 `ProcessModel` itself.  What depends on the policy set (the clock-hour
 masks, the waiting-time wakes) is set up once per simulation.  What
 depends on the model, seed and case count but not on the policy set (the
 arrival events and every keyed draw) can be kept in a `SamplePath`: the
 first simulation given one fills it and later ones replay it, with the
-same bytes as drawing afresh.  Only `batchopt evaluate` and
-`metrics.cycle_time_gain` build one, because they re-simulate many policy
-sets under one seed; a lone simulation keeps nothing, and a search gives
+same bytes as drawing afresh.  Only `metrics.CycleTimes` builds one,
+because `batchopt evaluate` re-simulates many policy sets through it
+under one seed; a lone simulation keeps nothing, and a search gives
 each simulation its own seed.  The search keeps its own per-run memo of
 results, and only for seed-free models (see optimize.py).
 

@@ -5,7 +5,8 @@ every run's front. Convergence is measured with the averaged Hausdorff
 distance (symmetric mean-RMS distance, raw objective units), diversity
 with purity (the fraction of a run's points that survive into the
 reference), and end-to-end benefit with the cycle time gain of the best
-solution over the initial policy set.
+solution over the initial policy set.  `compare_fronts` makes the whole
+comparison, and `CycleTimes` prices the policy sets behind each gain.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .engine import CompiledModel, SamplePath, SimConfig, as_compiled, simulate
 # (perfbench/layers.py) wraps it under this module's name.
 from .eventlog import EventLog, case_cycle_time, filter_warmup  # noqa: F401
 from .model import ProcessModel
-from .pareto import Point, Solution, dominates
-from .policy import policy_set_key
+from .pareto import ParetoFront, Point, Solution, dominates
+from .policy import PolicySet, policy_set_key
 from .records import Record
 
 PURITY_TOLERANCE = 1e-9
@@ -155,52 +156,48 @@ def mean_case_cycle_time(log: EventLog) -> float:
     return sum(spans[c][1] - spans[c][0] for c in sorted(spans)) / len(spans)
 
 
-def cycle_time_gain(
-    initial_log: EventLog,
-    solutions: Sequence[Solution],
-    model: CompiledModel | ProcessModel,
-    config: SimConfig = SimConfig(),
-    memo: dict[tuple, float] | None = None,
-    path: SamplePath | None = None,
-) -> float:
-    """Cycle time saved by the best solution relative to the initial run.
+class CycleTimes:
+    """Mean case cycle time per policy set, for one model and run config.
 
-    Every solution is re-simulated under `config` and scored by its mean
-    per-case cycle time; the gain is the initial mean minus the best
-    (smallest) solution mean. Negative when every solution is slower.
-
-    `memo` maps `policy_set_key` to that mean and is read before and
-    filled after each simulation, so a caller scoring several fronts of
-    one model and config simulates each distinct policy set once.  Every
-    solution replays one `SamplePath`: `path` when given (it must belong
-    to the compiled model and `config`), else a new one that the first
-    simulation fills.  A bare `ProcessModel` is compiled once per call.
+    The model is compiled once, and every simulation replays one
+    `SamplePath` that the first fills.  Means are memoized by
+    `policy_set_key`, so each distinct policy set simulates at most once.
     """
+
+    __slots__ = ("compiled", "config", "path", "memo")
+
+    def __init__(self, model: CompiledModel | ProcessModel, config: SimConfig):
+        self.compiled = as_compiled(model)
+        self.config = config
+        self.path = SamplePath()
+        self.memo: dict[tuple, float] = {}
+
+    def mean(self, policies: PolicySet) -> float:
+        """Mean cycle time of the cases after the warmup under `policies`."""
+        key = policy_set_key(policies)
+        mean = self.memo.get(key)
+        if mean is None:
+            log = simulate(self.compiled, policies, self.config, self.path).log
+            mean = self.memo[key] = mean_case_cycle_time(filter_warmup(log, self.config.warmup))
+        return mean
+
+
+def cycle_time_gain(
+    baseline: float, solutions: Sequence[Solution], cycle_times: CycleTimes
+) -> float:
+    """Cycle time saved by the best solution relative to `baseline`, the
+    initial policy set's mean: the baseline minus the smallest solution
+    mean.  Negative when every solution is slower."""
     if not solutions:
         raise MetricsError("cycle_time_gain needs at least one solution")
-    if memo is None:
-        memo = {}
-    if path is None:
-        path = SamplePath()
-    baseline = mean_case_cycle_time(filter_warmup(initial_log, config.warmup))
-    model = as_compiled(model)
-    best = math.inf
-    for sol in solutions:
-        key = policy_set_key(sol.policies)
-        mean = memo.get(key)
-        if mean is None:
-            result = simulate(model, sol.policies, config, path)
-            mean = mean_case_cycle_time(filter_warmup(result.log, config.warmup))
-            memo[key] = mean
-        best = min(best, mean)
-    return baseline - best
+    return baseline - min(cycle_times.mean(sol.policies) for sol in solutions)
 
 
 def metrics_row(run: FrontPointSet, reference: FrontPointSet, gain: float | None = None) -> dict:
     """One metrics-table row comparing a run against the reference front.
 
     gain is optional because computing it needs the process model and the
-    initial log; callers without them leave the column empty.
+    initial policies; callers without them leave the column empty.
     """
     return {
         "label": run.label,
@@ -209,6 +206,40 @@ def metrics_row(run: FrontPointSet, reference: FrontPointSet, gain: float | None
         "purity": purity(run, reference),
         "gain": gain,
     }
+
+
+def compare_fronts(
+    labelled_fronts: Sequence[tuple[str, ParetoFront]],
+    gains: Sequence[float | None] | None = None,
+) -> tuple[ParetoFront, list[dict], bool | None]:
+    """Score labelled fronts against the reference front of them all.
+
+    Returns the reference front, holding for each point the first input
+    solution that has it; one `metrics_row` per front in input order,
+    with its gain from `gains` when given; and whether `++` weakly
+    dominates `--`.  `++` and `--` are the reference fronts of the fronts
+    whose labels end in `+` and in `-`; when both exist their rows follow
+    the others, and otherwise the verdict is None.
+    """
+    runs = [FrontPointSet(front.points, label) for label, front in labelled_fronts]
+    reference = build_reference_front(runs)
+    rows = [
+        metrics_row(run, reference, gain)
+        for run, gain in zip(runs, gains or [None] * len(runs))
+    ]
+    covered = None
+    guided = [r for r in runs if r.label.endswith("+")]
+    unguided = [r for r in runs if r.label.endswith("-")]
+    if guided and unguided:
+        plus = build_reference_front(guided, label="++")
+        minus = build_reference_front(unguided, label="--")
+        rows += [metrics_row(plus, reference), metrics_row(minus, reference)]
+        covered = weakly_dominates(plus, minus)
+    first: dict[Point, Solution] = {}
+    for _, front in labelled_fronts:
+        for solution in front.solutions:
+            first.setdefault(solution.point, solution)
+    return ParetoFront(tuple(first[p] for p in reference.points)), rows, covered
 
 
 def render_metrics_csv(rows: Sequence[dict]) -> str:

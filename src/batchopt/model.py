@@ -232,7 +232,7 @@ def validate_model(model: ProcessModel) -> list[str]:
         if e not in node_ids:
             out.append(f"end node {e!r} is not a node")
 
-    # reachability: every node from the start, every activity to some end
+    # reachability: every node from the start and to some end
     if model.start_node in node_ids:
         reached = {model.start_node}
         frontier = [model.start_node]
@@ -256,9 +256,10 @@ def validate_model(model: ProcessModel) -> list[str]:
                 if p not in reaches_end:
                     reaches_end.add(p)
                     frontier.append(p)
-        for a in model.activities:
-            if a.id not in reaches_end:
-                out.append(f"activity {a.id!r} has no path to an end node")
+        for kind, nodes in (("activity", model.activities), ("gateway", model.gateways)):
+            for n in nodes:
+                if n.id not in reaches_end:
+                    out.append(f"{kind} {n.id!r} has no path to an end node")
 
     for a in model.activities:
         if not a.resources:

@@ -58,6 +58,16 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert set(manifest["outputs"]) == {"events.csv", "batches.csv", "objectives.json"}
 
+    def test_without_policies_every_instance_is_a_batch_of_one(self, tmp_path):
+        model, _ = fixture_inputs(tmp_path, "two-batch")
+        out = tmp_path / "out"
+        assert main(["simulate", "--model", model, "--out", str(out)]) == EXIT_OK
+        events = read(out, "events.csv").rstrip("\n").splitlines()[1:]
+        batches = read(out, "batches.csv").rstrip("\n").splitlines()[1:]
+        assert len(events) == len(batches) == 4
+        assert all(row.split(",")[5] == "1" for row in batches)  # the size column
+        assert len({row.split(",")[6] for row in events}) == 4  # one batch id each
+
     def test_missing_model_is_a_usage_failure(self, tmp_path, capsys):
         absent = str(tmp_path / "absent.json")
         code = main(["simulate", "--model", absent, "--out", str(tmp_path / "out")])
@@ -882,6 +892,24 @@ def test_a_cycle_of_gateways_only_is_a_schema_failure(tmp_path, capsys, gateways
     assert main(["simulate", "--model", model, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"gateway {gateway!r}: lies on a cycle of gateways only" in err
+    assert not out.exists()
+
+
+def test_a_gateway_without_path_to_an_end_is_a_schema_failure(tmp_path, capsys):
+    # half the cases would stop at `sink`, an and-split with no outgoing arc
+    gateways = [
+        {"id": "route", "kind": "xor-split",
+         "branchProbabilities": {"route->file": 0.5, "route->sink": 0.5}},
+        {"id": "sink", "kind": "and-split"},
+    ]
+    arcs = [("ticket", "route"), ("route", "file"), ("route", "sink")]
+    model = gateway_cycle_model(
+        tmp_path, gateways, [{"source": s, "target": t} for s, t in arcs]
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "model.json" in err and "gateway 'sink' has no path to an end node" in err
     assert not out.exists()
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -636,3 +639,25 @@ class TestGateways:
         with pytest.raises(SimulationError) as err:
             simulate(model, {}, SimConfig(seed=1))
         assert "pick" in str(err.value)
+
+    def test_xor_join_forwards_each_branch_token_at_once(self):
+        # the exclusive-choice example of the model schema document
+        text = (Path(__file__).resolve().parents[1] / "docs" / "model-schema.md").read_text()
+        section = text[text.index("### Example: exclusive choice (`xor`)"):]
+        block = section[section.index("```json") + len("```json"):]
+        model = m.parse_model(json.loads(block[: block.index("```")]))
+        log, _ = simulate(model, {}, SimConfig(seed=0))
+        by_case = {}
+        for rec in log.instances:
+            by_case.setdefault(rec.case_id, {}).setdefault(rec.activity_id, []).append(rec)
+        assert len(by_case) == model.arrival.total_cases
+        taken = set()
+        for runs in by_case.values():
+            assert len(runs.pop("intake")) == 1
+            (close,) = runs.pop("close")
+            # the rest is exactly one run of exactly one branch
+            ((branch, (run,)),) = runs.items()
+            assert branch in ("fast-track", "full-review")
+            assert close.enable_time == run.end_time
+            taken.add(branch)
+        assert taken == {"fast-track", "full-review"}  # 12 draws at 0.7 / 0.3

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batchopt import metrics as mx
-from batchopt.engine import SamplePath, SimConfig, compile_model, simulate
+from batchopt.engine import SimConfig, compile_model, simulate
 from batchopt.eventlog import EventLog, case_cycle_time
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.model import parse_model
-from batchopt.pareto import Solution
+from batchopt.pareto import ParetoFront, Solution
 from batchopt.policy import (
     BatchingPolicy,
     CostModel,
@@ -218,32 +218,22 @@ class TestCycleTimeGain:
         self.config = SimConfig(seed=0)
         self.initial = simulate(self.model, _schedule_policies(8), self.config)
 
+    def gain(self, solutions, config=None):
+        cycle_times = mx.CycleTimes(self.model, config or self.config)
+        baseline = cycle_times.mean(_schedule_policies(8))
+        return mx.cycle_time_gain(baseline, solutions, cycle_times)
+
     def test_initial_only_is_zero(self):
-        gain = mx.cycle_time_gain(
-            self.initial.log, [_solution(8)], self.model, self.config
-        )
-        assert gain == 0.0
+        assert self.gain([_solution(8)]) == 0.0
 
     def test_one_hour_faster_everywhere(self):
-        gain = mx.cycle_time_gain(
-            self.initial.log, [_solution(7)], self.model, self.config
-        )
-        assert gain == 3600.0
+        assert self.gain([_solution(7)]) == 3600.0
 
     def test_negative_when_all_solutions_slower(self):
-        gain = mx.cycle_time_gain(
-            self.initial.log, [_solution(9)], self.model, self.config
-        )
-        assert gain == -3600.0
+        assert self.gain([_solution(9)]) == -3600.0
 
     def test_best_of_many(self):
-        gain = mx.cycle_time_gain(
-            self.initial.log,
-            [_solution(9), _solution(7), _solution(8)],
-            self.model,
-            self.config,
-        )
-        assert gain == 3600.0
+        assert self.gain([_solution(9), _solution(7), _solution(8)]) == 3600.0
 
     def test_mean_case_cycle_time_matches_hand_value(self):
         # intake starts 06:00, review runs 08:00-08:10: 2h10m per case
@@ -251,26 +241,19 @@ class TestCycleTimeGain:
 
     def test_no_solutions_rejected(self):
         with pytest.raises(mx.MetricsError):
-            mx.cycle_time_gain(self.initial.log, [], self.model, self.config)
+            self.gain([])
 
     def test_warmup_config_respected(self):
         # dropping the first case leaves the per-case time unchanged here,
         # so the gain stays exact under a warmup window
-        config = SimConfig(seed=0, warmup=1)
-        gain = mx.cycle_time_gain(
-            self.initial.log, [_solution(7)], self.model, config
-        )
-        assert gain == 3600.0
-
+        assert self.gain([_solution(7)], SimConfig(seed=0, warmup=1)) == 3600.0
 
     def test_memo_simulates_each_distinct_policy_set_once(self, monkeypatch):
         fronts = [
             [_solution(7), _solution(8)],
             [_solution(9), _solution(7)],
         ]
-        plain = [
-            mx.cycle_time_gain(self.initial.log, f, self.model, self.config) for f in fronts
-        ]
+        plain = [self.gain(f) for f in fronts]
         simulated = []
 
         def spy(model, policies, config, path=None):
@@ -278,18 +261,14 @@ class TestCycleTimeGain:
             return simulate(model, policies, config, path)
 
         monkeypatch.setattr(mx, "simulate", spy)
-        # seeded with the initial run, as `batchopt evaluate` does
-        memo = {
-            mx.policy_set_key(_schedule_policies(8)): mx.mean_case_cycle_time(self.initial.log)
-        }
-        gains = [
-            mx.cycle_time_gain(self.initial.log, f, self.model, self.config, memo)
-            for f in fronts
-        ]
+        # one baseline and one CycleTimes for every front, as `batchopt evaluate` does
+        cycle_times = mx.CycleTimes(self.model, self.config)
+        baseline = cycle_times.mean(_schedule_policies(8))
+        gains = [mx.cycle_time_gain(baseline, f, cycle_times) for f in fronts]
         assert gains == plain == [3600.0, 3600.0]
-        keys = [mx.policy_set_key(_schedule_policies(h)) for h in (7, 9)]
+        keys = [mx.policy_set_key(_schedule_policies(h)) for h in (8, 7, 9)]
         assert simulated == keys
-        assert set(memo) == set(keys) | {mx.policy_set_key(_schedule_policies(8))}
+        assert set(cycle_times.memo) == set(keys)
 
 
 @pytest.mark.parametrize("name", ["busy-step", "stray-branch"])
@@ -299,17 +278,69 @@ def test_gain_is_the_same_with_and_without_a_shared_path(name):
     compiled = compile_model(model)
     solutions = enumerate_oracle_front(fixture).solutions
     assert len(solutions) >= 2
-    # shared: the initial run fills the path, as `batchopt evaluate` does
-    path = SamplePath()
-    initial = simulate(compiled, fixture.policies(), config, path)
-    shared = mx.cycle_time_gain(initial.log, solutions, compiled, config, path=path)
-    assert path.draws  # both fixtures branch at random
-    own = mx.cycle_time_gain(initial.log, solutions, compiled, config)
+    # the initial run fills the path, as `batchopt evaluate` does
+    shared = mx.CycleTimes(compiled, config)
+    baseline = shared.mean(fixture.policies())
+    gain = mx.cycle_time_gain(baseline, solutions, shared)
+    assert shared.path.draws  # both fixtures branch at random
+    # the first solution fills it
+    initial = simulate(model, fixture.policies(), config)
+    own = mx.cycle_time_gain(
+        mx.mean_case_cycle_time(initial.log), solutions, mx.CycleTimes(compiled, config)
+    )
     # no path at all: every solution drawn afresh
     fresh = mx.mean_case_cycle_time(initial.log) - min(
         mx.mean_case_cycle_time(simulate(model, s.policies, config).log) for s in solutions
     )
-    assert shared == own == fresh
+    assert gain == own == fresh
+
+
+def _pareto(*entries) -> ParetoFront:
+    """A front of (schedule hour, point) solutions."""
+    return ParetoFront(tuple(Solution(_schedule_policies(h), p) for h, p in entries))
+
+
+class TestCompareFronts:
+    def test_reference_keeps_the_first_solution_of_each_point(self):
+        a = _pareto((7, (1.0, 5.0)), (8, (3.0, 2.0)))
+        b = _pareto((9, (1.0, 5.0)), (10, (2.0, 2.0)))
+        reference, rows, covered = mx.compare_fronts([("a", a), ("b", b)])
+        assert reference.points == ((1.0, 5.0), (2.0, 2.0))
+        assert [s.policies for s in reference.solutions] == [
+            _schedule_policies(7),
+            _schedule_policies(10),
+        ]
+        assert [(r["label"], r["points"], r["purity"]) for r in rows] == [
+            ("a", 2, 0.5),
+            ("b", 2, 1.0),
+        ]
+        assert covered is None
+
+    def test_rows_carry_the_given_gains(self):
+        a = _pareto((7, (1.0, 5.0)))
+        b = _pareto((8, (2.0, 2.0)))
+        _, rows, _ = mx.compare_fronts([("a", a), ("b", b)], [60.0, -1.5])
+        assert [r["gain"] for r in rows] == [60.0, -1.5]
+        _, rows, _ = mx.compare_fronts([("a", a), ("b", b)])
+        assert [r["gain"] for r in rows] == [None, None]
+
+    def test_arms_pool_by_label_suffix(self):
+        fronts = [
+            ("hc+", _pareto((7, (1.0, 5.0)), (8, (3.0, 2.0)))),
+            ("other", _pareto((9, (0.5, 9.0)))),
+            ("hc-", _pareto((10, (1.0, 5.0)), (11, (4.0, 2.0)))),
+            ("sa+", _pareto((12, (2.0, 3.0)))),
+        ]
+        reference, rows, covered = mx.compare_fronts(fronts)
+        assert [r["label"] for r in rows] == ["hc+", "other", "hc-", "sa+", "++", "--"]
+        plus = mx.build_reference_front(
+            [mx.FrontPointSet(f.points) for label, f in fronts if label.endswith("+")], "++"
+        )
+        assert rows[4] == mx.metrics_row(plus, mx.FrontPointSet(reference.points))
+        assert rows[4]["points"] == 3 and rows[5]["points"] == 2
+        assert covered is True
+        swapped = [(label.translate(str.maketrans("+-", "-+")), f) for label, f in fronts]
+        assert mx.compare_fronts(swapped)[2] is False
 
 
 class TestMeanCaseCycleTime:

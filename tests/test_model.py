@@ -133,6 +133,28 @@ def test_validate_unreachable_and_dead_end():
     assert "no path to an end node" in text  # a, b, c cannot reach d
 
 
+def test_validate_gateway_without_path_to_an_end():
+    # the cases routed to `sink`, an and-split with no outgoing arc, would
+    # end there unfinished
+    doc = branching_model_doc()
+    doc["endNodes"] = ["b"]
+    doc["activities"] = doc["activities"][:2]
+    doc["gateways"] = [
+        {
+            "id": "route",
+            "kind": "xor-split",
+            "branchProbabilities": {"route->b": 0.5, "route->sink": 0.5},
+        },
+        {"id": "sink", "kind": "and-split"},
+    ]
+    doc["arcs"] = [
+        {"source": "a", "target": "route"},
+        {"source": "route", "target": "b"},
+        {"source": "route", "target": "sink"},
+    ]
+    assert m.validate_model(m.parse_model(doc)) == ["gateway 'sink' has no path to an end node"]
+
+
 def test_validate_join_arity():
     doc = branching_model_doc()
     doc["arcs"] = [a for a in doc["arcs"] if not (a["source"] == "c" and a["target"] == "join")]

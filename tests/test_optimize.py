@@ -307,6 +307,24 @@ class TestSimulatedAnnealing:
         assert sa.simulations == hc.simulations
         assert [r["delta"] for r in sa.audit] == [r["delta"] for r in hc.audit]
 
+    def test_annealer_cools_into_a_strict_climber_mid_run(self):
+        # from 1.0, halved each iteration, the temperature falls below 0.1
+        # after the fourth: later iterations climb with radius 0 and so
+        # enqueue exactly the front points
+        result = run(
+            get_fixture("circadian"),
+            strategy="sa",
+            max_solutions=60,
+            initial_temperature=1.0,
+            cooling_factor=0.5,
+            temp_epsilon=0.1,
+        )
+        rows = [r for r in result.audit if not r["failed"]]
+        assert any(r["enqueued"] and r["dist"] > 0 for r in rows if r["iteration"] <= 4)
+        late = [r for r in rows if r["iteration"] >= 5]
+        assert any(r["dist"] > 0 for r in late)
+        assert all(r["enqueued"] == (r["dist"] == 0.0) for r in late)
+
 
 def _without_cached(rows):
     return [{k: v for k, v in row.items() if k != "cached"} for row in rows]
