@@ -19,10 +19,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from batchopt.fixtures import get_fixture
-from batchopt.interventions import InterventionConfig
+from batchopt.fixtures import FixtureError, get_fixture
+from batchopt.interventions import InterventionConfig, InterventionError
 from batchopt.metrics import compare_fronts, render_metrics_csv
-from batchopt.optimize import OptimizerConfig, optimize_hc_sa
+from batchopt.optimize import OptimizerConfig, OptimizerError, optimize_hc_sa
 from batchopt.pareto import front_to_doc
 
 
@@ -34,24 +34,26 @@ def main(argv=None) -> int:
     parser.add_argument("--max-size", type=int, default=8)
     parser.add_argument("--out", help="directory for front documents and metrics CSV")
     args = parser.parse_args(argv)
-
-    fixture = get_fixture(args.fixture)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    try:
+        fixture = get_fixture(args.fixture)
+        config = OptimizerConfig(
+            strategy="hc",
+            max_solutions=args.budget,
+            intervention=InterventionConfig(max_size=args.max_size),
+        )
+    except (FixtureError, InterventionError, OptimizerError) as err:
+        parser.error(str(err))
     model = fixture.model()
     policies = fixture.policies()
-    intervention = InterventionConfig(max_size=args.max_size)
 
     fronts = {}
     for guided in (True, False):
         for seed in range(args.seeds):
-            config = OptimizerConfig(
-                strategy="hc",
-                guided=guided,
-                max_solutions=args.budget,
-                seed=seed,
-                intervention=intervention,
-            )
             label = f"seed{seed}-hc{'+' if guided else '-'}"
-            fronts[label] = optimize_hc_sa(model, policies, config).front
+            run = config._replace(guided=guided, seed=seed)
+            fronts[label] = optimize_hc_sa(model, policies, run).front
 
     _, rows, covered = compare_fronts(list(fronts.items()))
     # the first rows score the hc+ runs, the next the hc- runs

@@ -29,7 +29,6 @@ Patterns by id:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .calendars import (
@@ -52,7 +51,7 @@ from .policy import (
     BatchingPolicy,
     PolicySet,
 )
-from .records import Record
+from .records import Config, Record
 from .reduce import dot, mean, median, percentile
 
 SCENARIO_IDS = tuple(range(1, 20))
@@ -210,8 +209,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
     return LogStats(activities=tuple(activity_stats), resources=tuple(resource_stats))
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
+class DetectionConfig(Config):
     """Trigger thresholds for the nineteen patterns, one knob per predicate."""
 
     wait_quantile: float = 0.75  # patterns 1, 2, 5: wait above this quantile
@@ -228,7 +226,7 @@ class DetectionConfig:
     switch_high: float = 0.5  # pattern 18
     switch_low: float = 0.2  # pattern 19
 
-    def __post_init__(self):
+    def _check(self) -> None:
         check_fields(self, AnalyticsError)
         for name in ("wait_quantile", "processing_quantile"):
             q = getattr(self, name)
@@ -374,23 +372,52 @@ def window_start_histogram(model: ProcessModel, activity_id: str) -> dict[Bucket
     return hist
 
 
-def fitting_slot_histogram(
-    model: ProcessModel, activity_id: str, mean_busy: float
-) -> dict[Bucket, float]:
-    """Buckets from whose start the open run is long enough for a typical
-    batch, weighted by that remaining open run."""
-    hist: dict[Bucket, float] = {}
+def open_runs(model: ProcessModel, activity_id: str) -> tuple[tuple[Bucket, int], ...]:
+    """Each (weekday, hour) slot whose start an eligible resource's
+    calendar holds open, with the open run from that start, resource by
+    resource."""
+    runs = []
     for rid in model.activity(activity_id).resources:
         cal = model.resource(rid).calendar
         for d in range(7):
             for h in range(24):
                 t = SECONDS_PER_WEEK + d * SECONDS_PER_DAY + h * SECONDS_PER_HOUR
-                if not cal.contains(t):
-                    continue
-                remaining = cal.open_end(t) - t
-                if remaining >= mean_busy:
-                    hist[(d, h)] = max(hist.get((d, h), 0.0), float(remaining))
+                if cal.contains(t):
+                    runs.append(((d, h), cal.open_end(t) - t))
+    return tuple(runs)
+
+
+def fitting_slot_histogram(
+    runs: tuple[tuple[Bucket, int], ...], mean_busy: float
+) -> dict[Bucket, float]:
+    """Buckets from whose start the open run (see `open_runs`) is long
+    enough for a typical batch, weighted by that remaining open run."""
+    hist: dict[Bucket, float] = {}
+    for bucket, remaining in runs:
+        if remaining >= mean_busy:
+            hist[bucket] = max(hist.get(bucket, 0.0), float(remaining))
     return hist
+
+
+class ScheduleTables:
+    """The tables detection reads that depend on the model alone: per
+    activity, its `availability_histogram` (pattern 4), its
+    `window_start_histogram` and its `open_runs` (pattern 8).  Each is
+    built on first use and kept, so detecting many logs of one model builds
+    each once; a `CompiledModel` holds its model's in `schedules`."""
+
+    __slots__ = ("model", "_tables")
+
+    def __init__(self, model: ProcessModel):
+        self.model = model
+        self._tables: dict = {}
+
+    def table(self, build, activity_id: str):
+        """`build(model, activity_id)`, built on the first call only."""
+        key = (build, activity_id)
+        if key not in self._tables:
+            self._tables[key] = build(self.model, activity_id)
+        return self._tables[key]
 
 
 def window_aligned_waits(
@@ -447,7 +474,12 @@ def detect_scenarios_from_stats(
     policies: PolicySet,
     stats: LogStats,
     config: DetectionConfig = DetectionConfig(),
+    schedules: ScheduleTables | None = None,
 ) -> list[ScenarioInstance]:
+    """`detect_scenarios` on stats at hand; pass a `CompiledModel`'s
+    `schedules` to build the model's schedule tables once across calls."""
+    if schedules is None:
+        schedules = ScheduleTables(model)
     acts = stats.activities
     first_wait_threshold = _quantile([a.mean_first_wait for a in acts], config.wait_quantile)
     last_wait_threshold = _quantile([a.mean_last_wait for a in acts], config.wait_quantile)
@@ -489,7 +521,7 @@ def detect_scenarios_from_stats(
             ):
                 emit(3, a.activity_id, observed=(("top_bucket_share", top_mass / enable_total),))
         if policy is not None:
-            avail = availability_histogram(model, a.activity_id)
+            avail = schedules.table(availability_histogram, a.activity_id)
             positive = [v for v in avail.values() if v > 0.0]
             if positive:
                 typical = median(positive)
@@ -520,8 +552,10 @@ def detect_scenarios_from_stats(
                 a.activity_id,
                 observed=(("idle_batch_share", a.idle_batch_share), ("mean_busy", mean_busy)),
                 histograms=(
-                    _as_sorted_items(window_start_histogram(model, a.activity_id)),
-                    _as_sorted_items(fitting_slot_histogram(model, a.activity_id, mean_busy)),
+                    _as_sorted_items(schedules.table(window_start_histogram, a.activity_id)),
+                    _as_sorted_items(
+                        fitting_slot_histogram(schedules.table(open_runs, a.activity_id), mean_busy)
+                    ),
                 ),
             )
             calendars = {r.id: r.calendar for r in model.resources}

@@ -6,9 +6,9 @@ or exceptions.  All calendar arithmetic stays in integer seconds.
 A calendar is built once per model and tabulated at construction: its
 merged open spans within the week, their starts, and the open seconds of
 the week before and through each span.  `next_open` is one bisect, and
-`work_end` and `open_seconds_between` are closed forms over the open
-seconds counted from t = 0 (see `_open_until`), so none of them loops
-over windows however long the work or the span.
+`work_end`, `open_seconds_between` and `hour_fraction` are closed forms
+over the open seconds counted from t = 0 (see `_open_until`), so none of
+them loops over windows however long the work or the span.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class Calendar(Record):
     calendar's."""
 
     __slots__ = ("intervals", "_spans", "_starts", "_open_before", "_open_through",
-                 "_hour_fractions", "_always_open")
+                 "_always_open")
 
     def __init__(self, intervals: tuple[Interval, ...]):
         self.intervals = intervals
@@ -109,16 +109,6 @@ class Calendar(Record):
         through = list(itertools.accumulate(e - s for s, e in merged))
         self._open_before = tuple([0] + through[:-1])
         self._open_through = tuple(through)
-        fractions = []
-        for slot_start in range(0, SECONDS_PER_WEEK, SECONDS_PER_HOUR):
-            slot_end = slot_start + SECONDS_PER_HOUR
-            covered = 0
-            for s, e in merged:
-                lo, hi = max(s, slot_start), min(e, slot_end)
-                if hi > lo:
-                    covered += hi - lo
-            fractions.append(covered / SECONDS_PER_HOUR)
-        self._hour_fractions = tuple(fractions)
 
     def _locate(self, offset: int) -> tuple[int, int] | None:
         """The span containing week-offset, or None."""
@@ -199,7 +189,8 @@ class Calendar(Record):
 
     def hour_fraction(self, weekday: int, hour: int) -> float:
         """Fraction of the (weekday, hour) slot covered by open intervals."""
-        return self._hour_fractions[weekday * 24 + hour]
+        start = weekday * SECONDS_PER_DAY + hour * SECONDS_PER_HOUR
+        return self.open_seconds_between(start, start + SECONDS_PER_HOUR) / SECONDS_PER_HOUR
 
     def windows_from(self, t: int):
         """Yield successive absolute open windows (start, end) with start >= next_open(t).

@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from .analytics import AnalyticsError, compute_stats, detect_scenarios
@@ -180,7 +179,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> CommandResult:
     compiled, policies = _load_inputs(args)
     config = _run_config(args)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = config._replace(seed=args.seed)
 
     try:
         result = simulate(compiled, policies, config)
@@ -219,7 +218,7 @@ def cmd_optimize(args, parser: argparse.ArgumentParser) -> CommandResult:
     config = _optimizer_config(args, parser)
     overrides = {"seed": args.seed, "strategy": args.strategy, "guided": args.guided}
     try:
-        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
+        config = config._replace(**{k: v for k, v in overrides.items() if v is not None})
     except OptimizerError as err:
         raise CliError(EXIT_SCHEMA, str(err)) from err
 
@@ -255,7 +254,7 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> CommandResult:
     model = compiled.model
     config = _optimizer_config(args, parser)
     if args.seed is not None:
-        config = replace(config, sim=replace(config.sim, seed=args.seed))
+        config = config._replace(sim=config.sim._replace(seed=args.seed))
 
     try:
         result = simulate(compiled, policies, config.sim)

@@ -5,21 +5,21 @@ error, never a silent default, and no value is coerced: a bool is not a
 number, a string is not a list.  The model, policies and front documents
 read each field with `read`.
 
-Five classes stay dataclasses: the configs `SimConfig`, `OptimizerConfig`,
-`DetectionConfig`, `InterventionConfig` and `RLConfig`.  Their documents
-have no reader of their own: `from_doc` reads them and `to_doc` writes
-them from `dataclasses.fields`, each field's camelCase name, type and
-default, and each config checks its field types in `__post_init__` via
-`check_fields`, which reads the same annotations.  Every other record is a
-`typing.NamedTuple` or a `records.Record`, whose classes cost next to
-nothing to define at import.
+The five configs, `SimConfig`, `OptimizerConfig`, `DetectionConfig`,
+`InterventionConfig` and `RLConfig`, are `records.Config` subclasses.
+Their documents have no reader of their own: `from_doc` reads them and
+`to_doc` writes them from the class's field table, each field's camelCase
+name, annotation and default, and each config checks its field types in
+its `_check` via `check_fields`, which reads the same annotations.  Every
+other record is a `typing.NamedTuple` or a `records.Record`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import fields, is_dataclass
+
+from .records import Config
 
 
 class ParseError(ValueError):
@@ -84,23 +84,22 @@ def read_strings(doc: dict, key: str, where: str) -> tuple[str, ...]:
 
 
 def check_fields(obj, error) -> None:
-    """Raise `error` unless each field of the dataclass `obj` holds what its
+    """Raise `error` unless each field of the config `obj` holds what its
     annotation names: `int` an int that is not a bool (`int | None` also
     None), `float` a finite JSON number (see `finite_number`), `bool` a
     bool, `str` a string.  Other fields are left to their class; nothing
     is coerced."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        kind = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
+    for name, kind in obj._kinds.items():
+        value = getattr(obj, name)
         if kind == "int" or (kind == "int | None" and value is not None):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise error(f"{f.name} must be an integer, got {value!r}")
+                raise error(f"{name} must be an integer, got {value!r}")
         elif kind == "float" and finite_number(value) is None:
-            raise error(f"{f.name} must be a finite number, got {value!r}")
+            raise error(f"{name} must be a finite number, got {value!r}")
         elif kind == "bool" and not isinstance(value, bool):
-            raise error(f"{f.name} must be true or false, got {value!r}")
+            raise error(f"{name} must be true or false, got {value!r}")
         elif kind == "str" and not isinstance(value, str):
-            raise error(f"{f.name} must be a string, got {value!r}")
+            raise error(f"{name} must be a string, got {value!r}")
 
 
 def reject_unknown_keys(doc, known, where: str) -> dict:
@@ -120,10 +119,10 @@ def _camel(name: str) -> str:
 
 
 def from_doc(cls, doc, error):
-    """The config dataclass `cls` read from its document.
+    """The config `cls` read from its document.
 
     Each key is the camelCase of a field name; a missing key keeps the
-    field's default.  A field whose default is a dataclass is read from a
+    field's default.  A field whose default is a config is read from a
     nested object and a field whose default is a tuple from a list.  Any
     failure, an unknown key or a value the class rejects, raises `error`
     with the path of the object at fault."""
@@ -134,18 +133,19 @@ def from_doc(cls, doc, error):
 
 
 def _read(cls, doc, where: str):
-    wire = {_camel(f.name): f for f in fields(cls)}
+    wire = {_camel(name): name for name in cls._fields}
     reject_unknown_keys(doc, wire, where)
     kwargs = {}
     for key, value in doc.items():
-        f = wire[key]
-        if is_dataclass(f.default):
-            value = _read(type(f.default), value, f"{where}.{key}")
-        elif isinstance(f.default, tuple):
+        name = wire[key]
+        default = cls._defaults.get(name)
+        if isinstance(default, Config):
+            value = _read(type(default), value, f"{where}.{key}")
+        elif isinstance(default, tuple):
             if not isinstance(value, list):
                 raise ParseError(where, f"{key} must be a list, got {value!r}")
             value = tuple(value)
-        kwargs[f.name] = value
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except (ValueError, RuntimeError) as err:  # the class's own error type
@@ -153,14 +153,15 @@ def _read(cls, doc, where: str):
 
 
 def to_doc(obj) -> dict:
-    """The document of the config dataclass `obj`: `from_doc` reads it
-    back to an equal object."""
+    """The document of the config `obj`: `from_doc` reads it back to an
+    equal object.  A value is written as given: an int in a float field
+    stays an int."""
     doc = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
+    for name in obj._fields:
+        value = getattr(obj, name)
+        if isinstance(value, Config):
             value = to_doc(value)
         elif isinstance(value, tuple):
             value = list(value)
-        doc[_camel(f.name)] = value
+        doc[_camel(name)] = value
     return doc

@@ -44,7 +44,12 @@ per simulation: `compile_model` validates it and builds its
 fixed durations, sorted eligible resources), and the CLI commands, the
 search's `CandidateEvaluator` and `metrics.CycleTimes` compile once and
 pass it to every `simulate`.  `simulate` compiles a bare
-`ProcessModel` itself.  What depends on the policy set (the clock-hour
+`ProcessModel` itself.  A `CompiledModel` also holds detection's
+schedule tables (`analytics.ScheduleTables`: per activity, the summed
+open-hour fractions of its resources, where their weekly windows start,
+and the open run from each hour slot), each built the first time a
+detect call reads it, so a search that detects many logs of one model
+builds each once.  What depends on the policy set (the clock-hour
 masks, the waiting-time wakes) is set up once per simulation.  What
 depends on the model, seed and case count but not on the policy set (the
 arrival events and every keyed draw) can be kept in a `SamplePath`: the
@@ -70,10 +75,10 @@ import bisect
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import rng
+from .analytics import ScheduleTables
 from .calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from .codec import check_fields, from_doc
 from .eventlog import (
@@ -108,14 +113,14 @@ from .policy import (
     compute_batch_cost,
     evaluate_activation_rule,
 )
+from .records import Config
 
 
 class SimulationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Config):
     """Run controls; total_cases of None defers to the model's arrival block."""
 
     seed: int = 0
@@ -123,7 +128,7 @@ class SimConfig:
     warmup: int = 0
     cycle_time_mode: str = CYCLE_TIME_FULL
 
-    def __post_init__(self):
+    def _check(self) -> None:
         check_fields(self, SimulationError)
         if self.warmup < 0:
             raise SimulationError("warmup must be >= 0")
@@ -225,7 +230,7 @@ class CompiledModel:
 
     __slots__ = ("model", "activities", "resources", "gateways", "hops", "branches",
                  "join_arcs", "end_nodes", "or_join_of", "activity_keys", "gateway_keys",
-                 "fixed_work", "eligible", "default_costs")
+                 "fixed_work", "eligible", "default_costs", "schedules")
 
     def __init__(self, model: ProcessModel):
         hops: dict[str, list[tuple[str, str]]] = {}
@@ -274,6 +279,8 @@ class CompiledModel:
         self.default_costs = {
             a.id: CostModel(fixed_cost=a.fixed_cost_per_execution) for a in model.activities
         }
+        # detection's schedule tables, each built when first read
+        self.schedules = ScheduleTables(model)
 
 
 def compile_model(model: ProcessModel) -> CompiledModel:

@@ -14,8 +14,6 @@ docs/patterns.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .analytics import AnalyticsError, Bucket, LogStats, ScenarioInstance, top_buckets
 from .codec import check_fields, finite_number
 from .policy import (
@@ -38,7 +36,7 @@ from .policy import (
     wait_last_at_least,
     on_days,
 )
-from .records import Record
+from .records import Config, Record
 from .reduce import mean
 from .rng import round_half_up
 
@@ -53,14 +51,13 @@ class InterventionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InterventionConfig:
+class InterventionConfig(Config):
     scale_grid: tuple[float, ...] = (0.5, 0.8, 1.25, 2.0)
     min_size: int = 1
     max_size: int = 50
     top_k: int = 3
 
-    def __post_init__(self):
+    def _check(self) -> None:
         check_fields(self, InterventionError)
         if any(finite_number(lam) is None for lam in self.scale_grid):
             raise InterventionError(f"scale grid must hold finite numbers, got {self.scale_grid}")

@@ -296,15 +296,24 @@ def validate_model(model: ProcessModel) -> list[str]:
     # a token that enters a cycle of gateways alone never rests at an activity
     gateway_next = {g.id: {arc.target for arc in outgoing.get(g.id, [])} for g in model.gateways
                     if g.id not in model.end_nodes}
-    for g in sorted(gateway_next):
-        seen, frontier = set(), list(gateway_next[g])
-        while frontier:
-            n = frontier.pop()
-            if n not in seen and n in gateway_next:
-                seen.add(n)
-                frontier.extend(gateway_next[n])
-        if g in seen:
-            out.append(f"gateway {g!r}: lies on a cycle of gateways only")
+    for g in _on_cycles(gateway_next):
+        out.append(f"gateway {g!r}: lies on a cycle of gateways only")
+    # a token that enters a cycle whose every arc it takes with certainty
+    # goes round it for ever, so its case never ends
+    certain_next: dict[str, set[str]] = {}
+    gateways = {g.id: g for g in model.gateways}
+    for n in node_ids - set(model.end_nodes):
+        g = gateways.get(n)
+        if g is not None and g.kind in ("and-join", "or-join"):
+            continue  # it may hold the token for a branch that never comes
+        probs = dict(g.branch_probabilities) if g is not None else {}
+        certain_next[n] = {
+            arc.target
+            for arc in outgoing.get(n, [])
+            if g is None or g.kind not in ("xor-split", "or-split") or probs.get(arc.id) == 1.0
+        }
+    for n in _on_cycles(certain_next):
+        out.append(f"node {n!r}: lies on a cycle whose every arc is taken with certainty")
 
     for r in model.resources:
         if not 0 <= r.cost_per_time_unit < math.inf:
@@ -317,6 +326,22 @@ def validate_model(model: ProcessModel) -> list[str]:
     out.extend(_distribution_violations(model.arrival.inter_arrival, "arrival interArrival"))
 
     return sorted(out)
+
+
+def _on_cycles(next_nodes: dict[str, set[str]]) -> list[str]:
+    """The nodes of `next_nodes` that lie on a cycle through its nodes
+    alone, sorted."""
+    found = []
+    for node in sorted(next_nodes):
+        seen, frontier = set(), list(next_nodes[node])
+        while frontier:
+            n = frontier.pop()
+            if n not in seen and n in next_nodes:
+                seen.add(n)
+                frontier.extend(next_nodes[n])
+        if node in seen:
+            found.append(node)
+    return found
 
 
 # ---------------------------------------------------------------------------

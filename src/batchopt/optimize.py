@@ -28,13 +28,13 @@ row says `"cached": true`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .analytics import (
     AnalyticsError,
     DetectionConfig,
     LogStats,
+    ScheduleTables,
     compute_stats,
     detect_scenarios_from_stats,
 )
@@ -64,6 +64,7 @@ from .interventions import (
 from .model import ProcessModel
 from .pareto import ParetoFront, Solution, distance_to_front, update_front
 from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, policy_set_key
+from .records import Config
 from .rng import Stream, derive_seed, round_half_up, unit
 
 HC = "hc"
@@ -82,8 +83,7 @@ class OptimizerError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RLConfig:
+class RLConfig(Config):
     """Learning controls; rewards must keep dominate > improve > penalty."""
 
     max_iterations: int = 50
@@ -95,7 +95,7 @@ class RLConfig:
     clip_ratio: float = 0.2
     learning_rate: float = 0.05
 
-    def __post_init__(self):
+    def _check(self) -> None:
         check_fields(self, OptimizerError)
         if not (self.reward_dominates > self.reward_improves > self.reward_penalty):
             raise OptimizerError(
@@ -112,8 +112,7 @@ class RLConfig:
             raise OptimizerError("learning_rate must be positive")
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
+class OptimizerConfig(Config):
     strategy: str = HC
     guided: bool = True
     max_solutions: int = 50
@@ -127,7 +126,7 @@ class OptimizerConfig:
     intervention: InterventionConfig = InterventionConfig()
     rl: RLConfig = RLConfig()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         check_fields(self, OptimizerError)
         if self.strategy not in STRATEGIES:
             raise OptimizerError(f"unknown strategy {self.strategy!r}")
@@ -154,7 +153,7 @@ class OptimizeResult(NamedTuple):
 
 
 def _sim_config(config: OptimizerConfig, sim_index: int) -> SimConfig:
-    return replace(config.sim, seed=derive_seed(config.seed, "sim", sim_index))
+    return config.sim._replace(seed=derive_seed(config.seed, "sim", sim_index))
 
 
 _PENDING = object()  # a lazily computed Evaluation field not computed yet
@@ -345,9 +344,11 @@ def guided_deltas(
     policies: PolicySet,
     stats: LogStats | None,
     config: OptimizerConfig,
+    schedules: ScheduleTables,
 ) -> list[PolicyDelta]:
     """All deltas the detected patterns of a log prescribe, given its
-    stats (None when they could not be computed: no deltas).
+    stats (None when they could not be computed: no deltas) and the
+    model's schedule tables.
 
     Pattern instances whose derivation cannot be completed are skipped so
     one odd activity never stalls the search.
@@ -355,7 +356,9 @@ def guided_deltas(
     if stats is None:
         return []
     try:
-        instances = detect_scenarios_from_stats(model, policies, stats, config.detection)
+        instances = detect_scenarios_from_stats(
+            model, policies, stats, config.detection, schedules
+        )
     except AnalyticsError:
         return []
     deltas: list[PolicyDelta] = []
@@ -463,7 +466,9 @@ def _candidate_deltas(
     evaluation = candidate.evaluation
     stats = search.stats(evaluation)
     if evaluation.deltas is None:
-        evaluation.deltas = guided_deltas(search.model, candidate.solution.policies, stats, config)
+        evaluation.deltas = guided_deltas(
+            search.model, candidate.solution.policies, stats, config, search.compiled.schedules
+        )
     if config.guided:
         return evaluation.deltas
     # the unguided baseline spends exactly the budget the guided search

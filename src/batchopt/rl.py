@@ -18,6 +18,7 @@ from .analytics import (
     SCENARIO_IDS,
     AnalyticsError,
     LogStats,
+    ScheduleTables,
     compute_stats,
     detect_scenarios_from_stats,
 )
@@ -104,9 +105,11 @@ def available_actions(
     policies: PolicySet,
     config: OptimizerConfig,
     stats: LogStats | None,
+    schedules: ScheduleTables | None = None,
 ) -> dict[int, PolicyDelta]:
     """The unmasked slice of the action grid for a log, given its stats
-    (None when they could not be computed: no actions).
+    (None when they could not be computed: no actions) and, to reuse
+    across calls, the model's schedule tables.
 
     Action id (pattern_id - 1) * ACTION_SLOTS + j selects the j-th delta
     derived for the first detected instance of that pattern (instances
@@ -114,7 +117,9 @@ def available_actions(
     if stats is None:
         return {}
     try:
-        instances = detect_scenarios_from_stats(model, policies, stats, config.detection)
+        instances = detect_scenarios_from_stats(
+            model, policies, stats, config.detection, schedules
+        )
     except AnalyticsError:
         return {}
     first_of = {}
@@ -215,7 +220,8 @@ def optimize_rl(
     for iteration in range(1, rl.max_iterations + 1):
         if evaluation.actions is None:
             evaluation.actions = available_actions(
-                model, current.policies, config, search.stats(evaluation)
+                model, current.policies, config, search.stats(evaluation),
+                search.compiled.schedules,
             )
         actions = evaluation.actions
         if not actions:

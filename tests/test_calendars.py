@@ -219,6 +219,17 @@ def test_a_whole_week_calendar_is_open_at_every_instant(cal, t, amount):
     assert cal.open_seconds_between(t, t + amount) == amount
 
 
+@given(
+    st.one_of(week_calendars(), whole_week_calendars()),
+    st.integers(0, 6),
+    st.integers(0, 23),
+)
+def test_hour_fraction_counts_the_open_seconds_of_the_slot(cal, weekday, hour):
+    slot = weekday * SECONDS_PER_DAY + hour * H
+    open_seconds = sum(1 for t in range(slot, slot + H) if cal.contains(t))
+    assert cal.hour_fraction(weekday, hour) == open_seconds / H
+
+
 def test_work_end_runs_on_across_the_week_boundary():
     # Sunday evening and Monday morning meet at the week boundary
     cal = Calendar((Interval(6, 22 * H, SECONDS_PER_DAY), Interval(0, 0, 2 * H)))

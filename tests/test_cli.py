@@ -913,6 +913,47 @@ def test_a_gateway_without_path_to_an_end_is_a_schema_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def looping_model(tmp_path: Path, back: float) -> str:
+    """`ticket` -> `b`, `b` -> the end `file` and `b` -> the xor-split
+    `redo`, which leads back to `b` with probability `back` (else to
+    `file`)."""
+    probs = {"redo->b": back, "redo->file": 1.0 - back} if back < 1.0 else {"redo->b": 1.0}
+    arcs = [("ticket", "b"), ("b", "file"), ("b", "redo"), ("redo", "b")]
+    if back < 1.0:
+        arcs.append(("redo", "file"))
+    model = gateway_cycle_model(
+        tmp_path, [{"id": "redo", "kind": "xor-split", "branchProbabilities": probs}],
+        [{"source": s, "target": t} for s, t in arcs],
+    )
+    doc = json.loads(Path(model).read_text())
+    doc["activities"].append({**doc["activities"][0], "id": "b"})
+    doc["arrival"]["totalCases"] = 3
+    return write_json(Path(model), doc)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+def test_a_cycle_taken_with_certainty_is_a_schema_failure_of_every_command(
+    tmp_path, capsys, command
+):
+    # each visit of `b` sends a token to `file` and one round the loop, so
+    # a case would make events for ever
+    model = looping_model(tmp_path, 1.0)
+    out = tmp_path / "out"
+    argv = [command, "--model", model, "--out", str(out)]
+    if command == "evaluate":
+        argv[1:1] = [str(CIRCADIAN / f"front-{s}-guided.json") for s in ("hc", "sa")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "node 'b': lies on a cycle whose every arc is taken with certainty" in err
+    assert not out.exists()
+
+
+def test_a_loop_left_with_some_probability_simulates(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", looping_model(tmp_path, 0.5), "--out", str(out)]) == 0
+    assert (out / "events.csv").exists()
+
+
 @pytest.mark.parametrize("day", [" tUESDAY ", "tuesday", "Tuesday ", "TUESDAY"])
 def test_a_weekday_not_spelled_exactly_is_a_schema_failure(tmp_path, capsys, day):
     model, policies = fixture_inputs(tmp_path, "two-batch")

@@ -119,6 +119,26 @@ def test_config_round_trips_through_its_document(configs):
 
 
 @pytest.mark.parametrize(
+    "config, key, value",
+    [
+        (SimConfig(seed=7, total_cases=12), "totalCases", 12),
+        (DetectionConfig(size_cap=4, wait_quantile=0.5), "sizeCap", 4),
+        (InterventionConfig(scale_grid=(2, 0.5)), "scaleGrid", [2, 0.5]),
+        (RLConfig(learning_rate=1, reward_dominates=2), "learningRate", 1),
+        (OptimizerConfig(radius=0, initial_temperature=5, rl=RLConfig(clip_ratio=0.5)),
+         "initialTemperature", 5),
+    ],
+    ids=["sim", "detection", "intervention", "rl", "optimizer"],
+)
+def test_each_config_round_trips_and_writes_an_int_as_given(config, key, value):
+    doc = to_doc(config)
+    assert from_doc(type(config), doc, ValueError) == config
+    # an int given for a float field stays an int, as the manifest writes it
+    assert doc[key] == value
+    assert json.dumps(doc[key]) == json.dumps(value)
+
+
+@pytest.mark.parametrize(
     "cls, doc, error, message",
     [
         (SimConfig, {"sped": 1}, SimulationError, "$.sped: unknown key"),

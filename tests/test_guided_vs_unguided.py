@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from batchopt.metrics import compare_fronts, render_metrics_csv
 from batchopt.pareto import parse_front
 
@@ -44,3 +46,23 @@ def test_exits_1_when_the_guided_runs_do_not_converge_better(capsys):
     code = script.main(["--fixture", "window-misfit", "--budget", "10", "--seeds", "1"])
     assert "++ weakly dominates --: no" in capsys.readouterr().out
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seeds", "0"], "--seeds must be >= 1, got 0"),
+        (["--budget", "0"], "max_solutions must be >= 1"),
+        (["--fixture", "nosuch"], "unknown fixture 'nosuch'"),
+        (["--max-size", "0"], "need 1 <= min_size <= max_size, got [1, 0]"),
+    ],
+    ids=["seeds", "budget", "fixture", "max-size"],
+)
+def test_a_bad_argument_is_a_usage_error(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as caught:
+        script.main(argv + ["--out", str(tmp_path / "out")])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f": error: {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -155,6 +155,67 @@ def test_validate_gateway_without_path_to_an_end():
     assert m.validate_model(m.parse_model(doc)) == ["gateway 'sink' has no path to an end node"]
 
 
+def looping_model_doc(redo):
+    """a -> b, b -> c (the end) and b -> redo, where `redo` is the gateway
+    `redo` (its id and kind given) with an arc back to b."""
+    doc = branching_model_doc()
+    doc["endNodes"] = ["c"]
+    doc["activities"] = doc["activities"][:3]
+    doc["gateways"] = [redo]
+    doc["arcs"] = [
+        {"source": "a", "target": "b"},
+        {"source": "b", "target": "c"},
+        {"source": "b", "target": "redo"},
+        {"source": "redo", "target": "b"},
+    ]
+    return doc
+
+
+CERTAIN_CYCLE = "lies on a cycle whose every arc is taken with certainty"
+
+
+@pytest.mark.parametrize(
+    "redo",
+    [
+        {"id": "redo", "kind": "xor-split", "branchProbabilities": {"redo->b": 1.0}},
+        {"id": "redo", "kind": "or-split", "branchProbabilities": {"redo->b": 1.0}},
+        {"id": "redo", "kind": "and-split"},
+    ],
+    ids=["xor-split", "or-split", "and-split"],
+)
+def test_validate_cycle_taken_with_certainty(redo):
+    # each visit of b sends one token to the end c and one round the loop
+    # for certain, so a case would make events for ever
+    violations = m.validate_model(m.parse_model(looping_model_doc(redo)))
+    assert violations == [f"node 'b': {CERTAIN_CYCLE}", f"node 'redo': {CERTAIN_CYCLE}"]
+
+
+def test_validate_cycle_with_an_uncertain_arc_or_a_join_passes():
+    # the loop back to b is taken with probability 0.5: cases end
+    doc = looping_model_doc(
+        {"id": "redo", "kind": "xor-split",
+         "branchProbabilities": {"redo->b": 0.5, "redo->c": 0.5}}
+    )
+    doc["arcs"].append({"source": "redo", "target": "c"})
+    assert m.validate_model(m.parse_model(doc)) == []
+    # a join on the cycle may hold the token: such cycles are left out
+    for kind in ("and-join", "or-join"):
+        doc = looping_model_doc({"id": "redo", "kind": kind})
+        doc["arcs"] = [{"source": "a", "target": "redo"}, {"source": "redo", "target": "b"},
+                       {"source": "b", "target": "redo"}, {"source": "b", "target": "c"}]
+        assert not [v for v in m.validate_model(m.parse_model(doc)) if CERTAIN_CYCLE in v]
+
+
+def test_validate_cycle_through_an_end_node_passes():
+    # a token that reaches an end node stops there, whatever its arcs
+    doc = looping_model_doc({"id": "redo", "kind": "xor-join"})
+    doc["endNodes"] = ["b"]
+    doc["activities"] = doc["activities"][:2]
+    doc["arcs"] = [{"source": "a", "target": "redo"}, {"source": "redo", "target": "b"},
+                   {"source": "b", "target": "redo"}, {"source": "a", "target": "b"}]
+    assert m.validate_model(m.parse_model(doc)) == []
+
+
 def test_validate_join_arity():
     doc = branching_model_doc()
     doc["arcs"] = [a for a in doc["arcs"] if not (a["source"] == "c" and a["target"] == "join")]

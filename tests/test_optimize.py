@@ -457,3 +457,38 @@ class TestMemo:
         failed = [r for r in memo.audit if r["failed"]]
         assert [r["cached"] for r in failed] == [False] + [True] * (len(failed) - 1)
         assert distinct.count(doomed_key) == 1
+
+
+@pytest.mark.parametrize(
+    "fixture_name, strategy, tables",
+    [
+        ("circadian", "hc", {"availability_histogram"}),
+        ("window-overrun", "hc", {"availability_histogram", "window_start_histogram", "open_runs"}),
+        ("window-overrun", "rl", {"availability_histogram", "window_start_histogram", "open_runs"}),
+    ],
+)
+def test_a_search_builds_each_schedule_table_once(monkeypatch, fixture_name, strategy, tables):
+    # the tables depend on the model alone: one search's compiled model
+    # builds each once per activity, however many logs it detects
+    from batchopt import analytics
+
+    builds, detects = Counter(), Counter()
+    for name in ("availability_histogram", "window_start_histogram", "open_runs"):
+        def counted(model, activity_id, build=getattr(analytics, name), name=name):
+            builds[name, activity_id] += 1
+            return build(model, activity_id)
+
+        monkeypatch.setattr(analytics, name, counted)
+    for module in (opt, rlmod):
+        def detect(*args, detect=module.detect_scenarios_from_stats):
+            detects["calls"] += 1
+            return detect(*args)
+
+        monkeypatch.setattr(module, "detect_scenarios_from_stats", detect)
+    fixture = get_fixture(fixture_name)
+    config = opt.OptimizerConfig(strategy=strategy, rl=opt.RLConfig(max_iterations=10))
+    runner = rlmod.optimize_rl if strategy == "rl" else opt.optimize_hc_sa
+    runner(engine.compile_model(fixture.model()), fixture.policies(), config)
+    assert detects["calls"] >= 3
+    assert {name for name, _ in builds} == tables
+    assert set(builds.values()) == {1}

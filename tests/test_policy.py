@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from batchopt.codec import check_fields
+from batchopt.records import Config
 
 H = SECONDS_PER_HOUR
 
@@ -376,14 +377,13 @@ def test_policy_set_key_ignores_insertion_order():
 
 class TestCheckFields:
     """`check_fields` reads each field's annotation, written as a string
-    (`from __future__ import annotations`) or as the type itself."""
+    (`from __future__ import annotations`) or as the type itself, from the
+    field table that `records.Config` builds when the class is created."""
 
     @staticmethod
     def make(n="int", x="float", flag="bool", cap="int | None", name="str"):
-        from dataclasses import make_dataclass
-
-        return make_dataclass("Config", [("n", n), ("x", x), ("flag", flag), ("cap", cap),
-                                         ("name", name)])
+        annotations = {"n": n, "x": x, "flag": flag, "cap": cap, "name": name}
+        return type("Settings", (Config,), {"__annotations__": annotations})
 
     @pytest.mark.parametrize("types", [{}, {"n": int, "x": float, "flag": bool,
                                             "cap": int | None, "name": str}],

@@ -10,26 +10,24 @@ import pytest
 from batchopt import policy as pol
 from batchopt.analytics import AnalyticsError, ScenarioInstance
 from batchopt.calendars import Calendar, Interval
+from batchopt.engine import SimConfig, SimulationError
 from batchopt.interventions import InterventionError, PolicyDelta
 from batchopt.metrics import FrontPointSet, MetricsError
+from batchopt.optimize import OptimizerConfig
 from batchopt.pareto import ParetoError, ParetoFront, Solution
+from batchopt.records import Config
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 STARTUP_PROBE = """
-import dataclasses, sys
+import sys
 import batchopt.cli
-print(sorted(
-    value.__qualname__
-    for name, module in list(sys.modules.items()) if name.startswith("batchopt")
-    for value in vars(module).values()
-    if isinstance(value, type) and value.__module__ == name and dataclasses.is_dataclass(value)
-))
-print("statistics" in sys.modules)
+print(sorted(name for name in ("dataclasses", "inspect", "statistics") if name in sys.modules))
 """
 
 
-def test_importing_the_cli_defines_only_the_config_dataclasses_and_skips_statistics():
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_statistics():
+    # the probe itself imports nothing but `sys` before the CLI
     out = subprocess.run(
         [sys.executable, "-c", STARTUP_PROBE],
         env={"PYTHONPATH": SRC},
@@ -37,11 +35,7 @@ def test_importing_the_cli_defines_only_the_config_dataclasses_and_skips_statist
         text=True,
         check=True,
     )
-    classes, statistics_loaded = out.stdout.splitlines()
-    assert classes == str(
-        ["DetectionConfig", "InterventionConfig", "OptimizerConfig", "RLConfig", "SimConfig"]
-    )
-    assert statistics_loaded == "False"
+    assert out.stdout.splitlines() == ["[]"]
 
 
 def policy_set(size=2, wait=60.0, fixed_cost=1.0, batch_type=pol.PARALLEL, reverse=False):
@@ -143,3 +137,68 @@ def test_each_record_checks_its_fields_with_its_own_error(make, error, message):
         make()
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+class Window(Config):
+    """A config with a required field, checked as the five configs are."""
+
+    start: int
+    length: float = 1.0
+    label: str | None = None
+
+    def _check(self) -> None:
+        if self.length <= 0:
+            raise ValueError(f"length must be positive, got {self.length}")
+
+
+class TestConfig:
+    def test_fields_come_from_the_annotations_in_order_with_their_defaults(self):
+        assert Window._fields == ("start", "length", "label")
+        assert Window._kinds == {"start": "int", "length": "float", "label": "str | None"}
+        assert Window._defaults == {"length": 1.0, "label": None}
+
+    def test_fields_are_taken_by_position_or_keyword(self):
+        assert Window(3) == Window(start=3) == Window(3, 1.0, None)
+        assert Window(3, label="x").label == "x"
+        assert repr(Window(3, 2)) == "Window(start=3, length=2, label=None)"
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Window(), "missing required argument 'start'"),
+            (lambda: Window(1, width=2), "unexpected keyword argument 'width'"),
+            (lambda: Window(1, 2.0, None, 4), "takes at most 3 positional arguments, got 4"),
+            (lambda: Window(1, start=2), "multiple values for 'start'"),
+        ],
+        ids=["missing", "unknown", "too-many", "twice"],
+    )
+    def test_a_call_that_does_not_name_each_field_once_is_a_type_error(self, make, message):
+        with pytest.raises(TypeError, match=message):
+            make()
+
+    def test_replace_runs_the_checks_again(self):
+        window = Window(1)
+        assert window._replace(length=2.5) == Window(1, 2.5)
+        assert window == Window(1)
+        with pytest.raises(ValueError, match="length must be positive, got -1"):
+            window._replace(length=-1)
+        with pytest.raises(SimulationError, match="warmup must be >= 0"):
+            SimConfig()._replace(warmup=-1)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'sed'"):
+            SimConfig()._replace(sed=1)
+
+    def test_a_config_is_frozen(self):
+        config = SimConfig()
+        with pytest.raises(AttributeError, match="cannot assign to field 'seed'"):
+            config.seed = 1
+        with pytest.raises(AttributeError, match="cannot delete field 'seed'"):
+            del config.seed
+        assert config.seed == 0
+
+    def test_equality_and_hash_follow_the_fields_of_one_class(self):
+        a, b = OptimizerConfig(seed=1), OptimizerConfig(seed=1)
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != OptimizerConfig(seed=2)
+        assert a.sim != (0, None, 0, "full") and a.sim != Window(0)
+        assert hash(a.sim) == hash((0, None, 0, "full"))
