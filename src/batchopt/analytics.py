@@ -52,7 +52,7 @@ from .policy import (
     PolicySet,
 )
 from .records import Config, Record
-from .reduce import dot, mean, median, percentile
+from .reduce import dot, mean, median, percentile, running_sum
 
 SCENARIO_IDS = tuple(range(1, 20))
 
@@ -178,7 +178,7 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
                 mean_last_wait=mean(min_waits),
                 mean_batch_size=mean(sizes),
                 total_waiting=float(sum(r.start_time - r.enable_time for r in instances)),
-                total_cost=float(sum(b.cost for b in batches)),
+                total_cost=float(running_sum(b.cost for b in batches)),
                 enablement_histogram=enablement_hist,
                 execution_histogram=execution_hist,
                 batch_sizes=tuple(sizes),
@@ -486,7 +486,7 @@ def detect_scenarios_from_stats(
     processing_threshold = _quantile(
         [a.mean_processing_time for a in acts], config.processing_quantile
     )
-    process_cost = sum(a.total_cost for a in acts)
+    process_cost = running_sum(a.total_cost for a in acts)
     process_count = sum(a.execution_count for a in acts)
 
     found: list[ScenarioInstance] = []

@@ -6,14 +6,17 @@ fires; the fired batch takes every waiting instance, seizes one eligible
 resource for its whole span, and works only inside that resource's
 calendar.  Activities without a policy run as size-1 batches immediately.
 
-Time advances from event to event (next-event time advance).  Rules are
-re-evaluated after every event: an arrival or completion (the only things
-that change a size condition), a wake at the exact instant a waiting-time
-threshold crosses, and a tick at the next hour boundary at which some
-waiting activity's daily-hour / week-day conditions hold.  Clock
-conditions change truth only on hour boundaries, so no rule can newly hold
-at any other instant.  When no future event can ever fire a rule, the
-remaining waiting instances are flushed as final batches.
+Time advances from event to event (next-event time advance).  After each
+event one pass, in activity-id order, fires every rule that holds.  The
+events are an arrival or completion (the only things that enable an
+instance), a wake at the exact instant a waiting-time threshold crosses,
+and a tick at the next hour boundary at which some waiting activity's
+daily-hour / week-day conditions hold.  Clock conditions change truth
+only on hour boundaries, so no rule can newly hold at any other instant;
+a size-only rule changes its answer only when its activity enables an
+instance, so a pass evaluates it only after such an event.  Rules still
+fire as if all were evaluated after every event.  When no future event
+can ever fire a rule, the remaining waiting instances are flushed.
 
 The event set has two parts.  Every case's arrival is generated before
 the first event, into a list that is already in event order; the
@@ -60,13 +63,15 @@ under one seed; a lone simulation keeps nothing, and a search gives
 each simulation its own seed.  The search keeps its own per-run memo of
 results, and only for seed-free models (see optimize.py).
 
-Records are tuples: instance and batch records are built positionally
-as `InstanceRecord` / `BatchRecord` named tuples, and waiting instances
-are `_WaitingInstance` named tuples.  An activity without a policy never
-queues: each instance is started at once as a batch of one, and a batch
-of one (from a rule or a flush too) skips the cost-sharing arithmetic of
-larger batches, whose last member absorbs float drift.  A case's visit
-count at a node is kept only where a draw is keyed by it.
+Records are tuples.  The log's `InstanceRecord` / `BatchRecord` and the
+`BatchState` a rule reads are each built with one `tuple.__new__` call,
+not the Python `__new__` that `NamedTuple` generates: the same record at
+half the cost.  A waiting instance is a plain `(case_id, enable_time,
+work)` tuple.  An activity without a policy never queues: each instance
+is started at once as a batch of one, and a batch of one (from a rule or
+a flush too) skips the cost-sharing arithmetic of larger batches, whose
+last member absorbs float drift.  A case's visit count at a node is kept
+only where a draw is keyed by it.
 """
 
 from __future__ import annotations
@@ -114,6 +119,7 @@ from .policy import (
     evaluate_activation_rule,
 )
 from .records import Config
+from .reduce import running_sum
 
 
 class SimulationError(RuntimeError):
@@ -192,6 +198,9 @@ _DURATIONS = rng.message("durations")
 _BRANCHING = rng.message("branching")
 _FALLBACK = rng.message("fallback")
 
+# builds a named tuple from a tuple of its fields in one C call
+_tuple_new = tuple.__new__
+
 
 def _clock_hours(policy: BatchingPolicy | None) -> tuple[int, ...]:
     """Sorted week-hours (0 = Monday 00:00-01:00) in which some condition
@@ -210,12 +219,6 @@ def _clock_hours(policy: BatchingPolicy | None) -> tuple[int, ...]:
             days = range(7) if weekly is None else weekly.days
             hours.update(d * 24 + h for d in days for h in day_hours)
     return tuple(sorted(hours))
-
-
-class _WaitingInstance(NamedTuple):
-    case_id: int
-    enable_time: int
-    work: int  # sampled processing seconds
 
 
 _SPLITS = ("xor-split", "or-split")
@@ -340,12 +343,16 @@ def _pair_or_splits(model: ProcessModel, hops, gateways) -> dict[str, str]:
 class _ActivityState:
     """What the engine reads of one activity under one policy set."""
 
-    __slots__ = ("policy", "cost", "clock_hours", "wakes", "key", "duration", "fixed_work",
-                 "resources", "waiting")
+    __slots__ = ("policy", "size_only", "cost", "clock_hours", "wakes", "key", "duration",
+                 "fixed_work", "resources", "waiting", "enabled")
 
     def __init__(self, compiled: CompiledModel, activity: Activity,
                  policy: BatchingPolicy | None):
         self.policy = policy
+        # only an enablement can change a size-only rule's answer
+        self.size_only = policy is not None and all(
+            cond.kind == SIZE for group in policy.rule.groups for cond in group.conditions
+        )
         # the policy's cost model, else the activity's default
         self.cost = policy.cost if policy else compiled.default_costs[activity.id]
         self.clock_hours = _clock_hours(policy)
@@ -356,8 +363,11 @@ class _ActivityState:
         self.duration = activity.duration
         self.fixed_work = compiled.fixed_work[activity.id]  # the duration of a `fixed` one
         self.resources = compiled.eligible[activity.id]  # (id, profile), sorted by id
-        # in enable-time order, checked in _enable_instance
-        self.waiting: list[_WaitingInstance] = []
+        # (case_id, enable_time, work) in enable-time order, checked in
+        # _enable_instance
+        self.waiting: list[tuple[int, int, int]] = []
+        # an instance was enabled since the last rule pass
+        self.enabled = False
 
 
 def _wakes(policy: BatchingPolicy | None) -> tuple[tuple[int, bool], ...]:
@@ -603,7 +613,7 @@ class _Engine:
             < probability
         )
         if not chosen:
-            total = sum(probability for _, probability, _ in table)
+            total = running_sum(probability for _, probability, _ in table)
             u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, _FALLBACK) * total
             acc = 0.0
             for hop, probability, _ in table:
@@ -632,23 +642,29 @@ class _Engine:
             self._start_single(activity_id, state, case_id, now, work)
             return
         waiting = state.waiting
-        if waiting and now < waiting[-1].enable_time:
+        if waiting and now < waiting[-1][1]:
             raise SimulationError(
                 f"activity {activity_id!r} enabled at {now}, "
-                f"before its last waiting instance ({waiting[-1].enable_time})"
+                f"before its last waiting instance ({waiting[-1][1]})"
             )
-        waiting.append(_WaitingInstance(case_id, now, work))
+        waiting.append((case_id, now, work))
+        state.enabled = True
         if state.wakes:
             self._schedule_timeout_wakes(activity_id)
 
     def _evaluate_rules(self) -> None:
-        """Fire every activity whose rule holds right now."""
+        """Fire every activity whose rule holds right now.  A size-only
+        rule whose activity enabled nothing since the last pass is not
+        evaluated: it answered false then, and its queue has not grown."""
         now = self.now
         for activity_id, state in self.ruled:
             waiting = state.waiting
-            if waiting and evaluate_activation_rule(
+            if not waiting or (state.size_only and not state.enabled):
+                continue
+            state.enabled = False
+            if evaluate_activation_rule(
                 state.policy.rule,
-                BatchState(len(waiting), waiting[0].enable_time, waiting[-1].enable_time),
+                _tuple_new(BatchState, (len(waiting), waiting[0][1], waiting[-1][1])),
                 now,
             ):
                 self._form_batch(activity_id)
@@ -677,13 +693,13 @@ class _Engine:
             1, [float(work)], end - start, profile.cost_per_time_unit, state.cost
         )
         index = len(self.instances)
-        self.instances.append(
-            InstanceRecord(case_id, activity_id, rid, enable_time, start, end, batch_id, cost, work)
-        )
+        self.instances.append(_tuple_new(InstanceRecord, (
+            case_id, activity_id, rid, enable_time, start, end, batch_id, cost, work
+        )))
         heapq.heappush(self.heap, (end, _COMPLETE, next(self.seq), (case_id, activity_id, index)))
         self.pending_case_events += 1
         self.batches.append(
-            BatchRecord(batch_id, activity_id, rid, start, end, (index,), cost, work)
+            _tuple_new(BatchRecord, (batch_id, activity_id, rid, start, end, (index,), cost, work))
         )
         self.free_at[rid] = end
 
@@ -692,22 +708,22 @@ class _Engine:
         members = state.waiting
         state.waiting = []
         if len(members) == 1:
-            w = members[0]
-            self._start_single(activity_id, state, w.case_id, w.enable_time, w.work)
+            self._start_single(activity_id, state, *members[0])
             return
         rid, profile, start = self._choose_resource(state)
         calendar = profile.calendar
+        works = [work for _, _, work in members]
         spans: list[tuple[int, int]] = []
         if state.policy.batch_type == SEQUENTIAL:
             cursor = start
-            for w in members:
-                end = calendar.work_end(cursor, w.work)
+            for work in works:
+                end = calendar.work_end(cursor, work)
                 spans.append((cursor, end))
                 cursor = end
             batch_end = cursor
-            busy = sum(w.work for w in members)
+            busy = sum(works)
         else:
-            longest = max(w.work for w in members)
+            longest = max(works)
             batch_end = calendar.work_end(start, longest)
             spans = [(start, batch_end)] * len(members)
             busy = longest
@@ -715,7 +731,7 @@ class _Engine:
         batch_id = f"b{len(self.batches) + 1:05d}"
         cost = compute_batch_cost(
             len(members),
-            [float(w.work) for w in members],
+            [float(work) for work in works],
             batch_end - start,
             profile.cost_per_time_unit,
             state.cost,
@@ -725,27 +741,18 @@ class _Engine:
         share = cost / len(members)
         allocated_so_far = 0.0
         first_index = len(self.instances)
-        for i, (w, (s, e)) in enumerate(zip(members, spans)):
+        for i, ((case_id, enable_time, work), (s, e)) in enumerate(zip(members, spans)):
             allocated = cost - allocated_so_far if i == len(members) - 1 else share
             allocated_so_far += allocated
-            self.instances.append(
-                InstanceRecord(
-                    w.case_id, activity_id, rid, w.enable_time, s, e, batch_id, allocated, w.work
-                )
-            )
-            self._push(e, _COMPLETE, (w.case_id, activity_id, len(self.instances) - 1))
-        self.batches.append(
-            BatchRecord(
-                batch_id,
-                activity_id,
-                rid,
-                start,
-                batch_end,
-                tuple(range(first_index, first_index + len(members))),
-                cost,
-                busy,
-            )
-        )
+            self.instances.append(_tuple_new(
+                InstanceRecord,
+                (case_id, activity_id, rid, enable_time, s, e, batch_id, allocated, work),
+            ))
+            self._push(e, _COMPLETE, (case_id, activity_id, len(self.instances) - 1))
+        indices = tuple(range(first_index, first_index + len(members)))
+        self.batches.append(_tuple_new(
+            BatchRecord, (batch_id, activity_id, rid, start, batch_end, indices, cost, busy)
+        ))
         self.free_at[rid] = batch_end
 
     # -- termination ------------------------------------------------------------

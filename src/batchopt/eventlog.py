@@ -5,10 +5,10 @@ instance belongs to exactly one batch; activity instances executed without
 a policy are size-1 batches.  Objective values average the per-batch cycle
 time and per-batch cost over the total number of instances.
 
-Instance and batch records are named tuples: the engine builds one per
-instance, and a tuple is several times cheaper to build than a frozen
-dataclass.  Field names and order are part of the API; records compare
-and hash as plain tuples.
+Instance and batch records are named tuples, several times cheaper to
+build than frozen dataclasses; the engine builds each with one
+`tuple.__new__` call, the same record as a call of its class.  Field
+names and order are part of the API; records compare and hash as tuples.
 
 `render_event_csv` and `render_batch_csv` write one line per record
 themselves, but their bytes are the ones `csv.writer` (minimal quoting,
@@ -25,6 +25,7 @@ from datetime import datetime, timedelta
 from typing import NamedTuple
 
 from .calendars import SECONDS_PER_DAY, SECONDS_PER_HOUR
+from .reduce import running_sum
 
 # t = 0 maps to this instant; 2024-01-01 is a Monday, matching the
 # weekly-calendar anchor.
@@ -190,7 +191,7 @@ def filter_warmup(log: EventLog, warmup: int) -> EventLog:
         survivors = tuple(remap[i] for i in b.members if i in remap)
         if not survivors:
             continue
-        cost = sum(instances[i].allocated_cost for i in survivors)
+        cost = running_sum(instances[i].allocated_cost for i in survivors)
         batches.append(b._replace(members=survivors, cost=cost))
     return EventLog(instances, tuple(batches))
 

@@ -21,6 +21,7 @@ from .calendars import (
 )
 from .codec import ParseError, read, read_strings, reject_unknown_keys
 from .records import Record
+from .reduce import running_sum
 
 MAX_CASES = 1_000_000  # the most cases one simulation may run
 GATEWAY_KINDS = ("and-split", "and-join", "xor-split", "xor-join", "or-split", "or-join")
@@ -282,7 +283,7 @@ def validate_model(model: ProcessModel) -> list[str]:
                 out.append(f"gateway {g.id!r}: probability for non-outgoing arc {arc_id!r}")
         if g.kind == "xor-split":
             if outs and all(arc.id in probs for arc in outs):
-                total = sum(probs[arc.id] for arc in outs)
+                total = running_sum(probs[arc.id] for arc in outs)
                 if not abs(total - 1.0) <= 1e-9:
                     out.append(f"gateway {g.id!r}: branch probabilities sum to {total!r}, expected 1")
         if g.kind == "or-split":

@@ -4,7 +4,9 @@ reads on every event, and of the five run configs.
 A `Record` subclass names its slots in `__slots__` and sets them in its own
 `__init__`, whose parameters are its fields.  Its fields are the slots
 whose names do not start with an underscore, in slot order; the other
-slots hold what `__init__` derives from them.
+slots hold what `__init__` derives from them.  The engine's per-event
+records (`InstanceRecord`, `BatchRecord`, `BatchState`) are named tuples
+instead, which it builds with one `tuple.__new__` call each.
 
 A `Config` subclass declares its fields as annotated class attributes,
 each with its default (the configs `SimConfig`, `DetectionConfig`,

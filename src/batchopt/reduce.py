@@ -7,6 +7,8 @@ returns for the same values, so outputs stay byte-identical.
   (a running sum below 8 values, eight lane accumulators up to 128,
   halving above that) added to NumPy's initial 0.0. ``mean`` divides it
   by the count, as ``np.mean`` does. Ints sum exactly below 2**53.
+- ``running_sum`` adds left to right, as ``sum`` does before CPython
+  3.12 (which compensates); the outputs' float totals use it.
 - ``percentile`` is ``np.percentile(..., method="linear")``, including
   NumPy's two-sided lerp; ``median`` is ``np.median``; ``dot`` is a
   sequential sum of products.
@@ -20,18 +22,18 @@ from functools import reduce
 from operator import add, mul
 
 # sum() adds floats sequentially before CPython 3.12, compensated after.
-_running_sum = sum if sys.version_info < (3, 12) else lambda xs, start: reduce(add, xs, start)
+running_sum = sum if sys.version_info < (3, 12) else lambda xs, start=0: reduce(add, xs, start)
 
 
 def _pairwise(a, lo: int, hi: int) -> float:
     n = hi - lo
     if n < 8:
-        return _running_sum(a[lo:hi], -0.0)
+        return running_sum(a[lo:hi], -0.0)
     if n <= 128:
         end = hi - n % 8
-        r = [_running_sum(a[lo + j : end : 8], -0.0) for j in range(8)]
+        r = [running_sum(a[lo + j : end : 8], -0.0) for j in range(8)]
         res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return _running_sum(a[end:hi], res)
+        return running_sum(a[end:hi], res)
     half = n // 2 // 8 * 8  # NumPy's split: half the count, down to a multiple of 8
     return _pairwise(a, lo, lo + half) + _pairwise(a, lo + half, hi)
 
@@ -77,4 +79,4 @@ def median(values) -> float:
 
 def dot(a, b) -> float:
     """Sequential sum of the products of two equal-length sequences."""
-    return _running_sum(map(mul, a, b), 0.0)
+    return running_sum(map(mul, a, b), 0.0)

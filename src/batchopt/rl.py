@@ -40,7 +40,7 @@ from .optimize import (
 )
 from .pareto import ParetoFront, Point, Solution, dominates, update_front
 from .policy import PolicySet
-from .reduce import dot, mean, pairwise_sum
+from .reduce import dot, mean, pairwise_sum, running_sum
 from .rng import unit
 
 ACTION_SLOTS = 4  # options kept per pattern id (one per scaling factor slot)
@@ -75,7 +75,7 @@ def state_vector(
     features: list[float] = []
     total_cost = 0.0
     if stats is not None:
-        total_cost = sum(a.total_cost for a in stats.activities)
+        total_cost = running_sum(a.total_cost for a in stats.activities)
     for activity in sorted(model.activities, key=lambda a: a.id):
         row = [0.0] * FEATURES_PER_ACTIVITY
         if stats is not None:

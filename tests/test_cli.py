@@ -539,6 +539,26 @@ class TestAnalyze:
         assert activity["executions"] == 60
         assert report["resources"][0]["id"] == "clerk"
 
+    def test_total_costs_are_sequential_sums(self, tmp_path):
+        # costs of many batches whose sum builtin sum would compensate from
+        # CPython 3.12 on; a sequential fold writes these bytes on every version
+        fixture = get_fixture("busy-step")
+        doc = json.loads(json.dumps(fixture.model_doc))
+        for resource in doc["resources"]:
+            resource["costPerTimeUnit"] = 0.0013
+        doc["arrival"]["totalCases"] = 3000
+        model = write_json(tmp_path / "model.json", doc)
+        policies = write_json(tmp_path / "policies.json", fixture.policies_doc)
+        out = tmp_path / "out"
+        assert main(["analyze", "--model", model, "--policies", policies,
+                     "--out", str(out)]) == EXIT_OK
+        report = json.loads(read(out, "report.json"))
+        assert {a["id"]: a["totalCost"] for a in report["activities"]} == {
+            "escalate": 444.59999999999377,
+            "standard": 10667.700000000106,
+            "triage": 234.00000000000747,
+        }
+
     def test_rerun_is_byte_identical(self, tmp_path):
         model, policies = fixture_inputs(tmp_path, "circadian")
         first, second = tmp_path / "a", tmp_path / "b"

@@ -9,7 +9,7 @@ from batchopt import model as m
 from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from batchopt.engine import SimConfig, SimulationError, simulate
-from batchopt.eventlog import evaluate_objectives, filter_warmup
+from batchopt.eventlog import BatchRecord, InstanceRecord, evaluate_objectives, filter_warmup
 from batchopt.fixtures import all_fixtures
 
 H = SECONDS_PER_HOUR
@@ -321,6 +321,117 @@ class TestActivationTiming:
                 )
         policy = pol.BatchingPolicy("work", pol.PARALLEL, rule)
         assert engine._clock_hours(policy) == tuple(sorted(expected))
+
+
+class BoundedEngine(engine._Engine):
+    """The engine with a bound on its rule passes, one per event, so that a
+    rule starved of evaluations fails a test instead of ticking forever."""
+
+    passes = 0
+
+    def _evaluate_rules(self) -> None:
+        self.passes += 1
+        if self.passes > 1000:
+            raise AssertionError("more than 1000 events")
+        super()._evaluate_rules()
+
+
+def run_bounded(model, policies):
+    return BoundedEngine(engine.compile_model(model), policies, SimConfig(seed=1)).run()
+
+
+def spy_on_rules(monkeypatch):
+    """The instant of every rule evaluation, seen through the module
+    global that the engine calls and the benchmark's tracer wraps."""
+    calls = []
+
+    def spy(rule, state, now):
+        assert type(state) is pol.BatchState
+        calls.append(now)
+        return pol.evaluate_activation_rule(rule, state, now)
+
+    monkeypatch.setattr(engine, "evaluate_activation_rule", spy)
+    return calls
+
+
+def overlapping_model():
+    """Five cases an hour apart whose 2.5-hour work overlaps the next
+    arrivals, so completions fall while an instance waits."""
+    return single_activity_model(total_cases=5, duration=5 * H // 2)
+
+
+class TestRuleEvaluations:
+    def test_size_only_rule_is_evaluated_once_per_enabling_event(self, monkeypatch):
+        calls = spy_on_rules(monkeypatch)
+        log = run_bounded(overlapping_model(), size_policy(2))
+        assert [(b.start_time, b.size) for b in log.batches] == [
+            (2 * H, 2), (9 * H // 2, 2), (7 * H, 1)
+        ]
+        # the completions at 4.5 h and 7 h enable nothing, so the rule is
+        # not evaluated there, though an instance waits at 7 h
+        assert calls == [H, 2 * H, 3 * H, 4 * H, 5 * H]
+        assert calls == sorted(r.enable_time for r in log.instances)
+
+    # every event while an instance waits: the enablements, the two
+    # completions at 7 h and, where the rule asks for one, the wake or
+    # tick at 6 h
+    @pytest.mark.parametrize("other, wake", [
+        (pol.wait_first_at_least(0), []),
+        (pol.wait_last_at_least(0), []),
+        (pol.wait_first_at_least(H), [6 * H]),
+        (pol.in_hours(*range(24)), [6 * H]),
+        (pol.on_days(*range(7)), [6 * H]),
+    ], ids=["wt-first-0", "wt-last-0", "wt-first-1h", "daily-hour", "week-day"])
+    def test_rule_with_a_time_condition_is_evaluated_after_every_event(
+        self, monkeypatch, other, wake
+    ):
+        instants = [H, 2 * H, 3 * H, 4 * H, 5 * H, *wake, 7 * H, 7 * H]
+        calls = spy_on_rules(monkeypatch)
+        policies = {
+            "work": pol.BatchingPolicy("work", pol.PARALLEL,
+                                       pol.rule([pol.size_at_least(2), other]))
+        }
+        run_bounded(overlapping_model(), policies)
+        assert calls == instants
+
+    def test_one_completion_enables_two_ruled_activities_sharing_a_resource(
+        self, monkeypatch
+    ):
+        doc = single_activity_doc(total_cases=2, duration=600)
+        work = doc["activities"][0]
+        doc["activities"] += [dict(work, id="b", resources=["shared"]),
+                              dict(work, id="c", resources=["shared"])]
+        doc["resources"].append(dict(doc["resources"][0], id="shared"))
+        doc["arcs"] = [{"source": "work", "target": "b"}, {"source": "work", "target": "c"}]
+        doc["endNodes"] = ["b", "c"]
+        policies = {
+            a: pol.BatchingPolicy(a, pol.PARALLEL, pol.rule([pol.size_at_least(2)]))
+            for a in ("b", "c")
+        }
+        calls = spy_on_rules(monkeypatch)
+        log = run_bounded(m.parse_model(doc), policies)
+        done = [H + 600, 2 * H + 600]  # when each case's "work" completes
+        # each completion enables both, and both rules are evaluated in id order
+        assert calls == [done[0], done[0], done[1], done[1]]
+        assert [(b.activity_id, b.start_time, b.size) for b in log.batches[2:]] == [
+            ("b", done[1], 2), ("c", done[1] + 600, 2)
+        ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_records_are_their_named_tuples(self, fixture):
+        log, _ = simulate(fixture.model(), fixture.policies(), fixture.sim_config())
+        assert log.instances and log.batches
+        assert all(type(r) is InstanceRecord for r in log.instances)
+        assert all(type(b) is BatchRecord for b in log.batches)
+        first = log.instances[0]
+        moved = first._replace(start_time=first.start_time + 1)
+        assert type(moved) is InstanceRecord
+        assert moved == InstanceRecord(*first[:4], first.start_time + 1, *first[5:])
+        batch = log.batches[0]
+        assert batch._replace(cost=1.5) == (*batch[:6], 1.5, batch.busy_seconds)
+        assert batch.size == len(batch.members)
 
 
 class TestFlush:

@@ -201,13 +201,23 @@ def test_same_seed_reproduces_everything(scenario):
 class HourlyTickEngine(_Engine):
     """Reference loop: re-evaluate every rule after every event and at
     every hour boundary while anything waits, the plain time-stepped
-    schedule that the engine's clock ticks must agree with.  Waiting-time
-    wakes are recomputed from the whole waiting list on every enablement."""
+    schedule that the engine's clock ticks and its skipping of size-only
+    rules must agree with.  Waiting-time wakes are recomputed from the
+    whole waiting list on every enablement."""
+
+    def _evaluate_rules(self) -> None:
+        for activity_id, state in self.ruled:
+            waiting = state.waiting  # (case_id, enable_time, work) entries
+            if waiting and pol.evaluate_activation_rule(
+                state.policy.rule, pol.BatchState(len(waiting), waiting[0][1], waiting[-1][1]),
+                self.now,
+            ):
+                self._form_batch(activity_id)
 
     def _schedule_timeout_wakes(self, activity_id: str) -> None:
         state = self.act_states[activity_id]
-        first = state.waiting[0].enable_time
-        last = state.waiting[-1].enable_time
+        first = state.waiting[0][1]
+        last = state.waiting[-1][1]
         for group in state.policy.rule.groups:
             for cond in group.conditions:
                 if cond.kind in (pol.WT_FIRST, pol.WT_LAST):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from batchopt.reduce import dot, mean, median, pairwise_sum, percentile
+from batchopt.reduce import dot, mean, median, pairwise_sum, percentile, running_sum
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -97,6 +97,13 @@ def test_median_odd_and_even():
     assert median([0.1, 0.2, 9.0, 0.7]) == 0.44999999999999996
     with pytest.raises(ValueError):
         median([])
+
+
+def test_running_sum_adds_left_to_right_on_every_version():
+    # builtin sum compensates from CPython 3.12 on and returns 1.0 here
+    assert running_sum([0.1] * 10) == 0.9999999999999999
+    assert running_sum([1e16, 1.0, -1e16, 1.0], 0.0) == 1.0
+    assert running_sum([]) == 0 and running_sum([], -0.0) == -0.0
 
 
 def test_dot_is_a_running_sum_of_products():
