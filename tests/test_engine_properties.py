@@ -297,11 +297,12 @@ mixed_conditions = st.one_of(
 GRID = 600
 grid_fixed = st.integers(1, 6).map(lambda k: {"kind": "fixed", "value": k * GRID})
 grid_waits = st.integers(0, 6).map(lambda k: k * GRID)
-grid_conditions = st.one_of(
-    st.builds(pol.size_at_least, st.integers(1, 5)),
+grid_wait_conditions = st.one_of(
     st.builds(pol.wait_first_at_least, grid_waits),
     st.builds(pol.wait_last_at_least, grid_waits),
-    clock_conditions,
+)
+grid_conditions = st.one_of(
+    st.builds(pol.size_at_least, st.integers(1, 5)), grid_wait_conditions, clock_conditions
 )
 
 
@@ -311,6 +312,17 @@ def clocked_groups(draw, conditions=mixed_conditions):
     others = draw(st.lists(conditions, max_size=2, unique_by=lambda c: c.kind))
     clock = draw(clock_conditions)
     return [c for c in others if c.kind != clock.kind] + [clock]
+
+
+@st.composite
+def waiting_groups(draw):
+    """A group of one or two grid waiting-time conditions, with or without
+    a size one: a rule of such groups fires only on an enablement or on a
+    waiting-time wake."""
+    waits = draw(
+        st.lists(grid_wait_conditions, min_size=1, max_size=2, unique_by=lambda c: c.kind)
+    )
+    return waits + draw(st.lists(st.builds(pol.size_at_least, st.integers(1, 5)), max_size=1))
 
 
 # spread arrivals over the hours of a day or two
@@ -364,19 +376,21 @@ def clocked_scenarios(draw, on_grid: bool = False):
     policies = {}
     for a in acts:
         if draw(st.integers(0, 3)):  # three in four activities batch
-            groups = draw(
-                st.lists(
-                    st.one_of(
-                        clocked_groups(conditions),
-                        st.lists(conditions, min_size=1, max_size=3, unique_by=lambda c: c.kind),
-                    ),
-                    max_size=3,
-                )
+            groups = st.lists(
+                st.one_of(
+                    clocked_groups(conditions),
+                    st.lists(conditions, min_size=1, max_size=3, unique_by=lambda c: c.kind),
+                ),
+                max_size=3,
             )
+            if on_grid:
+                # or waiting-time groups alone: only enablements and
+                # waiting-time wakes can make such a rule fire
+                groups = st.one_of(groups, st.lists(waiting_groups(), min_size=1, max_size=2))
             policies[a] = pol.BatchingPolicy(
                 activity_id=a,
                 batch_type=draw(st.sampled_from([pol.PARALLEL, pol.SEQUENTIAL])),
-                rule=pol.rule(*groups),
+                rule=pol.rule(*draw(groups)),
             )
     seed = draw(st.integers(0, 2**31))
     return m.parse_model(doc), policies, seed
