@@ -102,6 +102,7 @@ from .model import (
     Gateway,
     ProcessModel,
     ResourceProfile,
+    pair_or_splits,
     validate_model,
 )
 from .policy import (
@@ -226,10 +227,10 @@ _JOINS = ("xor-join", "and-join", "or-join")
 
 
 class CompiledModel:
-    """A validated model and the tables the engine reads from it, built
-    once by `compile_model`, which validates the model first, and shared
-    by every simulation of the model.  Nothing in it depends on a policy
-    set, a seed or a run."""
+    """A validated model and the tables the engine reads from it (its
+    or-join pairing is `model.pair_or_splits`, checked by validation),
+    built once by `compile_model` and shared by every simulation of the
+    model.  Nothing in it depends on a policy set, a seed or a run."""
 
     __slots__ = ("model", "activities", "resources", "gateways", "hops", "branches",
                  "join_arcs", "end_nodes", "or_join_of", "activity_keys", "gateway_keys",
@@ -262,7 +263,7 @@ class CompiledModel:
         }
         self.end_nodes = frozenset(model.end_nodes)
         # or-split -> the or-join its branches reconverge at
-        self.or_join_of = _pair_or_splits(model, hops, self.gateways)
+        self.or_join_of = pair_or_splits(model)
         # rng.message(id), the id part of a draw
         self.activity_keys = {a.id: rng.message(a.id) for a in model.activities}
         self.gateway_keys = {g.id: rng.message(g.id) for g in model.gateways}
@@ -288,8 +289,8 @@ class CompiledModel:
 
 def compile_model(model: ProcessModel) -> CompiledModel:
     """Validate `model` and build its engine tables.  Raises
-    SimulationError when it fails validation or an or-split has no or-join
-    that all its branches reconverge at."""
+    SimulationError, naming every violation, when `validate_model` finds
+    any; a model it accepts compiles."""
     violations = validate_model(model)
     if violations:
         raise SimulationError("model failed validation: " + "; ".join(violations))
@@ -299,45 +300,6 @@ def compile_model(model: ProcessModel) -> CompiledModel:
 def as_compiled(model: CompiledModel | ProcessModel) -> CompiledModel:
     """`model` itself when it is compiled, else its compilation."""
     return model if isinstance(model, CompiledModel) else compile_model(model)
-
-
-def _pair_or_splits(model: ProcessModel, hops, gateways) -> dict[str, str]:
-    """Match each or-split to the or-join every path reconverges at."""
-    or_splits = [g.id for g in model.gateways if g.kind == "or-split"]
-    if not or_splits:
-        return {}
-    # iterative postdominator sets over the node graph with a virtual sink
-    nodes = sorted(model.node_ids)
-    sink = "\x00sink"
-    succ = {n: [target for target, _ in hops.get(n, ())] for n in nodes}
-    for e in model.end_nodes:
-        succ.setdefault(e, []).append(sink)
-    succ[sink] = []
-    post: dict[str, set[str]] = {n: set(nodes) | {sink} for n in nodes}
-    post[sink] = {sink}
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if not succ[n]:
-                new = {n}
-            else:
-                new = set.intersection(*(post[s] for s in succ[n])) | {n}
-            if new != post[n]:
-                post[n] = new
-                changed = True
-    pairing = {}
-    for s in or_splits:
-        joins = [j for j in post[s] - {s} if j in gateways and gateways[j].kind == "or-join"]
-        if not joins:
-            raise SimulationError(
-                f"or-split {s!r} has no or-join on all outgoing paths; "
-                "or-branches must reconverge"
-            )
-        # nearest = the join postdominated by every other candidate
-        joins.sort(key=lambda j: (len(post[j]), j))
-        pairing[s] = joins[0]
-    return pairing
 
 
 class _ActivityState:

@@ -24,6 +24,8 @@ from .records import Record
 from .reduce import running_sum
 
 MAX_CASES = 1_000_000  # the most cases one simulation may run
+UNBOUNDED_VISITS = ("a case's expected visits are unbounded: some loop sends back "
+                    "on average at least one token per token it receives")
 GATEWAY_KINDS = ("and-split", "and-join", "xor-split", "xor-join", "or-split", "or-join")
 DISTRIBUTION_PARAMS = {  # each distribution kind and its parameters
     "fixed": ("value",),
@@ -262,16 +264,6 @@ def validate_model(model: ProcessModel) -> list[str]:
                 if n.id not in reaches_end:
                     out.append(f"{kind} {n.id!r} has no path to an end node")
 
-    for a in model.activities:
-        if not a.resources:
-            out.append(f"activity {a.id!r}: no eligible resources")
-        for r in a.resources:
-            if r not in res_ids:
-                out.append(f"activity {a.id!r}: unknown resource {r!r}")
-        if not 0 <= a.fixed_cost_per_execution < math.inf:
-            out.append(f"activity {a.id!r}: fixed cost must be finite and >= 0")
-        out.extend(_distribution_violations(a.duration, f"activity {a.id!r} duration"))
-
     for g in model.gateways:
         outs = outgoing.get(g.id, [])
         probs = dict(g.branch_probabilities)
@@ -281,40 +273,40 @@ def validate_model(model: ProcessModel) -> list[str]:
                     out.append(f"gateway {g.id!r}: no probability for arc {arc.id!r}")
             for arc_id in sorted(set(probs) - {arc.id for arc in outs}):
                 out.append(f"gateway {g.id!r}: probability for non-outgoing arc {arc_id!r}")
+            xor = g.kind == "xor-split"  # an xor arc of probability 0 is never taken
+            for arc in outs:
+                p = probs.get(arc.id)
+                if p is not None and not (0.0 <= p <= 1.0 and (xor or p > 0.0)):
+                    out.append(f"gateway {g.id!r}: arc {arc.id!r} probability {p!r} outside "
+                               + ("[0, 1]" if xor else "(0, 1]"))
         if g.kind == "xor-split":
             if outs and all(arc.id in probs for arc in outs):
                 total = running_sum(probs[arc.id] for arc in outs)
                 if not abs(total - 1.0) <= 1e-9:
                     out.append(f"gateway {g.id!r}: branch probabilities sum to {total!r}, expected 1")
-        if g.kind == "or-split":
-            for arc in outs:
-                p = probs.get(arc.id)
-                if p is not None and not (0.0 < p <= 1.0):
-                    out.append(f"gateway {g.id!r}: arc {arc.id!r} probability {p!r} outside (0, 1]")
         if g.kind.endswith("-join") and len(incoming.get(g.id, [])) < 2:
             out.append(f"gateway {g.id!r}: join needs at least 2 incoming arcs")
 
-    # a token that enters a cycle of gateways alone never rests at an activity
-    gateway_next = {g.id: {arc.target for arc in outgoing.get(g.id, [])} for g in model.gateways
-                    if g.id not in model.end_nodes}
-    for g in _on_cycles(gateway_next):
-        out.append(f"gateway {g!r}: lies on a cycle of gateways only")
-    # a token that enters a cycle whose every arc it takes with certainty
-    # goes round it for ever, so its case never ends
-    certain_next: dict[str, set[str]] = {}
-    gateways = {g.id: g for g in model.gateways}
-    for n in node_ids - set(model.end_nodes):
-        g = gateways.get(n)
-        if g is not None and g.kind in ("and-join", "or-join"):
-            continue  # it may hold the token for a branch that never comes
-        probs = dict(g.branch_probabilities) if g is not None else {}
-        certain_next[n] = {
-            arc.target
-            for arc in outgoing.get(n, [])
-            if g is None or g.kind not in ("xor-split", "or-split") or probs.get(arc.id) == 1.0
-        }
-    for n in _on_cycles(certain_next):
-        out.append(f"node {n!r}: lies on a cycle whose every arc is taken with certainty")
+    # the pairing and the solve read arcs and probabilities vouched for above
+    if not out:
+        or_join_of = pair_or_splits(model)
+        out += [f"gateway {g.id!r}: no or-join lies on every path out of this or-split, "
+                "so its branches never reconverge"
+                for g in model.gateways if g.kind == "or-split" and g.id not in or_join_of]
+        out += [f"gateway {g.id!r}: no or-split's branches reconverge at this or-join"
+                for g in model.gateways if g.kind == "or-join" and g.id not in or_join_of.values()]
+        if not out and expected_visits(model, or_join_of) is None:
+            out.append(UNBOUNDED_VISITS)
+
+    for a in model.activities:
+        if not a.resources:
+            out.append(f"activity {a.id!r}: no eligible resources")
+        for r in a.resources:
+            if r not in res_ids:
+                out.append(f"activity {a.id!r}: unknown resource {r!r}")
+        if not 0 <= a.fixed_cost_per_execution < math.inf:
+            out.append(f"activity {a.id!r}: fixed cost must be finite and >= 0")
+        out.extend(_distribution_violations(a.duration, f"activity {a.id!r} duration"))
 
     for r in model.resources:
         if not 0 <= r.cost_per_time_unit < math.inf:
@@ -329,20 +321,81 @@ def validate_model(model: ProcessModel) -> list[str]:
     return sorted(out)
 
 
-def _on_cycles(next_nodes: dict[str, set[str]]) -> list[str]:
-    """The nodes of `next_nodes` that lie on a cycle through its nodes
-    alone, sorted."""
-    found = []
-    for node in sorted(next_nodes):
-        seen, frontier = set(), list(next_nodes[node])
-        while frontier:
-            n = frontier.pop()
-            if n not in seen and n in next_nodes:
-                seen.add(n)
-                frontier.extend(next_nodes[n])
-        if node in seen:
-            found.append(node)
-    return found
+def pair_or_splits(model: ProcessModel) -> dict[str, str]:
+    """Each or-split paired with the nearest or-join that every path out of
+    it reconverges at; an or-split with no such join is left out.  Reads a
+    model whose every node has a path to an end node."""
+    or_splits = [g.id for g in model.gateways if g.kind == "or-split"]
+    if not or_splits:
+        return {}
+    or_joins = {g.id for g in model.gateways if g.kind == "or-join"}
+    # iterative postdominator sets over the node graph with a virtual sink
+    nodes = sorted(model.node_ids)
+    sink = "\x00sink"
+    succ: dict[str, list[str]] = {n: [] for n in nodes}
+    for arc in model.arcs:
+        succ[arc.source].append(arc.target)
+    for e in model.end_nodes:
+        succ[e].append(sink)
+    post: dict[str, set[str]] = {n: set(nodes) | {sink} for n in nodes}
+    post[sink] = {sink}
+    changed = True
+    while changed:
+        changed = False
+        for n in nodes:
+            new = set.intersection(*(post[s] for s in succ[n])) | {n}
+            if new != post[n]:
+                post[n] = new
+                changed = True
+    pairing = {}
+    for s in or_splits:
+        # nearest = the join postdominated by every other candidate
+        joins = sorted((len(post[j]), j) for j in post[s] & or_joins)
+        if joins:
+            pairing[s] = joins[0][1]
+    return pairing
+
+
+def expected_visits(model: ProcessModel, or_join_of: dict[str, str]) -> dict[str, float] | None:
+    """Each node's expected visits per case, the v that solves
+    v = e_start + Mᵀv, M[n][t] being the tokens n passes to t per token it
+    receives; None when that is singular or some visit is negative, i.e.
+    when M's spectral radius is not below 1 (Kemeny & Snell, Finite Markov
+    Chains, 1960; Harris, The Theory of Branching Processes, 1963).  Reads
+    a model whose graph and probabilities `validate_model` found sound."""
+    gateways = {g.id: g for g in model.gateways}
+    probs = {arc_id: p for g in model.gateways if g.kind in ("xor-split", "or-split")
+             for arc_id, p in g.branch_probabilities}
+    # arc weights are scaled by 1/k out of an and-join with k incoming arcs,
+    # by 1 + P0/sum p out of an or-split (whose draws all fail with chance P0,
+    # when the engine draws one branch) and by 1/(sum p + P0) out of its or-join
+    scale = {g.id: 1.0 / sum(arc.target == g.id for arc in model.arcs)
+             for g in model.gateways if g.kind == "and-join"}
+    for s, j in or_join_of.items():
+        ps = [p for _, p in gateways[s].branch_probabilities]
+        none = math.prod(1.0 - p for p in ps)
+        scale[s], scale[j] = 1.0 + none / math.fsum(ps), 1.0 / (math.fsum(ps) + none)
+    index = {n: i for i, n in enumerate(sorted(model.node_ids))}
+    # the augmented matrix [I - Mᵀ | e_start]; a token stops at an end node
+    a = [[float(r == c) for c in range(len(index))] + [float(n == model.start_node)]
+         for n, r in index.items()]
+    for arc in model.arcs:
+        if arc.source not in model.end_nodes:
+            weight = probs.get(arc.id, 1.0) * scale.get(arc.source, 1.0)
+            a[index[arc.target]][index[arc.source]] -= weight
+    # Gauss-Jordan elimination with partial pivoting
+    for col in range(len(index)):
+        pivot = max(range(col, len(index)), key=lambda r: abs(a[r][col]))
+        if abs(a[pivot][col]) < 1e-9:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        for r, row in enumerate(a):
+            if r != col and row[col]:
+                factor = row[col] / a[col][col]
+                a[r] = [x - factor * y for x, y in zip(row, a[col])]
+    visits = [row[-1] / row[r] for r, row in enumerate(a)]
+    # round-off may leave a node fed only by p = 0 arcs a hair below 0
+    return None if any(v < -1e-9 for v in visits) else dict(zip(index, visits))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from batchopt import cli, engine, metrics
 from batchopt.cli import EXIT_OK, MANIFEST_FILE, config_hash, main
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
+from batchopt.model import UNBOUNDED_VISITS
 from batchopt.pareto import front_to_doc, render_front_csv
 from batchopt.policy import policy_set_key
 
@@ -891,28 +892,44 @@ def gateway_cycle_model(tmp_path: Path, gateways, arcs) -> str:
     return write_json(tmp_path / "model.json", doc)
 
 
+def gateway_loop(back: float) -> tuple[list, list]:
+    """The gateways and arcs of a loop of gateways only: `ticket` -> the
+    xor-join `j` -> the xor-split `s`, which sends the token back to `j`
+    with probability `back`, else on to `file`."""
+    gateways = [{"id": "j", "kind": "xor-join"},
+                {"id": "s", "kind": "xor-split",
+                 "branchProbabilities": {"s->j": back, "s->file": 1.0 - back}}]
+    arcs = [("ticket", "j"), ("j", "s"), ("s", "j"), ("s", "file")]
+    return gateways, [{"source": s, "target": t} for s, t in arcs]
+
+
 @pytest.mark.parametrize(
-    "gateways, arcs, gateway",
+    "gateways, arcs",
     [
         ([{"id": "g", "kind": "and-split"}],
-         [("ticket", "g"), ("g", "g"), ("g", "file")], "g"),
-        ([{"id": "j", "kind": "xor-join"},
-          {"id": "s", "kind": "xor-split", "branchProbabilities": {"s->j": 1.0, "s->file": 0.0}}],
-         [("ticket", "j"), ("j", "s"), ("s", "j"), ("s", "file")], "j"),
+         [{"source": s, "target": t} for s, t in (("ticket", "g"), ("g", "g"), ("g", "file"))]),
+        gateway_loop(1.0),
     ],
     ids=["and-split-self-loop", "xor-join-split-loop"],
 )
-def test_a_cycle_of_gateways_only_is_a_schema_failure(tmp_path, capsys, gateways, arcs, gateway):
-    # a token entering such a cycle never rests at an activity, so the
-    # simulation would never end
-    model = gateway_cycle_model(
-        tmp_path, gateways, [{"source": s, "target": t} for s, t in arcs]
-    )
+def test_a_cycle_of_gateways_only_is_a_schema_failure(tmp_path, capsys, gateways, arcs):
+    # a token entering such a cycle goes round it for ever (and the
+    # and-split sends one more token on at each pass)
+    model = gateway_cycle_model(tmp_path, gateways, arcs)
     out = tmp_path / "out"
     assert main(["simulate", "--model", model, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert f"gateway {gateway!r}: lies on a cycle of gateways only" in err
+    assert UNBOUNDED_VISITS in err
     assert not out.exists()
+
+
+def test_a_gateway_only_loop_left_with_some_probability_simulates(tmp_path):
+    # each pass through s leaves the loop with probability 0.5
+    model = gateway_cycle_model(tmp_path, *gateway_loop(0.5))
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--out", str(out)]) == 0
+    events = (out / "events.csv").read_text().splitlines()
+    assert sum(",file," in line for line in events) == 4  # each case reaches the end once
 
 
 def test_a_gateway_without_path_to_an_end_is_a_schema_failure(tmp_path, capsys):
@@ -964,7 +981,58 @@ def test_a_cycle_taken_with_certainty_is_a_schema_failure_of_every_command(
         argv[1:1] = [str(CIRCADIAN / f"front-{s}-guided.json") for s in ("hc", "sa")]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "node 'b': lies on a cycle whose every arc is taken with certainty" in err
+    assert UNBOUNDED_VISITS in err
+    assert not out.exists()
+
+
+def token_loop_model(tmp_path: Path, back: float) -> str:
+    """`ticket` -> `b`, `b` -> the end `file` and `b` -> the xor-split
+    `redo`, which leads with probability `back` (else to `file`) to the
+    and-split `s` into `b` and, through `x`, back into `b`: each visit of
+    `b` sends on average 2 x `back` tokens back to it."""
+    probs = {"redo->s": back, "redo->file": 1.0 - back}
+    arcs = [("ticket", "b"), ("b", "file"), ("b", "redo"), ("redo", "s"), ("redo", "file"),
+            ("s", "b"), ("s", "x"), ("x", "b")]
+    model = gateway_cycle_model(
+        tmp_path,
+        [{"id": "redo", "kind": "xor-split", "branchProbabilities": probs},
+         {"id": "s", "kind": "and-split"}],
+        [{"source": s, "target": t} for s, t in arcs],
+    )
+    doc = json.loads(Path(model).read_text())
+    doc["activities"] += [{**doc["activities"][0], "id": a} for a in ("b", "x")]
+    doc["arrival"]["totalCases"] = 3
+    return write_json(Path(model), doc)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+def test_a_loop_that_multiplies_tokens_is_a_schema_failure_of_every_command(
+    tmp_path, capsys, command
+):
+    # 0.9 x 2 = 1.8 tokens return to `b` per visit, so a case's tokens may
+    # grow without bound: rejected at load, before anything is simulated
+    model = token_loop_model(tmp_path, 0.9)
+    out = tmp_path / "out"
+    argv = [command, "--model", model, "--out", str(out)]
+    if command == "evaluate":
+        argv[1:1] = [str(CIRCADIAN / f"front-{s}-guided.json") for s in ("hc", "sa")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "model.json" in err and UNBOUNDED_VISITS in err
+    assert not out.exists()
+
+
+def test_an_xor_probability_outside_0_1_is_a_schema_failure(tmp_path, capsys):
+    # the two probabilities sum to 1, but every draw would go one way
+    model, _ = fixture_inputs(tmp_path, "busy-step")
+    doc = json.loads(Path(model).read_text())
+    doc["gateways"][0]["branchProbabilities"] = {"route->standard": 1.5, "route->escalate": -0.5}
+    write_json(Path(model), doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--model", model, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "gateway 'route': arc 'route->escalate' probability -0.5 outside [0, 1]" in err
+    assert "gateway 'route': arc 'route->standard' probability 1.5 outside [0, 1]" in err
     assert not out.exists()
 
 

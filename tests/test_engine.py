@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -733,6 +734,42 @@ class TestGateways:
         assert any(c >= 2 for c in counts)  # 40 cases at 40% rework
         for acts in executed(log).values():
             assert acts.count("c") == 1
+
+    @pytest.mark.parametrize("name", ["busy-step", "stray-branch", "xor-loop", "token-loop"])
+    def test_mean_instances_per_case_match_the_solved_visits(self, name):
+        if name == "xor-loop":  # b goes back to itself with probability 0.5
+            model = gateway_model(
+                gateways=[{"id": "redo", "kind": "xor-split",
+                           "branchProbabilities": {"redo->b": 0.5, "redo->file": 0.5}}],
+                arcs=[("a", "b"), ("b", "redo"), ("redo", "b"), ("redo", "file")],
+                activities=["a", "b", "file"],
+                end_nodes=["file"],
+            )
+        elif name == "token-loop":  # b sends 0.4 x 2 tokens back: b 5, x 2, file 8
+            model = gateway_model(
+                gateways=[{"id": "redo", "kind": "xor-split",
+                           "branchProbabilities": {"redo->s": 0.4, "redo->file": 0.6}},
+                          {"id": "s", "kind": "and-split"}],
+                arcs=[("a", "b"), ("b", "file"), ("b", "redo"), ("redo", "s"),
+                      ("redo", "file"), ("s", "b"), ("s", "x"), ("x", "b")],
+                activities=["a", "b", "x", "file"],
+                end_nodes=["file"],
+            )
+        else:
+            model = next(f for f in all_fixtures() if f.name == name).model()
+        visits = m.expected_visits(model, m.pair_or_splits(model))
+        cases = 2000
+        for seed in range(3):
+            log, _ = simulate(model, {}, SimConfig(seed=seed, total_cases=cases))
+            for activity in model.activities:
+                counts = [0] * cases
+                for rec in log.instances:
+                    if rec.activity_id == activity.id:
+                        counts[rec.case_id] += 1
+                mean = sum(counts) / cases
+                sd = math.sqrt(sum((c - mean) ** 2 for c in counts) / (cases - 1))
+                # within 4 standard errors of the sample's own mean
+                assert abs(mean - visits[activity.id]) <= 4 * sd / math.sqrt(cases) + 1e-9
 
     def test_or_split_without_join_is_rejected(self):
         model = gateway_model(

@@ -171,39 +171,146 @@ def looping_model_doc(redo):
     return doc
 
 
-CERTAIN_CYCLE = "lies on a cycle whose every arc is taken with certainty"
+NEVER_RECONVERGES = ("gateway 'redo': no or-join lies on every path out of this or-split, "
+                     "so its branches never reconverge")
 
 
 @pytest.mark.parametrize(
-    "redo",
+    "redo, violation",
     [
-        {"id": "redo", "kind": "xor-split", "branchProbabilities": {"redo->b": 1.0}},
-        {"id": "redo", "kind": "or-split", "branchProbabilities": {"redo->b": 1.0}},
-        {"id": "redo", "kind": "and-split"},
+        ({"id": "redo", "kind": "xor-split", "branchProbabilities": {"redo->b": 1.0}},
+         m.UNBOUNDED_VISITS),
+        ({"id": "redo", "kind": "or-split", "branchProbabilities": {"redo->b": 1.0}},
+         NEVER_RECONVERGES),
+        ({"id": "redo", "kind": "and-split"}, m.UNBOUNDED_VISITS),
     ],
     ids=["xor-split", "or-split", "and-split"],
 )
-def test_validate_cycle_taken_with_certainty(redo):
+def test_validate_cycle_taken_with_certainty(redo, violation):
     # each visit of b sends one token to the end c and one round the loop
-    # for certain, so a case would make events for ever
+    # for certain, so a case would make events for ever; the or-split,
+    # which no or-join pairs with, is rejected before its visits are solved
     violations = m.validate_model(m.parse_model(looping_model_doc(redo)))
-    assert violations == [f"node 'b': {CERTAIN_CYCLE}", f"node 'redo': {CERTAIN_CYCLE}"]
+    assert violations == [violation]
+
+
+def xor_loop_doc(back):
+    """looping_model_doc with `redo` an xor-split back to b with
+    probability `back`, else on to c."""
+    doc = looping_model_doc(
+        {"id": "redo", "kind": "xor-split",
+         "branchProbabilities": {"redo->b": back, "redo->c": 1.0 - back}}
+    )
+    doc["arcs"].append({"source": "redo", "target": "c"})
+    return doc
+
+
+def token_loop_doc(back):
+    """a -> b, b -> c (the end) and b -> redo, an xor-split into the
+    and-split s with probability `back` (else on to c); s sends one token to
+    b and one through d to b, so each visit of b sends 2 x `back` back."""
+    doc = looping_model_doc(
+        {"id": "redo", "kind": "xor-split",
+         "branchProbabilities": {"redo->s": back, "redo->c": 1.0 - back}}
+    )
+    doc["activities"] = branching_model_doc()["activities"]
+    doc["gateways"].append({"id": "s", "kind": "and-split"})
+    doc["arcs"] = [{"source": s, "target": t} for s, t in (
+        ("a", "b"), ("b", "c"), ("b", "redo"), ("redo", "s"), ("redo", "c"),
+        ("s", "b"), ("s", "d"), ("d", "b"))]
+    return doc
+
+
+def solved_visits(doc):
+    model = m.parse_model(doc)
+    return m.expected_visits(model, m.pair_or_splits(model))
 
 
 def test_validate_cycle_with_an_uncertain_arc_or_a_join_passes():
     # the loop back to b is taken with probability 0.5: cases end
-    doc = looping_model_doc(
-        {"id": "redo", "kind": "xor-split",
-         "branchProbabilities": {"redo->b": 0.5, "redo->c": 0.5}}
-    )
-    doc["arcs"].append({"source": "redo", "target": "c"})
+    doc = xor_loop_doc(0.5)
     assert m.validate_model(m.parse_model(doc)) == []
-    # a join on the cycle may hold the token: such cycles are left out
-    for kind in ("and-join", "or-join"):
+    # an and-join on the cycle waits for a token that never comes: the
+    # case starves, but its visits are bounded; an or-join needs an or-split
+    unpaired = "gateway 'redo': no or-split's branches reconverge at this or-join"
+    for kind, violations in (("and-join", []), ("or-join", [unpaired])):
         doc = looping_model_doc({"id": "redo", "kind": kind})
         doc["arcs"] = [{"source": "a", "target": "redo"}, {"source": "redo", "target": "b"},
                        {"source": "b", "target": "redo"}, {"source": "b", "target": "c"}]
-        assert not [v for v in m.validate_model(m.parse_model(doc)) if CERTAIN_CYCLE in v]
+        assert m.validate_model(m.parse_model(doc)) == violations
+
+
+@pytest.mark.parametrize("back, b, c", [(0.0, 1.0, 2.0), (0.5, 2.0, 3.0), (0.999, 1000.0, 1001.0)])
+def test_expected_visits_of_an_xor_loop(back, b, c):
+    # each visit of b goes on to c and to redo, which sends it back to b
+    # with probability `back`
+    visits = solved_visits(xor_loop_doc(back))
+    assert visits == pytest.approx({"a": 1.0, "b": b, "c": c, "redo": b})
+
+
+def test_expected_visits_of_a_loop_that_sends_back_two_tokens():
+    visits = solved_visits(token_loop_doc(0.4))
+    assert visits == pytest.approx({"a": 1.0, "b": 5.0, "c": 8.0, "d": 2.0, "redo": 5.0, "s": 2.0})
+    assert m.validate_model(m.parse_model(token_loop_doc(0.4))) == []
+
+
+@pytest.mark.parametrize("doc", [xor_loop_doc(1.0), token_loop_doc(0.5), token_loop_doc(0.9)],
+                         ids=["xor-back-1", "two-tokens-back-0.5", "two-tokens-back-0.9"])
+def test_validate_rejects_a_loop_that_returns_a_token_per_token(doc):
+    # 1, 2 x 0.5 and 2 x 0.9 tokens return per visit of b: the expected
+    # visits have no finite non-negative solution
+    assert solved_visits(doc) is None
+    assert m.validate_model(m.parse_model(doc)) == [m.UNBOUNDED_VISITS]
+
+
+def test_expected_visits_of_or_branches_and_never_taken_arcs():
+    # or-split 0.5 / 0.5: a branch runs alone 0.25 of the time, both 0.25,
+    # and the fallback picks one branch when neither draws (0.25), so each
+    # runs with probability 0.625; the join receives 1.25 tokens per case
+    # and passes on one
+    doc = branching_model_doc()
+    doc["gateways"] = [
+        {"id": "split", "kind": "or-split",
+         "branchProbabilities": {"split->b": 0.5, "split->c": 0.5}},
+        {"id": "join", "kind": "or-join"},
+    ]
+    assert solved_visits(doc) == pytest.approx(
+        {"a": 1.0, "split": 1.0, "b": 0.625, "c": 0.625, "join": 1.25, "d": 1.0}
+    )
+    # an arc of probability 0 is never taken
+    doc = branching_model_doc()
+    doc["gateways"][0]["branchProbabilities"] = {"split->b": 1.0, "split->c": 0.0}
+    assert solved_visits(doc)["c"] == pytest.approx(0.0, abs=1e-12)
+    assert m.validate_model(m.parse_model(doc)) == []
+
+
+def test_validate_or_join_that_no_or_split_pairs_with():
+    # it would wait for as many tokens as its split activated, and the
+    # engine would fail on the first token to reach it
+    doc = branching_model_doc()
+    doc["gateways"][1]["kind"] = "or-join"
+    assert m.validate_model(m.parse_model(doc)) == [
+        "gateway 'join': no or-split's branches reconverge at this or-join"
+    ]
+
+
+def test_validate_split_probability_outside_its_range():
+    # the xor probabilities sum to 1, but no draw can follow -0.5
+    doc = branching_model_doc()
+    doc["gateways"][0]["branchProbabilities"] = {"split->b": 1.5, "split->c": -0.5}
+    assert m.validate_model(m.parse_model(doc)) == [
+        "gateway 'split': arc 'split->b' probability 1.5 outside [0, 1]",
+        "gateway 'split': arc 'split->c' probability -0.5 outside [0, 1]",
+    ]
+    # an or branch of probability 0 would never run
+    doc["gateways"] = [
+        {"id": "split", "kind": "or-split",
+         "branchProbabilities": {"split->b": 0.0, "split->c": 1.0}},
+        {"id": "join", "kind": "or-join"},
+    ]
+    assert m.validate_model(m.parse_model(doc)) == [
+        "gateway 'split': arc 'split->b' probability 0.0 outside (0, 1]"
+    ]
 
 
 def test_validate_cycle_through_an_end_node_passes():
