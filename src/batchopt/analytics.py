@@ -404,7 +404,7 @@ class ScheduleTables:
     activity, its `availability_histogram` (pattern 4), its
     `window_start_histogram` and its `open_runs` (pattern 8).  Each is
     built on first use and kept, so detecting many logs of one model builds
-    each once; a `CompiledModel` holds its model's in `schedules`."""
+    each once; a search's `CandidateEvaluator` keeps one per run."""
 
     __slots__ = ("model", "_tables")
 
@@ -476,8 +476,8 @@ def detect_scenarios_from_stats(
     config: DetectionConfig = DetectionConfig(),
     schedules: ScheduleTables | None = None,
 ) -> list[ScenarioInstance]:
-    """`detect_scenarios` on stats at hand; pass a `CompiledModel`'s
-    `schedules` to build the model's schedule tables once across calls."""
+    """`detect_scenarios` on stats at hand; pass one `ScheduleTables` to
+    every call to build each table once (a search keeps one per run)."""
     if schedules is None:
         schedules = ScheduleTables(model)
     acts = stats.activities

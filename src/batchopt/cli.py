@@ -152,14 +152,29 @@ def _check_activities(model, policies, where: str) -> None:
 # -- configs ------------------------------------------------------------------
 
 
-def _run_config(args) -> SimConfig:
-    """The run config file parsed, or the defaults without one."""
-    return _parse_doc(args.config, "run config", parse_sim_config) if args.config else SimConfig()
+def _check_warmup(sim: SimConfig, model, where: str) -> None:
+    """Exit 3 unless the warmup is below the case count: the config's
+    `totalCases`, else the model's."""
+    total = sim.total_cases or model.arrival.total_cases
+    if sim.warmup >= total:
+        message = f"warmup {sim.warmup} must be smaller than the case count {total}"
+        raise CliError(EXIT_SCHEMA, f"{where}: {message}")
 
 
-def _optimizer_config(args, parser: argparse.ArgumentParser) -> OptimizerConfig:
+def _run_config(args, model) -> SimConfig:
+    """The run config file parsed, or the defaults without one; its warmup
+    is checked against `model`'s case count."""
+    if not args.config:
+        return SimConfig()
+    config = _parse_doc(args.config, "run config", parse_sim_config)
+    _check_warmup(config, model, f"run config file {args.config}")
+    return config
+
+
+def _optimizer_config(args, parser: argparse.ArgumentParser, model) -> OptimizerConfig:
     """The optimizer config file parsed, or the defaults without one; an
-    integer `maxSolutions` below 1 is a usage error (exit 2)."""
+    integer `maxSolutions` below 1 is a usage error (exit 2), and the
+    `sim` warmup is checked against `model`'s case count."""
 
     def parse(doc) -> OptimizerConfig:
         budget = doc.get("maxSolutions") if isinstance(doc, dict) else None
@@ -169,7 +184,9 @@ def _optimizer_config(args, parser: argparse.ArgumentParser) -> OptimizerConfig:
 
     if not args.config:
         return OptimizerConfig()
-    return _parse_doc(args.config, "optimizer config", parse)
+    config = _parse_doc(args.config, "optimizer config", parse)
+    _check_warmup(config.sim, model, f"optimizer config file {args.config}")
+    return config
 
 
 # -- simulate -----------------------------------------------------------------
@@ -177,7 +194,7 @@ def _optimizer_config(args, parser: argparse.ArgumentParser) -> OptimizerConfig:
 
 def cmd_simulate(args, parser: argparse.ArgumentParser) -> CommandResult:
     compiled, policies = _load_inputs(args)
-    config = _run_config(args)
+    config = _run_config(args, compiled.model)
     if args.seed is not None:
         config = config._replace(seed=args.seed)
 
@@ -215,7 +232,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> CommandResult:
 
 def cmd_optimize(args, parser: argparse.ArgumentParser) -> CommandResult:
     compiled, policies = _load_inputs(args)
-    config = _optimizer_config(args, parser)
+    config = _optimizer_config(args, parser, compiled.model)
     overrides = {"seed": args.seed, "strategy": args.strategy, "guided": args.guided}
     try:
         config = config._replace(**{k: v for k, v in overrides.items() if v is not None})
@@ -252,7 +269,7 @@ def _histogram_doc(hist) -> dict:
 def cmd_analyze(args, parser: argparse.ArgumentParser) -> CommandResult:
     compiled, policies = _load_inputs(args)
     model = compiled.model
-    config = _optimizer_config(args, parser)
+    config = _optimizer_config(args, parser, model)
     if args.seed is not None:
         config = config._replace(sim=config.sim._replace(seed=args.seed))
 
@@ -335,7 +352,7 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
                 _check_activities(
                     compiled.model, solution.policies, f"front file {path}, solution {i}"
                 )
-        cycle_times = CycleTimes(compiled, _run_config(args))
+        cycle_times = CycleTimes(compiled, _run_config(args, compiled.model))
         try:
             baseline = cycle_times.mean(policies)
         except (SimulationError, MetricsError) as err:

@@ -47,20 +47,18 @@ per simulation: `compile_model` validates it and builds its
 fixed durations, sorted eligible resources), and the CLI commands, the
 search's `CandidateEvaluator` and `metrics.CycleTimes` compile once and
 pass it to every `simulate`.  `simulate` compiles a bare
-`ProcessModel` itself.  A `CompiledModel` also holds detection's
-schedule tables (`analytics.ScheduleTables`: per activity, the summed
-open-hour fractions of its resources, where their weekly windows start,
-and the open run from each hour slot), each built the first time a
-detect call reads it, so a search that detects many logs of one model
-builds each once.  What depends on the policy set (the clock-hour
-masks, the waiting-time wakes) is set up once per simulation.  What
-depends on the model, seed and case count but not on the policy set (the
-arrival events and every keyed draw) can be kept in a `SamplePath`: the
-first simulation given one fills it and later ones replay it, with the
-same bytes as drawing afresh.  Only `metrics.CycleTimes` builds one,
-because `batchopt evaluate` re-simulates many policy sets through it
-under one seed; a lone simulation keeps nothing, and a search gives
-each simulation its own seed.  The search keeps its own per-run memo of
+`ProcessModel` itself.  A `CompiledModel` holds only what the engine
+reads; detection's schedule tables are kept by the search that reads
+them (`optimize.CandidateEvaluator.schedules`).  What depends on the
+policy set (the clock-hour masks, the waiting-time wakes) is set up once
+per simulation.  What depends on the model, seed and case count but not
+on the policy set (the arrival events and every keyed draw) can be kept
+in a `SamplePath`: the first simulation given one fills it and later
+ones replay it, with the same bytes as drawing afresh.  Only
+`metrics.CycleTimes` builds one, because `batchopt evaluate`
+re-simulates many policy sets through it under one seed; a lone
+simulation keeps nothing, and a search gives each simulation its own
+seed.  The search keeps its own per-run memo of
 results, and only for seed-free models (see optimize.py).
 
 Records are tuples.  The log's `InstanceRecord` / `BatchRecord` and the
@@ -83,7 +81,6 @@ import math
 from typing import NamedTuple
 
 from . import rng
-from .analytics import ScheduleTables
 from .calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from .codec import check_fields, from_doc
 from .eventlog import (
@@ -230,11 +227,12 @@ class CompiledModel:
     """A validated model and the tables the engine reads from it (its
     or-join pairing is `model.pair_or_splits`, checked by validation),
     built once by `compile_model` and shared by every simulation of the
-    model.  Nothing in it depends on a policy set, a seed or a run."""
+    model.  Nothing in it depends on a policy set, a seed or a run, and
+    the search keeps detection's schedule tables (`CandidateEvaluator`)."""
 
     __slots__ = ("model", "activities", "resources", "gateways", "hops", "branches",
                  "join_arcs", "end_nodes", "or_join_of", "activity_keys", "gateway_keys",
-                 "fixed_work", "eligible", "default_costs", "schedules")
+                 "fixed_work", "eligible", "default_costs")
 
     def __init__(self, model: ProcessModel):
         hops: dict[str, list[tuple[str, str]]] = {}
@@ -283,8 +281,6 @@ class CompiledModel:
         self.default_costs = {
             a.id: CostModel(fixed_cost=a.fixed_cost_per_execution) for a in model.activities
         }
-        # detection's schedule tables, each built when first read
-        self.schedules = ScheduleTables(model)
 
 
 def compile_model(model: ProcessModel) -> CompiledModel:

@@ -12,6 +12,9 @@ until it degenerates into radius-0 hill climbing.
 Every random draw is keyed to an isolated named stream so the two
 strategies consume identical simulation seeds along identical paths.
 
+All three strategies read one move list per evaluated log, derived once
+by `pattern_moves`; rl.py projects it onto its action grid.
+
 HC/SA and RL (rl.py) evaluate candidates through one `CandidateEvaluator`:
 it simulates the initial set, applies each delta, simulates the child,
 audits it, records convergence and aborts once more than half the
@@ -60,12 +63,13 @@ from .interventions import (
     apply_delta,
     delta_to_doc,
     derive_interventions,
+    scale_size_threshold,
 )
 from .model import ProcessModel
 from .pareto import ParetoFront, Solution, distance_to_front, update_front
 from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, policy_set_key
 from .records import Config
-from .rng import Stream, derive_seed, round_half_up, unit
+from .rng import Stream, derive_seed, unit
 
 HC = "hc"
 SA = "sa"
@@ -158,20 +162,21 @@ def _sim_config(config: OptimizerConfig, sim_index: int) -> SimConfig:
 
 _PENDING = object()  # a lazily computed Evaluation field not computed yet
 
+Moves = list[tuple[int, list[PolicyDelta]]]  # see pattern_moves
+
 
 class Evaluation:
     """One simulated policy set: its result, or the error its simulation
     raised, plus what the search derives from its log, each computed at
     most once.  With a memo, every candidate with an equal set shares it."""
 
-    __slots__ = ("result", "error", "stats", "deltas", "actions")
+    __slots__ = ("result", "error", "stats", "moves")
 
     def __init__(self, result: SimResult | None, error: SimulationError | None = None):
         self.result = result
         self.error = error
         self.stats: object = _PENDING  # LogStats, or None when they cannot be computed
-        self.deltas: list[PolicyDelta] | None = None  # HC/SA guided deltas
-        self.actions: dict | None = None  # the RL action map
+        self.moves: Moves | None = None
 
 
 class CandidateEvaluator:
@@ -185,7 +190,8 @@ class CandidateEvaluator:
     `simulate`, `compute_stats` and `apply_delta` are the caller's module
     attributes, so each strategy's calls go through its own module's names.
     The model is compiled here unless it comes compiled, and every
-    simulation of the run shares that compilation.
+    simulation of the run shares that compilation, as every detection
+    shares the model's `ScheduleTables` in `schedules`.
     """
 
     def __init__(self, model: CompiledModel | ProcessModel, config: OptimizerConfig,
@@ -199,6 +205,7 @@ class CandidateEvaluator:
         self._simulate = simulate
         self._compute_stats = compute_stats
         self._apply_delta = apply_delta
+        self.schedules = ScheduleTables(self.model)
         self.memo: dict[tuple, Evaluation] | None = {} if seed_free(self.model) else None
         self.front: ParetoFront | None = None
         self.audit: list[dict] = []
@@ -327,6 +334,15 @@ class CandidateEvaluator:
                 evaluation.stats = None
         return evaluation.stats
 
+    def moves(self, evaluation: Evaluation, policies: PolicySet) -> Moves:
+        """The `pattern_moves` of the evaluation's log under `policies`,
+        derived on first use."""
+        if evaluation.moves is None:
+            evaluation.moves = pattern_moves(
+                self.model, policies, self.stats(evaluation), self.config, self.schedules
+            )
+        return evaluation.moves
+
     def result(self) -> OptimizeResult:
         return OptimizeResult(
             self.front, self.audit, self.convergence, self.simulations, self.failures
@@ -339,19 +355,20 @@ class _Candidate(NamedTuple):
     dist: float
 
 
-def guided_deltas(
+def pattern_moves(
     model: ProcessModel,
     policies: PolicySet,
     stats: LogStats | None,
     config: OptimizerConfig,
     schedules: ScheduleTables,
-) -> list[PolicyDelta]:
-    """All deltas the detected patterns of a log prescribe, given its
-    stats (None when they could not be computed: no deltas) and the
-    model's schedule tables.
-
-    Pattern instances whose derivation cannot be completed are skipped so
-    one odd activity never stalls the search.
+) -> Moves:
+    """The moves the detected patterns of a log prescribe, given its stats
+    (None when they could not be computed: no moves) and the model's
+    schedule tables: one `(scenario_id, deltas)` per detected instance, in
+    detection order.  HC and SA expand every delta, RL's action grid
+    projects them.  A detection that raises gives no moves, and an
+    instance whose derivation raises gives `[]`, so one odd activity never
+    stalls the search.
     """
     if stats is None:
         return []
@@ -361,13 +378,14 @@ def guided_deltas(
         )
     except AnalyticsError:
         return []
-    deltas: list[PolicyDelta] = []
+    moves = []
     for instance in instances:
         try:
-            deltas.extend(derive_interventions(instance, stats, policies, config.intervention))
+            deltas = derive_interventions(instance, stats, policies, config.intervention)
         except InterventionError:
-            continue
-    return deltas
+            deltas = []
+        moves.append((instance.scenario_id, deltas))
+    return moves
 
 
 def random_perturbation(
@@ -417,7 +435,7 @@ def random_perturbation(
                 )
             else:
                 base = 1.0  # a brand-new size condition starts minimal
-            threshold = max(config.min_size, min(config.max_size, round_half_up(lam * base)))
+            threshold = scale_size_threshold((base,), lam, config)
             deltas.append(
                 PolicyDelta(
                     activity_id,
@@ -459,30 +477,6 @@ def random_perturbation(
     return deltas
 
 
-def _candidate_deltas(
-    search: CandidateEvaluator, candidate: _Candidate, iteration: int
-) -> list[PolicyDelta]:
-    config = search.config
-    evaluation = candidate.evaluation
-    stats = search.stats(evaluation)
-    if evaluation.deltas is None:
-        evaluation.deltas = guided_deltas(
-            search.model, candidate.solution.policies, stats, config, search.compiled.schedules
-        )
-    if config.guided:
-        return evaluation.deltas
-    # the unguided baseline spends exactly the budget the guided search
-    # would have spent on this candidate, but on random moves
-    return random_perturbation(
-        search.model,
-        stats,
-        candidate.solution.policies,
-        seed=derive_seed(config.seed, "perturb", iteration),
-        config=config.intervention,
-        count=len(evaluation.deltas),
-    )
-
-
 def optimize_hc_sa(
     model: CompiledModel | ProcessModel, initial_policies: PolicySet, config: OptimizerConfig
 ) -> OptimizeResult:
@@ -513,8 +507,21 @@ def optimize_hc_sa(
         else:
             at = int(pop_stream.next_unit() * len(queue))
         parent = queue.pop(at)
+        policies = parent.solution.policies
+        deltas = [d for _, derived in search.moves(parent.evaluation, policies) for d in derived]
+        if not config.guided:
+            # the unguided baseline spends exactly the budget the guided
+            # search would have spent on this candidate, but on random moves
+            deltas = random_perturbation(
+                search.model,
+                search.stats(parent.evaluation),
+                policies,
+                seed=derive_seed(config.seed, "perturb", iteration),
+                config=config.intervention,
+                count=len(deltas),
+            )
 
-        for delta in _candidate_deltas(search, parent, iteration):
+        for delta in deltas:
             if search.simulations >= config.max_solutions:
                 break
             evaluated = search.evaluate(

@@ -1,12 +1,13 @@
 """Policy-gradient search over the fixed intervention action space.
 
 The agent walks the policy space one intervention per iteration: it
-detects patterns on the current candidate's log, masks the fixed
-(pattern id, option slot) action grid down to the interventions that are
-actually available, samples one from a linear softmax policy, simulates
-it, and scores the move against the current front (dominate > improve >
-penalty).  A linear state-value head provides the baseline and training
-uses the clipped-ratio surrogate on full experience buffers.
+takes the pattern moves of the current candidate's log (the list HC and
+SA expand, `optimize.pattern_moves`), masks the fixed (pattern id,
+option slot) action grid down to the interventions they make available,
+samples one from a linear softmax policy, simulates it, and scores the
+move against the current front (dominate > improve > penalty).  A
+linear state-value head provides the baseline and training uses the
+clipped-ratio surrogate on full experience buffers.
 """
 
 from __future__ import annotations
@@ -14,25 +15,14 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .analytics import (
-    SCENARIO_IDS,
-    AnalyticsError,
-    LogStats,
-    ScheduleTables,
-    compute_stats,
-    detect_scenarios_from_stats,
-)
+from .analytics import SCENARIO_IDS, AnalyticsError, LogStats, compute_stats
 from .engine import CompiledModel, simulate
-from .interventions import (
-    InterventionError,
-    PolicyDelta,
-    apply_delta,
-    derive_interventions,
-)
+from .interventions import PolicyDelta, apply_delta
 from .model import ProcessModel
 from .optimize import (
     RL,
     CandidateEvaluator,
+    Moves,
     OptimizeResult,
     OptimizerConfig,
     OptimizerError,
@@ -42,6 +32,11 @@ from .pareto import ParetoFront, Point, Solution, dominates, update_front
 from .policy import PolicySet
 from .reduce import dot, mean, pairwise_sum, running_sum
 from .rng import unit
+
+# not called here (optimize.pattern_moves derives RL's moves), but the
+# benchmark's layer trace (perfbench/layers.py) wraps them under this name
+from .analytics import detect_scenarios_from_stats  # noqa: F401
+from .interventions import derive_interventions  # noqa: F401
 
 ACTION_SLOTS = 4  # options kept per pattern id (one per scaling factor slot)
 N_ACTIONS = len(SCENARIO_IDS) * ACTION_SLOTS
@@ -100,40 +95,19 @@ def state_vector(
     return features
 
 
-def available_actions(
-    model: ProcessModel,
-    policies: PolicySet,
-    config: OptimizerConfig,
-    stats: LogStats | None,
-    schedules: ScheduleTables | None = None,
-) -> dict[int, PolicyDelta]:
-    """The unmasked slice of the action grid for a log, given its stats
-    (None when they could not be computed: no actions) and, to reuse
-    across calls, the model's schedule tables.
+def available_actions(moves: Moves) -> dict[int, PolicyDelta]:
+    """The unmasked slice of the action grid for a log's `pattern_moves`.
 
     Action id (pattern_id - 1) * ACTION_SLOTS + j selects the j-th delta
     derived for the first detected instance of that pattern (instances
-    are ordered by activity, so the mapping is deterministic)."""
-    if stats is None:
-        return {}
-    try:
-        instances = detect_scenarios_from_stats(
-            model, policies, stats, config.detection, schedules
-        )
-    except AnalyticsError:
-        return {}
-    first_of = {}
-    for inst in instances:
-        first_of.setdefault(inst.scenario_id, inst)
-    actions: dict[int, PolicyDelta] = {}
-    for sid, inst in sorted(first_of.items()):
-        try:
-            deltas = derive_interventions(inst, stats, policies, config.intervention)
-        except InterventionError:
-            continue
-        for j, delta in enumerate(deltas[:ACTION_SLOTS]):
-            actions[(sid - 1) * ACTION_SLOTS + j] = delta
-    return actions
+    are ordered by activity, so the mapping is deterministic); a first
+    instance whose derivation failed gives its pattern no action."""
+    first_of = dict(reversed(moves))  # the first instance of each pattern
+    return {
+        (sid - 1) * ACTION_SLOTS + j: delta
+        for sid, deltas in sorted(first_of.items())
+        for j, delta in enumerate(deltas[:ACTION_SLOTS])
+    }
 
 
 class _Transition(NamedTuple):
@@ -218,12 +192,7 @@ def optimize_rl(
     buffer: list[_Transition] = []
 
     for iteration in range(1, rl.max_iterations + 1):
-        if evaluation.actions is None:
-            evaluation.actions = available_actions(
-                model, current.policies, config, search.stats(evaluation),
-                search.compiled.schedules,
-            )
-        actions = evaluation.actions
+        actions = available_actions(search.moves(evaluation, current.policies))
         if not actions:
             break
         mask = tuple(sorted(actions))

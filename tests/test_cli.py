@@ -1078,3 +1078,44 @@ def test_a_clock_not_spelled_hh_mm_is_a_schema_failure(tmp_path, capsys, clock):
     assert main(["simulate", "--model", model, "--policies", policies, "--out", str(out)]) == 3
     assert "$.resources[0].calendar[1]: bad clock value" in capsys.readouterr().err
     assert not out.exists()
+
+
+CIRCADIAN_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "circadian"
+
+
+def warmup_argv(tmp_path: Path, command: str, run: dict) -> list[str]:
+    """`command` on the circadian benchmark inputs (32 cases) with the run
+    controls `run`, in the config file the command reads them from."""
+    config = write_json(tmp_path / "config.json", run if command in ("simulate", "evaluate")
+                        else {"maxSolutions": 3, "sim": run})
+    inputs = ["--model", str(CIRCADIAN_INPUTS / "model.json"),
+              "--policies", str(CIRCADIAN_INPUTS / "policies.json"), "--config", config]
+    if command == "evaluate":
+        return ["evaluate", str(CIRCADIAN_INPUTS / "front-hc-guided.json"),
+                str(CIRCADIAN_INPUTS / "front-sa-guided.json")] + inputs
+    return [command] + inputs
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+@pytest.mark.parametrize(
+    "run, total",
+    [({"warmup": 32}, 32), ({"warmup": 40}, 32), ({"totalCases": 5, "warmup": 5}, 5)],
+    ids=["model-count", "above-model-count", "config-count"],
+)
+def test_a_warmup_that_leaves_no_case_is_a_schema_failure_of_every_command(
+    tmp_path, capsys, command, run, total
+):
+    # rejected at load, naming the config file, before anything simulates
+    out = tmp_path / "out"
+    assert main(warmup_argv(tmp_path, command, run) + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"config file {tmp_path / 'config.json'}: warmup {run['warmup']} must be smaller " \
+        f"than the case count {total}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+def test_a_warmup_one_below_the_case_count_runs(tmp_path, command):
+    out = tmp_path / "out"
+    argv = warmup_argv(tmp_path, command, {"totalCases": 5, "warmup": 4})
+    assert main(argv + ["--out", str(out)]) == EXIT_OK

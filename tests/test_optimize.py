@@ -8,14 +8,16 @@ from batchopt import rl as rlmod
 from batchopt.analytics import compute_stats
 from batchopt.codec import to_doc
 from batchopt.engine import SimulationError, seed_free, simulate
-from batchopt.fixtures import enumerate_oracle_front, get_fixture
+from batchopt.fixtures import all_fixtures, enumerate_oracle_front, get_fixture
 from batchopt.interventions import (
     InterventionConfig,
+    InterventionError,
     SCALE_SIZE,
     TOGGLE_BATCH_TYPE,
     PolicyDelta,
     apply_delta,
     delta_to_doc,
+    derive_interventions,
 )
 from batchopt.pareto import front_to_doc
 from batchopt.policy import (
@@ -194,6 +196,73 @@ class TestRandomPerturbation:
 
     def test_count_respected(self):
         assert len(self.draws(count=11)) == 11
+
+
+class TestPatternMoves:
+    """HC, SA and RL read one move list per evaluated log: HC and SA
+    expand every delta of every instance, RL's grid the first instance per
+    pattern."""
+
+    @staticmethod
+    def root_moves(fixture):
+        search = opt.CandidateEvaluator(
+            fixture.model(), opt.OptimizerConfig(), simulate, compute_stats, apply_delta
+        )
+        root, evaluation = search.start(fixture.policies(), dist=0.0, enqueued=True)
+        return search.moves(evaluation, root.policies)
+
+    @staticmethod
+    def root_expansion(fixture, strategy):
+        """The deltas a guided search simulates from the initial set."""
+        config = opt.OptimizerConfig(strategy=strategy, max_solutions=50)
+        result = opt.optimize_hc_sa(fixture.model(), fixture.policies(), config)
+        return [row["delta"] for row in result.audit if row["iteration"] == 1]
+
+    @staticmethod
+    def fail_first_derivation(monkeypatch, sid):
+        """Make the search's derivation raise for the first instance of
+        pattern `sid` it is given, and derive every other as before."""
+        failed = []
+
+        def derive(instance, *args):
+            if instance.scenario_id == sid and not failed:
+                failed.append(instance)
+                raise InterventionError("cannot derive")
+            return derive_interventions(instance, *args)
+
+        monkeypatch.setattr(opt, "derive_interventions", derive)
+
+    def test_a_failed_derivation_drops_its_rl_pattern_but_not_the_other_instances(
+        self, monkeypatch
+    ):
+        fx = get_fixture("cost-hog")
+        moves = self.root_moves(fx)
+        sid = 12
+        first, second = [i for i, (s, _) in enumerate(moves) if s == sid]
+        assert moves[first][1] and moves[second][1]
+
+        self.fail_first_derivation(monkeypatch, sid)
+        patched = self.root_moves(fx)
+        assert patched == [(s, [] if i == first else d) for i, (s, d) in enumerate(moves)]
+        actions = rlmod.available_actions(patched)
+        assert {a // rlmod.ACTION_SLOTS + 1 for a in actions} == {s for s, _ in moves} - {sid}
+        assert actions == {
+            a: delta for a, delta in rlmod.available_actions(moves).items()
+            if a // rlmod.ACTION_SLOTS + 1 != sid
+        }
+        for strategy in ("hc", "sa"):
+            self.fail_first_derivation(monkeypatch, sid)
+            expansion = self.root_expansion(fx, strategy)
+            assert expansion == [delta_to_doc(d) for _, deltas in patched for d in deltas]
+            assert all(delta_to_doc(d) in expansion for d in moves[second][1])
+
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_every_rl_action_is_a_move_hc_and_sa_expand(self, fixture):
+        actions = rlmod.available_actions(self.root_moves(fixture))
+        assert actions
+        for strategy in ("hc", "sa"):
+            expansion = self.root_expansion(fixture, strategy)
+            assert all(delta_to_doc(d) in expansion for d in actions.values())
 
 
 class TestHillClimbing:

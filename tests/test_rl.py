@@ -1,7 +1,8 @@
 import pytest
 
+from batchopt import optimize as opt
 from batchopt import rl as rlmod
-from batchopt.analytics import compute_stats
+from batchopt.analytics import ScheduleTables, compute_stats
 from batchopt.engine import simulate
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.interventions import InterventionConfig
@@ -72,22 +73,27 @@ class TestActionGrid:
         result = simulate(self.model, self.policies, self.fixture.sim_config())
         self.stats = compute_stats(result.log, self.model)
 
+    def moves(self, config, stats):
+        return opt.pattern_moves(
+            self.model, self.policies, stats, config, ScheduleTables(self.model)
+        )
+
     def test_grid_covers_exactly_the_detected_patterns(self):
         config = rl_config(self.fixture, intervention=InterventionConfig(max_size=8))
-        actions = rlmod.available_actions(self.model, self.policies, config, self.stats)
+        actions = rlmod.available_actions(self.moves(config, self.stats))
         sids = {a // rlmod.ACTION_SLOTS + 1 for a in actions}
         assert sids == set(self.fixture.scenario_ids)
 
     def test_action_ids_line_up_with_slots(self):
         config = rl_config(self.fixture, intervention=InterventionConfig(max_size=8))
-        actions = rlmod.available_actions(self.model, self.policies, config, self.stats)
+        actions = rlmod.available_actions(self.moves(config, self.stats))
         for action_id in actions:
             assert 0 <= action_id < rlmod.N_ACTIONS
             assert action_id % rlmod.ACTION_SLOTS < rlmod.ACTION_SLOTS
 
     def test_no_stats_no_actions(self):
         config = rl_config(self.fixture)
-        assert rlmod.available_actions(self.model, self.policies, config, None) == {}
+        assert rlmod.available_actions(self.moves(config, None)) == {}
 
     def test_state_vector_length(self):
         point = (100.0, 10.0)
