@@ -825,7 +825,8 @@ def simulate(
     may pass a `SamplePath` to replay the arrivals and draws of an earlier
     simulation of that compiled model under the same seed and case count.
     The returned log is complete (warmup included); the objective values
-    exclude the warmup cases.
+    exclude the warmup cases.  A cycle time or cost total that overflows
+    to inf raises SimulationError.
     """
     compiled = as_compiled(model)
     total = config.total_cases or compiled.model.arrival.total_cases
@@ -833,7 +834,13 @@ def simulate(
         raise SimulationError("warmup must be smaller than the case count")
     log = _Engine(compiled, policies, config, path).run()
     trimmed = filter_warmup(log, config.warmup)
-    return SimResult(log, evaluate_objectives(trimmed, config.cycle_time_mode))
+    objectives = evaluate_objectives(trimmed, config.cycle_time_mode)
+    if not (math.isfinite(objectives.total_cycle_time) and math.isfinite(objectives.total_cost)):
+        raise SimulationError(
+            f"objective totals overflow: cycle time {objectives.total_cycle_time!r}, "
+            f"cost {objectives.total_cost!r}"
+        )
+    return SimResult(log, objectives)
 
 
 def parse_sim_config(doc) -> SimConfig:

@@ -1,4 +1,4 @@
-"""Turning detected inefficiency patterns into concrete policy edits.
+"""The policy moves of both search arms, and their application.
 
 Each detected pattern prescribes a direction (shrink or grow the size
 threshold, add or retune a waiting threshold, align firing with a
@@ -7,15 +7,27 @@ PolicyDelta per applicable scaling factor.  The numbers behind a delta
 come from the activity's `ActivityStats` (wait series, batch sizes,
 cost, count histograms), except for what only detection computes: the
 model-derived schedule histograms of patterns 4 and 8 and the aligned
-waits of pattern 9, which the `ScenarioInstance` carries.  apply_delta
+waits of pattern 9, which the `ScenarioInstance` carries.
+random_perturbation draws the unguided arm's moves instead.  Both arms
+build a waiting-threshold move with `wait_move`, a size move with
+`size_move` and the fixed cost of a created policy with `cost_seed`, so
+the arms differ only in where a move's parameters come from.  apply_delta
 executes a delta as a pure function from policy set to policy set.  See
 docs/patterns.md.
 """
 
 from __future__ import annotations
 
-from .analytics import AnalyticsError, Bucket, LogStats, ScenarioInstance, top_buckets
+from .analytics import (
+    ActivityStats,
+    AnalyticsError,
+    Bucket,
+    LogStats,
+    ScenarioInstance,
+    top_buckets,
+)
 from .codec import check_fields, finite_number
+from .model import ProcessModel
 from .policy import (
     DAILY_HOUR,
     PARALLEL,
@@ -38,7 +50,7 @@ from .policy import (
 )
 from .records import Config, Record
 from .reduce import mean
-from .rng import round_half_up
+from .rng import round_half_up, unit
 
 
 #: patterns whose prescribed fix shrinks the size threshold
@@ -154,8 +166,11 @@ def scale_size_threshold(sizes, lam: float, config: InterventionConfig = Interve
         raise InterventionError("cannot scale a size threshold without observed batch sizes")
     if lam <= 0:
         raise InterventionError(f"scaling factor must be positive, got {lam}")
-    scaled = round_half_up(lam * mean(sizes))
-    return max(config.min_size, min(config.max_size, scaled))
+    scaled = lam * mean(sizes)
+    # clamped before rounding: an inf product cannot be rounded, and
+    # rounding max_size itself is off by one past 2**52
+    size = config.max_size if scaled >= config.max_size else round_half_up(scaled)
+    return max(config.min_size, size)
 
 
 def compute_wt_first_threshold(per_batch_max_waits, lam: float) -> float:
@@ -182,6 +197,37 @@ def build_schedule_set(histogram, top_k: int) -> tuple[Bucket, ...]:
     return tuple(chosen)
 
 
+# -- the moves both arms share ------------------------------------------------
+
+
+def cost_seed(astats: ActivityStats | None) -> float:
+    """The fixed cost of a policy that a move creates: the activity's mean
+    cost per execution, 0 when it never ran."""
+    if astats is None or astats.execution_count == 0:
+        return 0.0
+    return astats.total_cost / astats.execution_count
+
+
+def wait_move(policy: BatchingPolicy | None, activity_id: str, condition_kind: str,
+              threshold: float, **provenance) -> PolicyDelta:
+    """Set a waiting threshold: retune the rule's conditions of that kind
+    when it has any, else add one in a group of its own.  `provenance`
+    holds the other `PolicyDelta` fields."""
+    retune = policy is not None and policy.rule.has_kind(condition_kind)
+    kind = REPLACE_THRESHOLD if retune else ADD_CONDITION
+    return PolicyDelta(
+        activity_id, kind, condition_kind=condition_kind, new_threshold=threshold, **provenance
+    )
+
+
+def size_move(activity_id: str, sizes, lam: float, seed_cost: float,
+              config: InterventionConfig, scenario_id: int = 0) -> PolicyDelta:
+    """Set the size threshold to `scale_size_threshold(sizes, lam)`."""
+    threshold = float(scale_size_threshold(sizes, lam, config))
+    return PolicyDelta(activity_id, SCALE_SIZE, scenario_id, lam, new_threshold=threshold,
+                       new_policy_fixed_cost=seed_cost)
+
+
 # -- pattern -> deltas ------------------------------------------------------
 
 
@@ -202,25 +248,6 @@ def derive_interventions(
     policy = policies.get(activity_id)
     deltas: list[PolicyDelta] = []
 
-    def wait_delta(condition_kind, waits, compute):
-        for lam in config.shrink_factors:
-            threshold = compute(waits, lam)
-            kind = (
-                REPLACE_THRESHOLD
-                if policy is not None and policy.rule.has_kind(condition_kind)
-                else ADD_CONDITION
-            )
-            deltas.append(
-                PolicyDelta(
-                    activity_id=activity_id,
-                    kind=kind,
-                    scenario_id=sid,
-                    scale=lam,
-                    condition_kind=condition_kind,
-                    new_threshold=threshold,
-                )
-            )
-
     def schedule_delta(histogram, constrain=False):
         return PolicyDelta(
             activity_id=activity_id,
@@ -230,14 +257,18 @@ def derive_interventions(
             constrain=constrain,
         )
 
-    if sid == 1:
+    if sid in (1, 2):
         if policy is None:
-            raise InterventionError("pattern 1 requires a batched activity")
-        wait_delta(WT_FIRST, a.per_batch_max_waits, compute_wt_first_threshold)
-    elif sid == 2:
-        if policy is None:
-            raise InterventionError("pattern 2 requires a batched activity")
-        wait_delta(WT_LAST, a.per_batch_min_waits, compute_wt_last_threshold)
+            raise InterventionError(f"pattern {sid} requires a batched activity")
+        kind, waits, compute = (
+            (WT_FIRST, a.per_batch_max_waits, compute_wt_first_threshold)
+            if sid == 1
+            else (WT_LAST, a.per_batch_min_waits, compute_wt_last_threshold)
+        )
+        deltas.extend(
+            wait_move(policy, activity_id, kind, compute(waits, lam), scenario_id=sid, scale=lam)
+            for lam in config.shrink_factors
+        )
     elif sid == 3:
         for histogram in (a.enablement_histogram, a.execution_histogram):
             delta = schedule_delta(histogram)
@@ -250,47 +281,85 @@ def derive_interventions(
     elif sid == 9:
         if not instance.aligned_first_waits or not instance.aligned_last_waits:
             raise InterventionError("pattern 9 instance lacks window-aligned waits")
-        for lam in config.scale_grid:
-            deltas.append(
-                PolicyDelta(
-                    activity_id=activity_id,
-                    kind=SET_WAIT_THRESHOLDS,
-                    scenario_id=sid,
-                    scale=lam,
-                    new_threshold=lam * mean(instance.aligned_first_waits),
-                    new_last_threshold=lam * mean(instance.aligned_last_waits),
-                )
-            )
+        first, last = mean(instance.aligned_first_waits), mean(instance.aligned_last_waits)
+        deltas.extend(
+            PolicyDelta(activity_id, SET_WAIT_THRESHOLDS, sid, lam, new_threshold=lam * first,
+                        new_last_threshold=lam * last)
+            for lam in config.scale_grid
+        )
     elif sid in SHRINK_SIZE_SCENARIOS or sid in GROW_SIZE_SCENARIOS:
         factors = (
             config.shrink_factors if sid in SHRINK_SIZE_SCENARIOS else config.grow_factors
         )
-        for lam in factors:
-            deltas.append(
-                PolicyDelta(
-                    activity_id=activity_id,
-                    kind=SCALE_SIZE,
-                    scenario_id=sid,
-                    scale=lam,
-                    new_threshold=float(scale_size_threshold(a.batch_sizes, lam, config)),
-                    new_policy_fixed_cost=a.total_cost / a.execution_count,
-                )
-            )
+        deltas.extend(
+            size_move(activity_id, a.batch_sizes, lam, cost_seed(a), config, scenario_id=sid)
+            for lam in factors
+        )
     else:
         raise InterventionError(f"no intervention mapping for pattern {sid}")
     return deltas
 
 
+# -- random moves -------------------------------------------------------------
+
+DEFAULT_PERTURBATIONS = 5
+FALLBACK_MAX_WAIT = 8 * 3600.0  # waiting-threshold draw range when no batch waited
+
+
+def random_perturbation(
+    model: ProcessModel,
+    stats: LogStats | None,
+    policies: PolicySet,
+    seed: int,
+    config: InterventionConfig = InterventionConfig(),
+    count: int = DEFAULT_PERTURBATIONS,
+) -> list[PolicyDelta]:
+    """count random moves of the unguided arm, uniform over five move
+    kinds: rescale the first size threshold (1 when the rule has none),
+    set either waiting threshold (drawn up to the longest per-batch wait
+    seen), add a random weekly slot, or flip the batch type (batched
+    activities only).
+
+    Draws are keyed on (seed, move index) so a fixed seed reproduces the
+    exact list regardless of call order."""
+    activities = sorted(a.id for a in model.activities)
+    by_activity = {a.activity_id: a for a in stats.activities} if stats is not None else {}
+    waits = [max(a.per_batch_max_waits) for a in by_activity.values() if a.per_batch_max_waits]
+    max_wait = float(max(waits, default=0)) or FALLBACK_MAX_WAIT
+
+    deltas = []
+    for i in range(count):
+        activity_id = activities[int(unit(seed, i, "activity") * len(activities))]
+        policy = policies.get(activity_id)
+        seed_cost = cost_seed(by_activity.get(activity_id))
+        kinds = [SCALE_SIZE, WT_FIRST, WT_LAST, ADD_SCHEDULE]
+        if policy is not None:
+            kinds.append(TOGGLE_BATCH_TYPE)
+        kind = kinds[int(unit(seed, i, "kind") * len(kinds))]
+        if kind == SCALE_SIZE:
+            lam = config.scale_grid[int(unit(seed, i, "lambda") * len(config.scale_grid))]
+            groups = policy.rule.groups if policy is not None else ()
+            size = next((g.find(SIZE) for g in groups if g.find(SIZE)), None)
+            base = size.threshold if size is not None else 1.0  # a new condition starts minimal
+            deltas.append(size_move(activity_id, (base,), lam, seed_cost, config))
+        elif kind in (WT_FIRST, WT_LAST):
+            threshold = unit(seed, i, "wait") * max_wait
+            deltas.append(
+                wait_move(policy, activity_id, kind, threshold, new_policy_fixed_cost=seed_cost)
+            )
+        elif kind == ADD_SCHEDULE:
+            slot = (int(unit(seed, i, "day") * 7), int(unit(seed, i, "hour") * 24))
+            deltas.append(
+                PolicyDelta(
+                    activity_id, ADD_SCHEDULE, schedule=(slot,), new_policy_fixed_cost=seed_cost
+                )
+            )
+        else:
+            deltas.append(PolicyDelta(activity_id, TOGGLE_BATCH_TYPE))
+    return deltas
+
+
 # -- delta application ------------------------------------------------------
-
-
-def _fresh_policy(delta: PolicyDelta) -> BatchingPolicy:
-    return BatchingPolicy(
-        activity_id=delta.activity_id,
-        batch_type=PARALLEL,
-        rule=ActivationRule(),
-        cost=CostModel(fixed_cost=delta.new_policy_fixed_cost),
-    )
 
 
 def _replace_thresholds(rule: ActivationRule, kind: str, value: float) -> ActivationRule:
@@ -318,10 +387,6 @@ def _set_or_append(rule: ActivationRule, kind: str, condition: Condition, value:
     if rule.has_kind(kind):
         return _replace_thresholds(rule, kind, value)
     return _append_group(rule, condition)
-
-
-def _schedule_group(day: int, hour: int) -> tuple[Condition, Condition]:
-    return (on_days(day), in_hours(hour))
 
 
 def _constrain_with_schedule(rule: ActivationRule, schedule) -> ActivationRule:
@@ -369,13 +434,13 @@ def apply_delta(policies: PolicySet, delta: PolicyDelta) -> PolicySet:
     A delta touching an unbatched activity first gives it a parallel
     policy with an empty rule, then edits that."""
     policy = policies.get(delta.activity_id)
-    created = policy is None
-    if created:
+    if policy is None:
         if delta.kind == TOGGLE_BATCH_TYPE:
             raise InterventionError(
                 f"cannot toggle batch type: activity {delta.activity_id!r} is not batched"
             )
-        policy = _fresh_policy(delta)
+        policy = BatchingPolicy(delta.activity_id, PARALLEL, ActivationRule(),
+                                CostModel(fixed_cost=delta.new_policy_fixed_cost))
 
     rule = policy.rule
     batch_type = policy.batch_type
@@ -384,8 +449,6 @@ def apply_delta(policies: PolicySet, delta: PolicyDelta) -> PolicySet:
             rule = _append_group(rule, wait_first_at_least(delta.new_threshold))
         elif delta.condition_kind == WT_LAST:
             rule = _append_group(rule, wait_last_at_least(delta.new_threshold))
-        elif delta.condition_kind == SIZE:
-            rule = _append_group(rule, size_at_least(int(delta.new_threshold)))
         else:
             raise InterventionError(f"cannot add condition of kind {delta.condition_kind!r}")
     elif delta.kind == REPLACE_THRESHOLD:
@@ -404,17 +467,12 @@ def apply_delta(policies: PolicySet, delta: PolicyDelta) -> PolicySet:
             rule = _constrain_with_schedule(rule, delta.schedule)
         else:
             for day, hour in delta.schedule:
-                rule = _append_group(rule, *_schedule_group(day, hour))
+                rule = _append_group(rule, on_days(day), in_hours(hour))
     elif delta.kind == TOGGLE_BATCH_TYPE:
         batch_type = SEQUENTIAL if batch_type == PARALLEL else PARALLEL
     else:
         raise InterventionError(f"unknown delta kind {delta.kind!r}")
 
     out = dict(policies)
-    out[delta.activity_id] = BatchingPolicy(
-        activity_id=delta.activity_id,
-        batch_type=batch_type,
-        rule=rule,
-        cost=policy.cost,
-    )
+    out[delta.activity_id] = BatchingPolicy(delta.activity_id, batch_type, rule, policy.cost)
     return out

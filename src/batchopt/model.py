@@ -20,6 +20,7 @@ from .calendars import (
     parse_weekday,
 )
 from .codec import ParseError, read, read_strings, reject_unknown_keys
+from .eventlog import LAST_INSTANT
 from .records import Record
 from .reduce import running_sum
 
@@ -147,6 +148,12 @@ def _distribution_violations(dist: DurationDistribution, where: str) -> list[str
         f"{where}: {name} must be finite, got {value!r}"
         for name, value in dist.params
         if not math.isfinite(value)
+    ]
+    out += [
+        f"{where}: {name} must be at most {LAST_INSTANT} s, the last instant of a log, "
+        f"got {value!r}"
+        for name, value in dist.params
+        if math.isfinite(value) and value > LAST_INSTANT
     ]
     if out:
         return out

@@ -3,11 +3,13 @@ simulated-annealing skeleton.
 
 Both strategies expand one queued candidate per outer iteration into a
 set of policy deltas (guided: derived from the candidate's own detected
-inefficiency patterns; unguided: the same number of random moves),
+inefficiency patterns; unguided: the same number of random moves from
+`interventions.random_perturbation`, built by the same move constructors),
 simulate each delta, and keep non-dominated results.  Hill climbing also
 keeps near-front candidates within a distance radius; annealing keeps
 distant candidates with probability e^(-dist/temperature) and cools
-until it degenerates into radius-0 hill climbing.
+until it degenerates into radius-0 hill climbing.  This module spells no
+move itself: every delta kind lives in `interventions`.
 
 Every random draw is keyed to an isolated named stream so the two
 strategies consume identical simulation seeds along identical paths.
@@ -52,33 +54,26 @@ from .engine import (
     simulate,
 )
 from .interventions import (
-    ADD_CONDITION,
-    ADD_SCHEDULE,
-    REPLACE_THRESHOLD,
-    SCALE_SIZE,
-    TOGGLE_BATCH_TYPE,
     InterventionConfig,
     InterventionError,
     PolicyDelta,
     apply_delta,
     delta_to_doc,
     derive_interventions,
-    scale_size_threshold,
+    random_perturbation,
 )
 from .model import ProcessModel
 from .pareto import ParetoFront, Solution, distance_to_front, update_front
-from .policy import SIZE, WT_FIRST, WT_LAST, PolicySet, policy_set_key
+from .policy import PolicySet, policy_set_key
 from .records import Config
-from .rng import Stream, derive_seed, unit
+from .rng import Stream, derive_seed
 
 HC = "hc"
 SA = "sa"
 RL = "rl"
 STRATEGIES = (HC, SA, RL)
 
-DEFAULT_PERTURBATIONS = 5
 MAX_BUDGET = 1_000_000  # the most simulations, iterations or epochs a config document may ask
-FALLBACK_MAX_WAIT = 8 * 3600.0  # threshold draw range when nothing was observed
 
 CONVERGENCE_CSV_HEADER = "simulations,best_cycle_time,best_cost"
 
@@ -386,95 +381,6 @@ def pattern_moves(
             deltas = []
         moves.append((instance.scenario_id, deltas))
     return moves
-
-
-def random_perturbation(
-    model: ProcessModel,
-    stats: LogStats | None,
-    policies: PolicySet,
-    seed: int,
-    config: InterventionConfig = InterventionConfig(),
-    count: int = DEFAULT_PERTURBATIONS,
-) -> list[PolicyDelta]:
-    """count random neighborhood moves, uniform over five move kinds:
-    rescale a size threshold, retune either waiting threshold, add a
-    random weekly slot, or flip the batch type (batched activities only).
-
-    Draws are keyed on (seed, move index) so a fixed seed reproduces the
-    exact list regardless of call order."""
-    activities = sorted(a.id for a in model.activities)
-    stats_by_activity = {}
-    max_wait = 0.0
-    if stats is not None:
-        for a in stats.activities:
-            stats_by_activity[a.activity_id] = a
-            if a.per_batch_max_waits:
-                max_wait = max(max_wait, float(max(a.per_batch_max_waits)))
-    if max_wait <= 0:
-        max_wait = FALLBACK_MAX_WAIT
-
-    deltas = []
-    for i in range(count):
-        activity_id = activities[int(unit(seed, i, "activity") * len(activities))]
-        policy = policies.get(activity_id)
-        astats = stats_by_activity.get(activity_id)
-        cost_seed = 0.0
-        if astats is not None and astats.execution_count > 0:
-            cost_seed = astats.total_cost / astats.execution_count
-        kinds = [SCALE_SIZE, WT_FIRST, WT_LAST, ADD_SCHEDULE]
-        if policy is not None:
-            kinds.append(TOGGLE_BATCH_TYPE)
-        kind = kinds[int(unit(seed, i, "kind") * len(kinds))]
-
-        if kind == SCALE_SIZE:
-            grid = config.scale_grid
-            lam = grid[int(unit(seed, i, "lambda") * len(grid))]
-            if policy is not None and policy.rule.has_kind(SIZE):
-                base = next(
-                    g.find(SIZE).threshold for g in policy.rule.groups if g.find(SIZE)
-                )
-            else:
-                base = 1.0  # a brand-new size condition starts minimal
-            threshold = scale_size_threshold((base,), lam, config)
-            deltas.append(
-                PolicyDelta(
-                    activity_id,
-                    SCALE_SIZE,
-                    scale=lam,
-                    new_threshold=float(threshold),
-                    new_policy_fixed_cost=cost_seed,
-                )
-            )
-        elif kind in (WT_FIRST, WT_LAST):
-            threshold = unit(seed, i, "wait") * max_wait
-            op = (
-                REPLACE_THRESHOLD
-                if policy is not None and policy.rule.has_kind(kind)
-                else ADD_CONDITION
-            )
-            deltas.append(
-                PolicyDelta(
-                    activity_id,
-                    op,
-                    condition_kind=kind,
-                    new_threshold=threshold,
-                    new_policy_fixed_cost=cost_seed,
-                )
-            )
-        elif kind == ADD_SCHEDULE:
-            day = int(unit(seed, i, "day") * 7)
-            hour = int(unit(seed, i, "hour") * 24)
-            deltas.append(
-                PolicyDelta(
-                    activity_id,
-                    ADD_SCHEDULE,
-                    schedule=((day, hour),),
-                    new_policy_fixed_cost=cost_seed,
-                )
-            )
-        else:
-            deltas.append(PolicyDelta(activity_id, TOGGLE_BATCH_TYPE))
-    return deltas
 
 
 def optimize_hc_sa(

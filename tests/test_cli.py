@@ -1119,3 +1119,91 @@ def test_a_warmup_one_below_the_case_count_runs(tmp_path, command):
     out = tmp_path / "out"
     argv = warmup_argv(tmp_path, command, {"totalCases": 5, "warmup": 4})
     assert main(argv + ["--out", str(out)]) == EXIT_OK
+
+
+def two_batch_with(tmp_path: Path, mutate) -> tuple[list[str], list[str], Path]:
+    """The model and policies arguments of a two-batch copy that
+    `mutate(model_doc, policies_doc)` edits, two fronts of its policies for
+    `evaluate`, and the output directory."""
+    fixture = get_fixture("two-batch")
+    model_doc = json.loads(json.dumps(fixture.model_doc))
+    policies_doc = json.loads(json.dumps(fixture.policies_doc))
+    mutate(model_doc, policies_doc)
+    model = write_json(tmp_path / "model.json", model_doc)
+    policies = write_json(tmp_path / "policies.json", policies_doc)
+    fronts = [
+        write_json(tmp_path / f"front-{i}.json",
+                   {"solutions": [{"point": point, "policies": fixture.policies_doc}]})
+        for i, point in enumerate(([1.0, 1.0], [2.0, 0.5]))
+    ]
+    return ["--model", model, "--policies", policies], fronts, tmp_path / "out"
+
+
+def command_argv(command: str, inputs: list[str], fronts: list[str], out: Path) -> list[str]:
+    return [command] + (fronts if command == "evaluate" else []) + inputs + ["--out", str(out)]
+
+
+def overflow_cost(how):
+    def mutate(model_doc, policies_doc):
+        if how == "cost-per-time-unit":
+            model_doc["resources"][0]["costPerTimeUnit"] = 1e308
+        else:
+            policies_doc["policies"][0]["cost"]["fixedCost"] = 1.7e308
+    return mutate
+
+
+@pytest.mark.parametrize("how", ["cost-per-time-unit", "fixed-cost"])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+def test_a_cost_total_that_overflows_is_a_runtime_failure_of_every_command(
+    tmp_path, capsys, command, how
+):
+    # the cost total overflows to inf: no `Infinity` in a JSON output and
+    # no traceback; evaluate --model fails too, though its gain reads only
+    # cycle times
+    inputs, fronts, out = two_batch_with(tmp_path, overflow_cost(how))
+    assert main(command_argv(command, inputs, fronts, out)) == 4
+    assert "objective totals overflow: cycle time 4800.0, cost inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1e300, 1e308, 251698233600.0])
+@pytest.mark.parametrize("where", ["duration", "interArrival"])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+def test_a_distribution_parameter_past_the_last_instant_is_a_schema_failure_of_every_command(
+    tmp_path, capsys, command, where, value
+):
+    # 1e308 s overflowed turning the log into floats; 1e300 s simulated in
+    # analyze and optimize to a mean cycle time of 7.5e299 s
+    def mutate(model_doc, policies_doc):
+        dist = {"kind": "fixed", "value": value}
+        if where == "duration":
+            model_doc["activities"][0]["duration"] = dist
+        else:
+            model_doc["arrival"]["interArrival"] = dist
+
+    inputs, fronts, out = two_batch_with(tmp_path, mutate)
+    assert main(command_argv(command, inputs, fronts, out)) == 3
+    err = capsys.readouterr().err
+    assert f"value must be at most 251698233599 s, the last instant of a log, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"maxSolutions": 30, "intervention": {"scaleGrid": [1e308, 1e-308]}},
+     {"guided": False, "intervention": {"maxSize": 10**18, "scaleGrid": [1e300]}}],
+    ids=["guided", "unguided"],
+)
+def test_a_size_move_whose_product_overflows_lands_on_max_size(tmp_path, config):
+    # lam x mean size overflows to inf; the move clamps it to maxSize
+    # before rounding instead of failing to round inf
+    model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
+    out = tmp_path / "out"
+    argv = ["optimize", "--model", model, "--policies", policies,
+            "--config", write_json(tmp_path / "optimizer.json", config), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    max_size = config["intervention"].get("maxSize", 50)
+    rows = [json.loads(line) for line in read(out, "audit.jsonl").splitlines()]
+    sizes = [r["delta"]["threshold"] for r in rows
+             if r["delta"] and r["delta"]["kind"] == "scale-size" and r["delta"]["scale"] > 1]
+    assert sizes and set(sizes) == {float(max_size)}

@@ -530,6 +530,17 @@ class TestErrors:
             simulate(single_activity_model(), policies, SimConfig(seed=1))
         assert "nope" in str(err.value)
 
+    @pytest.mark.parametrize("cases, fails", [(1, False), (3, True)])
+    def test_a_cost_total_that_overflows_is_rejected(self, cases, fails):
+        # one execution at 1e308 is a finite total; three overflow to inf,
+        # which no objectives document or front may hold
+        model = single_activity_model(total_cases=cases, fixed_cost=1e308)
+        if not fails:
+            assert simulate(model, {}, SimConfig(seed=1)).objectives.total_cost == 1e308
+            return
+        with pytest.raises(SimulationError, match="objective totals overflow: .* cost inf"):
+            simulate(model, {}, SimConfig(seed=1))
+
     def test_enablement_before_the_last_waiting_instance_rejected(self):
         # rules read only the ends of the waiting queue, so it must stay
         # in enable-time order

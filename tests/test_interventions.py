@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batchopt import analytics as an
 from batchopt import interventions as iv
@@ -8,6 +8,8 @@ from batchopt.calendars import Calendar, Interval, SECONDS_PER_HOUR
 from batchopt.engine import SimConfig, simulate
 from batchopt.eventlog import EventLog
 from batchopt.fixtures import all_fixtures
+from batchopt.reduce import mean
+from batchopt.rng import round_half_up
 
 from test_analytics import activity_stats, batch, instance, log_stats, single_activity_model
 
@@ -36,6 +38,31 @@ class TestSizeScaling:
     def test_empty_sizes_rejected(self):
         with pytest.raises(iv.InterventionError):
             iv.scale_size_threshold([], 1.0)
+
+    def test_a_product_that_overflows_is_max_size(self):
+        # 1e308 x 40 is inf, which no integer can hold
+        assert iv.scale_size_threshold([40], 1e308) == 50
+        cfg = iv.InterventionConfig(max_size=10**18)
+        assert iv.scale_size_threshold([1.0], 1e300, cfg) == 10**18
+
+
+@settings(deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 10**6) | st.floats(1.0, 1e6), min_size=1, max_size=5),
+    lam=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    bounds=st.tuples(st.integers(1, 10**18), st.integers(1, 10**18)).map(sorted),
+)
+@example(sizes=[1], lam=4503599627370497.0, bounds=[1, 4503599627370497])
+def test_clamping_before_rounding_matches_rounding_before_clamping(sizes, lam, bounds):
+    # wherever the round-then-clamp formula returns at all, the
+    # clamp-then-round one gives the same size; the example is a max_size
+    # past 2**52, which round_half_up would turn into max_size + 1
+    cfg = iv.InterventionConfig(min_size=bounds[0], max_size=bounds[1])
+    try:
+        old = max(cfg.min_size, min(cfg.max_size, round_half_up(lam * mean(sizes))))
+    except OverflowError:
+        return
+    assert iv.scale_size_threshold(sizes, lam, cfg) == old
 
 
 class TestWaitThresholds:

@@ -4,6 +4,7 @@ import pytest
 
 from batchopt import model as m
 from batchopt.calendars import Calendar, Interval
+from batchopt.eventlog import LAST_INSTANT
 
 
 def tiny_model_doc():
@@ -353,6 +354,31 @@ def test_validate_rejects_non_finite_numbers(value):
     assert "arrival interArrival: mean must be finite" in text
     assert "fixed cost must be finite" in text
     assert "cost per time unit must be finite" in text
+
+
+@pytest.mark.parametrize("dist, name", [
+    ({"kind": "fixed", "value": LAST_INSTANT + 1}, "value"),
+    ({"kind": "uniform", "low": 0, "high": 1e300}, "high"),
+    ({"kind": "exponential", "mean": 1e308}, "mean"),
+    ({"kind": "normal", "mean": 3600, "stddev": 1e300}, "stddev"),
+])
+def test_validate_rejects_a_parameter_past_the_last_instant(dist, name):
+    # no duration or gap can be longer than a log can hold
+    doc = tiny_model_doc()
+    doc["activities"][0]["duration"] = dist
+    doc["arrival"]["interArrival"] = dist
+    violations = m.validate_model(m.parse_model(doc))
+    bound = f"{name} must be at most {LAST_INSTANT} s, the last instant of a log"
+    assert [v for v in violations if bound in v] == [
+        f"activity 'a' duration: {bound}, got {float(dist[name])!r}",
+        f"arrival interArrival: {bound}, got {float(dist[name])!r}",
+    ]
+
+
+def test_validate_accepts_a_parameter_at_the_last_instant():
+    doc = tiny_model_doc()
+    doc["activities"][0]["duration"] = {"kind": "fixed", "value": LAST_INSTANT}
+    assert m.validate_model(m.parse_model(doc)) == []
 
 
 def test_validate_rejects_nan_branch_probability():

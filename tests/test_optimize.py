@@ -1,8 +1,10 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from batchopt import engine
+from batchopt import engine, interventions, policy
 from batchopt import optimize as opt
 from batchopt import rl as rlmod
 from batchopt.analytics import compute_stats
@@ -27,6 +29,7 @@ from batchopt.policy import (
     SIZE,
     policy_set_key,
     rule,
+    size_at_least,
     wait_first_at_least,
 )
 from batchopt.optimize import render_convergence_csv
@@ -157,10 +160,34 @@ class TestRandomPerturbation:
     def test_different_seeds_differ(self):
         assert self.draws(seed=0) != self.draws(seed=1)
 
-    def test_every_delta_applies(self):
-        for delta in self.draws():
-            applied = apply_delta(self.policies, delta)
-            assert self.fixture.target_activity in applied
+    @pytest.mark.parametrize("with_stats", [True, False], ids=["stats", "no-stats"])
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_every_delta_applies(self, fixture, with_stats):
+        # the unguided search draws with its parent's stats, criterion 01
+        # without any; no draw may be a move that cannot apply
+        model, policies = fixture.model(), fixture.policies()
+        stats = None
+        if with_stats:
+            stats = compute_stats(simulate(model, policies, fixture.sim_config()).log, model)
+        for delta in opt.random_perturbation(model, stats, policies, seed=0, count=40):
+            assert delta.activity_id in apply_delta(policies, delta)
+
+    def test_the_search_draws_the_moves_of_the_interventions_module(self):
+        # the search names no move kind and draws nothing itself
+        assert opt.random_perturbation is interventions.random_perturbation
+        tree = ast.parse(Path(opt.__file__).read_text(encoding="utf-8"))
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        kinds = set(interventions.DELTA_KINDS + policy.CONDITION_KINDS)
+        spelled = {name for module in (interventions, policy)
+                   for name, value in vars(module).items()
+                   if isinstance(value, str) and value in kinds}
+        assert spelled >= {"ADD_CONDITION", "SCALE_SIZE", "SIZE", "WT_FIRST"}
+        assert imported & (spelled | {"unit"}) == set()
 
     def test_size_draws_respect_bounds(self):
         config = InterventionConfig(min_size=2, max_size=4)
@@ -196,6 +223,27 @@ class TestRandomPerturbation:
 
     def test_count_respected(self):
         assert len(self.draws(count=11)) == 11
+
+
+def test_a_candidate_whose_cost_overflows_is_audited_as_failed():
+    # one batch of four at 1e308 is a finite total; four batches of one
+    # overflow, so that child is a failed simulation, not a front point
+    policies = {
+        "ticket": BatchingPolicy(
+            "ticket", PARALLEL, rule([size_at_least(4)]), CostModel(fixed_cost=1e308)
+        )
+    }
+    search = opt.CandidateEvaluator(
+        get_fixture("two-batch").model(), opt.OptimizerConfig(), simulate, compute_stats,
+        apply_delta,
+    )
+    root, _ = search.start(policies)
+    assert root.point[1] == 2.5e307
+    assert search.evaluate(1, root, PolicyDelta("ticket", SCALE_SIZE, new_threshold=1.0)) is None
+    row = search.audit[-1]
+    assert row["failed"] and row["sim"] == 1
+    assert row["error"] == "objective totals overflow: cycle time 2400.0, cost inf"
+    assert (search.simulations, search.failures) == (2, 1)
 
 
 class TestPatternMoves:
