@@ -36,7 +36,7 @@ from .engine import (
     parse_sim_config,
     simulate,
 )
-from .eventlog import LAST_INSTANT, LogTimeError, render_batch_csv, render_event_csv
+from .eventlog import render_batch_csv, render_event_csv
 from .metrics import (
     CycleTimes,
     MetricsError,
@@ -202,9 +202,6 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> CommandResult:
         result = simulate(compiled, policies, config)
     except SimulationError as err:
         raise CliError(EXIT_RUNTIME, f"simulation failed: {err}") from err
-    # no instant of a log comes after its last batch end
-    if result.log.horizon > LAST_INSTANT:
-        raise CliError(EXIT_RUNTIME, f"cannot write the log: {LogTimeError(result.log.horizon)}")
 
     obj = result.objectives
     outputs = {

@@ -38,8 +38,9 @@ engine keeps one keyed hasher for its seed and draws through
 `rng.visit_unit` with label and ids encoded once at set-up (see rng.py); a
 `fixed` duration draws nothing, which shifts no other draw because every
 draw is keyed.  A `fixed` inter-arrival time draws nothing either, so a
-model for which `seed_free` holds draws nothing at all and simulates to
-the same result under every seed.
+model with fixed inter-arrival times and durations and no xor- or
+or-split draws nothing at all and simulates to the same result under
+every seed.
 
 Whatever depends only on the model is computed once per model, not once
 per simulation: `compile_model` validates it and builds its
@@ -54,12 +55,12 @@ policy set (the clock-hour masks, the waiting-time wakes) is set up once
 per simulation.  What depends on the model, seed and case count but not
 on the policy set (the arrival events and every keyed draw) can be kept
 in a `SamplePath`: the first simulation given one fills it and later
-ones replay it, with the same bytes as drawing afresh.  Only
-`metrics.CycleTimes` builds one, because `batchopt evaluate`
-re-simulates many policy sets through it under one seed; a lone
-simulation keeps nothing, and a search gives each simulation its own
-seed.  The search keeps its own per-run memo of
-results, and only for seed-free models (see optimize.py).
+ones replay it, with the same bytes as drawing afresh.  Whatever
+simulates many policy sets under one seed builds one: a search run
+(`optimize.CandidateEvaluator`, which simulates every candidate under
+one seed and so compares them under common random numbers) and
+`metrics.CycleTimes` (`batchopt evaluate`).  A lone simulation keeps
+nothing.
 
 Records are tuples.  The log's `InstanceRecord` / `BatchRecord` and the
 `BatchState` a rule reads are each built with one `tuple.__new__` call,
@@ -89,6 +90,8 @@ from .eventlog import (
     CYCLE_TIME_MODES,
     EventLog,
     InstanceRecord,
+    LAST_INSTANT,
+    LogTimeError,
     ObjectiveValues,
     evaluate_objectives,
     filter_warmup,
@@ -801,17 +804,6 @@ class _Engine:
         return EventLog(tuple(self.instances), tuple(self.batches))
 
 
-def seed_free(model: ProcessModel) -> bool:
-    """True when a simulation of `model` draws nothing: its inter-arrival
-    time and every duration are `fixed` and it has no xor- or or-split.
-    Its result is then the same under every seed."""
-    return (
-        model.arrival.inter_arrival.kind == "fixed"
-        and all(a.duration.kind == "fixed" for a in model.activities)
-        and not any(g.kind in ("xor-split", "or-split") for g in model.gateways)
-    )
-
-
 def simulate(
     model: CompiledModel | ProcessModel,
     policies: PolicySet,
@@ -825,14 +817,17 @@ def simulate(
     may pass a `SamplePath` to replay the arrivals and draws of an earlier
     simulation of that compiled model under the same seed and case count.
     The returned log is complete (warmup included); the objective values
-    exclude the warmup cases.  A cycle time or cost total that overflows
-    to inf raises SimulationError.
+    exclude the warmup cases.  A log that runs past `LAST_INSTANT`, the
+    last instant it can spell, and a cycle time or cost total that
+    overflows to inf raise SimulationError.
     """
     compiled = as_compiled(model)
     total = config.total_cases or compiled.model.arrival.total_cases
     if config.warmup >= total:
         raise SimulationError("warmup must be smaller than the case count")
     log = _Engine(compiled, policies, config, path).run()
+    if log.horizon > LAST_INSTANT:  # no instant of a log comes after its last batch end
+        raise SimulationError(str(LogTimeError(log.horizon)))
     trimmed = filter_warmup(log, config.warmup)
     objectives = evaluate_objectives(trimmed, config.cycle_time_mode)
     if not (math.isfinite(objectives.total_cycle_time) and math.isfinite(objectives.total_cost)):

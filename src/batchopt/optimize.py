@@ -11,8 +11,8 @@ distant candidates with probability e^(-dist/temperature) and cools
 until it degenerates into radius-0 hill climbing.  This module spells no
 move itself: every delta kind lives in `interventions`.
 
-Every random draw is keyed to an isolated named stream so the two
-strategies consume identical simulation seeds along identical paths.
+Every random draw is keyed to an isolated named stream, so no draw of
+one stream shifts another's.
 
 All three strategies read one move list per evaluated log, derived once
 by `pattern_moves`; rl.py projects it onto its action grid.
@@ -20,14 +20,20 @@ by `pattern_moves`; rl.py projects it onto its action grid.
 HC/SA and RL (rl.py) evaluate candidates through one `CandidateEvaluator`:
 it simulates the initial set, applies each delta, simulates the child,
 audits it, records convergence and aborts once more than half the
-simulations failed.  When the model draws nothing (`engine.seed_free`),
-every simulation of a policy set gives the same bytes under any seed, so
-the evaluator keeps a per-run memo keyed by `policy_set_key` and replays a
-repeated set's result or failure instead of simulating it again, together
-with its log stats and the moves derived from its log.  A replay still
-counts as a simulation: sim indices, log refs, convergence rows, the
-budget and the abort rule are the same as without the memo, and the audit
-row says `"cached": true`.
+simulations failed.  Candidates are compared under common random
+numbers: every simulation of a run uses one seed, derived from the
+optimizer seed (`sim.seed` is not read), and replays one
+`engine.SamplePath`, so two policy sets see the same arrivals, durations
+and branch draws.  A policy set therefore simulates to the same bytes
+whenever the run asks for it, and the evaluator keeps a per-run memo
+keyed by `policy_set_key` that replays a repeated set's result or
+failure instead of simulating it again, together with its log stats and
+the moves derived from its log.  A replay still counts as a simulation:
+sim indices, log refs, convergence rows, the budget and the abort rule
+are the same as without the memo, and the audit row says
+`"cached": true`.  The memo keeps a log only until its stats are
+computed or no queued candidate can expand it; a set whose log was
+dropped is simulated again on the run's path when its stats are needed.
 """
 
 from __future__ import annotations
@@ -46,13 +52,13 @@ from .analytics import (
 from .codec import check_fields, from_doc
 from .engine import (
     CompiledModel,
+    SamplePath,
     SimConfig,
-    SimResult,
     SimulationError,
     as_compiled,
-    seed_free,
     simulate,
 )
+from .eventlog import EventLog
 from .interventions import (
     InterventionConfig,
     InterventionError,
@@ -151,25 +157,25 @@ class OptimizeResult(NamedTuple):
     failures: int
 
 
-def _sim_config(config: OptimizerConfig, sim_index: int) -> SimConfig:
-    return config.sim._replace(seed=derive_seed(config.seed, "sim", sim_index))
-
-
 _PENDING = object()  # a lazily computed Evaluation field not computed yet
 
 Moves = list[tuple[int, list[PolicyDelta]]]  # see pattern_moves
 
 
 class Evaluation:
-    """One simulated policy set: its result, or the error its simulation
-    raised, plus what the search derives from its log, each computed at
-    most once.  With a memo, every candidate with an equal set shares it."""
+    """One simulated policy set: the objective point of its result, or the
+    error its simulation raised, plus what the search derives from its
+    log, each computed at most once.  Every candidate with an equal set
+    shares it.  `log` is the result's log until its stats are computed or
+    the search drops it (None from then on, and for a failure)."""
 
-    __slots__ = ("result", "error", "stats", "moves")
+    __slots__ = ("policies", "point", "log", "error", "stats", "moves")
 
-    def __init__(self, result: SimResult | None, error: SimulationError | None = None):
-        self.result = result
-        self.error = error
+    def __init__(self, policies: PolicySet):
+        self.policies = policies
+        self.point: tuple[float, float] | None = None
+        self.log: EventLog | None = None
+        self.error: SimulationError | None = None
         self.stats: object = _PENDING  # LogStats, or None when they cannot be computed
         self.moves: Moves | None = None
 
@@ -177,11 +183,11 @@ class Evaluation:
 class CandidateEvaluator:
     """The evaluate-candidate step of one search run, shared by HC/SA and RL.
 
-    It owns the run's front, audit rows, convergence rows and simulation
-    and failure counts.  When `seed_free(model)` holds it also keeps the
-    memo of `Evaluation`s keyed by `policy_set_key`: such a model simulates
-    to the same bytes under every seed, so a replay is exactly what the
-    fresh simulation at the next sim index would have given.
+    It owns the run's front, audit rows, convergence rows, simulation and
+    failure counts, and the memo of `Evaluation`s keyed by
+    `policy_set_key`.  Every simulation of the run uses `sim_config`, whose
+    seed is derived from the optimizer seed, and replays `path`, so a
+    replay is exactly what a fresh simulation of the set would give.
     `simulate`, `compute_stats` and `apply_delta` are the caller's module
     attributes, so each strategy's calls go through its own module's names.
     The model is compiled here unless it comes compiled, and every
@@ -197,11 +203,13 @@ class CandidateEvaluator:
             raise OptimizerError(f"model cannot be simulated: {err}") from err
         self.model = self.compiled.model
         self.config = config
+        self.sim_config = config.sim._replace(seed=derive_seed(config.seed, "sim", 0))
+        self.path = SamplePath()
         self._simulate = simulate
         self._compute_stats = compute_stats
         self._apply_delta = apply_delta
         self.schedules = ScheduleTables(self.model)
-        self.memo: dict[tuple, Evaluation] | None = {} if seed_free(self.model) else None
+        self.memo: dict[tuple, Evaluation] = {}
         self.front: ParetoFront | None = None
         self.audit: list[dict] = []
         self.convergence: list[dict] = []
@@ -211,20 +219,17 @@ class CandidateEvaluator:
     def _run(self, policies: PolicySet) -> tuple[Evaluation, bool]:
         """Simulation number `simulations` of `policies`, or the replay of
         an equal set's, and whether it was replayed."""
-        key = policy_set_key(policies) if self.memo is not None else None
-        evaluation = self.memo.get(key) if key is not None else None
+        key = policy_set_key(policies)
+        evaluation = self.memo.get(key)
         cached = evaluation is not None
         if not cached:
+            evaluation = self.memo[key] = Evaluation(policies)
             try:
-                evaluation = Evaluation(
-                    self._simulate(
-                        self.compiled, policies, _sim_config(self.config, self.simulations)
-                    )
-                )
+                result = self._simulate(self.compiled, policies, self.sim_config, self.path)
             except SimulationError as err:
-                evaluation = Evaluation(None, err)
-            if key is not None:
-                self.memo[key] = evaluation
+                evaluation.error = err
+            else:
+                evaluation.point, evaluation.log = result.objectives.point, result.log
         self.simulations += 1
         return evaluation, cached
 
@@ -236,9 +241,7 @@ class CandidateEvaluator:
             raise OptimizerError(
                 f"initial solution failed to simulate: {evaluation.error}"
             ) from evaluation.error
-        root = Solution(
-            dict(initial_policies), evaluation.result.objectives.point, log_ref="sim-00000"
-        )
+        root = Solution(dict(initial_policies), evaluation.point, log_ref="sim-00000")
         self.front = ParetoFront((root,))
         self.record(
             {
@@ -301,7 +304,7 @@ class CandidateEvaluator:
             return None
         child = Solution(
             policies,
-            evaluation.result.objectives.point,
+            evaluation.point,
             log_ref=f"sim-{sim_index:05d}",
             lineage=parent.lineage + (delta_doc,),
         )
@@ -321,10 +324,18 @@ class CandidateEvaluator:
 
     def stats(self, evaluation: Evaluation) -> LogStats | None:
         """The stats of the evaluation's log, computed on first use (None
-        when they cannot be computed)."""
+        when they cannot be computed).  A dropped log is simulated again on
+        the run's path, which gives the same bytes; the log is dropped once
+        its stats are computed."""
         if evaluation.stats is _PENDING:
+            log = evaluation.log
+            if log is None:
+                log = self._simulate(
+                    self.compiled, evaluation.policies, self.sim_config, self.path
+                ).log
+            evaluation.log = None
             try:
-                evaluation.stats = self._compute_stats(evaluation.result.log, self.model)
+                evaluation.stats = self._compute_stats(log, self.model)
             except AnalyticsError:
                 evaluation.stats = None
         return evaluation.stats
@@ -448,11 +459,13 @@ def optimize_hc_sa(
             if enqueue:
                 queue.append(_Candidate(child, evaluation, dist))
                 row["enqueued"] = True
+            elif not row["cached"]:
+                evaluation.log = None  # no queued candidate can expand it
             search.record(row)
 
         if mode == SA:
             temperature *= config.cooling_factor
-            queue = [
+            kept = [
                 c
                 for c in queue
                 if c.dist == 0.0
@@ -461,7 +474,12 @@ def optimize_hc_sa(
             if temperature < config.temp_epsilon:
                 mode = HC
                 radius = 0.0
-                queue = [c for c in queue if c.dist == 0.0]
+                kept = [c for c in kept if c.dist == 0.0]
+            held = {c.evaluation for c in kept}
+            for c in queue:
+                if c.evaluation not in held:
+                    c.evaluation.log = None
+            queue = kept
 
     return search.result()
 

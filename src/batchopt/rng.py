@@ -8,12 +8,12 @@ not by global consumption order.  So simulations of one model under one
 seed and case count can share them: an `engine.SamplePath` holds that
 run's arrival events and what each keyed draw decided, stored under its
 (case, node, visit) key, and replays them to every later simulation.
+A search run builds one and simulates every candidate under one seed
+derived from the optimizer seed (`optimize.CandidateEvaluator`), so its
+candidates are compared under common random numbers;
 `metrics.CycleTimes` builds one and replays it to every policy set it
 prices: in `batchopt evaluate`, the initial set and every front
-solution.  A search does not hold the seed fixed: it gives each
-simulation its own seed (`optimize._sim_config`), so its candidates
-share arrivals and draws only when the model draws nothing
-(`engine.seed_free`), and it builds no path.
+solution.
 
 A draw's digest is a keyed blake2b of one message: ``repr(part) + "\x1f"``
 for each key part, joined and UTF-8 encoded.  blake2b is a streaming

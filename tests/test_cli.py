@@ -1166,6 +1166,31 @@ def test_a_cost_total_that_overflows_is_a_runtime_failure_of_every_command(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("simulate", "simulation failed"),
+        ("analyze", "analysis failed"),
+        ("optimize", "optimization failed: initial solution failed to simulate"),
+        ("evaluate", "initial simulation failed"),
+    ],
+)
+def test_a_log_past_the_last_instant_is_a_runtime_failure_of_every_command(
+    tmp_path, capsys, command, failure
+):
+    # 2e11 s is below the last instant, so the model validates, but two
+    # batches of it end at 4e11 s; the engine rejects the log, so no
+    # command reports its cycle times
+    def mutate(model_doc, policies_doc):
+        model_doc["activities"][0]["duration"] = {"kind": "fixed", "value": 2e11}
+
+    inputs, fronts, out = two_batch_with(tmp_path, mutate)
+    assert main(command_argv(command, inputs, fronts, out)) == 4
+    err = capsys.readouterr().err
+    assert f"{failure}: instant 400000003600 s lies past 9999-12-31T23:59:59" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [1e300, 1e308, 251698233600.0])
 @pytest.mark.parametrize("where", ["duration", "interArrival"])
 @pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])

@@ -10,7 +10,13 @@ from batchopt import model as m
 from batchopt import policy as pol
 from batchopt.calendars import SECONDS_PER_HOUR, SECONDS_PER_WEEK
 from batchopt.engine import SimConfig, SimulationError, simulate
-from batchopt.eventlog import BatchRecord, InstanceRecord, evaluate_objectives, filter_warmup
+from batchopt.eventlog import (
+    LAST_INSTANT,
+    BatchRecord,
+    InstanceRecord,
+    evaluate_objectives,
+    filter_warmup,
+)
 from batchopt.fixtures import all_fixtures
 
 H = SECONDS_PER_HOUR
@@ -539,6 +545,17 @@ class TestErrors:
             assert simulate(model, {}, SimConfig(seed=1)).objectives.total_cost == 1e308
             return
         with pytest.raises(SimulationError, match="objective totals overflow: .* cost inf"):
+            simulate(model, {}, SimConfig(seed=1))
+
+    @pytest.mark.parametrize("cases, fails", [(1, False), (3, True)])
+    def test_a_log_past_the_last_instant_is_rejected(self, cases, fails):
+        # one execution of 1e11 s ends before the last instant a log can
+        # spell; three in a row end after it
+        model = single_activity_model(total_cases=cases, duration=1e11)
+        if not fails:
+            assert simulate(model, {}, SimConfig(seed=1)).log.horizon < LAST_INSTANT
+            return
+        with pytest.raises(SimulationError, match="lies past 9999-12-31T23:59:59"):
             simulate(model, {}, SimConfig(seed=1))
 
     def test_enablement_before_the_last_waiting_instance_rejected(self):

@@ -24,7 +24,6 @@ from batchopt.engine import (
     SimConfig,
     _Engine,
     compile_model,
-    seed_free,
     simulate,
 )
 from batchopt.eventlog import EventLog
@@ -503,6 +502,16 @@ def test_next_event_engine_matches_hourly_reference(scenario):
 @given(clocked_scenarios(on_grid=True))
 def test_next_event_engine_matches_hourly_reference_on_a_grid(scenario):
     _assert_matches_hourly_reference(scenario)
+
+
+def seed_free(model: m.ProcessModel) -> bool:
+    """True when a simulation of `model` draws nothing: its inter-arrival
+    time and every duration are `fixed` and it has no xor- or or-split."""
+    return (
+        model.arrival.inter_arrival.kind == "fixed"
+        and all(a.duration.kind == "fixed" for a in model.activities)
+        and not any(g.kind in ("xor-split", "or-split") for g in model.gateways)
+    )
 
 
 SEED_FREE_FIXTURES = [f for f in all_fixtures() if seed_free(f.model())]

@@ -1,15 +1,18 @@
 import ast
+import itertools
+import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_engine_properties import seed_free
 
 from batchopt import engine, interventions, policy
 from batchopt import optimize as opt
 from batchopt import rl as rlmod
 from batchopt.analytics import compute_stats
 from batchopt.codec import to_doc
-from batchopt.engine import SimulationError, seed_free, simulate
+from batchopt.engine import SimulationError, simulate
 from batchopt.fixtures import all_fixtures, enumerate_oracle_front, get_fixture
 from batchopt.interventions import (
     InterventionConfig,
@@ -21,6 +24,7 @@ from batchopt.interventions import (
     delta_to_doc,
     derive_interventions,
 )
+from batchopt.model import parse_model
 from batchopt.pareto import front_to_doc
 from batchopt.policy import (
     BatchingPolicy,
@@ -33,6 +37,7 @@ from batchopt.policy import (
     wait_first_at_least,
 )
 from batchopt.optimize import render_convergence_csv
+from batchopt.rng import derive_seed
 
 
 def front_points(front):
@@ -246,6 +251,25 @@ def test_a_candidate_whose_cost_overflows_is_audited_as_failed():
     assert (search.simulations, search.failures) == (2, 1)
 
 
+def test_a_candidate_that_runs_past_the_last_instant_is_audited_as_failed():
+    # one batch of four ends near 1e11 s; four batches of one end past the
+    # last instant a log can spell, so that child is a failed simulation
+    model_doc = json.loads(json.dumps(get_fixture("two-batch").model_doc))
+    model_doc["activities"][0]["duration"] = {"kind": "fixed", "value": 1e11}
+    policies = {"ticket": BatchingPolicy("ticket", PARALLEL, rule([size_at_least(4)]))}
+    search = opt.CandidateEvaluator(
+        parse_model(model_doc), opt.OptimizerConfig(), simulate, compute_stats, apply_delta
+    )
+    root, _ = search.start(policies)
+    assert search.evaluate(1, root, PolicyDelta("ticket", SCALE_SIZE, new_threshold=1.0)) is None
+    row = search.audit[-1]
+    assert row["failed"] and row["sim"] == 1
+    assert row["error"] == (
+        "instant 400000001800 s lies past 9999-12-31T23:59:59, the last instant a log can spell"
+    )
+    assert (search.simulations, search.failures) == (2, 1)
+
+
 class TestPatternMoves:
     """HC, SA and RL read one move list per evaluated log: HC and SA
     expand every delta of every instance, RL's grid the first instance per
@@ -447,43 +471,56 @@ def _without_cached(rows):
     return [{k: v for k, v in row.items() if k != "cached"} for row in rows]
 
 
+def _never_repeating_key():
+    """A `policy_set_key` under which no two requests share a key: the
+    memo then never replays, and every request is simulated."""
+    count = itertools.count()
+    return lambda policies: next(count)
+
+
 class TestMemo:
-    """On a seed-free model a repeated policy set is replayed from the run's
-    memo, not simulated again; nothing but the audit's `cached` flags may
-    tell the two apart."""
+    """Every simulation of a run uses one seed and one sample path, so a
+    repeated policy set is replayed from the run's memo, not simulated
+    again, on every model; nothing but the audit's `cached` flags may tell
+    the two apart."""
 
     @staticmethod
-    def search(monkeypatch, fixture, strategy, guided, memo, doomed=None):
+    def search(monkeypatch, fixture, strategy, guided, memo, doomed=None, calls=None, **config):
         """Run one search with a spy on the simulate its strategy calls; the
-        spy lists the key of every set it is asked for and fails the set
-        whose key is `doomed`."""
+        spy lists the key of every set it is asked for (and, in `calls`,
+        the seed and path it is asked under) and fails the set whose key
+        is `doomed`."""
         module = rlmod if strategy == "rl" else opt
         runner = rlmod.optimize_rl if strategy == "rl" else opt.optimize_hc_sa
         simulated = []
         real = module.simulate
 
-        def spy(model, policies, config):
+        def spy(model, policies, config, path):
             key = policy_set_key(policies)
             simulated.append(key)
+            if calls is not None:
+                calls.append((config.seed, path))
             if key == doomed:
                 raise SimulationError("doomed policy set")
-            return real(model, policies, config)
+            return real(model, policies, config, path)
 
         monkeypatch.setattr(module, "simulate", spy)
-        monkeypatch.setattr(opt, "seed_free", seed_free if memo else lambda model: False)
-        config = opt.OptimizerConfig(strategy=strategy, guided=guided, max_solutions=50, seed=3)
+        if not memo:
+            monkeypatch.setattr(opt, "policy_set_key", _never_repeating_key())
+        config = opt.OptimizerConfig(
+            strategy=strategy, guided=guided, max_solutions=50, seed=3, **config
+        )
         try:
             return runner(fixture.model(), fixture.policies(), config), simulated
         finally:
             monkeypatch.undo()
 
-    @pytest.mark.parametrize("name", ["circadian", "monotone-tradeoff"])
+    @pytest.mark.parametrize("name", ["circadian", "monotone-tradeoff", "busy-step", "stray-branch"])
     @pytest.mark.parametrize(
         "strategy,guided", [("hc", True), ("hc", False), ("sa", True), ("rl", True)]
     )
     def test_memo_changes_nothing_but_the_cached_flags(self, monkeypatch, name, strategy, guided):
         fx = get_fixture(name)
-        assert seed_free(fx.model())
         fresh, every = self.search(monkeypatch, fx, strategy, guided, memo=False)
         memo, distinct = self.search(monkeypatch, fx, strategy, guided, memo=True)
         assert front_to_doc(memo.front) == front_to_doc(fresh.front)
@@ -505,26 +542,102 @@ class TestMemo:
         assert result.simulations == 50
         assert len(distinct) < result.simulations / 2
 
-    def test_stochastic_model_keeps_no_memo(self, monkeypatch):
-        fx = get_fixture("busy-step")
+    @pytest.mark.parametrize("name", ["busy-step", "stray-branch"])
+    @pytest.mark.parametrize("strategy,guided", [("hc", True), ("hc", False), ("rl", True)])
+    def test_a_drawing_model_simulates_each_distinct_set_once_on_one_path(
+        self, monkeypatch, name, strategy, guided
+    ):
+        fx = get_fixture(name)
         assert not seed_free(fx.model())
-        result, simulated = self.search(monkeypatch, fx, "hc", True, memo=True)
-        assert len(simulated) == result.simulations
-        assert not any(row["cached"] for row in result.audit)
+        calls = []
+        result, simulated = self.search(monkeypatch, fx, strategy, guided, memo=True, calls=calls)
+        assert len(simulated) == len(set(simulated)) < result.simulations
+        assert sum(row["cached"] for row in result.audit) == result.simulations - len(simulated)
+        # one seed, derived from the optimizer seed, and one sample path
+        assert {seed for seed, _ in calls} == {derive_seed(3, "sim", 0)}
+        path = calls[0][1]
+        assert isinstance(path, engine.SamplePath)
+        assert all(p is path for _, p in calls)
+
+    def test_the_search_does_not_read_the_run_seed(self, monkeypatch):
+        fx = get_fixture("busy-step")
+        first, _ = self.search(monkeypatch, fx, "hc", True, memo=True)
+        other = opt.SimConfig(seed=99)
+        second, _ = self.search(monkeypatch, fx, "hc", True, memo=True, sim=other)
+        assert first.audit == second.audit
+
+    @pytest.mark.parametrize("name", ["busy-step", "stray-branch", "circadian"])
+    @pytest.mark.parametrize(
+        "strategy,guided", [("hc", True), ("hc", False), ("sa", False), ("rl", True)]
+    )
+    def test_a_dropped_log_is_simulated_again_to_the_same_bytes(
+        self, monkeypatch, name, strategy, guided
+    ):
+        # an evaluation that never keeps its log re-simulates it for every
+        # stats computation, on the run's seed and path
+        class Forgetful(opt.Evaluation):
+            __slots__ = ()
+            log = property(lambda self: None, lambda self, log: None)
+
+        fx = get_fixture(name)
+        kept, distinct = self.search(monkeypatch, fx, strategy, guided, memo=True)
+        monkeypatch.setattr(opt, "Evaluation", Forgetful)
+        calls = []
+        dropped, simulated = self.search(
+            monkeypatch, fx, strategy, guided, memo=True, calls=calls
+        )
+        assert front_to_doc(dropped.front) == front_to_doc(kept.front)
+        assert dropped.audit == kept.audit
+        assert dropped.convergence == kept.convergence
+        assert len(simulated) > len(distinct) and set(simulated) == set(distinct)
+        assert all(c == calls[0] for c in calls)
+
+    @pytest.mark.parametrize(
+        "strategy,config",
+        [("hc", {"radius": 0.0}), ("sa", {"initial_temperature": 1.0, "cooling_factor": 0.01})],
+        ids=["hc", "sa"],
+    )
+    def test_the_memo_keeps_only_the_logs_of_queued_sets(self, monkeypatch, strategy, config):
+        # both end as radius-0 climbs, whose queue holds only front points;
+        # the annealing run drops the distant candidates it queued first
+        evaluators = []
+
+        class Watched(opt.CandidateEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                evaluators.append(self)
+
+        monkeypatch.setattr(opt, "CandidateEvaluator", Watched)
+        fx = get_fixture("busy-step")
+        result, _ = self.search(monkeypatch, fx, strategy, False, memo=True, **config)
+        (search,) = evaluators
+        held = [e for e in search.memo.values() if e.log is not None]
+        # every expanded set computed its stats and dropped its log; the
+        # queue holds at most the enqueued rows less one per expansion
+        assert all(e.stats is opt._PENDING for e in held)
+        iterations = max(row["iteration"] for row in result.audit)
+        queued = sum(row["enqueued"] for row in result.audit) - iterations
+        assert len(held) <= queued < len(search.memo)
+        front_points = {
+            tuple(row["point"]) for row in result.audit if row["enqueued"] and row["dist"] == 0.0
+        }
+        assert all(e.point in front_points for e in held)
+        if strategy == "sa":
+            assert any(row["enqueued"] and row["dist"] > 0 for row in result.audit)
 
     @pytest.mark.parametrize("memo", [True, False])
     def test_replayed_failure_is_audited_and_counted_like_a_fresh_one(self, monkeypatch, memo):
         fx = get_fixture("circadian")
         model, policies = fx.model(), fx.policies()
         if not memo:
-            monkeypatch.setattr(opt, "seed_free", lambda model: False)
+            monkeypatch.setattr(opt, "policy_set_key", _never_repeating_key())
         calls = []
 
-        def doomed(model, candidate, config):
+        def doomed(model, candidate, config, path):
             calls.append(candidate)
             if candidate != policies:
                 raise SimulationError("doomed policy set")
-            return simulate(model, candidate, config)
+            return simulate(model, candidate, config, path)
 
         search = opt.CandidateEvaluator(
             model, opt.OptimizerConfig(seed=3), doomed, compute_stats, apply_delta
@@ -558,9 +671,10 @@ class TestMemo:
         assert [c["simulations"] for c in search.convergence] == [1, 2, 3]
         assert (search.simulations, search.failures) == (3, 2)
 
-    def test_replayed_failure_in_a_search_matches_a_fresh_one(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["circadian", "busy-step"])
+    def test_replayed_failure_in_a_search_matches_a_fresh_one(self, monkeypatch, name):
         # doom a set the climb requests more than once
-        fx = get_fixture("circadian")
+        fx = get_fixture(name)
         _, every = self.search(monkeypatch, fx, "hc", True, memo=False)
         repeats = Counter(every[1:])
         doomed_key = max(repeats, key=lambda k: (repeats[k], every.index(k)))

@@ -3,6 +3,7 @@ import math
 from hashlib import blake2b
 
 from hypothesis import given, strategies as st
+from test_engine_properties import seed_free
 
 from batchopt import engine, rng
 from batchopt.engine import SimConfig, _Engine, compile_model
@@ -145,13 +146,13 @@ def test_seed_free_model_draws_nothing(monkeypatch):
     )
     fixture = get_fixture("circadian")
     model = fixture.model()
-    assert engine.seed_free(model)
+    assert seed_free(model)
     log = _Engine(compile_model(model), fixture.policies(), SimConfig(seed=5)).run()
     assert log.instances and draws == []
     # an exponential inter-arrival time draws once per case
     doc = copy.deepcopy(fixture.model_doc)
     doc["arrival"]["interArrival"] = {"kind": "exponential", "mean": 3600.0}
     model = parse_model(doc)
-    assert not engine.seed_free(model)
+    assert not seed_free(model)
     log = _Engine(compile_model(model), fixture.policies(), SimConfig(seed=5)).run()
     assert len(draws) == len({r.case_id for r in log.instances}) > 0
