@@ -25,6 +25,12 @@ processes may write ``__pycache__`` (``PYTHONDONTWRITEBYTECODE`` is
 dropped from their environment), and before the first pair each tree
 does one short warm-up run whose result is discarded, so every timed
 run, its set-up probes included, imports from bytecode in both trees.
+That makes ``setup_s`` here lower than in a run without bytecode: a
+set-up probe that finds none also compiles the 17 ``batchopt`` modules
+that importing ``batchopt.cli`` loads (some 45-55 ms of ``compile()`` on a
+2-core host, CPython 3.11) before it parses anything. The output's ``host`` block records the host and
+whether the runs wrote bytecode, read from the extracted parent tree,
+which holds none until a run writes it.
 
 For every end-to-end metric that BENCHMARK.json declares, the output
 records the parent and change medians, the parent's quartiles (inclusive
@@ -65,6 +71,22 @@ def extract(rev: str, directory: str) -> str:
 
 # the benchmark's environment: free to write bytecode in either tree
 CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+
+
+def wrote_bytecode(tree: str) -> bool:
+    """Whether `tree` holds compiled bytecode (a ``.pyc`` file) under
+    ``src/``."""
+    return any(name.endswith(".pyc")
+               for _, _, names in os.walk(os.path.join(tree, "src")) for name in names)
+
+
+def host_block(parent_tree: str) -> dict:
+    """The host of a run and whether its benchmark runs wrote bytecode."""
+    return {
+        "cores": os.cpu_count(),
+        "python": sys.version.split()[0],
+        "wrote_bytecode": wrote_bytecode(parent_tree),
+    }
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float,
@@ -133,11 +155,11 @@ def main(argv=None) -> int:
             "tag": args.tag,
             "parent": commit,
             "command": f"python3 perfbench/run.py --seconds {seconds:g} --trace 0",
-            "host": f"{os.cpu_count()} cores, Python {sys.version.split()[0]}",
             "workloads": {},
         }
         for tree in (parent_tree, "."):
             run_once(tree, args.workload[0], seeds[0], 1)  # warm-up, discarded
+        report["host"] = host_block(parent_tree)
         for workload in args.workload:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):

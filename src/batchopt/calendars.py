@@ -110,6 +110,11 @@ class Calendar(Record):
         self._open_before = tuple([0] + through[:-1])
         self._open_through = tuple(through)
 
+    @property
+    def always_open(self) -> bool:
+        """Whether the calendar is open at every instant."""
+        return self._always_open
+
     def _locate(self, offset: int) -> tuple[int, int] | None:
         """The span containing week-offset, or None."""
         i = bisect.bisect_right(self._starts, offset) - 1

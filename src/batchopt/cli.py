@@ -2,11 +2,12 @@
 
 Each `cmd_*` function reads JSON documents and computes, touching no
 file: it returns its outputs as an ordered `{name: text}` dict, the
-effective configuration document, the seed and a one-line summary.
+effective configuration document, its seed fields and a one-line summary.
 `main` dispatches to it and, once it has succeeded, `_write_outputs`
 creates the output directory, writes the outputs in order and finishes
 with a manifest recording the command, inputs, effective configuration
-(and its hash), seed, tool version, and output names. A failed command
+(and its hash), seed (and, for `optimize`, `simSeed`, the seed its
+simulations ran under), tool version, and output names. A failed command
 thus leaves no directory. The price is memory: a command's rendered
 outputs are all held at once until they are written (for `simulate`,
 `events.csv` and `batches.csv` together). Primary outputs are deterministic for a given
@@ -20,6 +21,7 @@ violation in an input document, 4 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -51,6 +53,7 @@ from .optimize import (
     optimize_hc_sa,
     parse_optimizer_config,
     render_convergence_csv,
+    simulation_seed,
 )
 from .pareto import (
     ParetoError,
@@ -81,8 +84,9 @@ _SCHEMA_ERRORS = (
 
 
 # what a command returns: its outputs in write order ({name: text}), the
-# effective config document, the seed and its one-line summary
-CommandResult = tuple[dict[str, str], dict, int, str]
+# effective config document, its manifest's seed fields and its one-line
+# summary
+CommandResult = tuple[dict[str, str], dict, dict[str, int], str]
 
 
 class CliError(Exception):
@@ -221,7 +225,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> CommandResult:
         f"simulated {obj.instance_count} instances: "
         f"avg cycle time {obj.avg_cycle_time!r}, avg cost {obj.avg_cost!r}"
     )
-    return outputs, to_doc(config), config.seed, summary
+    return outputs, to_doc(config), {"seed": config.seed}, summary
 
 
 # -- optimize -----------------------------------------------------------------
@@ -253,7 +257,8 @@ def cmd_optimize(args, parser: argparse.ArgumentParser) -> CommandResult:
         f"{label}: front of {len(result.front)} after {result.simulations} simulations "
         f"({result.failures} failed)"
     )
-    return outputs, to_doc(config), config.seed, summary
+    seeds = {"seed": config.seed, "simSeed": simulation_seed(config)}
+    return outputs, to_doc(config), seeds, summary
 
 
 # -- analyze ------------------------------------------------------------------
@@ -315,7 +320,8 @@ def cmd_analyze(args, parser: argparse.ArgumentParser) -> CommandResult:
         f"analyzed {len(stats.activities)} activities: "
         f"{len(report['scenarios'])} scenario hits"
     )
-    return {"report.json": _json_text(report)}, to_doc(config), config.sim.seed, summary
+    seeds = {"seed": config.sim.seed}
+    return {"report.json": _json_text(report)}, to_doc(config), seeds, summary
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -367,7 +373,7 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
         "reference_front.json": _json_text(front_to_doc(reference, label="reference")),
     }
     summary = f"evaluated {len(fronts)} fronts against a reference of {len(reference)} points"
-    return outputs, {"fronts": [label for label, _ in fronts]}, 0, summary
+    return outputs, {"fronts": [label for label, _ in fronts]}, {"seed": 0}, summary
 
 
 def _render_metrics_text(reference: ParetoFront, rows: list[dict], verdict: str) -> str:
@@ -433,6 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept for the
+    process: `parse_args` returns a fresh namespace each time and keeps
+    nothing from one call to the next."""
+    return build_parser()
+
+
 _COMMANDS = {
     "simulate": cmd_simulate,
     "optimize": cmd_optimize,
@@ -441,8 +455,8 @@ _COMMANDS = {
 }
 
 
-def _write_outputs(args, outputs: dict[str, str], effective_config: dict, seed: int,
-                   started: float) -> None:
+def _write_outputs(args, outputs: dict[str, str], effective_config: dict,
+                   seeds: dict[str, int], started: float) -> None:
     """Create the output directory, write the outputs in order, and the
     manifest last.  A directory that cannot be made or written, such as an
     `--out` naming a file or a path under one, is a CliError naming it."""
@@ -464,7 +478,7 @@ def _write_outputs(args, outputs: dict[str, str], effective_config: dict, seed: 
             "inputs": inputs,
             "configHash": config_hash(effective_config),
             "effectiveConfig": effective_config,
-            "seed": seed,
+            **seeds,
             "version": __version__,
             "outputs": list(outputs),
             "durationSeconds": round(time.monotonic() - started, 6),
@@ -475,12 +489,12 @@ def _write_outputs(args, outputs: dict[str, str], effective_config: dict, seed: 
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        outputs, effective_config, seed, summary = _COMMANDS[args.command](args, parser)
-        _write_outputs(args, outputs, effective_config, seed, started)
+        outputs, effective_config, seeds, summary = _COMMANDS[args.command](args, parser)
+        _write_outputs(args, outputs, effective_config, seeds, started)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

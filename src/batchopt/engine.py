@@ -14,9 +14,12 @@ and a tick at the next hour boundary at which some waiting activity's
 daily-hour / week-day conditions hold.  Clock conditions change truth
 only on hour boundaries, so no rule can newly hold at any other instant;
 a size-only rule changes its answer only when its activity enables an
-instance, so a pass evaluates it only after such an event.  Rules still
-fire as if all were evaluated after every event.  When no future event
-can ever fire a rule, the remaining waiting instances are flushed.
+instance, so a pass evaluates it only after such an event.  A pass runs
+only when it could evaluate a rule: when a ruled activity has enabled an
+instance since the last pass, or while an activity whose rule reads a
+waiting time or the clock has instances waiting.  Rules still fire as if
+all were evaluated after every event.  When no future event can ever
+fire a rule, the remaining waiting instances are flushed.
 
 The event set has two parts.  Every case's arrival is generated before
 the first event, into a list that is already in event order; the
@@ -45,16 +48,18 @@ every seed.
 Whatever depends only on the model is computed once per model, not once
 per simulation: `compile_model` validates it and builds its
 `CompiledModel` (node and branch tables, or-join pairing, encoded ids,
-fixed durations, sorted eligible resources), and the CLI commands, the
+fixed durations, and each activity's eligible resources as (id, calendar,
+whether it is always open, rate), sorted by id), and the CLI commands, the
 search's `CandidateEvaluator` and `metrics.CycleTimes` compile once and
 pass it to every `simulate`.  `simulate` compiles a bare
 `ProcessModel` itself.  A `CompiledModel` holds only what the engine
 reads; detection's schedule tables are kept by the search that reads
 them (`optimize.CandidateEvaluator.schedules`).  What depends on the
-policy set (the clock-hour masks, the waiting-time wakes) is set up once
-per simulation.  What depends on the model, seed and case count but not
-on the policy set (the arrival events and every keyed draw) can be kept
-in a `SamplePath`: the first simulation given one fills it and later
+policy set (the clock-hour masks, the waiting-time wakes, the cost model
+and a batch of one's `CostModel.price_terms`) is set up once per
+simulation.  What depends on the model, seed and case count but not on
+the policy set (the arrival events and every keyed draw) can be kept in
+a `SamplePath`: the first simulation given one fills it and later
 ones replay it, with the same bytes as drawing afresh.  Whatever
 simulates many policy sets under one seed builds one: a search run
 (`optimize.CandidateEvaluator`, which simulates every candidate under
@@ -67,10 +72,14 @@ Records are tuples.  The log's `InstanceRecord` / `BatchRecord` and the
 not the Python `__new__` that `NamedTuple` generates: the same record at
 half the cost.  A waiting instance is a plain `(case_id, enable_time,
 work)` tuple.  An activity without a policy never queues: each instance
-is started at once as a batch of one, and a batch of one (from a rule or
-a flush too) skips the cost-sharing arithmetic of larger batches, whose
-last member absorbs float drift.  A case's visit count at a node is kept
-only where a draw is keyed by it.
+is started at once as a batch of one.  A batch of one (from a rule or a
+flush too) is priced by `policy.batch_price` from its set-up price terms,
+the float operations of `compute_batch_cost` in the same order, and
+skips the cost-sharing arithmetic of larger batches, whose last member
+absorbs float drift.  On an always-open calendar a batch starts at
+max(now, when its resource frees) without `next_open`, and a batch of
+one ends its work later without `work_end`.  A case's visit count at a
+node is kept only where a draw is keyed by it.
 """
 
 from __future__ import annotations
@@ -116,6 +125,7 @@ from .policy import (
     WEEK_DAY,
     WT_FIRST,
     WT_LAST,
+    batch_price,
     compute_batch_cost,
     evaluate_activation_rule,
 )
@@ -275,10 +285,13 @@ class CompiledModel:
             else None
             for a in model.activities
         }
-        # eligible resources, sorted by id
+        # (id, calendar, always open, rate) per eligible resource, sorted by id
+        entries = {
+            r.id: (r.id, r.calendar, r.calendar.always_open, r.cost_per_time_unit)
+            for r in model.resources
+        }
         self.eligible = {
-            a.id: tuple((rid, self.resources[rid]) for rid in sorted(a.resources))
-            for a in model.activities
+            a.id: tuple(entries[rid] for rid in sorted(a.resources)) for a in model.activities
         }
         # the cost of a batch with no policy
         self.default_costs = {
@@ -304,8 +317,9 @@ def as_compiled(model: CompiledModel | ProcessModel) -> CompiledModel:
 class _ActivityState:
     """What the engine reads of one activity under one policy set."""
 
-    __slots__ = ("policy", "size_only", "cost", "clock_hours", "wakes", "key", "duration",
-                 "fixed_work", "resources", "waiting", "enabled")
+    __slots__ = ("policy", "size_only", "cost", "base_price", "price_scale",
+                 "clock_hours", "wakes", "key", "duration", "fixed_work", "resources",
+                 "waiting", "enabled")
 
     def __init__(self, compiled: CompiledModel, activity: Activity,
                  policy: BatchingPolicy | None):
@@ -316,6 +330,8 @@ class _ActivityState:
         )
         # the policy's cost model, else the activity's default
         self.cost = policy.cost if policy else compiled.default_costs[activity.id]
+        # the `CostModel.price_terms` of a batch of one
+        self.base_price, self.price_scale = self.cost.price_terms(1)
         self.clock_hours = _clock_hours(policy)
         # (delay, wt-first) per waiting-time condition with a positive
         # threshold, in rule order: the wakes an enablement schedules
@@ -323,7 +339,8 @@ class _ActivityState:
         self.key = compiled.activity_keys[activity.id]  # the id part of its draws
         self.duration = activity.duration
         self.fixed_work = compiled.fixed_work[activity.id]  # the duration of a `fixed` one
-        self.resources = compiled.eligible[activity.id]  # (id, profile), sorted by id
+        # (id, calendar, always open, rate) per eligible resource, sorted by id
+        self.resources = compiled.eligible[activity.id]
         # (case_id, enable_time, work) in enable-time order, checked in
         # _enable_instance
         self.waiting: list[tuple[int, int, int]] = []
@@ -378,6 +395,11 @@ class _Engine:
             (a, s) for a, s in sorted(self.act_states.items()) if s.policy is not None
         ]
         self.clocked = [s for _, s in self.ruled if s.clock_hours]
+        # a ruled activity enabled an instance since the last rule pass
+        self.rules_due = False
+        # how many activities whose rule reads a waiting time or the clock
+        # have instances waiting
+        self.timed_waiting = 0
         self.free_at = dict.fromkeys(compiled.resources, 0)  # resource id -> when it frees
 
         self.or_expectations: dict[tuple[int, str], list[int]] = {}
@@ -399,9 +421,9 @@ class _Engine:
     # -- event plumbing --------------------------------------------------------
 
     def _push(self, time: int, kind: int, payload) -> None:
+        """Schedule a wake or tick; completions are pushed where batches
+        start, which count them in `pending_case_events`."""
         heapq.heappush(self.heap, (time, kind, next(self.seq), payload))
-        if kind == _COMPLETE:
-            self.pending_case_events += 1
 
     def _schedule_tick(self) -> None:
         """Tick at the first hour boundary after now that lies in a clock
@@ -477,6 +499,8 @@ class _Engine:
     def _route(self, case_id: int, node_id: str, via_arc_id: str | None = None) -> None:
         """Walk a token through gateways until it rests at activities or ends."""
         act_states = self.act_states
+        visit_counts = self.visit_counts
+        draws = self.draws
         stack: list[tuple[str, str | None]] = [(node_id, via_arc_id)]
         while stack:
             node, via = stack.pop()
@@ -493,7 +517,18 @@ class _Engine:
             if not outs or node in self.end_nodes:
                 continue
             if kind == "xor-split":
-                stack.append(self._drawn(self._draw_branch, case_id, node))
+                # the keyed draw of `_drawn`, looked up inline
+                key = (case_id, node)
+                visit = visit_counts.get(key, 0)
+                visit_counts[key] = visit + 1
+                if draws is None:
+                    stack.append(self._draw_branch(case_id, node, visit))
+                    continue
+                key = (case_id, node, visit)
+                hop = draws.get(key)
+                if hop is None:
+                    hop = draws[key] = self._draw_branch(case_id, node, visit)
+                stack.append(hop)
             elif kind == "or-split":
                 stack.extend(reversed(self._activate_or_branches(case_id, node)))
             else:
@@ -600,16 +635,20 @@ class _Engine:
         now = self.now
         if state.policy is None:
             # nothing ever waits: the instance is a batch of one at once
-            self._start_single(activity_id, state, case_id, now, work)
+            self._start_batch(activity_id, state, ((case_id, now, work),))
             return
         waiting = state.waiting
-        if waiting and now < waiting[-1][1]:
-            raise SimulationError(
-                f"activity {activity_id!r} enabled at {now}, "
-                f"before its last waiting instance ({waiting[-1][1]})"
-            )
+        if waiting:
+            if now < waiting[-1][1]:
+                raise SimulationError(
+                    f"activity {activity_id!r} enabled at {now}, "
+                    f"before its last waiting instance ({waiting[-1][1]})"
+                )
+        elif not state.size_only:  # its rule reads a waiting time or the clock
+            self.timed_waiting += 1
         waiting.append((case_id, now, work))
         state.enabled = True
+        self.rules_due = True
         if state.wakes:
             self._schedule_timeout_wakes(activity_id)
 
@@ -617,6 +656,7 @@ class _Engine:
         """Fire every activity whose rule holds right now.  A size-only
         rule whose activity enabled nothing since the last pass is not
         evaluated: it answered false then, and its queue has not grown."""
+        self.rules_due = False
         now = self.now
         for activity_id, state in self.ruled:
             waiting = state.waiting
@@ -630,91 +670,95 @@ class _Engine:
             ):
                 self._form_batch(activity_id)
 
-    def _choose_resource(self, state: _ActivityState) -> tuple[str, ResourceProfile, int]:
-        """The eligible resource that can start earliest (ties by id), its
-        profile and its start time."""
-        now = self.now
-        free_at = self.free_at
-        best = None
-        for rid, profile in state.resources:
-            start = profile.calendar.next_open(max(now, free_at[rid]))
-            if best is None or start < best[2]:
-                best = (rid, profile, start)
-        assert best is not None  # validation guarantees eligible resources
-        return best
-
-    def _start_single(
-        self, activity_id: str, state: _ActivityState, case_id: int, enable_time: int, work: int
-    ) -> None:
-        """Form and start a batch of one instance."""
-        rid, profile, start = self._choose_resource(state)
-        end = profile.calendar.work_end(start, work)
-        batch_id = f"b{len(self.batches) + 1:05d}"
-        cost = compute_batch_cost(
-            1, [float(work)], end - start, profile.cost_per_time_unit, state.cost
-        )
-        index = len(self.instances)
-        self.instances.append(_tuple_new(InstanceRecord, (
-            case_id, activity_id, rid, enable_time, start, end, batch_id, cost, work
-        )))
-        heapq.heappush(self.heap, (end, _COMPLETE, next(self.seq), (case_id, activity_id, index)))
-        self.pending_case_events += 1
-        self.batches.append(
-            _tuple_new(BatchRecord, (batch_id, activity_id, rid, start, end, (index,), cost, work))
-        )
-        self.free_at[rid] = end
-
     def _form_batch(self, activity_id: str) -> None:
+        """Start every waiting instance of the activity as one batch."""
         state = self.act_states[activity_id]
         members = state.waiting
         state.waiting = []
-        if len(members) == 1:
-            self._start_single(activity_id, state, *members[0])
+        if not state.size_only:  # a ruled activity (only those wait) with a timed rule
+            self.timed_waiting -= 1
+        self._start_batch(activity_id, state, members)
+
+    def _start_batch(self, activity_id: str, state: _ActivityState, members) -> None:
+        """Start `members`, (case_id, enable_time, work) entries in waiting
+        order, as one batch on the eligible resource that can start it
+        earliest (ties by id).  Most batches hold one instance: a batch of
+        one is priced from its set-up price terms and, on an always-open
+        calendar, ends its work later without `work_end`."""
+        now = self.now
+        free_at = self.free_at
+        best = None  # validation guarantees an eligible resource
+        for resource in state.resources:
+            rid, calendar, always_open, _ = resource
+            start = free_at[rid]
+            if start < now:
+                start = now
+            if not always_open:
+                start = calendar.next_open(start)
+            if best is None or start < best_start:
+                best, best_start = resource, start
+        rid, calendar, always_open, rate = best
+        start = best_start
+        batch_id = f"b{len(self.batches) + 1:05d}"
+        instances = self.instances
+        heap = self.heap
+        seq = self.seq
+        first_index = len(instances)
+        size = len(members)
+        if size == 1:
+            ((case_id, enable_time, work),) = members
+            end = start + work if always_open else calendar.work_end(start, work)
+            cost = batch_price(state.base_price, state.price_scale, work, end - start, rate)
+            instances.append(_tuple_new(InstanceRecord, (
+                case_id, activity_id, rid, enable_time, start, end, batch_id, cost, work
+            )))
+            heapq.heappush(heap, (end, _COMPLETE, next(seq), (case_id, activity_id, first_index)))
+            self.pending_case_events += 1
+            self.batches.append(_tuple_new(
+                BatchRecord, (batch_id, activity_id, rid, start, end, (first_index,), cost, work)
+            ))
+            free_at[rid] = end
             return
-        rid, profile, start = self._choose_resource(state)
-        calendar = profile.calendar
+
         works = [work for _, _, work in members]
-        spans: list[tuple[int, int]] = []
         if state.policy.batch_type == SEQUENTIAL:
-            cursor = start
+            # member i works from bounds[i] to bounds[i + 1]
+            bounds = [start]
             for work in works:
-                end = calendar.work_end(cursor, work)
-                spans.append((cursor, end))
-                cursor = end
-            batch_end = cursor
+                bounds.append(calendar.work_end(bounds[-1], work))
+            batch_end = bounds[-1]
             busy = sum(works)
         else:
-            longest = max(works)
-            batch_end = calendar.work_end(start, longest)
-            spans = [(start, batch_end)] * len(members)
-            busy = longest
-
-        batch_id = f"b{len(self.batches) + 1:05d}"
+            bounds = None
+            busy = max(works)
+            batch_end = calendar.work_end(start, busy)
         cost = compute_batch_cost(
-            len(members),
-            [float(work) for work in works],
-            batch_end - start,
-            profile.cost_per_time_unit,
-            state.cost,
+            size, [float(work) for work in works], batch_end - start, rate, state.cost
         )
         # equal shares, with the last member absorbing float drift so the
         # members always sum back to the batch cost exactly
-        share = cost / len(members)
+        share = cost / size
+        last = size - 1
+        allocated = share
         allocated_so_far = 0.0
-        first_index = len(self.instances)
-        for i, ((case_id, enable_time, work), (s, e)) in enumerate(zip(members, spans)):
-            allocated = cost - allocated_so_far if i == len(members) - 1 else share
+        s, e = start, batch_end
+        for i, (case_id, enable_time, work) in enumerate(members):
+            if bounds is not None:
+                s, e = bounds[i], bounds[i + 1]
+            if i == last:
+                allocated = cost - allocated_so_far
             allocated_so_far += allocated
-            self.instances.append(_tuple_new(
+            instances.append(_tuple_new(
                 InstanceRecord,
                 (case_id, activity_id, rid, enable_time, s, e, batch_id, allocated, work),
             ))
-            self._push(e, _COMPLETE, (case_id, activity_id, len(self.instances) - 1))
-        indices = tuple(range(first_index, first_index + len(members)))
+            heapq.heappush(heap, (e, _COMPLETE, next(seq), (case_id, activity_id, first_index + i)))
+        self.pending_case_events += size
+        indices = tuple(range(first_index, first_index + size))
         self.batches.append(_tuple_new(
             BatchRecord, (batch_id, activity_id, rid, start, batch_end, indices, cost, busy)
         ))
-        self.free_at[rid] = batch_end
+        free_at[rid] = batch_end
 
     # -- termination ------------------------------------------------------------
 
@@ -796,8 +840,10 @@ class _Engine:
                             route(case_id, target, arc_id)
             elif kind == _TICK and time == self.tick_at:
                 self.tick_at = None
-            # state changed, a threshold crossed or a clock hour began
-            if evaluate_rules is not None:
+            # state changed, a threshold crossed or a clock hour began; a
+            # pass can fire only after an enablement or while a timed rule's
+            # activity waits
+            if evaluate_rules is not None and (self.rules_due or self.timed_waiting):
                 evaluate_rules()
             if schedule_tick is not None:
                 schedule_tick()

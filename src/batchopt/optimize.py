@@ -149,6 +149,12 @@ class OptimizerConfig(Config):
             raise OptimizerError("temperatures must be positive")
 
 
+def simulation_seed(config: OptimizerConfig) -> int:
+    """The seed every simulation of a search run under `config` uses,
+    derived from the optimizer seed; `config.sim.seed` is not read."""
+    return derive_seed(config.seed, "sim", 0)
+
+
 class OptimizeResult(NamedTuple):
     front: ParetoFront
     audit: list[dict]
@@ -203,7 +209,7 @@ class CandidateEvaluator:
             raise OptimizerError(f"model cannot be simulated: {err}") from err
         self.model = self.compiled.model
         self.config = config
-        self.sim_config = config.sim._replace(seed=derive_seed(config.seed, "sim", 0))
+        self.sim_config = config.sim._replace(seed=simulation_seed(config))
         self.path = SamplePath()
         self._simulate = simulate
         self._compute_stats = compute_stats

@@ -215,6 +215,15 @@ class CostModel(Record):
         if any(s < 1 or m < 0 for s, m in self.variable_cost):
             raise PolicyError("variable cost entries must have size >= 1 and money >= 0")
 
+    def price_terms(self, size: int) -> tuple[float, float | None]:
+        """(base, scale) of a batch of `size`, as `batch_price` reads them:
+        base = fixed + variable cost at that size; scale = the processing
+        scale factor / size in processing-scaled mode, None in per-time."""
+        base = self.fixed_cost + self.variable_at(size)
+        if self.resource_cost_mode == PER_TIME:
+            return base, None
+        return base, self.processing_scale_factor / size
+
     def variable_at(self, size: int) -> float:
         table = self.variable_cost
         if not table:
@@ -243,11 +252,18 @@ def compute_batch_cost(
     """
     if batch_size < 1 or len(processing_times) != batch_size:
         raise PolicyError("batch size and processing times disagree")
-    if cost.resource_cost_mode == PER_TIME:
-        resource_part = resource_rate * busy_duration
-    else:
-        resource_part = (cost.processing_scale_factor / batch_size) * sum(processing_times)
-    return cost.fixed_cost + cost.variable_at(batch_size) + resource_part
+    base, scale = cost.price_terms(batch_size)
+    return batch_price(base, scale, sum(processing_times), busy_duration, resource_rate)
+
+
+def batch_price(base: float, scale: float | None, total_work: float, busy_duration: int,
+                resource_rate: float) -> float:
+    """Money charged to one batch, given its size's `CostModel.price_terms`:
+    the base plus the resource component, rate x wall span in per-time
+    mode (scale None), else scale x the members' total pure work."""
+    if scale is None:
+        return base + resource_rate * busy_duration
+    return base + scale * total_work
 
 
 class BatchingPolicy(Record):

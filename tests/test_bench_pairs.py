@@ -1,5 +1,5 @@
-"""The pure helpers of scripts/bench_pairs.py: seed ranges and the pair
-summary (medians, inclusive quartiles, win counts)."""
+"""The pure helpers of scripts/bench_pairs.py: seed ranges, the pair
+summary (medians, inclusive quartiles, win counts) and the host block."""
 
 import importlib.util
 from pathlib import Path
@@ -98,3 +98,21 @@ def test_run_once_untraced_by_default(tmp_path):
 def test_run_once_stops_on_an_incorrect_run(tmp_path):
     with pytest.raises(SystemExit, match="benchmark failed"):
         bench_pairs.run_once(_stub_tree(tmp_path), "broken", 7, 1, trace=1)
+
+
+def test_wrote_bytecode_sees_a_pyc_anywhere_under_src(tmp_path):
+    package = tmp_path / "src" / "batchopt"
+    package.mkdir(parents=True)
+    (package / "cli.py").write_text("")
+    assert not bench_pairs.wrote_bytecode(str(tmp_path))
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "cli.cpython-311.pyc").write_bytes(b"")
+    assert bench_pairs.wrote_bytecode(str(tmp_path))
+
+
+def test_host_block_records_cores_python_and_bytecode(tmp_path):
+    (tmp_path / "src").mkdir()
+    host = bench_pairs.host_block(str(tmp_path))
+    assert set(host) == {"cores", "python", "wrote_bytecode"}
+    assert host["wrote_bytecode"] is False
+    assert host["python"].count(".") == 2

@@ -9,6 +9,7 @@ from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.model import UNBOUNDED_VISITS
 from batchopt.pareto import front_to_doc, render_front_csv
 from batchopt.policy import policy_set_key
+from batchopt.rng import derive_seed
 
 
 def write_json(path: Path, doc) -> str:
@@ -523,6 +524,55 @@ class TestOptimize:
         manifest_b = json.loads(read(out_b, MANIFEST_FILE))
         assert manifest_a["seed"] == 11
         assert manifest_a["configHash"] != manifest_b["configHash"]
+
+
+    @pytest.mark.parametrize("fixture", ["circadian", "busy-step"])
+    def test_sim_seed_in_manifest_reproduces_every_front_point(self, tmp_path, fixture):
+        # the manifest's simSeed, given to simulate with the config's sim
+        # block and a solution's policies, gives that solution's point; the
+        # sim block's own seed is not what the candidates ran under
+        model, policies = fixture_inputs(tmp_path, fixture)
+        config = write_json(tmp_path / "optimizer.json",
+                            {"maxSolutions": 12, "seed": 5, "sim": {"seed": 1}})
+        out = tmp_path / "out"
+        assert main(["optimize", "--model", model, "--policies", policies,
+                     "--config", config, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads(read(out, MANIFEST_FILE))
+        assert manifest["seed"] == 5
+        assert manifest["simSeed"] == derive_seed(5, "sim", 0)
+        sim = write_json(tmp_path / "sim.json", manifest["effectiveConfig"]["sim"])
+        solutions = json.loads(read(out, "front.json"))["solutions"]
+        assert solutions
+        for i, solution in enumerate(solutions):
+            chosen = write_json(tmp_path / f"policies-{i}.json", solution["policies"])
+            replay = tmp_path / f"replay-{i}"
+            assert main(["simulate", "--model", model, "--policies", chosen, "--config", sim,
+                         "--seed", str(manifest["simSeed"]), "--out", str(replay)]) == EXIT_OK
+            objectives = json.loads(read(replay, "objectives.json"))
+            assert [objectives["avgCycleTime"], objectives["avgCost"]] == solution["point"]
+
+
+class TestParser:
+    def test_main_builds_its_parser_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_consecutive_calls_parse_independently(self, tmp_path, capsys):
+        # one parser serves every call: a --guided given to one call does
+        # not carry into the next, whose config says unguided
+        model, policies = fixture_inputs(tmp_path, "monotone-tradeoff")
+        config = oracle_config(tmp_path, guided=False, maxSolutions=5)
+        labels = []
+        for name, flags in (("a", ["--guided"]), ("b", [])):
+            out = tmp_path / name
+            assert main(["optimize", "--model", model, "--policies", policies,
+                         "--config", config, "--out", str(out)] + flags) == EXIT_OK
+            labels.append(json.loads(read(out, "front.json"))["label"])
+        assert labels == ["hc+", "hc-"]
+        # and a usage error after them still exits 2
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--model", model, "--guided", "--unguided"])
+        assert exc.value.code == 2
+        assert "not allowed with argument --guided" in capsys.readouterr().err
 
 
 class TestAnalyze:

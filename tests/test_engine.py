@@ -1,9 +1,10 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from batchopt import engine
 from batchopt import model as m
@@ -17,7 +18,7 @@ from batchopt.eventlog import (
     evaluate_objectives,
     filter_warmup,
 )
-from batchopt.fixtures import all_fixtures
+from batchopt.fixtures import all_fixtures, get_fixture
 
 H = SECONDS_PER_HOUR
 
@@ -425,6 +426,31 @@ class TestRuleEvaluations:
         ]
 
 
+def test_a_timed_rule_fires_at_a_completion_before_its_wake_at_that_instant():
+    # heavy-parallel-work with both activities batched in parallel.  At
+    # 16 260 s inspection's first batch completes, case 2's wt-first wake
+    # falls due and intake's completion enables case 3, in that order: the
+    # pass after the inspection completion already fires case 2 alone.  A
+    # pass held back until the wake, or until an enablement, would take
+    # case 3 with it.
+    fixture = get_fixture("heavy-parallel-work")
+    model = fixture.model()
+    intake_cost = pol.CostModel(fixed_cost=model.activities[0].fixed_cost_per_execution)
+    policies = {
+        "inspection": pol.BatchingPolicy("inspection", pol.PARALLEL, pol.rule(
+            [pol.size_at_least(2)], [pol.wait_first_at_least(3600)]
+        ), fixture.policies()["inspection"].cost),
+        "intake": pol.BatchingPolicy("intake", pol.PARALLEL, pol.rule(
+            [pol.size_at_least(3)], [pol.wait_first_at_least(1800)]
+        ), intake_cost),
+    }
+    log = simulate(model, policies, SimConfig()).log
+    batch = log.batches[5]
+    assert (batch.batch_id, batch.activity_id, batch.start_time) == ("b00006", "inspection", 16260)
+    assert [(log.instances[i].case_id, log.instances[i].enable_time)
+            for i in batch.members] == [(2, 12660)]
+
+
 class TestRecords:
     @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
     def test_records_are_their_named_tuples(self, fixture):
@@ -596,6 +622,66 @@ class TestCompiledModel:
         doc["activities"][0]["resources"] = ["ghost"]
         with pytest.raises(SimulationError, match="ghost"):
             engine.compile_model(m.parse_model(doc))
+
+
+@st.composite
+def variable_tables(draw):
+    """A variable-cost table: strictly increasing sizes from 1 up, its first
+    size often above 1."""
+    sizes = draw(st.lists(st.integers(1, 12), max_size=4, unique=True))
+    return tuple((size, draw(st.floats(0, 1e4))) for size in sorted(sizes))
+
+
+cost_models = st.builds(
+    pol.CostModel,
+    fixed_cost=st.one_of(st.floats(0, 1e6), st.integers(0, 100)),
+    variable_cost=variable_tables(),
+    resource_cost_mode=st.sampled_from(pol.RESOURCE_COST_MODES),
+    processing_scale_factor=st.one_of(st.floats(0, 1e3), st.integers(0, 10)),
+)
+MON_8_12 = [{"weekday": "Monday", "start": "08:00", "end": "12:00"}]
+
+
+def bits(x) -> tuple:
+    return type(x), struct.pack("<d", x)
+
+
+class TestBatchOfOne:
+    """A batch of one is priced and timed from what `_ActivityState`
+    resolves at set-up: it must equal the general path bit for bit."""
+
+    @settings(deadline=None)
+    @given(cost=cost_models, work=st.integers(0, 10**7),
+           rate=st.one_of(st.floats(0, 1e3), st.integers(0, 5)),
+           free_at=st.integers(0, 3 * SECONDS_PER_WEEK), now=st.integers(0, 2 * SECONDS_PER_WEEK),
+           always_open=st.booleans())
+    @example(cost=pol.CostModel(1.5, ((3, 7.25), (6, 0.5)), pol.PER_TIME), work=5400, rate=0.1,
+             free_at=0, now=0, always_open=True)
+    # 5 h of work in a 4 h window spans a week; (0.1 + 0.2) + 0.1 x span
+    # differs from 0.1 + (0.2 + 0.1 x span) in its last bit
+    @example(cost=pol.CostModel(0.1, ((1, 0.2),), pol.PER_TIME), work=5 * H, rate=0.1,
+             free_at=0, now=0, always_open=False)
+    @example(cost=pol.CostModel(0.1, ((2, 0.2),), pol.PROCESSING_SCALED, 0.3), work=7,
+             free_at=0, now=0, rate=0.7, always_open=True)
+    def test_single_start_matches_next_open_work_end_and_compute_batch_cost(
+        self, cost, work, rate, free_at, now, always_open
+    ):
+        doc = single_activity_doc(resource_calendar=None if always_open else MON_8_12)
+        doc["resources"][0]["costPerTimeUnit"] = rate
+        policies = {"work": pol.BatchingPolicy("work", pol.PARALLEL, pol.rule(), cost)}
+        run = engine._Engine(engine.compile_model(m.parse_model(doc)), policies, SimConfig())
+        run.now, run.free_at["r1"] = now, free_at
+        run._start_batch("work", run.act_states["work"], [(0, now, work)])
+        (record,), (batch,) = run.instances, run.batches
+
+        calendar = run.model.resource("r1").calendar
+        start = calendar.next_open(max(now, free_at))
+        end = calendar.work_end(start, work)
+        assert (record.start_time, record.end_time) == (start, end)
+        if always_open:
+            assert (start, end) == (max(now, free_at), max(now, free_at) + work)
+        price = pol.compute_batch_cost(1, [float(work)], end - start, rate, cost)
+        assert bits(batch.cost) == bits(record.allocated_cost) == bits(price)
 
 
 class TestCaseCountBound:
