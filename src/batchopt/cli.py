@@ -348,6 +348,7 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
         fronts.append((_front_label(doc, path), front))
 
     gains = None
+    effective_config, seeds = {}, {"seed": 0}
     if args.model:
         compiled, policies = _load_inputs(args)
         for path, (_, front) in zip(args.fronts, fronts):
@@ -355,7 +356,9 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
                 _check_activities(
                     compiled.model, solution.policies, f"front file {path}, solution {i}"
                 )
-        cycle_times = CycleTimes(compiled, _run_config(args, compiled.model))
+        config = _run_config(args, compiled.model)
+        effective_config, seeds = to_doc(config), {"seed": config.seed}
+        cycle_times = CycleTimes(compiled, config)
         try:
             baseline = cycle_times.mean(policies)
         except (SimulationError, MetricsError) as err:
@@ -373,7 +376,8 @@ def cmd_evaluate(args, parser: argparse.ArgumentParser) -> CommandResult:
         "reference_front.json": _json_text(front_to_doc(reference, label="reference")),
     }
     summary = f"evaluated {len(fronts)} fronts against a reference of {len(reference)} points"
-    return outputs, {"fronts": [label for label, _ in fronts]}, {"seed": 0}, summary
+    effective_config["fronts"] = [label for label, _ in fronts]
+    return outputs, effective_config, seeds, summary
 
 
 def _render_metrics_text(reference: ParetoFront, rows: list[dict], verdict: str) -> str:

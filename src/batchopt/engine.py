@@ -22,12 +22,12 @@ all were evaluated after every event.  When no future event can ever
 fire a rule, the remaining waiting instances are flushed.
 
 The event set has two parts.  Every case's arrival is generated before
-the first event, into a list that is already in event order; the
-completions, wakes and ticks that the run schedules as it goes are kept
-in a heap.  The loop takes the earlier of the next arrival and the heap's
-first event, both ordered on (time, kind, seq), so events are processed
-in the order one heap of all of them would give, while the heap holds
-only the events in flight, not every case's arrival.
+the first event, into the sample path's tuple, which is already in event
+order; the completions, wakes and ticks that the run schedules as it goes
+are kept in a heap.  The loop takes the earlier of the next arrival and
+the heap's first event, both ordered on (time, kind, seq), so events are
+processed in the order one heap of all of them would give, while the heap
+holds only the events in flight, not every case's arrival.
 
 An activity's waiting queue only grows by appends at the current instant
 and is emptied whole when a batch forms, so it stays in enable-time order.
@@ -35,15 +35,15 @@ A rule therefore reads just the queue's length and its first and last
 enable times, and one evaluation costs the same however long the queue.
 
 All randomness is drawn from counter-based streams keyed by case /
-activity / gateway visit, so two runs with the same seed are bit-identical
-and a policy change never perturbs arrivals or duration samples.  The
-engine keeps one keyed hasher for its seed and draws through
-`rng.visit_unit` with label and ids encoded once at set-up (see rng.py); a
-`fixed` duration draws nothing, which shifts no other draw because every
-draw is keyed.  A `fixed` inter-arrival time draws nothing either, so a
-model with fixed inter-arrival times and durations and no xor- or
-or-split draws nothing at all and simulates to the same result under
-every seed.
+activity / gateway visit, so two runs with the same seed are
+bit-identical and a policy change never perturbs arrivals or duration
+samples.  Every draw goes through one path, a `SamplePath`: it keeps one
+keyed hasher for its seed and draws through `rng.visit_unit` with label
+and ids encoded once at set-up (see rng.py); a `fixed` duration draws
+nothing, which shifts no other draw because every draw is keyed.  A
+`fixed` inter-arrival time draws nothing either, so a model with fixed
+inter-arrival times and durations and no xor- or or-split draws nothing
+at all and simulates to the same result under every seed.
 
 Whatever depends only on the model is computed once per model, not once
 per simulation: `compile_model` validates it and builds its
@@ -58,14 +58,14 @@ them (`optimize.CandidateEvaluator.schedules`).  What depends on the
 policy set (the clock-hour masks, the waiting-time wakes, the cost model
 and a batch of one's `CostModel.price_terms`) is set up once per
 simulation.  What depends on the model, seed and case count but not on
-the policy set (the arrival events and every keyed draw) can be kept in
-a `SamplePath`: the first simulation given one fills it and later
-ones replay it, with the same bytes as drawing afresh.  Whatever
-simulates many policy sets under one seed builds one: a search run
-(`optimize.CandidateEvaluator`, which simulates every candidate under
+the policy set (the arrival events and every keyed draw) is kept in the
+`SamplePath` a simulation runs on: the first simulation given one fills
+it and later ones replay it, with the same bytes as drawing afresh.
+Whatever simulates many policy sets under one seed passes one: a search
+run (`optimize.CandidateEvaluator`, which simulates every candidate under
 one seed and so compares them under common random numbers) and
-`metrics.CycleTimes` (`batchopt evaluate`).  A lone simulation keeps
-nothing.
+`metrics.CycleTimes` (`batchopt evaluate`).  A lone simulation runs on a
+fresh path of its own.
 
 Records are tuples.  The log's `InstanceRecord` / `BatchRecord` and the
 `BatchState` a rule reads are each built with one `tuple.__new__` call,
@@ -162,33 +162,39 @@ class SimResult(NamedTuple):
 
 class SamplePath:
     """The arrival events and keyed draws of one (compiled model, seed,
-    case count), shared by simulations of different policy sets.
+    case count): the engine's only source of randomness, shared by
+    simulations of different policy sets.
 
     A new path is empty.  The first simulation given it binds it to its
-    compiled model, seed and case count and fills it as it runs; every
-    later one replays it: it copies the arrival events and looks each
-    draw up, drawing only what the path misses.  A draw is stored under
-    (case, node, visit), its key without the stream label, which the node
-    implies; the value is what the draw decides, which depends on nothing
-    else under the bound model and seed: a duration's seconds, an
-    xor-split's hop, or the hops an or-split's per-branch and fallback
-    draws activate.  A simulation under any other compiled model, seed or
-    case count raises SimulationError rather than replay the wrong draws.
+    compiled model, seed and case count, which generates every arrival
+    event; each draw is then taken on its first request and kept, so
+    every later simulation replays the same arrivals and draws.  A draw
+    is stored under (case, node, visit), its key without the stream
+    label, which the node implies; the value is what the draw decides,
+    which depends on nothing else under the bound model and seed: a
+    duration's seconds, an xor-split's hop, or the hops an or-split's
+    per-branch and fallback draws activate.  A simulation under any other
+    compiled model, seed or case count raises SimulationError rather than
+    replay the wrong draws.
     """
 
-    __slots__ = ("compiled", "seed", "total_cases", "arrivals", "draws")
+    __slots__ = ("compiled", "seed", "total_cases", "hasher", "arrivals", "draws")
 
     def __init__(self):
         self.compiled: CompiledModel | None = None
         self.seed: int | None = None
         self.total_cases: int | None = None
-        self.arrivals: tuple | None = None  # the arrival events, in event order
+        self.hasher = None  # rng.hasher(seed), which every keyed draw starts from
+        self.arrivals: tuple = ()  # the arrival events, in event order
         self.draws: dict[tuple[int, str, int], object] = {}
 
     def bind(self, compiled: CompiledModel, seed: int, total_cases: int) -> None:
-        """Bind an empty path to a run; check a bound one against it."""
+        """Bind an empty path to a run and generate its arrivals; check a
+        bound one against the run."""
         if self.compiled is None:
             self.compiled, self.seed, self.total_cases = compiled, seed, total_cases
+            self.hasher = rng.hasher(seed)
+            self._generate_arrivals()
         elif self.compiled is not compiled:
             raise SimulationError("sample path was filled under another compiled model")
         elif self.seed != seed:
@@ -197,6 +203,82 @@ class SamplePath:
             raise SimulationError(
                 f"sample path was filled for {self.total_cases} cases, not {total_cases}"
             )
+
+    def _generate_arrivals(self) -> None:
+        """Set `arrivals` to every case's arrival event, in event order:
+        case i arrives with sequence number i, and arrival times never
+        decrease, so the events are sorted on (time, kind, seq) as built."""
+        arrival = self.compiled.model.arrival
+        inter_arrival = arrival.inter_arrival
+        # a fixed gap is not drawn; the arrivals stream has no other consumer
+        fixed_gap = inter_arrival.param("value") if inter_arrival.kind == "fixed" else None
+        stream = rng.Stream(self.seed, "arrivals")
+        cal = arrival.calendar
+        events = []
+        raw = 0.0
+        for case_id in range(self.total_cases):
+            if fixed_gap is None:
+                raw += inter_arrival.sample(stream.next_unit())
+            else:
+                raw += fixed_gap
+            events.append((cal.next_open(rng.round_half_up(raw)), _ARRIVAL, case_id, case_id))
+        self.arrivals = tuple(events)
+
+    def work(self, case_id: int, activity_id: str, visit: int) -> int:
+        """The processing seconds of a visit to an activity that draws."""
+        key = (case_id, activity_id, visit)
+        work = self.draws.get(key)
+        if work is None:
+            compiled = self.compiled
+            u = rng.visit_unit(self.hasher, _DURATIONS, case_id,
+                               compiled.activity_keys[activity_id], visit)
+            work = self.draws[key] = rng.round_half_up(
+                compiled.activities[activity_id].duration.sample(u)
+            )
+        return work
+
+    def hop(self, case_id: int, gw_id: str, visit: int) -> tuple[str, str]:
+        """The (target, arc id) hop an xor-split picks."""
+        key = (case_id, gw_id, visit)
+        hop = self.draws.get(key)
+        if hop is None:
+            u = rng.visit_unit(self.hasher, _BRANCHING, case_id,
+                               self.compiled.gateway_keys[gw_id], visit)
+            hop = self.draws[key] = _pick(self.compiled.branches[gw_id], u)
+        return hop
+
+    def or_hops(self, case_id: int, gw_id: str, visit: int) -> tuple[tuple[str, str], ...]:
+        """The (target, arc id) hops an or-split activates: each branch
+        whose own draw falls below its probability, else the one branch a
+        fallback draw picks in proportion to the probabilities."""
+        key = (case_id, gw_id, visit)
+        hops = self.draws.get(key)
+        if hops is None:
+            hasher, gw_key = self.hasher, self.compiled.gateway_keys[gw_id]
+            table = self.compiled.branches[gw_id]
+            hops = tuple(
+                hop
+                for hop, probability, arc_key in table
+                if rng.visit_unit(hasher, _BRANCHING, case_id, gw_key, visit, arc_key)
+                < probability
+            )
+            if not hops:
+                total = running_sum(probability for _, probability, _ in table)
+                u = rng.visit_unit(hasher, _BRANCHING, case_id, gw_key, visit, _FALLBACK)
+                hops = (_pick(table, u * total),)
+            self.draws[key] = hops
+        return hops
+
+
+def _pick(table, u: float) -> tuple[str, str]:
+    """The hop of a split's branch table on whose cumulative probability
+    interval `u` falls; the last hop when float drift leaves `u` past them."""
+    acc = 0.0
+    for hop, probability, _ in table:
+        acc += probability
+        if u < acc:
+            return hop
+    return table[-1][0]
 
 
 # event kinds, in same-instant processing order
@@ -318,8 +400,7 @@ class _ActivityState:
     """What the engine reads of one activity under one policy set."""
 
     __slots__ = ("policy", "size_only", "cost", "base_price", "price_scale",
-                 "clock_hours", "wakes", "key", "duration", "fixed_work", "resources",
-                 "waiting", "enabled")
+                 "clock_hours", "wakes", "fixed_work", "resources", "waiting", "enabled")
 
     def __init__(self, compiled: CompiledModel, activity: Activity,
                  policy: BatchingPolicy | None):
@@ -336,8 +417,6 @@ class _ActivityState:
         # (delay, wt-first) per waiting-time condition with a positive
         # threshold, in rule order: the wakes an enablement schedules
         self.wakes = _wakes(policy)
-        self.key = compiled.activity_keys[activity.id]  # the id part of its draws
-        self.duration = activity.duration
         self.fixed_work = compiled.fixed_work[activity.id]  # the duration of a `fixed` one
         # (id, calendar, always open, rate) per eligible resource, sorted by id
         self.resources = compiled.eligible[activity.id]
@@ -367,23 +446,18 @@ class _Engine:
             if activity_id not in compiled.activities:
                 raise SimulationError(f"policy references unknown activity {activity_id!r}")
         self.model = compiled.model
-        self.total_cases = config.total_cases or compiled.model.arrival.total_cases
-        if path is not None:
-            path.bind(compiled, config.seed, self.total_cases)
-        self.path = path
-        # the path's draws, read before and filled after each draw
-        self.draws = None if path is None else path.draws
-        self.seed = config.seed
-        self.hasher = rng.hasher(config.seed)
+        total = config.total_cases or compiled.model.arrival.total_cases
+        if path is None:
+            path = SamplePath()
+        path.bind(compiled, config.seed, total)
+        self.path = path  # the arrival events and every draw
         self.now = 0
 
         self.gateways = compiled.gateways
         self.hops = compiled.hops
-        self.branches = compiled.branches
         self.join_arcs = compiled.join_arcs
         self.end_nodes = compiled.end_nodes
         self.or_join_of = compiled.or_join_of
-        self.gateway_keys = compiled.gateway_keys
 
         self.act_states = {}
         for activity_id, activity in compiled.activities.items():
@@ -405,12 +479,11 @@ class _Engine:
         self.or_expectations: dict[tuple[int, str], list[int]] = {}
         self.and_counts: dict[tuple[int, str], dict[str, int]] = {}
 
-        # every arrival event, in event order (see _generate_arrivals), and a
-        # heap of the events scheduled while the simulation runs
-        self.arrivals: list = []
+        # the events scheduled while the simulation runs; the path's arrival
+        # events took the sequence numbers 0..total-1
         self.heap: list = []
-        self.seq = itertools.count()
-        self.pending_case_events = 0
+        self.seq = itertools.count(total)
+        self.pending_case_events = total
         self.tick_at: int | None = None  # earliest pending tick
 
         self.instances: list[InstanceRecord] = []
@@ -456,51 +529,14 @@ class _Engine:
             if first or not wt_first:
                 self._push(self.now + delay, _WAKE, activity_id)
 
-    # -- arrivals --------------------------------------------------------------
-
-    def _load_arrivals(self) -> None:
-        """Fill `self.arrivals`: a copy of the path's arrival events when it
-        holds them (`run` frees the slots it takes), else generated, and
-        kept in the path when there is one."""
-        path = self.path
-        if path is None or path.arrivals is None:
-            self._generate_arrivals()
-            if path is not None:
-                path.arrivals = tuple(self.arrivals)
-            return
-        self.arrivals = list(path.arrivals)
-        # the generated events took the sequence numbers 0..total-1
-        self.seq = itertools.count(self.total_cases)
-        self.pending_case_events += self.total_cases
-
-    def _generate_arrivals(self) -> None:
-        """Fill `self.arrivals` with every case's arrival event, in event
-        order: arrival times never decrease and their sequence numbers
-        rise, so the list is sorted on (time, kind, seq) as it is built."""
-        total = self.total_cases
-        inter_arrival = self.model.arrival.inter_arrival
-        # a fixed gap is not drawn; the arrivals stream has no other consumer
-        fixed_gap = inter_arrival.param("value") if inter_arrival.kind == "fixed" else None
-        stream = rng.Stream(self.seed, "arrivals")
-        cal = self.model.arrival.calendar
-        seq = self.seq
-        arrivals = self.arrivals
-        raw = 0.0
-        for case_id in range(total):
-            if fixed_gap is None:
-                raw += inter_arrival.sample(stream.next_unit())
-            else:
-                raw += fixed_gap
-            arrivals.append((cal.next_open(rng.round_half_up(raw)), _ARRIVAL, next(seq), case_id))
-        self.pending_case_events += total
-
     # -- token routing -----------------------------------------------------------
 
     def _route(self, case_id: int, node_id: str, via_arc_id: str | None = None) -> None:
         """Walk a token through gateways until it rests at activities or ends."""
         act_states = self.act_states
         visit_counts = self.visit_counts
-        draws = self.draws
+        path = self.path
+        draws = path.draws
         stack: list[tuple[str, str | None]] = [(node_id, via_arc_id)]
         while stack:
             node, via = stack.pop()
@@ -521,13 +557,9 @@ class _Engine:
                 key = (case_id, node)
                 visit = visit_counts.get(key, 0)
                 visit_counts[key] = visit + 1
-                if draws is None:
-                    stack.append(self._draw_branch(case_id, node, visit))
-                    continue
-                key = (case_id, node, visit)
-                hop = draws.get(key)
+                hop = draws.get((case_id, node, visit))
                 if hop is None:
-                    hop = draws[key] = self._draw_branch(case_id, node, visit)
+                    hop = path.hop(case_id, node, visit)
                 stack.append(hop)
             elif kind == "or-split":
                 stack.extend(reversed(self._activate_or_branches(case_id, node)))
@@ -562,65 +594,15 @@ class _Engine:
         return False
 
     def _drawn(self, draw, case_id: int, node: str):
-        """What `draw(case_id, node, visit)` decides at this visit of the
-        case to `node`; with a sample path, looked up there and drawn only
-        when the path misses it.  The visit is counted either way."""
+        """What the path's `draw(case_id, node, visit)` decides at this
+        visit of the case to `node`, the visit counted here."""
         key = (case_id, node)
         visit = self.visit_counts.get(key, 0)
         self.visit_counts[key] = visit + 1
-        draws = self.draws
-        if draws is None:
-            return draw(case_id, node, visit)
-        key = (case_id, node, visit)
-        value = draws.get(key)
-        if value is None:
-            value = draws[key] = draw(case_id, node, visit)
-        return value
-
-    def _draw_work(self, case_id: int, activity_id: str, visit: int) -> int:
-        """The processing seconds of a visit to an activity that draws."""
-        state = self.act_states[activity_id]
-        u = rng.visit_unit(self.hasher, _DURATIONS, case_id, state.key, visit)
-        return rng.round_half_up(state.duration.sample(u))
-
-    def _draw_branch(self, case_id: int, gw_id: str, visit: int) -> tuple[str, str]:
-        """The (target, arc id) hop an xor-split picks."""
-        u = rng.visit_unit(self.hasher, _BRANCHING, case_id, self.gateway_keys[gw_id], visit)
-        table = self.branches[gw_id]
-        acc = 0.0
-        for hop, probability, _ in table:
-            acc += probability
-            if u < acc:
-                return hop
-        return table[-1][0]
-
-    def _draw_or_branches(
-        self, case_id: int, gw_id: str, visit: int
-    ) -> tuple[tuple[str, str], ...]:
-        """The (target, arc id) hops an or-split activates: each branch
-        whose own draw falls below its probability, else the one branch a
-        fallback draw picks in proportion to the probabilities."""
-        gw_key = self.gateway_keys[gw_id]
-        table = self.branches[gw_id]
-        chosen = tuple(
-            hop
-            for hop, probability, arc_key in table
-            if rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, arc_key)
-            < probability
-        )
-        if not chosen:
-            total = running_sum(probability for _, probability, _ in table)
-            u = rng.visit_unit(self.hasher, _BRANCHING, case_id, gw_key, visit, _FALLBACK) * total
-            acc = 0.0
-            for hop, probability, _ in table:
-                acc += probability
-                if u < acc:
-                    return (hop,)
-            return (table[-1][0],)
-        return chosen
+        return draw(case_id, node, visit)
 
     def _activate_or_branches(self, case_id: int, gw_id: str) -> tuple[tuple[str, str], ...]:
-        hops = self._drawn(self._draw_or_branches, case_id, gw_id)
+        hops = self._drawn(self.path.or_hops, case_id, gw_id)
         join = self.or_join_of[gw_id]
         self.or_expectations.setdefault((case_id, join), []).append(len(hops))
         return hops
@@ -631,7 +613,7 @@ class _Engine:
         state = self.act_states[activity_id]
         work = state.fixed_work
         if work is None:
-            work = self._drawn(self._draw_work, case_id, activity_id)
+            work = self._drawn(self.path.work, case_id, activity_id)
         now = self.now
         if state.policy is None:
             # nothing ever waits: the instance is a batch of one at once
@@ -790,8 +772,8 @@ class _Engine:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> EventLog:
-        self._load_arrivals()
-        arrivals = self.arrivals
+        arrivals = self.path.arrivals
+        total = len(arrivals)
         arrived = 0  # arrivals[arrived] is the next arrival
         heap = self.heap
         heappop = heapq.heappop
@@ -813,9 +795,8 @@ class _Engine:
                     continue
             # the earlier of the next arrival and the heap's first event;
             # both are ordered on (time, kind, seq)
-            if arrived < len(arrivals) and (not heap or arrivals[arrived] < heap[0]):
+            if arrived < total and (not heap or arrivals[arrived] < heap[0]):
                 time, kind, _, payload = arrivals[arrived]
-                arrivals[arrived] = None  # free it, as popping it from the heap would
                 arrived += 1
             elif heap:
                 time, kind, _, payload = heappop(heap)
@@ -861,7 +842,8 @@ def simulate(
     A bare `ProcessModel` is compiled first; callers that simulate one
     model many times compile it once and pass the `CompiledModel`, and
     may pass a `SamplePath` to replay the arrivals and draws of an earlier
-    simulation of that compiled model under the same seed and case count.
+    simulation of that compiled model under the same seed and case count;
+    without one the run draws on a fresh path.
     The returned log is complete (warmup included); the objective values
     exclude the warmup cases.  A log that runs past `LAST_INSTANT`, the
     last instant it can spell, and a cycle time or cost total that

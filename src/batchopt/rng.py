@@ -5,9 +5,11 @@ removing consumers of one stream never shifts the draws of another.  Under
 one seed, arrival times and every duration and branching draw are the same
 whatever the policy set, because they are keyed by case/activity/visit,
 not by global consumption order.  So simulations of one model under one
-seed and case count can share them: an `engine.SamplePath` holds that
-run's arrival events and what each keyed draw decided, stored under its
-(case, node, visit) key, and replays them to every later simulation.
+seed and case count can share them.  Every simulation draws through an
+`engine.SamplePath`, the engine's one draw path: it holds the run's
+arrival events and what each keyed draw decided, stored under its
+(case, node, visit) key, and replays them to every later simulation
+given the same path; a lone simulation runs on a fresh path of its own.
 A search run builds one and simulates every candidate under one seed
 derived from the optimizer seed (`optimize.CandidateEvaluator`), so its
 candidates are compared under common random numbers;
@@ -22,7 +24,7 @@ hash, so a hot loop keeps one `hasher` per seed and draws with
 same digest as `unit`, without re-keying per draw.  `visit_unit` formats
 the message of the engine's per-visit draws from parts encoded once, so
 the message format lives in this module only.  A hasher lives as long as
-the engine or stream that owns it; nothing is cached per module.
+the sample path or stream that owns it; nothing is cached per module.
 """
 
 from __future__ import annotations

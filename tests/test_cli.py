@@ -5,6 +5,8 @@ import pytest
 
 from batchopt import cli, engine, metrics
 from batchopt.cli import EXIT_OK, MANIFEST_FILE, config_hash, main
+from batchopt.codec import to_doc
+from batchopt.engine import SimConfig
 from batchopt.fixtures import enumerate_oracle_front, get_fixture
 from batchopt.model import UNBOUNDED_VISITS
 from batchopt.pareto import front_to_doc, render_front_csv
@@ -799,7 +801,7 @@ class TestEvaluate:
         ]}
         fronts = [write_json(tmp_path / "a.json", front), write_json(tmp_path / "b.json", again)]
         simulated, generated = [], []
-        real_simulate, real_generate = engine.simulate, engine._Engine._generate_arrivals
+        real_simulate, real_generate = engine.simulate, engine.SamplePath._generate_arrivals
 
         def spy(model, policies, config, path=None):
             simulated.append(policy_set_key(policies))
@@ -811,13 +813,38 @@ class TestEvaluate:
 
         monkeypatch.setattr(cli, "simulate", spy)
         monkeypatch.setattr(metrics, "simulate", spy)
-        monkeypatch.setattr(engine._Engine, "_generate_arrivals", generate)
+        monkeypatch.setattr(engine.SamplePath, "_generate_arrivals", generate)
         out = tmp_path / "out"
         assert main(["evaluate", *fronts, "--model", model, "--policies", policies,
                      "--out", str(out)]) == EXIT_OK
         assert len(simulated) == len(set(simulated))
         assert set(simulated) == distinct
         assert generated == [fixture.model().arrival.total_cases]
+
+    def test_manifest_names_the_run_config_of_the_gain_simulations(self, tmp_path):
+        fixture = get_fixture("busy-step")  # it draws, so the seed moves the gains
+        model, policies = fixture_inputs(tmp_path, "busy-step")
+        front = front_to_doc(enumerate_oracle_front(fixture), label="oracle")
+        fronts = [write_json(tmp_path / "a.json", front),
+                  write_json(tmp_path / "b.json", {**front, "label": "copy"})]
+
+        def evaluate(name: str, run_config: dict) -> Path:
+            out = tmp_path / name
+            config = write_json(tmp_path / f"{name}.json", run_config)
+            assert main(["evaluate", *fronts, "--model", model, "--policies", policies,
+                         "--config", config, "--out", str(out)]) == EXIT_OK
+            return out
+
+        out = evaluate("one", {"seed": 1, "totalCases": 50})
+        manifest = json.loads(read(out, MANIFEST_FILE))
+        assert manifest["seed"] == 1
+        run = to_doc(SimConfig(seed=1, total_cases=50))
+        assert manifest["effectiveConfig"] == {**run, "fronts": ["oracle", "copy"]}
+        # the manifest's run config reproduces the gain column; seed 0 does not
+        assert read(evaluate("again", run), "metrics.csv") == read(out, "metrics.csv")
+        zero = evaluate("zero", {"totalCases": 50})
+        assert read(zero, "metrics.csv") != read(out, "metrics.csv")
+        assert json.loads(read(zero, MANIFEST_FILE))["seed"] == 0
 
 
 class TestConfigHash:

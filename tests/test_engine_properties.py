@@ -315,8 +315,7 @@ class HourlyTickEngine(_Engine):
     def run(self) -> EventLog:
         # one heap for every event, arrivals included, so the engine's merge
         # of its pre-sorted arrivals with its heap is checked against it
-        self._generate_arrivals()
-        for event in self.arrivals:
+        for event in self.path.arrivals:
             heapq.heappush(self.heap, event)
         tick_pending = False
         while True:

@@ -128,6 +128,34 @@ def test_or_split_replay_writes_the_fresh_bytes():
     assert {len(hops) for hops in splits} == {1, 2}
 
 
+def test_or_split_draws_each_branch_and_the_fallback_on_their_own_keys():
+    # derived here from rng.unit alone: each branch is taken when its own
+    # draw falls below its probability; when none is, one fallback draw,
+    # scaled by the probabilities' sum, picks a branch on their running sum
+    model, seed = or_split_model(), 9
+    (split,) = (g for g in model.gateways if g.id == "pick")
+    branches = [(arc.target, arc.id, dict(split.branch_probabilities)[arc.id])
+                for arc in model.arcs if arc.source == "pick"]
+    total = sum(p for _, _, p in branches)
+    expected, fallbacks = set(), 0
+    for case_id in range(model.arrival.total_cases):
+        key = ("branching", case_id, "pick", 0)  # no loop: one visit per case
+        chosen = {t for t, arc_id, p in branches if rng.unit(seed, *key, arc_id) < p}
+        if not chosen:
+            fallbacks += 1
+            u, acc = rng.unit(seed, *key, "fallback") * total, 0.0
+            for target, _, p in branches:
+                acc += p
+                if u < acc:
+                    break
+            chosen = {target}
+        expected |= {(case_id, target) for target in chosen}
+    targets = {target for target, _, _ in branches}
+    log = simulate(model, {}, SimConfig(seed=seed)).log
+    assert {(r.case_id, r.activity_id) for r in log.instances if r.activity_id in targets} == expected
+    assert fallbacks > 0
+
+
 def test_replay_draws_nothing(monkeypatch):
     model = xor_loop_model()
     compiled, config = compile_model(model), SimConfig(seed=11)
@@ -142,7 +170,7 @@ def test_replay_draws_nothing(monkeypatch):
         raise AssertionError("a replay generated arrivals")
 
     monkeypatch.setattr(rng, "visit_unit", no_draw)
-    monkeypatch.setattr(engine._Engine, "_generate_arrivals", no_arrivals)
+    monkeypatch.setattr(engine.SamplePath, "_generate_arrivals", no_arrivals)
     assert csv_bytes(simulate(compiled, {"b": size_policy("b", 2)}, config, path)) == expected
 
 
