@@ -29,6 +29,7 @@ Patterns by id:
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import NamedTuple
 
 from .calendars import (
@@ -128,8 +129,8 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
     if not log.instances:
         raise AnalyticsError("cannot analyze an empty event log")
 
-    horizon = max(r.end_time for r in log.instances)
-    enable_times = [r.enable_time for r in log.instances]
+    instances = log.instances
+    horizon = max(r.end_time for r in instances)
     by_activity: dict[str, list] = {}
     for batch in log.batches:
         by_activity.setdefault(batch.activity_id, []).append(batch)
@@ -137,19 +138,36 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
     # `week[t % SECONDS_PER_WEEK // SECONDS_PER_HOUR]` is `bucket_of(t)`; a
     # table keyed by the hour since the epoch would grow with the log's span
     week = [(day, hour) for day in range(7) for hour in range(24)]
+    by_start = attrgetter("start_time", "batch_id")
 
     activity_stats = []
     for activity_id in sorted(by_activity):
         in_log_order = by_activity[activity_id]
-        batches = sorted(in_log_order, key=lambda b: (b.start_time, b.batch_id))
-        instances = [log.instances[i] for b in batches for i in b.members]
+        batches = sorted(in_log_order, key=by_start)
         max_waits, min_waits, sizes, starts, executors, busy = [], [], [], [], [], []
-        interrupted = 0
+        work: list[int] = []  # members' work seconds, batch by batch in start order
+        enablement_hist: dict[Bucket, int] = {}
+        execution_hist: dict[Bucket, int] = {}
+        interrupted = waiting = 0
         for b in batches:
-            enables = [enable_times[i] for i in b.members]
-            max_waits.append(b.start_time - min(enables))
-            min_waits.append(b.start_time - max(enables))
-            sizes.append(b.size)
+            members = b.members
+            earliest = latest = instances[members[0]].enable_time
+            for i in members:
+                rec = instances[i]
+                enable, start = rec.enable_time, rec.start_time
+                if enable < earliest:
+                    earliest = enable
+                elif enable > latest:
+                    latest = enable
+                work.append(rec.work_seconds)
+                waiting += start - enable
+                key = week[enable % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
+                enablement_hist[key] = enablement_hist.get(key, 0) + 1
+                key = week[start % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
+                execution_hist[key] = execution_hist.get(key, 0) + 1
+            max_waits.append(b.start_time - earliest)
+            min_waits.append(b.start_time - latest)
+            sizes.append(len(members))
             starts.append(b.start_time)
             executors.append(b.resource_id)
             busy.append(b.busy_seconds)
@@ -160,24 +178,18 @@ def compute_stats(log: EventLog, model: ProcessModel) -> LogStats:
         if len(set(sizes)) >= 2:
             per_size: dict[int, list[float]] = {}
             for b in in_log_order:  # log order fixes the bits of each mean
-                per_size.setdefault(b.size, []).append(b.cost / b.size)
+                size = len(b.members)
+                per_size.setdefault(size, []).append(b.cost / size)
             cost_by_size = tuple((s, mean(per_size[s])) for s in sorted(per_size))
-        enablement_hist: dict[Bucket, int] = {}
-        execution_hist: dict[Bucket, int] = {}
-        for rec in instances:
-            key = week[rec.enable_time % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
-            enablement_hist[key] = enablement_hist.get(key, 0) + 1
-            key = week[rec.start_time % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
-            execution_hist[key] = execution_hist.get(key, 0) + 1
         activity_stats.append(
             ActivityStats(
                 activity_id=activity_id,
-                execution_count=len(instances),
-                mean_processing_time=mean([r.work_seconds for r in instances]),
+                execution_count=len(work),
+                mean_processing_time=mean(work),
                 mean_first_wait=mean(max_waits),
                 mean_last_wait=mean(min_waits),
                 mean_batch_size=mean(sizes),
-                total_waiting=float(sum(r.start_time - r.enable_time for r in instances)),
+                total_waiting=float(waiting),
                 total_cost=float(running_sum(b.cost for b in batches)),
                 enablement_histogram=enablement_hist,
                 execution_histogram=execution_hist,

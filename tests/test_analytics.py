@@ -7,10 +7,16 @@ from batchopt import analytics as an
 from batchopt import eventlog as ev
 from batchopt import model as m
 from batchopt import policy as pol
-from batchopt.calendars import Calendar, Interval, SECONDS_PER_DAY, SECONDS_PER_HOUR
+from batchopt.calendars import (
+    SECONDS_PER_DAY,
+    SECONDS_PER_HOUR,
+    SECONDS_PER_WEEK,
+    Calendar,
+    Interval,
+)
 from batchopt.engine import SimConfig, simulate
 from batchopt.fixtures import all_fixtures
-from batchopt.reduce import mean
+from batchopt.reduce import mean, running_sum
 
 H = SECONDS_PER_HOUR
 
@@ -238,6 +244,205 @@ class TestComputeStats:
     def test_empty_log_rejected(self):
         with pytest.raises(an.AnalyticsError):
             an.compute_stats(ev.EventLog(instances=(), batches=()), single_activity_model())
+
+
+def reference_compute_stats(log: ev.EventLog, model: m.ProcessModel) -> an.LogStats:
+    """`compute_stats` as it read before its one-pass fold, kept verbatim
+    as the reference the fold must match bit for bit."""
+    if not log.instances:
+        raise an.AnalyticsError("cannot analyze an empty event log")
+
+    horizon = max(r.end_time for r in log.instances)
+    enable_times = [r.enable_time for r in log.instances]
+    by_activity: dict[str, list] = {}
+    for batch in log.batches:
+        by_activity.setdefault(batch.activity_id, []).append(batch)
+
+    # `week[t % SECONDS_PER_WEEK // SECONDS_PER_HOUR]` is `bucket_of(t)`; a
+    # table keyed by the hour since the epoch would grow with the log's span
+    week = [(day, hour) for day in range(7) for hour in range(24)]
+
+    activity_stats = []
+    for activity_id in sorted(by_activity):
+        in_log_order = by_activity[activity_id]
+        batches = sorted(in_log_order, key=lambda b: (b.start_time, b.batch_id))
+        instances = [log.instances[i] for b in batches for i in b.members]
+        max_waits, min_waits, sizes, starts, executors, busy = [], [], [], [], [], []
+        interrupted = 0
+        for b in batches:
+            enables = [enable_times[i] for i in b.members]
+            max_waits.append(b.start_time - min(enables))
+            min_waits.append(b.start_time - max(enables))
+            sizes.append(b.size)
+            starts.append(b.start_time)
+            executors.append(b.resource_id)
+            busy.append(b.busy_seconds)
+            if (b.end_time - b.start_time) > b.busy_seconds:
+                interrupted += 1
+        switches = sum(x != y for x, y in zip(executors, executors[1:]))
+        cost_by_size = ()
+        if len(set(sizes)) >= 2:
+            per_size: dict[int, list[float]] = {}
+            for b in in_log_order:  # log order fixes the bits of each mean
+                per_size.setdefault(b.size, []).append(b.cost / b.size)
+            cost_by_size = tuple((s, mean(per_size[s])) for s in sorted(per_size))
+        enablement_hist: dict[an.Bucket, int] = {}
+        execution_hist: dict[an.Bucket, int] = {}
+        for rec in instances:
+            key = week[rec.enable_time % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
+            enablement_hist[key] = enablement_hist.get(key, 0) + 1
+            key = week[rec.start_time % SECONDS_PER_WEEK // SECONDS_PER_HOUR]
+            execution_hist[key] = execution_hist.get(key, 0) + 1
+        activity_stats.append(
+            an.ActivityStats(
+                activity_id=activity_id,
+                execution_count=len(instances),
+                mean_processing_time=mean([r.work_seconds for r in instances]),
+                mean_first_wait=mean(max_waits),
+                mean_last_wait=mean(min_waits),
+                mean_batch_size=mean(sizes),
+                total_waiting=float(sum(r.start_time - r.enable_time for r in instances)),
+                total_cost=float(running_sum(b.cost for b in batches)),
+                enablement_histogram=enablement_hist,
+                execution_histogram=execution_hist,
+                batch_sizes=tuple(sizes),
+                batch_starts=tuple(starts),
+                batch_resources=tuple(executors),
+                per_batch_max_waits=tuple(max_waits),
+                per_batch_min_waits=tuple(min_waits),
+                per_batch_busy=tuple(busy),
+                idle_batch_share=interrupted / len(batches),
+                switch_rate=switches / (len(batches) - 1) if len(batches) > 1 else 0.0,
+                distinct_resource_count=len(set(executors)),
+                cost_by_size=cost_by_size,
+            )
+        )
+
+    busy_by_resource: dict[str, int] = {}
+    for batch in log.batches:
+        busy_by_resource[batch.resource_id] = (
+            busy_by_resource.get(batch.resource_id, 0) + batch.busy_seconds
+        )
+    resource_stats = []
+    for profile in model.resources:
+        available = profile.calendar.open_seconds_between(0, horizon)
+        busy = busy_by_resource.get(profile.id, 0)
+        utilization = min(1.0, busy / available) if available > 0 else 0.0
+        resource_stats.append(an.ResourceStats(resource_id=profile.id, utilization=utilization))
+
+    return an.LogStats(activities=tuple(activity_stats), resources=tuple(resource_stats))
+
+
+def assert_stats_match_reference(log: ev.EventLog, model: m.ProcessModel) -> None:
+    assert repr(an.compute_stats(log, model)) == repr(reference_compute_stats(log, model))
+
+
+WEEKDAYS_9_TO_5 = [
+    {"weekday": d, "start": "09:00", "end": "17:00"}
+    for d in ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday")
+]
+
+
+@st.composite
+def two_resource_runs(draw):
+    """A single-activity model whose two eligible resources take random
+    durations, so batches start out of log order; a parallel or
+    sequential policy whose size-or-wait rule mixes batch sizes (or none);
+    and a seed and warmup for the run."""
+    doc = single_activity_doc(
+        total_cases=draw(st.integers(2, 40)),
+        inter_arrival=draw(st.integers(60, 2 * H)),
+        fixed_cost=draw(st.sampled_from([0.0, 0.1, 1.7])),
+    )
+    doc["arrival"]["interArrival"] = {"kind": "exponential",
+                                      "mean": doc["arrival"]["interArrival"]["value"]}
+    doc["activities"][0]["duration"] = {"kind": "exponential",
+                                        "mean": draw(st.integers(60, 3 * H))}
+    doc["activities"][0]["resources"] = ["r1", "r2"]
+    doc["resources"] = [
+        {"id": "r1", "calendar": ALL_WEEK, "costPerTimeUnit": draw(st.sampled_from([0.0, 0.01]))},
+        {"id": "r2", "calendar": draw(st.sampled_from([ALL_WEEK, WEEKDAYS_9_TO_5])),
+         "costPerTimeUnit": 0.003},
+    ]
+    policies = {}
+    if draw(st.booleans()):
+        policies["work"] = pol.BatchingPolicy(
+            activity_id="work",
+            batch_type=draw(st.sampled_from([pol.PARALLEL, pol.SEQUENTIAL])),
+            rule=pol.rule([pol.size_at_least(draw(st.integers(2, 6)))],
+                          [pol.wait_first_at_least(draw(st.integers(60, 4 * H)))]),
+            cost=pol.CostModel(fixed_cost=draw(st.sampled_from([0.0, 2.5])),
+                               variable_cost=((1, 0.3), (4, 0.7))),
+        )
+    model = m.parse_model(doc)
+    config = SimConfig(seed=draw(st.integers(0, 10**6)))
+    warmup = draw(st.integers(0, doc["arrival"]["totalCases"] - 1))
+    return model, policies, config, warmup
+
+
+@st.composite
+def shuffled_logs(draw):
+    """Hand-built logs of two activities on two resources: batches of mixed
+    sizes, whose start times tie or run against log order, with members
+    enabled in any order and some batches interrupted by idle time."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    instances, batches = [], []
+    for k, size in enumerate(sizes):
+        start = draw(st.one_of(st.sampled_from([H, 30 * H]),
+                               st.integers(0, 2 * SECONDS_PER_WEEK)))
+        duration = draw(st.integers(0, 4 * H))
+        busy = draw(st.integers(0, duration))
+        cost = draw(st.floats(0.0, 1e3, allow_nan=False))
+        activity = draw(st.sampled_from(["work", "fetch"]))
+        resource = draw(st.sampled_from(["r1", "r2"]))
+        members = tuple(range(len(instances), len(instances) + size))
+        for _ in members:
+            instances.append(ev.InstanceRecord(
+                case_id=draw(st.integers(0, 6)),
+                activity_id=activity,
+                resource_id=resource,
+                enable_time=start - draw(st.integers(0, min(start, 3 * SECONDS_PER_DAY))),
+                start_time=start,
+                end_time=start + duration,
+                batch_id=f"b{k}",
+                allocated_cost=cost / size,
+                work_seconds=draw(st.integers(0, busy)),
+            ))
+        batches.append(batch(f"b{k}", start, start + duration, members, cost, busy,
+                             activity, resource))
+    order = draw(st.permutations(range(len(batches))))
+    return ev.EventLog(tuple(instances), tuple(batches[i] for i in order))
+
+
+def two_resource_model() -> m.ProcessModel:
+    doc = single_activity_doc()
+    doc["activities"][0]["resources"] = ["r1", "r2"]
+    doc["resources"].append({"id": "r2", "calendar": WEEKDAYS_9_TO_5, "costPerTimeUnit": 0.0})
+    return m.parse_model(doc)
+
+
+class TestComputeStatsReference:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_every_fixture_log_matches_the_reference(self, fixture, seed):
+        model = fixture.model()
+        log = simulate(model, fixture.policies(), fixture.sim_config()._replace(seed=seed)).log
+        assert_stats_match_reference(log, model)
+
+    @given(two_resource_runs())
+    def test_random_logs_match_the_reference(self, run):
+        model, policies, config, warmup = run
+        log = simulate(model, policies, config).log
+        assert_stats_match_reference(log, model)
+        assert_stats_match_reference(ev.filter_warmup(log, warmup), model)
+
+    @given(shuffled_logs(), st.integers(0, 6))
+    def test_hand_built_logs_match_the_reference(self, log, warmup):
+        model = two_resource_model()
+        assert_stats_match_reference(log, model)
+        trimmed = ev.filter_warmup(log, warmup)
+        if trimmed.instances:
+            assert_stats_match_reference(trimmed, model)
 
 
 class TestHelpers:

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -1243,6 +1244,12 @@ def test_a_cost_total_that_overflows_is_a_runtime_failure_of_every_command(
     assert not out.exists()
 
 
+def past_last_instant(model_doc, policies_doc):
+    # 2e11 s is below the last instant, so the model validates, but two
+    # batches of it end at 4e11 s
+    model_doc["activities"][0]["duration"] = {"kind": "fixed", "value": 2e11}
+
+
 @pytest.mark.parametrize(
     "command, failure",
     [
@@ -1255,13 +1262,8 @@ def test_a_cost_total_that_overflows_is_a_runtime_failure_of_every_command(
 def test_a_log_past_the_last_instant_is_a_runtime_failure_of_every_command(
     tmp_path, capsys, command, failure
 ):
-    # 2e11 s is below the last instant, so the model validates, but two
-    # batches of it end at 4e11 s; the engine rejects the log, so no
-    # command reports its cycle times
-    def mutate(model_doc, policies_doc):
-        model_doc["activities"][0]["duration"] = {"kind": "fixed", "value": 2e11}
-
-    inputs, fronts, out = two_batch_with(tmp_path, mutate)
+    # the engine rejects the log, so no command reports its cycle times
+    inputs, fronts, out = two_batch_with(tmp_path, past_last_instant)
     assert main(command_argv(command, inputs, fronts, out)) == 4
     err = capsys.readouterr().err
     assert f"{failure}: instant 400000003600 s lies past 9999-12-31T23:59:59" in err
@@ -1309,3 +1311,142 @@ def test_a_size_move_whose_product_overflows_lands_on_max_size(tmp_path, config)
     sizes = [r["delta"]["threshold"] for r in rows
              if r["delta"] and r["delta"]["kind"] == "scale-size" and r["delta"]["scale"] > 1]
     assert sizes and set(sizes) == {float(max_size)}
+
+
+# -- the collector pause ------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state after the test."""
+    was_on = gc.isenabled()
+    yield
+    if was_on:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def unknown_activity(model_doc, policies_doc):
+    policies_doc["policies"][0]["activity"] = "nowhere"
+
+
+def unchanged(model_doc, policies_doc):
+    pass
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "mutate, expected",
+        [(unchanged, EXIT_OK), (unknown_activity, 3), (past_last_instant, 4)],
+        ids=["exit-0", "exit-3", "exit-4"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "optimize", "evaluate"])
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, tmp_path, capsys, collector, command, mutate, expected, collecting
+    ):
+        inputs, fronts, out = two_batch_with(tmp_path, mutate)
+        (gc.enable if collecting else gc.disable)()
+        assert main(command_argv(command, inputs, fronts, out)) == expected
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_a_usage_error_inside_a_command_restores_the_collector(
+        self, tmp_path, collector, collecting
+    ):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        config = write_json(tmp_path / "optimizer.json", {"maxSolutions": 0})
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(SystemExit) as exit_:
+            main(["optimize", "--model", model, "--policies", policies, "--config", config,
+                  "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert gc.isenabled() is collecting
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_an_unexpected_exception_restores_the_collector(
+        self, tmp_path, monkeypatch, collector, collecting
+    ):
+        def broken(args, parser):
+            assert not gc.isenabled()  # the command runs paused
+            raise RuntimeError("broken command")
+
+        monkeypatch.setitem(cli._COMMANDS, "simulate", broken)
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        (gc.enable if collecting else gc.disable)()
+        with pytest.raises(RuntimeError, match="broken command"):
+            main(["simulate", "--model", model, "--policies", policies,
+                  "--out", str(tmp_path / "out")])
+        assert gc.isenabled() is collecting
+
+
+def cyclic_garbage(argv: list[str]) -> int:
+    """The objects in reference cycles that one `main(argv)` leaves, with
+    the collector off throughout."""
+    gc.collect()
+    gc.disable()
+    assert main(argv) == EXIT_OK
+    return gc.collect()
+
+
+class TestCyclicGarbage:
+    """What keeps the pause safe: a command's cyclic garbage does not grow
+    with its work. Each pair runs once unmeasured first, so the one-time
+    garbage of a first call (lazy imports and caches) is not counted."""
+
+    def busy_step(self, tmp_path: Path) -> list[str]:
+        model, policies = fixture_inputs(tmp_path, "busy-step")
+        return ["--model", model, "--policies", policies]
+
+    def assert_same_garbage(self, tmp_path: Path, small: list[str], large: list[str]) -> None:
+        out = ["--out", str(tmp_path / "out")]
+        cyclic_garbage(small + out)
+        assert cyclic_garbage(small + out) == cyclic_garbage(large + out)
+
+    def test_simulate(self, tmp_path, collector):
+        inputs = self.busy_step(tmp_path)
+        small, large = (
+            ["simulate", *inputs, "--config", write_json(tmp_path / f"run-{n}.json",
+                                                        {"totalCases": n})]
+            for n in (50, 2000)
+        )
+        self.assert_same_garbage(tmp_path, small, large)
+
+    @pytest.mark.parametrize("strategy", ["hc", "sa", "rl"])
+    def test_optimize(self, tmp_path, collector, strategy):
+        inputs = self.busy_step(tmp_path)
+        small, large = (
+            ["optimize", *inputs, "--config", write_json(
+                tmp_path / f"optimizer-{n}.json",
+                {"strategy": strategy, "maxSolutions": n, "rl": {"maxIterations": n},
+                 "sim": {"totalCases": 100}})]
+            for n in (5, 30)
+        )
+        self.assert_same_garbage(tmp_path, small, large)
+
+    def test_analyze(self, tmp_path, collector):
+        inputs = self.busy_step(tmp_path)
+        small, large = (
+            ["analyze", *inputs, "--config", write_json(tmp_path / f"optimizer-{n}.json",
+                                                       {"sim": {"totalCases": n}})]
+            for n in (50, 1000)
+        )
+        self.assert_same_garbage(tmp_path, small, large)
+
+    def test_evaluate(self, tmp_path, collector):
+        inputs = self.busy_step(tmp_path)
+        fronts = []
+        for guided in ("--guided", "--unguided"):
+            out = tmp_path / guided.strip("-")
+            config = write_json(tmp_path / "optimizer.json",
+                                {"maxSolutions": 10, "sim": {"totalCases": 50}})
+            argv = ["optimize", *inputs, "--config", config, guided, "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            fronts.append(str(out / "front.json"))
+        small, large = (
+            ["evaluate", *fronts, *inputs, "--config", write_json(tmp_path / f"run-{n}.json",
+                                                                 {"totalCases": n})]
+            for n in (50, 1000)
+        )
+        self.assert_same_garbage(tmp_path, small, large)
