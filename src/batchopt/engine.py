@@ -12,14 +12,18 @@ events are an arrival or completion (the only things that enable an
 instance), a wake at the exact instant a waiting-time threshold crosses,
 and a tick at the next hour boundary at which some waiting activity's
 daily-hour / week-day conditions hold.  Clock conditions change truth
-only on hour boundaries, so no rule can newly hold at any other instant;
-a size-only rule changes its answer only when its activity enables an
-instance, so a pass evaluates it only after such an event.  A pass runs
-only when it could evaluate a rule: when a ruled activity has enabled an
-instance since the last pass, or while an activity whose rule reads a
-waiting time or the clock has instances waiting.  Rules still fire as if
-all were evaluated after every event.  When no future event can ever
-fire a rule, the remaining waiting instances are flushed.
+only on hour boundaries, so no rule can newly hold at any other instant.
+A rule is evaluated only once its queue holds its activity's `fire_at`,
+the fewest waiting instances that can fire it: the least over its groups
+of the group's size threshold, 1 for a group without one.  A group holds
+at most one condition of each kind, so no group holds below it, and a
+pass runs only while some queue holds its `fire_at`.  A size-only rule
+holds as soon as its queue reaches it, so it is evaluated once, at the
+event that fills the queue, and fires; a rule that reads a waiting time
+or the clock is evaluated after every event from then on until it fires.
+Rules still fire as if all were evaluated after every event.  When no
+case event is pending and no queue holds its `fire_at`, no future event
+can fire a rule, and the remaining waiting instances are flushed.
 
 The event set has two parts.  Every case's arrival is generated before
 the first event, into the sample path's tuple, which is already in event
@@ -47,20 +51,23 @@ at all and simulates to the same result under every seed.
 
 Whatever depends only on the model is computed once per model, not once
 per simulation: `compile_model` validates it and builds its
-`CompiledModel` (node and branch tables, or-join pairing, encoded ids,
-fixed durations, and each activity's eligible resources as (id, calendar,
-whether it is always open, rate), sorted by id), and the CLI commands, the
-search's `CandidateEvaluator` and `metrics.CycleTimes` compile once and
-pass it to every `simulate`.  `simulate` compiles a bare
-`ProcessModel` itself.  A `CompiledModel` holds only what the engine
-reads; detection's schedule tables are kept by the search that reads
-them (`optimize.CandidateEvaluator.schedules`).  What depends on the
-policy set (the clock-hour masks, the waiting-time wakes, the cost model
-and a batch of one's `CostModel.price_terms`) is set up once per
-simulation.  What depends on the model, seed and case count but not on
-the policy set (the arrival events and every keyed draw) is kept in the
-`SamplePath` a simulation runs on: the first simulation given one fills
-it and later ones replay it, with the same bytes as drawing afresh.
+`CompiledModel` (the hops a token takes on leaving each node, none at an
+end node, branch tables, or-join pairing, encoded ids, fixed durations,
+and each activity's eligible resources as (id, calendar, whether it is
+always open, rate), sorted by id), and the CLI commands, the search's
+`CandidateEvaluator` and `metrics.CycleTimes` compile once and pass it to
+every `simulate`.  `simulate` compiles a bare `ProcessModel` itself.  A
+`CompiledModel` holds only what the engine reads; detection's schedule
+tables are kept by the search that reads them
+(`optimize.CandidateEvaluator.schedules`).  What depends on the policy
+set (each activity's `fire_at`, the clock-hour masks, the waiting-time
+wakes, the cost model and a batch of one's `CostModel.price_terms`) is
+set up once per simulation.  What depends on the model, seed and case
+count but not on the policy set (the arrival events and every keyed
+draw) is kept in the `SamplePath` a simulation runs on: the first
+simulation given one fills it and later ones replay it, with the same
+bytes as drawing afresh.  The path keeps the batch-id texts too, which
+depend on nothing but a batch's index, so a replay formats none.
 Whatever simulates many policy sets under one seed passes one: a search
 run (`optimize.CandidateEvaluator`, which simulates every candidate under
 one seed and so compares them under common random numbers) and
@@ -176,9 +183,13 @@ class SamplePath:
     per-branch and fallback draws activate.  A simulation under any other
     compiled model, seed or case count raises SimulationError rather than
     replay the wrong draws.
+
+    The path also keeps the batch ids its simulations have spelt, in
+    order: an id depends on nothing but its batch's index in the log, so a
+    later simulation reads the text instead of formatting it again.
     """
 
-    __slots__ = ("compiled", "seed", "total_cases", "hasher", "arrivals", "draws")
+    __slots__ = ("compiled", "seed", "total_cases", "hasher", "arrivals", "draws", "batch_ids")
 
     def __init__(self):
         self.compiled: CompiledModel | None = None
@@ -187,6 +198,7 @@ class SamplePath:
         self.hasher = None  # rng.hasher(seed), which every keyed draw starts from
         self.arrivals: tuple = ()  # the arrival events, in event order
         self.draws: dict[tuple[int, str, int], object] = {}
+        self.batch_ids: list[str] = []  # batch_ids[i] is the id of a log's batch i
 
     def bind(self, compiled: CompiledModel, seed: int, total_cases: int) -> None:
         """Bind an empty path to a run and generate its arrivals; check a
@@ -326,7 +338,7 @@ class CompiledModel:
     the search keeps detection's schedule tables (`CandidateEvaluator`)."""
 
     __slots__ = ("model", "activities", "resources", "gateways", "hops", "branches",
-                 "join_arcs", "end_nodes", "or_join_of", "activity_keys", "gateway_keys",
+                 "join_arcs", "or_join_of", "activity_keys", "gateway_keys",
                  "fixed_work", "eligible", "default_costs")
 
     def __init__(self, model: ProcessModel):
@@ -339,8 +351,12 @@ class CompiledModel:
         self.activities: dict[str, Activity] = {a.id: a for a in model.activities}
         self.resources: dict[str, ResourceProfile] = {r.id: r for r in model.resources}
         self.gateways: dict[str, Gateway] = {g.id: g for g in model.gateways}
-        # node -> one (target, arc id) hop per outgoing arc, in model order
-        self.hops = {node: tuple(h) for node, h in hops.items()}
+        # node -> the (target, arc id) hops a token takes on leaving it, one
+        # per outgoing arc in model order; none for an end node
+        self.hops = {
+            node: () if node in model.end_nodes else tuple(hops.get(node, ()))
+            for node in (*self.activities, *self.gateways)
+        }
         # xor/or split -> one (hop, probability, arc key) per hop, the hop
         # being the (target, arc id) tuple of `self.hops` itself
         self.branches: dict[str, tuple[tuple[tuple[str, str], float, bytes], ...]] = {}
@@ -348,13 +364,12 @@ class CompiledModel:
             if g.kind in _SPLITS:
                 probs = dict(g.branch_probabilities)
                 self.branches[g.id] = tuple(
-                    (hop, probs[hop[1]], rng.message(hop[1])) for hop in self.hops.get(g.id, ())
+                    (hop, probs[hop[1]], rng.message(hop[1])) for hop in self.hops[g.id]
                 )
         # and-join -> its incoming arc ids
         self.join_arcs = {
             g.id: tuple(join_arcs.get(g.id, ())) for g in model.gateways if g.kind == "and-join"
         }
-        self.end_nodes = frozenset(model.end_nodes)
         # or-split -> the or-join its branches reconverge at
         self.or_join_of = pair_or_splits(model)
         # rng.message(id), the id part of a draw
@@ -399,16 +414,13 @@ def as_compiled(model: CompiledModel | ProcessModel) -> CompiledModel:
 class _ActivityState:
     """What the engine reads of one activity under one policy set."""
 
-    __slots__ = ("policy", "size_only", "cost", "base_price", "price_scale",
-                 "clock_hours", "wakes", "fixed_work", "resources", "waiting", "enabled")
+    __slots__ = ("policy", "fire_at", "cost", "base_price", "price_scale",
+                 "clock_hours", "wakes", "fixed_work", "resources", "waiting")
 
     def __init__(self, compiled: CompiledModel, activity: Activity,
                  policy: BatchingPolicy | None):
         self.policy = policy
-        # only an enablement can change a size-only rule's answer
-        self.size_only = policy is not None and all(
-            cond.kind == SIZE for group in policy.rule.groups for cond in group.conditions
-        )
+        self.fire_at = _fire_at(policy)
         # the policy's cost model, else the activity's default
         self.cost = policy.cost if policy else compiled.default_costs[activity.id]
         # the `CostModel.price_terms` of a batch of one
@@ -423,8 +435,19 @@ class _ActivityState:
         # (case_id, enable_time, work) in enable-time order, checked in
         # _enable_instance
         self.waiting: list[tuple[int, int, int]] = []
-        # an instance was enabled since the last rule pass
-        self.enabled = False
+
+
+def _fire_at(policy: BatchingPolicy | None) -> float:
+    """The fewest waiting instances that can fire the rule of `policy`:
+    the least over its groups of the group's size threshold, 1 for a group
+    without one.  A group holds at most one condition of each kind, so no
+    group holds below it; an empty rule, which never fires, never reaches
+    it.  A rule without a clock or waiting-time condition holds whenever
+    its queue reaches it."""
+    if policy is None:
+        return 1
+    sizes = (group.find(SIZE) for group in policy.rule.groups)
+    return min((1 if size is None else int(size.threshold) for size in sizes), default=math.inf)
 
 
 def _wakes(policy: BatchingPolicy | None) -> tuple[tuple[int, bool], ...]:
@@ -456,7 +479,6 @@ class _Engine:
         self.gateways = compiled.gateways
         self.hops = compiled.hops
         self.join_arcs = compiled.join_arcs
-        self.end_nodes = compiled.end_nodes
         self.or_join_of = compiled.or_join_of
 
         self.act_states = {}
@@ -469,11 +491,9 @@ class _Engine:
             (a, s) for a, s in sorted(self.act_states.items()) if s.policy is not None
         ]
         self.clocked = [s for _, s in self.ruled if s.clock_hours]
-        # a ruled activity enabled an instance since the last rule pass
-        self.rules_due = False
-        # how many activities whose rule reads a waiting time or the clock
-        # have instances waiting
-        self.timed_waiting = 0
+        # how many activities hold at least their `fire_at` waiting instances
+        self.ready = 0
+        self.batch_ids = path.batch_ids
         self.free_at = dict.fromkeys(compiled.resources, 0)  # resource id -> when it frees
 
         self.or_expectations: dict[tuple[int, str], list[int]] = {}
@@ -532,40 +552,50 @@ class _Engine:
     # -- token routing -----------------------------------------------------------
 
     def _route(self, case_id: int, node_id: str, via_arc_id: str | None = None) -> None:
-        """Walk a token through gateways until it rests at activities or ends."""
+        """Walk a token through gateways until it rests at activities or
+        ends, depth first: a single hop is followed in place, and only a
+        fan-out keeps its other hops on a stack."""
         act_states = self.act_states
+        gateways = self.gateways
+        hops = self.hops
         visit_counts = self.visit_counts
         path = self.path
         draws = path.draws
-        stack: list[tuple[str, str | None]] = [(node_id, via_arc_id)]
-        while stack:
-            node, via = stack.pop()
+        stack: list[tuple[str, str]] = []
+        node, via = node_id, via_arc_id
+        while True:
             if node in act_states:
                 self._enable_instance(case_id, node)
-                continue
-            gw = self.gateways.get(node)
-            if gw is None:
-                raise SimulationError(f"token reached unknown node {node!r}")
-            kind = gw.kind
-            if kind in _JOINS and not self._join_ready(case_id, gw, via):
-                continue
-            outs = self.hops.get(node)
-            if not outs or node in self.end_nodes:
-                continue
-            if kind == "xor-split":
-                # the keyed draw of `_drawn`, looked up inline
-                key = (case_id, node)
-                visit = visit_counts.get(key, 0)
-                visit_counts[key] = visit + 1
-                hop = draws.get((case_id, node, visit))
-                if hop is None:
-                    hop = path.hop(case_id, node, visit)
-                stack.append(hop)
-            elif kind == "or-split":
-                stack.extend(reversed(self._activate_or_branches(case_id, node)))
+                outs = ()
             else:
-                # and-split fans out; joins forward along their outgoing arc(s)
-                stack.extend(reversed(outs))
+                gw = gateways.get(node)
+                if gw is None:
+                    raise SimulationError(f"token reached unknown node {node!r}")
+                kind = gw.kind
+                outs = hops[node]
+                if kind in _JOINS:
+                    if not self._join_ready(case_id, gw, via):
+                        outs = ()
+                elif outs and kind == "xor-split":
+                    # the keyed draw of `_drawn`, looked up inline
+                    key = (case_id, node)
+                    visit = visit_counts.get(key, 0)
+                    visit_counts[key] = visit + 1
+                    hop = draws.get((case_id, node, visit))
+                    if hop is None:
+                        hop = path.hop(case_id, node, visit)
+                    outs = (hop,)
+                elif outs and kind == "or-split":
+                    outs = self._activate_or_branches(case_id, node)
+                # an and-split fans out; a join forwards along its outgoing arc(s)
+            if outs:
+                node, via = outs[0]
+                if len(outs) > 1:
+                    stack.extend(reversed(outs[1:]))
+            elif stack:
+                node, via = stack.pop()
+            else:
+                return
 
     def _join_ready(self, case_id: int, gw, via_arc_id: str | None) -> bool:
         key = (case_id, gw.id)
@@ -620,32 +650,24 @@ class _Engine:
             self._start_batch(activity_id, state, ((case_id, now, work),))
             return
         waiting = state.waiting
-        if waiting:
-            if now < waiting[-1][1]:
-                raise SimulationError(
-                    f"activity {activity_id!r} enabled at {now}, "
-                    f"before its last waiting instance ({waiting[-1][1]})"
-                )
-        elif not state.size_only:  # its rule reads a waiting time or the clock
-            self.timed_waiting += 1
+        if waiting and now < waiting[-1][1]:
+            raise SimulationError(
+                f"activity {activity_id!r} enabled at {now}, "
+                f"before its last waiting instance ({waiting[-1][1]})"
+            )
         waiting.append((case_id, now, work))
-        state.enabled = True
-        self.rules_due = True
+        if len(waiting) == state.fire_at:
+            self.ready += 1
         if state.wakes:
             self._schedule_timeout_wakes(activity_id)
 
     def _evaluate_rules(self) -> None:
-        """Fire every activity whose rule holds right now.  A size-only
-        rule whose activity enabled nothing since the last pass is not
-        evaluated: it answered false then, and its queue has not grown."""
-        self.rules_due = False
+        """Fire every activity whose rule holds right now.  A queue shorter
+        than its `fire_at` is not evaluated: no group of its rule can hold."""
         now = self.now
         for activity_id, state in self.ruled:
             waiting = state.waiting
-            if not waiting or (state.size_only and not state.enabled):
-                continue
-            state.enabled = False
-            if evaluate_activation_rule(
+            if len(waiting) >= state.fire_at and evaluate_activation_rule(
                 state.policy.rule,
                 _tuple_new(BatchState, (len(waiting), waiting[0][1], waiting[-1][1])),
                 now,
@@ -657,8 +679,8 @@ class _Engine:
         state = self.act_states[activity_id]
         members = state.waiting
         state.waiting = []
-        if not state.size_only:  # a ruled activity (only those wait) with a timed rule
-            self.timed_waiting -= 1
+        if len(members) >= state.fire_at:  # a flush may form a shorter one
+            self.ready -= 1
         self._start_batch(activity_id, state, members)
 
     def _start_batch(self, activity_id: str, state: _ActivityState, members) -> None:
@@ -681,7 +703,11 @@ class _Engine:
                 best, best_start = resource, start
         rid, calendar, always_open, rate = best
         start = best_start
-        batch_id = f"b{len(self.batches) + 1:05d}"
+        index = len(self.batches)
+        batch_ids = self.batch_ids
+        if index == len(batch_ids):
+            batch_ids.append(f"b{index + 1:05d}")
+        batch_id = batch_ids[index]
         instances = self.instances
         heap = self.heap
         seq = self.seq
@@ -747,23 +773,6 @@ class _Engine:
     def _any_waiting(self) -> bool:
         return any(s.waiting for s in self.act_states.values())
 
-    def _time_can_fire_something(self) -> bool:
-        """Can pure time passage still fire some waiting rule?
-
-        With no case events pending the waiting sets are final, so a group
-        is reachable iff its size condition (if any) already holds; wt and
-        schedule conditions always come true eventually.
-        """
-        for state in self.act_states.values():
-            if not state.waiting or state.policy is None:
-                continue
-            count = len(state.waiting)
-            for group in state.policy.rule.groups:
-                size_cond = group.find(SIZE)
-                if size_cond is None or count >= size_cond.threshold:
-                    return True
-        return False
-
     def _flush_all(self) -> None:
         for activity_id in sorted(self.act_states):
             if self.act_states[activity_id].waiting:
@@ -779,20 +788,18 @@ class _Engine:
         heappop = heapq.heappop
         act_states = self.act_states
         hops = self.hops
-        end_nodes = self.end_nodes
         start_node = self.model.start_node
         enable = self._enable_instance
         route = self._route
-        # with no rule (or no clock condition) these would do nothing
-        evaluate_rules = self._evaluate_rules if self.ruled else None
+        # with no clock condition this would do nothing
         schedule_tick = self._schedule_tick if self.clocked else None
         while True:
-            if self.pending_case_events == 0:
+            if self.pending_case_events == 0 and not self.ready:
+                # the waiting sets are final and none can reach a rule
                 if not self._any_waiting():
                     break
-                if not self._time_can_fire_something():
-                    self._flush_all()
-                    continue
+                self._flush_all()
+                continue
             # the earlier of the next arrival and the heap's first event;
             # both are ordered on (time, kind, seq)
             if arrived < total and (not heap or arrivals[arrived] < heap[0]):
@@ -813,19 +820,17 @@ class _Engine:
             elif kind == _COMPLETE:
                 self.pending_case_events -= 1
                 case_id, activity_id, _idx = payload
-                if activity_id not in end_nodes:
-                    for target, arc_id in hops.get(activity_id, ()):
-                        if target in act_states:
-                            enable(case_id, target)
-                        else:
-                            route(case_id, target, arc_id)
+                for target, arc_id in hops[activity_id]:
+                    if target in act_states:
+                        enable(case_id, target)
+                    else:
+                        route(case_id, target, arc_id)
             elif kind == _TICK and time == self.tick_at:
                 self.tick_at = None
             # state changed, a threshold crossed or a clock hour began; a
-            # pass can fire only after an enablement or while a timed rule's
-            # activity waits
-            if evaluate_rules is not None and (self.rules_due or self.timed_waiting):
-                evaluate_rules()
+            # pass can fire only while some queue holds its `fire_at`
+            if self.ready:
+                self._evaluate_rules()
             if schedule_tick is not None:
                 schedule_tick()
         return EventLog(tuple(self.instances), tuple(self.batches))

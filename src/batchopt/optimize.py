@@ -109,6 +109,8 @@ class RLConfig(Config):
             )
         if self.max_iterations < 0:
             raise OptimizerError("max_iterations must be >= 0")
+        if self.update_epochs < 0:
+            raise OptimizerError("update_epochs must be >= 0")
         if self.buffer_size < 1:
             raise OptimizerError("buffer_size must be >= 1")
         if not 0 < self.clip_ratio < 1:

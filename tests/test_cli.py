@@ -453,6 +453,29 @@ class TestOptimize:
         assert f"{key}: must be at most 1000000" in capsys.readouterr().err
         assert not out.exists()
 
+    # a negative count of epochs would train no epoch at all
+    @pytest.mark.parametrize(
+        "rl, message",
+        [
+            ({"updateEpochs": -3}, "update_epochs must be >= 0"),
+            ({"updateEpochs": -1}, "update_epochs must be >= 0"),
+            ({"maxIterations": -1}, "max_iterations must be >= 0"),
+        ],
+        ids=["epochs-minus-three", "epochs-minus-one", "iterations-minus-one"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "analyze"])
+    def test_negative_rl_budget_is_a_schema_failure(
+        self, tmp_path, capsys, command, rl, message
+    ):
+        model, policies = fixture_inputs(tmp_path, "two-batch")
+        bad = write_json(tmp_path / "optimizer.json", {"strategy": "rl", "rl": rl})
+        out = tmp_path / "out"
+        code = main([command, "--model", model, "--policies", policies,
+                     "--config", bad, "--out", str(out)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_optimizer_number_is_a_schema_failure(self, tmp_path, capsys, value):
         model, policies = fixture_inputs(tmp_path, "two-batch")

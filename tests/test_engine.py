@@ -348,15 +348,19 @@ def run_bounded(model, policies):
     return BoundedEngine(engine.compile_model(model), policies, SimConfig(seed=1)).run()
 
 
-def spy_on_rules(monkeypatch):
+def spy_on_rules(monkeypatch, outcomes=None):
     """The instant of every rule evaluation, seen through the module
-    global that the engine calls and the benchmark's tracer wraps."""
+    global that the engine calls and the benchmark's tracer wraps; each
+    answer is appended to `outcomes` when it is given."""
     calls = []
 
     def spy(rule, state, now):
         assert type(state) is pol.BatchState
         calls.append(now)
-        return pol.evaluate_activation_rule(rule, state, now)
+        fires = pol.evaluate_activation_rule(rule, state, now)
+        if outcomes is not None:
+            outcomes.append(fires)
+        return fires
 
     monkeypatch.setattr(engine, "evaluate_activation_rule", spy)
     return calls
@@ -368,39 +372,72 @@ def overlapping_model():
     return single_activity_model(total_cases=5, duration=5 * H // 2)
 
 
+def size_only(policies) -> bool:
+    """Whether every rule of `policies` reads nothing but queue sizes."""
+    return all(
+        cond.kind == pol.SIZE
+        for policy in policies.values()
+        for group in policy.rule.groups
+        for cond in group.conditions
+    )
+
+
 class TestRuleEvaluations:
-    def test_size_only_rule_is_evaluated_once_per_enabling_event(self, monkeypatch):
+    def test_size_only_rule_is_evaluated_once_its_queue_reaches_the_threshold(
+        self, monkeypatch
+    ):
         calls = spy_on_rules(monkeypatch)
         log = run_bounded(overlapping_model(), size_policy(2))
         assert [(b.start_time, b.size) for b in log.batches] == [
             (2 * H, 2), (9 * H // 2, 2), (7 * H, 1)
         ]
-        # the completions at 4.5 h and 7 h enable nothing, so the rule is
-        # not evaluated there, though an instance waits at 7 h
-        assert calls == [H, 2 * H, 3 * H, 4 * H, 5 * H]
-        assert calls == sorted(r.enable_time for r in log.instances)
+        # the enablements at 1 h, 3 h and 5 h leave one instance waiting,
+        # below the threshold, and the completions at 4.5 h and 7 h enable
+        # nothing, so the rule is evaluated only where it fires
+        assert calls == [2 * H, 4 * H]
 
-    # every event while an instance waits: the enablements, the two
-    # completions at 7 h and, where the rule asks for one, the wake or
-    # tick at 6 h
-    @pytest.mark.parametrize("other, wake", [
-        (pol.wait_first_at_least(0), []),
-        (pol.wait_last_at_least(0), []),
-        (pol.wait_first_at_least(H), [6 * H]),
-        (pol.in_hours(*range(24)), [6 * H]),
-        (pol.on_days(*range(7)), [6 * H]),
+    # a group holding a size condition cannot fire below it, so each rule
+    # is evaluated only at the enablements that make two wait, and holds
+    # there; the wake or tick at 6 h and the completions at 4.5 h and 7 h
+    # find one instance waiting
+    @pytest.mark.parametrize("other", [
+        pol.wait_first_at_least(0),
+        pol.wait_last_at_least(0),
+        pol.wait_first_at_least(H),
+        pol.in_hours(*range(24)),
+        pol.on_days(*range(7)),
     ], ids=["wt-first-0", "wt-last-0", "wt-first-1h", "daily-hour", "week-day"])
-    def test_rule_with_a_time_condition_is_evaluated_after_every_event(
-        self, monkeypatch, other, wake
+    def test_rule_with_a_time_condition_is_evaluated_from_its_size_threshold(
+        self, monkeypatch, other
     ):
-        instants = [H, 2 * H, 3 * H, 4 * H, 5 * H, *wake, 7 * H, 7 * H]
         calls = spy_on_rules(monkeypatch)
         policies = {
             "work": pol.BatchingPolicy("work", pol.PARALLEL,
                                        pol.rule([pol.size_at_least(2), other]))
         }
-        run_bounded(overlapping_model(), policies)
-        assert calls == instants
+        log = run_bounded(overlapping_model(), policies)
+        assert calls == [2 * H, 4 * H]
+        assert [(b.start_time, b.size) for b in log.batches] == [
+            (2 * H, 2), (9 * H // 2, 2), (7 * H, 1)
+        ]
+
+    def test_a_group_without_a_size_condition_is_evaluated_after_every_event(
+        self, monkeypatch
+    ):
+        # the wt-first group can fire a single instance, so the rule is
+        # evaluated after every event while one waits: the enablements, and
+        # the wake at 6 h that fires case 4; nothing waits at 4.5 h or 7 h
+        calls = spy_on_rules(monkeypatch)
+        policies = {
+            "work": pol.BatchingPolicy("work", pol.PARALLEL, pol.rule(
+                [pol.size_at_least(2)], [pol.wait_first_at_least(H)]
+            ))
+        }
+        log = run_bounded(overlapping_model(), policies)
+        assert calls == [H, 2 * H, 3 * H, 4 * H, 5 * H, 6 * H]
+        assert [(b.start_time, b.size) for b in log.batches] == [
+            (2 * H, 2), (9 * H // 2, 2), (7 * H, 1)
+        ]
 
     def test_one_completion_enables_two_ruled_activities_sharing_a_resource(
         self, monkeypatch
@@ -419,11 +456,42 @@ class TestRuleEvaluations:
         calls = spy_on_rules(monkeypatch)
         log = run_bounded(m.parse_model(doc), policies)
         done = [H + 600, 2 * H + 600]  # when each case's "work" completes
-        # each completion enables both, and both rules are evaluated in id order
-        assert calls == [done[0], done[0], done[1], done[1]]
+        # each completion enables both; the second makes two wait at each,
+        # and both rules are evaluated there, in id order
+        assert calls == [done[1], done[1]]
         assert [(b.activity_id, b.start_time, b.size) for b in log.batches[2:]] == [
             ("b", done[1], 2), ("c", done[1] + 600, 2)
         ]
+
+    def test_an_empty_rule_is_never_evaluated(self, monkeypatch):
+        # `"rule": []` never fires: two-batch's six tickets wait until the
+        # run drains at the last arrival, and leave as one flushed batch
+        calls = spy_on_rules(monkeypatch)
+        policies = {"ticket": pol.BatchingPolicy("ticket", pol.PARALLEL, pol.ActivationRule())}
+        log = simulate(get_fixture("two-batch").model(), policies, SimConfig(total_cases=6)).log
+        assert calls == []
+        assert [(b.start_time, b.size) for b in log.batches] == [(10_800, 6)]
+
+    @pytest.mark.parametrize(
+        "fixture", [f for f in all_fixtures() if size_only(f.policies())], ids=lambda f: f.name
+    )
+    def test_every_evaluation_of_a_size_only_rule_fires(self, monkeypatch, fixture):
+        outcomes = []
+        calls = spy_on_rules(monkeypatch, outcomes)
+        log = simulate(fixture.model(), fixture.policies(), fixture.sim_config()).log
+        assert all(outcomes)
+        # one evaluation per batch a rule formed; the rest are flushes or
+        # activities without a policy
+        batched = [b for b in log.batches if b.activity_id in fixture.policies()]
+        assert len(calls) <= len(batched)
+
+    @pytest.mark.parametrize("fixture", all_fixtures(), ids=lambda f: f.name)
+    def test_no_queue_is_left_at_its_fire_at(self, fixture):
+        run = engine._Engine(
+            engine.compile_model(fixture.model()), fixture.policies(), fixture.sim_config()
+        )
+        run.run()
+        assert run.ready == 0
 
 
 def test_a_timed_rule_fires_at_a_completion_before_its_wake_at_that_instant():
@@ -796,6 +864,31 @@ class TestGateways:
         for case_id in range(3):
             both_done = max(recs[(case_id, "b")].end_time, recs[(case_id, "c")].end_time)
             assert recs[(case_id, "d")].enable_time == both_done
+
+    def test_a_fan_out_enables_its_branches_in_arc_order(self):
+        # each branch has its own resource and starts as a batch of one when
+        # enabled, so the log lists the branches in the order they enabled
+        model = gateway_model(
+            gateways=[{"id": "fork", "kind": "and-split"}],
+            arcs=[("a", "fork"), ("fork", "b"), ("fork", "c"), ("fork", "d")],
+            activities=["a", "b", "c", "d"],
+            end_nodes=["b", "c", "d"],
+            total_cases=2,
+        )
+        log, _ = simulate(model, {}, SimConfig(seed=3))
+        assert executed(log) == {0: ["a", "b", "c", "d"], 1: ["a", "b", "c", "d"]}
+
+    @pytest.mark.parametrize("end", ["a", "fork"])
+    def test_a_token_stops_at_an_end_node_that_has_outgoing_arcs(self, end):
+        model = gateway_model(
+            gateways=[{"id": "fork", "kind": "and-split"}],
+            arcs=[("a", "fork"), ("fork", "b")],
+            activities=["a", "b"],
+            end_nodes=[end, "b"],
+            total_cases=2,
+        )
+        log, _ = simulate(model, {}, SimConfig(seed=3))
+        assert executed(log) == {0: ["a"], 1: ["a"]}
 
     def test_or_split_activates_subset_and_join_collects_it(self):
         model = gateway_model(

@@ -285,11 +285,13 @@ def test_same_seed_reproduces_everything(scenario):
 
 
 class HourlyTickEngine(_Engine):
-    """Reference loop: re-evaluate every rule after every event and at
-    every hour boundary while anything waits, the plain time-stepped
-    schedule that the engine's clock ticks and its skipping of size-only
-    rules must agree with.  Waiting-time wakes are recomputed from the
-    whole waiting list on every enablement."""
+    """Reference loop: re-evaluate every rule with a waiting instance after
+    every event and at every hour boundary while anything waits, the plain
+    time-stepped schedule that the engine's clock ticks and its `fire_at`
+    gate must agree with.  Waiting-time wakes are recomputed from the whole
+    waiting list on every enablement, and whether time alone can still
+    fire a rule is read from the rules' groups, not from the engine's
+    count of queues at their `fire_at`."""
 
     def _evaluate_rules(self) -> None:
         for activity_id, state in self.ruled:
@@ -311,6 +313,18 @@ class HourlyTickEngine(_Engine):
                     when = since + math.ceil(cond.threshold)
                     if when > self.now:
                         self._push(when, _WAKE, activity_id)
+
+    def _time_can_fire_something(self) -> bool:
+        """With no case events pending the waiting sets are final, so a
+        group is reachable iff its size condition (if any) already holds;
+        wt and clock conditions always come true eventually."""
+        for state in self.act_states.values():
+            if state.waiting and state.policy is not None:
+                for group in state.policy.rule.groups:
+                    size = group.find(pol.SIZE)
+                    if size is None or len(state.waiting) >= size.threshold:
+                        return True
+        return False
 
     def run(self) -> EventLog:
         # one heap for every event, arrivals included, so the engine's merge
@@ -485,10 +499,11 @@ def _assert_matches_hourly_reference(scenario) -> None:
     model, policies, seed = scenario
     config = SimConfig(seed=seed)
     compiled = compile_model(model)
-    assert (
-        _Engine(compiled, policies, config).run()
-        == HourlyTickEngine(compiled, policies, config).run()
-    )
+    engine = _Engine(compiled, policies, config)
+    reference = HourlyTickEngine(compiled, policies, config)
+    assert engine.run() == reference.run()
+    # a queue that reached its `fire_at` was emptied by a batch
+    assert engine.ready == reference.ready == 0
 
 
 @settings(deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -409,3 +410,17 @@ class TestCheckFields:
         else:
             with pytest.raises(ValueError, match=message):
                 check_fields(config, ValueError)
+
+
+def test_documented_policy_example_fires_as_described():
+    # the example of the schema document's "Batching policies" section
+    text = (Path(__file__).resolve().parents[1] / "docs" / "model-schema.md").read_text()
+    section = text[text.index("## Batching policies"):]
+    block = section[section.index("```json") + len("```json"):]
+    (policy,) = pol.parse_policies({"policies": [json.loads(block[: block.index("```")])]}).values()
+    fires = lambda *args: pol.evaluate_activation_rule(policy.rule, *args)
+    assert fires(state(0, 0, 0), 0)  # three wait, whatever the hour
+    assert not fires(state(0, 0), 8 * H)  # waited 8 h, but at 08:00
+    assert fires(state(MON_0900), MON_0900 + 2 * H)  # 11:00, after 2 h
+    assert not fires(state(MON_0900), MON_0900 + 2 * H - 1)
+    assert not fires(state(15 * H), 17 * H)  # 17:00 lies past hour 16
